@@ -148,13 +148,60 @@ func BenchmarkTrainerStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	stepTrainer(b, tr, 5) // past first-touch growth of every reused buffer
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	stepTrainer(b, tr, b.N)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+}
+
+func stepTrainer(b *testing.B, tr *engine.Trainer, n int) {
+	b.Helper()
+	for i := 0; i < n; i++ {
 		if err := tr.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+}
+
+// BenchmarkTrainerStepSGD measures the step the driver-side passes dominate:
+// SGD (eager + shuffled-partition, λ = 1e-4) on 8 000 narrow rows, steady
+// state. One row per step makes the kernel a few dozen flops, so what is
+// timed is sampling, the simulator's charges and the walk(s) over the model
+// — 28 wide dense, 1 000 wide with 10 non-zeros a row sparse.
+func BenchmarkTrainerStepSGD(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		d       int
+		density float64
+	}{{"dense28", 28, 1}, {"sparse1000x10", 1000, 0.01}} {
+		b.Run(c.name, func(b *testing.B) {
+			ds, err := synth.Generate(synth.Spec{
+				Name: "bench-sgd-" + c.name, Task: data.TaskLogisticRegression,
+				N: 8000, D: c.d, Density: c.density, Noise: 0.1, Margin: 1, Seed: 42,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := storage.Build(ds, storage.DefaultLayout())
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 1e-12, MaxIter: 1 << 30, Lambda: 1e-4}
+			plan := gd.NewSGD(p, gd.Eager, gd.ShuffledPartition)
+			plan.Looper = gd.FixedIterLooper{} // never stops inside the timed loop
+			cfg := cluster.Default()
+			cfg.JitterFrac = 0
+			tr, err := engine.NewTrainer(cluster.New(cfg), st, &plan, engine.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			stepTrainer(b, tr, 1000) // past first-touch growth, and a queue refill or two
+			b.ReportAllocs()
+			b.ResetTimer()
+			stepTrainer(b, tr, b.N)
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
 }
 
 // BenchmarkTrainerCheckpoint measures a Checkpoint + Encode round trip taken
@@ -174,11 +221,7 @@ func BenchmarkTrainerCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	stepTrainer(b, tr, 10)
 	b.ResetTimer()
 	var bytes int
 	for i := 0; i < b.N; i++ {

@@ -180,12 +180,23 @@ func (ex *executor) parseCost(i int) cluster.Seconds {
 	return ex.sim.CostParse(1, int64(len(ex.store.Dataset.Raw[i]))+1)
 }
 
-// passPartials carves len(spans) zeroed accumulators of dimension dim out of
-// the executor's flat arena, reusing the backing array across passes: one
-// (amortized-zero) allocation per pass instead of one pooled buffer per
-// shard. The partials reduce in span order, so the result is bit-identical
-// to individually-allocated buffers.
-func (ex *executor) passPartials(nspans, dim int) []linalg.Vector {
+// passPartials returns the nspans zeroed per-task accumulators of a pass
+// into acc. A single span (every SGD and small-batch MGD step) gets acc
+// itself: it is zero on entry, and a sum that started at +0 never holds -0,
+// so summing there equals summing into a zeroed partial and adding that.
+// Otherwise the partials are carved out of the executor's flat arena, reused
+// across passes: one (amortized-zero) allocation per pass instead of one
+// buffer per shard, reduced in span order — bit-identical to separate buffers.
+func (ex *executor) passPartials(acc linalg.Vector, nspans int) []linalg.Vector {
+	if cap(ex.partials) < nspans {
+		ex.partials = make([]linalg.Vector, nspans)
+	}
+	partials := ex.partials[:nspans]
+	if nspans == 1 {
+		partials[0] = acc
+		return partials
+	}
+	dim := len(acc)
 	need := nspans * dim
 	if cap(ex.accArena) < need {
 		ex.accArena = make([]float64, need)
@@ -194,10 +205,6 @@ func (ex *executor) passPartials(nspans, dim int) []linalg.Vector {
 	for i := range arena {
 		arena[i] = 0
 	}
-	if cap(ex.partials) < nspans {
-		ex.partials = make([]linalg.Vector, nspans)
-	}
-	partials := ex.partials[:nspans]
 	for t := 0; t < nspans; t++ {
 		partials[t] = arena[t*dim : (t+1)*dim]
 	}
@@ -208,7 +215,8 @@ func (ex *executor) passPartials(nspans, dim int) []linalg.Vector {
 // Computer over len(spans) pool tasks, each position mapped to a dataset unit
 // by idx (nil means identity — position IS the unit index), each task
 // accumulating into its own slice of the accumulator arena, and folds the
-// partials into acc with an ordered tree reduction. When transform is set
+// partials into acc — which must be zero on entry — with an ordered tree
+// reduction (a single span accumulates into acc itself). When transform is set
 // (lazy full scans) workers parse-and-memoize on the fly; spans must then
 // address disjoint unit ranges. The context guard enforces the gd.Computer
 // contract around the whole pass.
@@ -218,7 +226,7 @@ func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int, tran
 	}
 	ctx := ex.ctx
 	guard := ctx.Guard()
-	partials := ex.passPartials(len(spans), len(acc))
+	partials := ex.passPartials(acc, len(spans))
 
 	var err error
 	if ex.workers <= 1 || len(spans) == 1 {
@@ -238,7 +246,7 @@ func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int, tran
 	if err == nil {
 		err = guard.Check(ctx)
 	}
-	if err == nil {
+	if err == nil && len(partials) > 1 {
 		acc.Add(linalg.ReduceTree(partials))
 	}
 	return err
@@ -324,9 +332,13 @@ func (ex *executor) iteration() (linalg.Vector, error) {
 	dim := plan.Computer.AccDim(d)
 	if cap(ex.accBuf) < dim {
 		ex.accBuf = linalg.NewVector(dim)
+		ex.accZero = true
 	}
 	acc := ex.accBuf[:dim]
-	acc.Zero()
+	if !ex.accZero {
+		acc.Zero()
+	}
+	ex.accZero = false
 
 	fullBatch := plan.Sampling == gd.NoSampling
 	if plan.Algorithm == gd.SVRG && plan.UpdateFrequency > 0 && ctx.Iter%plan.UpdateFrequency == 1 {

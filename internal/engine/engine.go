@@ -220,6 +220,7 @@ type executor struct {
 	accArena  []float64
 	partials  []linalg.Vector
 	accBuf    linalg.Vector
+	accZero   bool // accBuf is all zero: fresh, or consumed by a fused driver step
 	fullSpans []span
 	spanBuf   []span
 	costBuf   []cluster.Seconds

@@ -23,7 +23,10 @@ import (
 // are all captured by value. The data units themselves are NOT serialized —
 // they are reproduced on Resume by re-running the (deterministic) Transform
 // UDF over the same raw dataset, which is why a resumed run needs the same
-// store the checkpointed run used.
+// store the checkpointed run used. Neither is the previous iterate: between
+// Steps it equals Weights (see Trainer.prev), so a checkpoint written when it
+// still was a field (Prev) resumes to the same weights — gob drops the
+// unknown field.
 type TrainState struct {
 	PlanName string
 	Seed     int64
@@ -33,7 +36,6 @@ type TrainState struct {
 	StepSize   float64
 	BatchSize  int
 	Weights    linalg.Vector
-	Prev       linalg.Vector
 	Vars       map[string]any
 	Deltas     []float64
 	Trace      []linalg.Vector
@@ -101,7 +103,6 @@ func (t *Trainer) Checkpoint() (*TrainState, error) {
 		StepSize:   ctx.Step,
 		BatchSize:  ctx.BatchSize,
 		Weights:    ctx.Weights.Clone(),
-		Prev:       t.prev.Clone(),
 		Vars:       cloneVars(ctx.Vars),
 		Deltas:     append([]float64(nil), t.res.Deltas...),
 		FinalDelta: t.res.FinalDelta,
@@ -191,7 +192,6 @@ func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options,
 	for _, w := range st.Trace {
 		t.res.Trace = append(t.res.Trace, w.Clone())
 	}
-	t.prev = st.Prev.Clone()
 	t.done = st.Done
 	return t, nil
 }

@@ -38,9 +38,21 @@ type Trainer struct {
 	ex    executor
 	src   *cluster.CountingSource // the sampling RNG's underlying stream
 	res   *Result
-	prev  linalg.Vector
 	start cluster.Seconds // sim clock when the run (segment) began
 	done  bool
+
+	// fused is the plan's Updater when Update, Converge and the finite check
+	// run as one pass over the model (a gd.FusedUpdater paired with a
+	// gd.NormConverger of norm); nil runs them operator by operator.
+	fused gd.FusedUpdater
+	norm  gd.DeltaNorm
+
+	// Converge's previous iterate is the vector the context held before
+	// Update, not a copy — unless the last Update handed that very vector
+	// back (it may write it in place): copyPrev then has Step copy it into
+	// prev first. Set at start, when no Update has been seen yet.
+	prev     linalg.Vector
+	copyPrev bool
 }
 
 // NewTrainer validates the plan and performs the pre-loop phases on sim:
@@ -78,7 +90,6 @@ func NewTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Opti
 	}
 
 	t.res = &Result{PlanName: plan.Name(), Deltas: make([]float64, 0, 16)}
-	t.prev = ex.ctx.Weights.Clone()
 	return t, nil
 }
 
@@ -116,7 +127,8 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 
 	t := &Trainer{
 		sim: sim, store: store, plan: plan, opts: opts,
-		start: sim.Now(),
+		start:    sim.Now(),
+		copyPrev: true,
 	}
 	blockSize := opts.BlockSize
 	if blockSize <= 0 {
@@ -139,6 +151,12 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 		t.ex.batch = bc
 		if fc, ok := bc.(gd.FastBatchComputer); ok && opts.FastMath && fc.FastCapable() {
 			t.ex.fast = true
+		}
+	}
+	// Same for the fused driver step.
+	if fu, ok := plan.Updater.(gd.FusedUpdater); ok {
+		if nc, ok := plan.Converger.(gd.NormConverger); ok {
+			t.fused, t.norm = fu, nc.DeltaNorm()
 		}
 	}
 	return t, nil
@@ -212,32 +230,49 @@ func (t *Trainer) Step() error {
 		return err
 	}
 
-	// Update on the driver.
+	// Update, then Converge + Loop, on the driver — charged in that order
+	// whether they run fused or operator by operator.
 	sim.RunLocal(sim.CostCPU(1, float64(2*ctx.NumFeatures)))
 	wOld := ctx.Weights
-	wNew, err := plan.Updater.Update(acc, ctx)
-	if err != nil {
-		return err
+	var (
+		wNew   linalg.Vector
+		delta  float64
+		finite bool
+	)
+	if t.fused != nil {
+		if wNew, delta, finite, err = t.fused.UpdateConverge(acc, ctx, t.norm); err != nil {
+			return err
+		}
+		t.ex.accZero = len(acc) == len(wNew) // consumed: zeroed as it was read
+		sim.RunLocal(sim.CostCPU(1, float64(ctx.NumFeatures)))
+	} else {
+		wPrev := wOld
+		if t.copyPrev {
+			t.prev = append(t.prev[:0], wOld...)
+			wPrev = t.prev
+		}
+		if wNew, err = plan.Updater.Update(acc, ctx); err != nil {
+			return err
+		}
+		sim.RunLocal(sim.CostCPU(1, float64(ctx.NumFeatures)))
+		delta = plan.Converger.Converge(wNew, wPrev, ctx)
+		finite = wNew.IsFinite()
 	}
-
-	// Converge + Loop on the driver.
-	sim.RunLocal(sim.CostCPU(1, float64(ctx.NumFeatures)))
-	delta := plan.Converger.Converge(wNew, t.prev, ctx)
 	res.Deltas = append(res.Deltas, delta)
 	if t.opts.CollectWeightsTrace {
 		res.Trace = append(res.Trace, wNew.Clone())
 	}
-	copy(t.prev, wNew)
 	res.FinalDelta = delta
-	if len(wOld) > 0 && len(wNew) > 0 && &wOld[0] != &wNew[0] {
-		// The replaced weights vector is dead once the delta history and
-		// prev copy are taken (operators keep clones, per the Checkpoint
-		// contract); recycle it for the next update.
+	t.copyPrev = len(wOld) > 0 && len(wNew) > 0 && &wOld[0] == &wNew[0]
+	if !t.copyPrev {
+		// The replaced weights vector is dead once the delta is taken
+		// (operators keep clones, per the Checkpoint contract); recycle it
+		// for the next update.
 		ctx.PutSpare(wOld)
 	}
 
 	switch {
-	case !wNew.IsFinite():
+	case !finite:
 		res.Diverged = true
 		t.done = true
 	case !plan.Looper.Loop(delta, ctx):

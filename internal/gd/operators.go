@@ -76,7 +76,9 @@ type RandomizedComputer interface {
 // accumulator into the global variables and returns the new weights. The
 // accumulator is engine-owned scratch reused across iterations: an Updater
 // must not retain acc (or a sub-slice of it) past the call — clone whatever
-// it keeps, as the stock implementations do.
+// it keeps, as the stock implementations do. On return ctx.Weights must be
+// the vector Update returns: the engine reads the weights the context held on
+// entry as the previous iterate Converge compares against.
 type Updater interface {
 	Update(acc linalg.Vector, ctx *Context) (linalg.Vector, error)
 }

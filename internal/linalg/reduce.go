@@ -1,7 +1,5 @@
 package linalg
 
-import "sync"
-
 // ReduceTree merges the given partial vectors into parts[0] with an ordered
 // binary tree reduction: pass 1 folds parts[1] into parts[0], parts[3] into
 // parts[2], ...; pass 2 folds parts[2] into parts[0], parts[6] into parts[4];
@@ -23,43 +21,4 @@ func ReduceTree(parts []Vector) Vector {
 		}
 	}
 	return parts[0]
-}
-
-// BufferPool recycles zeroed vectors keyed by dimension so per-shard
-// accumulators do not allocate every iteration. It is safe for concurrent
-// use; Get returns a zeroed vector and Put recycles one (the pool zeroes it
-// on the way back in, keeping Get cheap on the hot path).
-type BufferPool struct {
-	mu   sync.Mutex
-	free map[int][]Vector
-}
-
-// NewBufferPool returns an empty pool.
-func NewBufferPool() *BufferPool {
-	return &BufferPool{free: map[int][]Vector{}}
-}
-
-// Get returns a zeroed vector of dimension d.
-func (p *BufferPool) Get(d int) Vector {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.free[d]
-	if n := len(list); n > 0 {
-		v := list[n-1]
-		p.free[d] = list[:n-1]
-		return v
-	}
-	return NewVector(d)
-}
-
-// Put recycles v for a future Get of the same dimension. Putting nil is a
-// no-op.
-func (p *BufferPool) Put(v Vector) {
-	if v == nil {
-		return
-	}
-	v.Zero()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free[len(v)] = append(p.free[len(v)], v)
 }

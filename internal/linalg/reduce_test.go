@@ -50,25 +50,3 @@ func TestReduceTreeDeterministic(t *testing.T) {
 		t.Fatal("tree reduction is not reproducible")
 	}
 }
-
-func TestBufferPoolRecyclesZeroed(t *testing.T) {
-	p := NewBufferPool()
-	v := p.Get(5)
-	if len(v) != 5 {
-		t.Fatalf("Get(5) returned dim %d", len(v))
-	}
-	v[2] = 42
-	p.Put(v)
-	w := p.Get(5)
-	for i, x := range w {
-		if x != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %g", i, x)
-		}
-	}
-	// Distinct dimension gets a distinct buffer.
-	u := p.Get(3)
-	if len(u) != 3 {
-		t.Fatalf("Get(3) returned dim %d", len(u))
-	}
-	p.Put(nil) // must not panic
-}

@@ -146,11 +146,12 @@ func (v Vector) Equal(w Vector, tol float64) bool {
 }
 
 // IsFinite reports whether every component of v is finite (no NaN/Inf).
+// Branch-free and exact: x-x is 0 for every finite x and NaN for ±Inf and
+// NaN, and a NaN term makes the whole sum NaN.
 func (v Vector) IsFinite() bool {
+	var s float64
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+		s += x - x
 	}
-	return true
+	return s == 0
 }

@@ -31,6 +31,8 @@ type Env struct {
 
 // Sampler is the paper's operator (5). Draw returns the unit indices of the
 // next sample of size b, charging simulated access costs as a side effect.
+// The returned slice is the sampler's own buffer, valid until the next Draw
+// on the same sampler; a caller that keeps indices longer copies them.
 type Sampler interface {
 	Kind() gd.SamplingKind
 	// Draw returns ~b unit indices (exactly b for the partition-based
@@ -66,12 +68,23 @@ func New(kind gd.SamplingKind) (Sampler, error) {
 	}
 }
 
+// emptied returns buf with length 0 and room for b indices.
+func emptied(buf []int, b int) []int {
+	if cap(buf) < b {
+		return make([]int, 0, b)
+	}
+	return buf[:0]
+}
+
 // BernoulliSampler scans every partition on every draw and keeps each unit
 // independently with probability b/n. Like Spark's sample(), the returned
 // count is random; when the draw comes back empty (likely for b=1 over large
 // n) it falls back to one uniformly random unit rather than rescanning, the
 // cheaper of the two mitigations the paper discusses for MLlib.
-type BernoulliSampler struct{}
+type BernoulliSampler struct {
+	costs  []cluster.Seconds // per-partition scan costs, rebuilt each Draw
+	picked []int             // the returned index buffer
+}
 
 // Kind implements Sampler.
 func (*BernoulliSampler) Kind() gd.SamplingKind { return gd.Bernoulli }
@@ -80,15 +93,14 @@ func (*BernoulliSampler) Kind() gd.SamplingKind { return gd.Bernoulli }
 // one task per partition, each paying the partition read plus a per-unit
 // inspection, exactly why the paper calls Bernoulli sampling out as reading
 // "the entire input dataset for taking a small sample".
-func (*BernoulliSampler) Draw(env *Env, b int) ([]int, error) {
+func (s *BernoulliSampler) Draw(env *Env, b int) ([]int, error) {
 	st := env.Store
 	n := st.Dataset.N()
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: empty dataset")
 	}
 	p := float64(b) / float64(n)
-	costs := make([]cluster.Seconds, 0, st.NumPartitions())
-	var picked []int
+	costs, picked := s.costs[:0], s.picked[:0]
 	for _, part := range st.Partitions {
 		c := env.Sim.CostReadPartition(part, st.Layout)
 		c += env.Sim.CostCPU(part.Units(), 0)
@@ -103,12 +115,15 @@ func (*BernoulliSampler) Draw(env *Env, b int) ([]int, error) {
 	if len(picked) == 0 {
 		picked = append(picked, env.RNG.Intn(n))
 	}
+	s.costs, s.picked = costs, picked
 	return picked, nil
 }
 
 // RandomPartitionSampler picks, per required sample unit, one random
 // partition and then one random unit inside it — b random accesses per draw.
-type RandomPartitionSampler struct{}
+type RandomPartitionSampler struct {
+	picked []int // the returned index buffer
+}
 
 // Kind implements Sampler.
 func (*RandomPartitionSampler) Kind() gd.SamplingKind { return gd.RandomPartition }
@@ -116,12 +131,12 @@ func (*RandomPartitionSampler) Kind() gd.SamplingKind { return gd.RandomPartitio
 // Draw implements Sampler. Cost: b seeks plus the pages covering each
 // accessed unit, executed serially by one task; this is the "large number of
 // random accesses" the paper attributes to random-partition.
-func (*RandomPartitionSampler) Draw(env *Env, b int) ([]int, error) {
+func (s *RandomPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 	st := env.Store
 	if st.Dataset.N() == 0 {
 		return nil, fmt.Errorf("sampling: empty dataset")
 	}
-	picked := make([]int, 0, b)
+	picked := emptied(s.picked, b)
 	var total cluster.Seconds
 	for j := 0; j < b; j++ {
 		part := st.Partitions[env.RNG.Intn(len(st.Partitions))]
@@ -131,6 +146,7 @@ func (*RandomPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 		picked = append(picked, idx)
 	}
 	env.Sim.RunLocal(total)
+	s.picked = picked
 	return picked, nil
 }
 
@@ -138,7 +154,8 @@ func (*RandomPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 // serves draws sequentially from it; when fewer units remain than requested
 // it tops up from a freshly shuffled second partition (paper Section 6).
 type ShuffledPartitionSampler struct {
-	queue []int // shuffled unit indices not yet served
+	queue  []int // shuffled unit indices not yet served
+	picked []int // the returned index buffer
 }
 
 // Kind implements Sampler.
@@ -172,7 +189,7 @@ func (s *ShuffledPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 	if st.Dataset.N() == 0 {
 		return nil, fmt.Errorf("sampling: empty dataset")
 	}
-	picked := make([]int, 0, b)
+	picked := emptied(s.picked, b)
 	var total cluster.Seconds
 	var servedBytes int64
 	for len(picked) < b {
@@ -201,5 +218,6 @@ func (s *ShuffledPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 	pages := (servedBytes + st.Layout.PageBytes - 1) / st.Layout.PageBytes
 	total += cluster.Seconds(pages) * env.Sim.Cfg.MemPageSec
 	env.Sim.RunLocal(total)
+	s.picked = picked
 	return picked, nil
 }

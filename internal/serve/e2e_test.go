@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,7 @@ import (
 	"ml4all/internal/fault"
 	"ml4all/internal/linalg"
 	"ml4all/internal/metrics"
+	"ml4all/internal/obs"
 	"ml4all/internal/synth"
 )
 
@@ -357,5 +359,71 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	}
 	if mv.Model.Converged != refModel.Converged {
 		t.Fatalf("resumed converged=%v, offline %v", mv.Model.Converged, refModel.Converged)
+	}
+}
+
+// TestDivergedJobIsNotPublished: a job whose trainer ends with non-finite
+// weights settles failed, says why and where, closes its event stream with
+// that state, and leaves the registry alone — the version published before
+// it is still `latest` and still answers predicts.
+func TestDivergedJobIsNotPublished(t *testing.T) {
+	trainPath, ds := writeDataset(t, synth.Spec{
+		Name: "diverge-train", Task: data.TaskLinearRegression,
+		N: 1200, D: 24, Density: 0.4, Noise: 0.1, Seed: 5,
+	})
+	srv, err := New(Config{Dir: t.TempDir(), Pool: 1, System: servingSystem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	submit := func(having string) func() JobStatus {
+		var st JobStatus
+		script := fmt.Sprintf("m = run leastsquares on %s having %s;", trainPath, having)
+		if code := postJSON(t, ts.URL+"/v1/jobs", map[string]string{"script": script}, &st); code != http.StatusOK {
+			t.Fatalf("submit returned %d", code)
+		}
+		return func() JobStatus {
+			var cur JobStatus
+			getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &cur)
+			return cur
+		}
+	}
+	predict := func() PredictResponse {
+		var pr PredictResponse
+		if code := postJSON(t, ts.URL+"/v1/models/m/predict", PredictRequest{Rows: ds.Raw[:8]}, &pr); code != http.StatusOK {
+			t.Fatalf("predict returned %d", code)
+		}
+		return pr
+	}
+
+	good := waitState(t, submit("epsilon 0.001, max iter 150"), JobCompleted, 30*time.Second)
+	if good.Version != 1 {
+		t.Fatalf("published version %d, want 1", good.Version)
+	}
+	before := predict()
+
+	bad := waitState(t, submit("max iter 150 using step 1e6"), JobFailed, 30*time.Second)
+	want := fmt.Sprintf("diverged at iteration %d: non-finite weights", bad.Iteration)
+	if bad.Error != want || bad.Iteration == 0 || bad.Iteration == 150 || bad.Version != 0 {
+		t.Fatalf("diverged job settled as %+v, want error %q", bad, want)
+	}
+	var page struct {
+		Events []obs.Event `json:"events"`
+		Closed bool        `json:"closed"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs/"+bad.ID+"/events?once", &page)
+	if n := len(page.Events); !page.Closed || n == 0 || page.Events[n-1].State != string(JobFailed) {
+		t.Fatalf("event stream of the diverged job: closed=%v, events %+v", page.Closed, page.Events)
+	}
+
+	mv, ok := srv.Registry().Get("m", 0)
+	if !ok || mv.Version != 1 || !mv.Model.Weights.IsFinite() {
+		t.Fatalf("latest after the diverged job: %+v (found %v)", mv, ok)
+	}
+	after := predict()
+	if after.Version != 1 || !reflect.DeepEqual(after.Scores, before.Scores) {
+		t.Fatalf("predict after the diverged job: version %d scores %v, before %v", after.Version, after.Scores, before.Scores)
 	}
 }

@@ -893,12 +893,18 @@ func (m *Manager) runJob(j *Job) {
 // complete publishes the finished model, appends the run's ledger record
 // and settles the job. A ledger append failure is counted and logged into
 // the metrics, never fails the job — history degrades, training does not.
+// A trainer that ended diverged has no model to publish: its weights are
+// NaN/Inf, so the job fails and the registry keeps serving what it had.
 func (m *Manager) complete(j *Job) {
 	j.mu.Lock()
 	tj := j.job
 	j.mu.Unlock()
-	model := tj.Model()
 	prog := tj.Progress()
+	if prog.Diverged {
+		m.fail(j, fmt.Errorf("diverged at iteration %d: non-finite weights", prog.Iteration))
+		return
+	}
+	model := tj.Model()
 	mv, err := m.reg.Publish(j.Model, model)
 	if err != nil {
 		m.fail(j, fmt.Errorf("publishing model: %w", err))

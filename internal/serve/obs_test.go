@@ -34,6 +34,9 @@ func obsServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
+	// Runs before the removal of dir: a job a test leaves in flight must stop
+	// writing there first.
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	t.Cleanup(ts.Close)
 	return srv, ts
 }
