@@ -12,6 +12,7 @@ package ml4all
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -236,6 +237,76 @@ func BenchmarkTrainerCheckpoint(b *testing.B) {
 		bytes = len(enc)
 	}
 	b.ReportMetric(float64(bytes), "state_bytes")
+}
+
+// --- Cold start: text to arena, and speculation ---
+
+// coldStartSpecs are the two shapes a cold start pays for: a dense 100-wide
+// CSV and a sparse 2 000-wide LIBSVM file at 2 % density (the repo
+// benchmark's cold-auto pair, at a tenth of its rows).
+var coldStartSpecs = []struct {
+	name string
+	spec synth.Spec
+}{
+	{"csv100", synth.Spec{Name: "bench-csv100", Task: data.TaskLogisticRegression, N: 4000, D: 100, Density: 1, Noise: 0.1, Margin: 1, Seed: 42}},
+	{"libsvm2000x2pct", synth.Spec{Name: "bench-libsvm", Task: data.TaskLogisticRegression, N: 4000, D: 2000, Density: 0.02, Noise: 0.1, Margin: 1, Seed: 43}},
+}
+
+// BenchmarkReadMatrix measures data.ReadMatrix over a file's text held in
+// memory: MB/s of text turned into an arena, and allocations per load —
+// which are per text block and per arena column, not per row.
+func BenchmarkReadMatrix(b *testing.B) {
+	for _, c := range coldStartSpecs {
+		b.Run(c.name, func(b *testing.B) {
+			ds, err := synth.Generate(c.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			text := strings.Join(ds.Raw, "\n") + "\n"
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := data.ReadMatrix(strings.NewReader(text), ds.Format)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.NumRows() != ds.N() {
+					b.Fatalf("read %d rows, want %d", m.NumRows(), ds.N())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpeculate measures one estimator.Speculate call for BGD — full
+// passes over the 1 000-row speculation sample until the speculation
+// tolerance — on a dense and a sparse dataset.
+func BenchmarkSpeculate(b *testing.B) {
+	for i, name := range []string{"dense", "sparse"} {
+		b.Run(name, func(b *testing.B) {
+			ds, err := synth.Generate(coldStartSpecs[i].spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := storage.Build(ds, storage.DefaultLayout())
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan := gd.NewBGD(gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 1e-4, MaxIter: 1000})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est, err := estimator.Speculate(plan, st, estimator.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(est.Sequence) == 0 {
+					b.Fatal("speculation recorded no progress")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAdaptiveVsStatic is the end-to-end comparison under the skewed

@@ -11,7 +11,7 @@ import (
 // Dataset is an in-memory handle to a parsed dataset plus its descriptive
 // metadata. In the real ML4all the raw bytes live in HDFS and parsing happens
 // inside the plan's Transform operator; here the Dataset carries both the raw
-// text lines (for plans that transform lazily) and the parsed columnar arena
+// text records (for plans that transform lazily) and the parsed columnar arena
 // so that the simulator can charge parse CPU where the plan actually performs
 // it.
 type Dataset struct {
@@ -19,8 +19,11 @@ type Dataset struct {
 	Task   TaskKind
 	Format Format
 
-	// Raw holds the unparsed text records, one per data unit. Plans with
-	// lazy transformation read from Raw and parse on demand.
+	// Raw holds the unparsed text records, one per data unit: the trimmed
+	// lines of the file a loaded dataset was read from, or canonical
+	// renderings for generated data (see FromMatrix). Plans with lazy
+	// transformation read from Raw and parse on demand, and its byte lengths
+	// are what the storage layer partitions and the simulator charges.
 	Raw []string
 
 	// Mat holds the parsed data in columnar arena form, index-aligned with
@@ -59,21 +62,29 @@ func (t TaskKind) String() string {
 	}
 }
 
-// FromMatrix builds a Dataset over a columnar arena, synthesizing the raw
-// text lines so lazy-transform plans have something to parse: dense matrices
-// render as CSV (the paper's dense convention), sparse ones as LIBSVM.
+// FromMatrix builds a Dataset over a columnar arena. When the arena was
+// parsed from text (ReadMatrix, ParseMatrix), Raw adopts the records it was
+// parsed from — the file's own lines, not copied. An arena that carries no
+// text (a generator's, a Compact copy) has its lines rendered instead so
+// lazy-transform plans have something to parse: dense matrices as CSV (the
+// paper's dense convention), sparse ones as LIBSVM.
 func FromMatrix(name string, task TaskKind, m *Matrix) *Dataset {
 	ds := &Dataset{Name: name, Task: task, Format: FormatLIBSVM, Mat: m}
 	if m.IsDense() {
 		ds.Format = FormatCSV
 	}
 	ds.Raw = make([]string, m.NumRows())
+	var buf []byte
 	for i := range ds.Raw {
-		r := m.Row(i)
-		if m.IsDense() {
-			ds.Raw[i] = r.CSVString()
-		} else {
-			ds.Raw[i] = r.String()
+		switch {
+		case m.text != nil:
+			ds.Raw[i] = m.text[m.baseRow(i)]
+		case m.IsDense():
+			buf = m.Row(i).appendCSV(buf[:0])
+			ds.Raw[i] = string(buf)
+		default:
+			buf = m.Row(i).appendLIBSVM(buf[:0])
+			ds.Raw[i] = string(buf)
 		}
 	}
 	ds.NumFeatures = m.MaxIndex() + 1
@@ -106,12 +117,14 @@ func FromUnits(name string, task TaskKind, units []Unit) *Dataset {
 		ds.Format = FormatCSV
 	}
 	ds.Raw = make([]string, len(units))
+	var buf []byte
 	for i, u := range units {
 		if allDense {
-			ds.Raw[i] = u.CSVString()
+			buf = u.Row().appendCSV(buf[:0])
 		} else {
-			ds.Raw[i] = u.String()
+			buf = u.Row().appendLIBSVM(buf[:0])
 		}
+		ds.Raw[i] = string(buf)
 		if mi := u.MaxIndex(); mi+1 > ds.NumFeatures {
 			ds.NumFeatures = mi + 1
 		}

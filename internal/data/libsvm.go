@@ -2,6 +2,7 @@ package data
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -42,11 +43,11 @@ func nextField(s string, pos int) (start, end int, ok bool) {
 // materialized.
 func parseLIBSVMInto(line string, idx []int32, vals []float64) (label float64, oidx []int32, ovals []float64, ok bool, err error) {
 	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
+	if line == "" || line[0] == '#' {
 		return 0, idx, vals, false, nil
 	}
 	start, end, _ := nextField(line, 0) // non-empty after TrimSpace
-	label, err = strconv.ParseFloat(line[start:end], 64)
+	label, err = parseFloat(line[start:end])
 	if err != nil {
 		return 0, idx, vals, false, fmt.Errorf("data: bad LIBSVM label %q: %w", line[start:end], err)
 	}
@@ -63,10 +64,29 @@ func parseLIBSVMInto(line string, idx []int32, vals []float64) (label float64, o
 // field to skip, instead of allocating a synthetic "0 "-prefixed line).
 func parseLIBSVMFeatures(line string, pos int, idx []int32, vals []float64) (oidx []int32, ovals []float64, err error) {
 	for {
-		start, end, ok := nextField(line, pos)
-		if !ok {
-			break
+		for pos < len(line) && asciiSpace(line[pos]) {
+			pos++
 		}
+		if pos == len(line) {
+			return idx, vals, nil
+		}
+		// The common field — a plain decimal index in range, a colon, a value
+		// on scanFloat's fast path — converts in the scan that delimits it.
+		i, p := 0, pos
+		for ; p < len(line) && p-pos < 9 && line[p]-'0' <= 9; p++ {
+			i = i*10 + int(line[p]-'0')
+		}
+		if i >= 1 && p < len(line) && line[p] == ':' {
+			if v, end, ok := scanFloat(line, p+1); ok && (end == len(line) || asciiSpace(line[end])) {
+				idx = append(idx, int32(i-1))
+				vals = append(vals, v)
+				pos = end
+				continue
+			}
+		}
+		// Every other field, the malformed ones included, takes the general
+		// route, which also words the errors.
+		start, end, _ := nextField(line, pos)
 		pos = end
 		f := line[start:end]
 		colon := strings.IndexByte(f, ':')
@@ -82,14 +102,13 @@ func parseLIBSVMFeatures(line string, pos int, idx []int32, vals []float64) (oid
 		if i < 1 || i-1 > math.MaxInt32 {
 			return idx, vals, fmt.Errorf("data: LIBSVM index %d out of range (must be in [1, 2^31])", i)
 		}
-		v, err := strconv.ParseFloat(f[colon+1:], 64)
+		v, err := parseFloat(f[colon+1:])
 		if err != nil {
 			return idx, vals, fmt.Errorf("data: bad LIBSVM value %q: %w", f[colon+1:], err)
 		}
 		idx = append(idx, int32(i-1))
 		vals = append(vals, v)
 	}
-	return idx, vals, nil
 }
 
 // ParseLIBSVMLine parses one line of LIBSVM text: "label idx:val idx:val ...".
@@ -113,7 +132,7 @@ func ParseLIBSVMLine(line string) (u Unit, ok bool, err error) {
 // returned label is 0 (the prediction-request form, see ParsePredictCSV).
 func parseCSVInto(line string, labelCol int, vals []float64) (label float64, ovals []float64, ok bool, err error) {
 	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
+	if line == "" || line[0] == '#' {
 		return 0, vals, false, nil
 	}
 	cols := strings.Count(line, ",") + 1
@@ -123,17 +142,30 @@ func parseCSVInto(line string, labelCol int, vals []float64) (label float64, ova
 	// Walk the comma-separated fields in place — no []string materialized.
 	pos := 0
 	for i := 0; i < cols; i++ {
-		end := len(line)
-		if c := strings.IndexByte(line[pos:], ','); c >= 0 {
-			end = pos + c
+		// The common field — blanks, a number on scanFloat's fast path,
+		// blanks — converts in the scan that finds its comma.
+		p := pos
+		for p < len(line) && asciiSpace(line[p]) {
+			p++
 		}
-		p := strings.TrimSpace(line[pos:end])
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			if i == labelCol {
-				return 0, vals, false, fmt.Errorf("data: bad CSV label %q: %w", p, err)
+		v, end, fast := scanFloat(line, p)
+		for fast && end < len(line) && asciiSpace(line[end]) {
+			end++
+		}
+		if !fast || (end < len(line) && line[end] != ',') {
+			// Every other field, the malformed ones included, takes the
+			// general route, which also words the errors.
+			end = len(line)
+			if c := strings.IndexByte(line[pos:], ','); c >= 0 {
+				end = pos + c
 			}
-			return 0, vals, false, fmt.Errorf("data: bad CSV value %q: %w", p, err)
+			f := strings.TrimSpace(line[pos:end])
+			if v, err = parseFloat(f); err != nil {
+				if i == labelCol {
+					return 0, vals, false, fmt.Errorf("data: bad CSV label %q: %w", f, err)
+				}
+				return 0, vals, false, fmt.Errorf("data: bad CSV value %q: %w", f, err)
+			}
 		}
 		if i == labelCol {
 			label = v
@@ -190,21 +222,122 @@ func (f Format) ParseLine(line string) (Unit, bool, error) {
 	}
 }
 
-// scanLines reads every text record from r.
-func scanLines(r io.Reader) ([]string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var lines []string
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
+// MaxRecordBytes bounds one text record: an input line that reaches it fails
+// the read with bufio.ErrTooLong.
+const MaxRecordBytes = 1 << 24
+
+// textBlockBytes is the size the reader cuts its input into. One buffer for
+// the whole file reads as fast but is a single allocation the size of the
+// file, which the concurrent collector overshoots on; blocks keep the peak
+// resident size at the sum of the live bytes.
+const textBlockBytes = 1 << 20
+
+// readTextBlocks reads r to its end as strings of about textBlockBytes, each
+// ending on a record boundary (a newline, or the end of the input); a record
+// longer than a block gets a block grown to hold it.
+func readTextBlocks(r io.Reader) ([]string, error) {
+	var blocks []string
+	buf := make([]byte, textBlockBytes)
+	n := 0 // buf[:n] is text read but not yet cut into a block
+	for {
+		got, err := io.ReadFull(r, buf[n:])
+		n += got
+		eof := err == io.EOF || err == io.ErrUnexpectedEOF
+		if err != nil && !eof {
+			return nil, err
+		}
+		cut := n
+		if !eof {
+			cut = bytes.LastIndexByte(buf[:n], '\n') + 1
+			if cut == 0 { // buf is full of one record's beginning
+				if len(buf) >= MaxRecordBytes {
+					return nil, bufio.ErrTooLong
+				}
+				buf = append(buf, make([]byte, len(buf))...)
+				continue
+			}
+		}
+		if cut > 0 {
+			blocks = append(blocks, string(buf[:cut]))
+		}
+		if eof {
+			return blocks, nil
+		}
+		n = copy(buf, buf[cut:n])
+		if n < textBlockBytes {
+			buf = buf[:textBlockBytes]
+		}
 	}
-	return lines, sc.Err()
+}
+
+// matrixParser is the record loop ReadMatrix and ParseMatrix share: each
+// record is trimmed, parsed once into reused scratch and appended to the
+// arena, and the trimmed text is kept beside the row it became.
+type matrixParser struct {
+	f         Format
+	rows, nnz int // capacity hints for the arena; zero is fine
+	b         *MatrixBuilder
+	text      []string
+	idx       []int32
+	vals      []float64
+	lineNo    int
+}
+
+// newBuilder sizes the arena from the hints; stride is the feature count of
+// the first CSV record, which fixes the dense layout.
+func (p *matrixParser) newBuilder(stride int) *MatrixBuilder {
+	if p.f == FormatCSV {
+		return NewDenseMatrixBuilder(p.rows, stride)
+	}
+	return NewMatrixBuilder(p.rows, p.nnz)
+}
+
+// record parses one input line (blank and comment lines count as lines but
+// add no row).
+func (p *matrixParser) record(line string) error {
+	p.lineNo++
+	rec := strings.TrimSpace(line)
+	var label float64
+	var ok bool
+	var err error
+	if p.f == FormatLIBSVM {
+		label, p.idx, p.vals, ok, err = parseLIBSVMInto(rec, p.idx[:0], p.vals[:0])
+	} else {
+		label, p.vals, ok, err = parseCSVInto(rec, 0, p.vals[:0])
+	}
+	if err == nil && ok {
+		if p.b == nil {
+			p.b = p.newBuilder(len(p.vals))
+			p.text = make([]string, 0, p.rows)
+		}
+		if p.f == FormatLIBSVM {
+			err = p.b.AppendSparse(label, p.idx, p.vals)
+		} else {
+			err = p.b.AppendDense(label, p.vals)
+		}
+		p.text = append(p.text, rec)
+	}
+	if err != nil {
+		return fmt.Errorf("data: line %d: %w", p.lineNo, err)
+	}
+	return nil
+}
+
+// matrix finalizes the arena; with no record seen it is an empty matrix of
+// the format's layout.
+func (p *matrixParser) matrix() *Matrix {
+	if p.b == nil {
+		p.b = p.newBuilder(0)
+	}
+	m := p.b.Build()
+	m.text = p.text
+	return m
 }
 
 // ParseMatrix parses every record of lines under format f straight into a
-// columnar arena, two-pass: the first pass counts rows and (an upper bound
-// on) stored values to size the arena, the second parses each line into
-// reused scratch and appends it — no intermediate per-row allocation.
+// columnar arena, in one pass: each line is parsed into reused scratch and
+// appended — no intermediate per-row allocation. The matrix keeps the trimmed
+// lines (sharing the callers' strings), which FromMatrix adopts as Raw.
 //
 // CSV input must be rectangular: the first record fixes the dense stride and
 // a line with a different column count fails the parse. (The legacy per-unit
@@ -214,96 +347,45 @@ func ParseMatrix(lines []string, f Format) (*Matrix, error) {
 	if f != FormatLIBSVM && f != FormatCSV {
 		return nil, fmt.Errorf("data: unknown format %v", f)
 	}
-	rows, nnz := 0, 0
+	p := matrixParser{f: f, rows: len(lines)}
 	for _, line := range lines {
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "#") {
-			continue
-		}
-		rows++
-		if f == FormatLIBSVM {
-			nnz += strings.Count(t, ":")
-		} else if rows == 1 {
-			nnz = strings.Count(t, ",") // dense stride of the first record
+		if err := p.record(line); err != nil {
+			return nil, err
 		}
 	}
-	var b *MatrixBuilder
-	if f == FormatCSV {
-		b = NewDenseMatrixBuilder(rows, nnz)
-	} else {
-		b = NewMatrixBuilder(rows, nnz)
-	}
-	var idx []int32
-	var vals []float64
-	lineNo := 0
-	for _, line := range lines {
-		lineNo++
-		var label float64
-		var ok bool
-		var err error
-		if f == FormatLIBSVM {
-			label, idx, vals, ok, err = parseLIBSVMInto(line, idx[:0], vals[:0])
-		} else {
-			label, vals, ok, err = parseCSVInto(line, 0, vals[:0])
-		}
-		if err == nil && ok {
-			if f == FormatLIBSVM {
-				err = b.AppendSparse(label, idx, vals)
-			} else {
-				err = b.AppendDense(label, vals)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("data: line %d: %w", lineNo, err)
-		}
-	}
-	return b.Build(), nil
+	return p.matrix(), nil
 }
 
 // ReadMatrix parses every record in r using format f into a columnar arena.
+// The input is read once, into newline-aligned text blocks; the arena is
+// sized from their newline (and, for LIBSVM, colon) counts, and the records
+// the matrix keeps are substrings of the blocks — the text is neither copied
+// per line nor rendered back later (see FromMatrix).
 func ReadMatrix(r io.Reader, f Format) (*Matrix, error) {
-	lines, err := scanLines(r)
+	if f != FormatLIBSVM && f != FormatCSV {
+		return nil, fmt.Errorf("data: unknown format %v", f)
+	}
+	blocks, err := readTextBlocks(r)
 	if err != nil {
 		return nil, err
 	}
-	return ParseMatrix(lines, f)
-}
-
-// ReadAll parses every record in r using format f into standalone units —
-// the compatibility path; bulk loading should use ReadMatrix.
-func ReadAll(r io.Reader, f Format) ([]Unit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var units []Unit
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		u, ok, err := f.ParseLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("data: line %d: %w", lineNo, err)
-		}
-		if ok {
-			units = append(units, u)
+	p := matrixParser{f: f, rows: 1} // the last record need not end in a newline
+	for _, b := range blocks {
+		p.rows += strings.Count(b, "\n")
+		if f == FormatLIBSVM {
+			p.nnz += strings.Count(b, ":")
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return units, nil
-}
-
-// WriteAll writes units to w in LIBSVM text form, one record per line.
-func WriteAll(w io.Writer, units []Unit) error {
-	bw := bufio.NewWriter(w)
-	for _, u := range units {
-		if _, err := bw.WriteString(u.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
+	for _, b := range blocks {
+		for len(b) > 0 {
+			var line string
+			line, b, _ = strings.Cut(b, "\n")
+			if err := p.record(line); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return bw.Flush()
+	return p.matrix(), nil
 }
 
 // WriteMatrix writes every row of m to w in LIBSVM text form, one record per

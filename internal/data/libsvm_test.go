@@ -147,37 +147,45 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAllWriteAll(t *testing.T) {
+// TestReadMatrixWriteMatrix: blank and comment lines are skipped, and what
+// WriteMatrix writes reads back as the same rows.
+func TestReadMatrixWriteMatrix(t *testing.T) {
 	in := "1 1:0.5 3:1\n-1 2:0.25\n# comment\n\n1 1:2\n"
-	units, err := ReadAll(strings.NewReader(in), FormatLIBSVM)
+	m, err := ReadMatrix(strings.NewReader(in), FormatLIBSVM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) != 3 {
-		t.Fatalf("parsed %d units, want 3", len(units))
+	if m.NumRows() != 3 {
+		t.Fatalf("parsed %d rows, want 3", m.NumRows())
 	}
 	var sb strings.Builder
-	if err := WriteAll(&sb, units); err != nil {
+	if err := WriteMatrix(&sb, m); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ReadAll(strings.NewReader(sb.String()), FormatLIBSVM)
+	again, err := ReadMatrix(strings.NewReader(sb.String()), FormatLIBSVM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 3 {
-		t.Fatalf("re-parsed %d units, want 3", len(again))
+	if again.NumRows() != 3 {
+		t.Fatalf("re-parsed %d rows, want 3", again.NumRows())
 	}
-	for i := range units {
-		if units[i].String() != again[i].String() {
-			t.Fatalf("unit %d: %q != %q", i, units[i].String(), again[i].String())
+	for i := 0; i < 3; i++ {
+		if !RowsEqual(m.Row(i), again.Row(i)) {
+			t.Fatalf("row %d: %q != %q", i, m.Row(i), again.Row(i))
 		}
 	}
 }
 
-func TestReadAllReportsLineNumbers(t *testing.T) {
-	_, err := ReadAll(strings.NewReader("1 1:1\nbogus line:\n"), FormatLIBSVM)
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v, want line-2 mention", err)
+func TestReadMatrixReportsLineNumbers(t *testing.T) {
+	// Blank and comment lines count: the bad record is the file's line 4.
+	for f, in := range map[Format]string{
+		FormatLIBSVM: "1 1:1\n\n# c\nbogus line:\n",
+		FormatCSV:    "1,1\n\n# c\n1,bogus\n",
+	} {
+		_, err := ReadMatrix(strings.NewReader(in), f)
+		if err == nil || !strings.Contains(err.Error(), "line 4") {
+			t.Fatalf("%v: err = %v, want line-4 mention", f, err)
+		}
 	}
 }
 

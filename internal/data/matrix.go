@@ -3,6 +3,8 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"ml4all/internal/linalg"
 )
@@ -28,6 +30,10 @@ type Matrix struct {
 	offsets []int64   // sparse: len baseRows+1, offsets[i]..offsets[i+1] spans row i
 	indices []int32   // sparse: column indices, sorted ascending within a row
 	values  []float64 // sparse: nnz values; dense: baseRows*stride values
+
+	// text, when the arena was parsed from text (ReadMatrix, ParseMatrix),
+	// holds the trimmed record each base row came from; nil otherwise.
+	text []string
 
 	rowIDs []int32 // nil => identity view over the base arena
 }
@@ -157,7 +163,8 @@ func (m *Matrix) Label(i int) float64 { return m.labels[m.baseRow(i)] }
 // subsets, which under the legacy []Unit layout held their own Unit copies
 // and did NOT see later label writes. Corrupt labels before splitting, or
 // accept that held-out views observe the write; the view tests pin this
-// aliasing as intentional.
+// aliasing as intentional. A Dataset's Raw text is fixed when it is built and
+// never reflects a later SetLabel.
 func (m *Matrix) SetLabel(i int, v float64) { m.labels[m.baseRow(i)] = v }
 
 // RowNNZ returns the number of stored values of row i — an O(1) offsets
@@ -242,8 +249,29 @@ func (m *Matrix) view(ids []int32) *Matrix {
 	return &Matrix{
 		n: len(ids), dense: m.dense, stride: m.stride,
 		labels: m.labels, offsets: m.offsets, indices: m.indices, values: m.values,
+		text:   m.text,
 		rowIDs: ids,
 	}
+}
+
+// Compact returns m's rows packed into an arena of their own, in view order:
+// bitwise the same rows, but contiguous, so full passes over the result take
+// the block kernels where a gathered view goes row by row. An identity view
+// is already packed and is returned as is. The copy carries no record text.
+func (m *Matrix) Compact() *Matrix {
+	if m.rowIDs == nil {
+		return m
+	}
+	var b *MatrixBuilder
+	if m.dense {
+		b = NewDenseMatrixBuilder(m.n, m.stride)
+	} else {
+		b = NewMatrixBuilder(m.n, m.NNZ())
+	}
+	if err := b.AppendRows(m); err != nil {
+		panic(fmt.Sprintf("data: Matrix.Compact: %v", err)) // the builder was made for m's layout
+	}
+	return b.Build()
 }
 
 // MatrixBuilder assembles a Matrix row by row, writing straight into the
@@ -589,11 +617,49 @@ func matrixOfUnits(units []Unit) (*Matrix, error) {
 
 // String renders the row in LIBSVM text form (1-based indices), the format
 // used throughout the paper's examples.
-func (r Row) String() string { return r.Unit().String() }
+func (r Row) String() string { return string(r.appendLIBSVM(nil)) }
 
 // CSVString renders the row as a dense comma-separated line with the label in
 // the first column — the paper's dense input convention.
-func (r Row) CSVString() string { return r.Unit().CSVString() }
+func (r Row) CSVString() string { return string(r.appendCSV(nil)) }
+
+// appendLIBSVM appends the row's LIBSVM text to buf (grown once, to a bound
+// on the text's length, when too small): the label, then " index:value" for
+// every stored value of a sparse row or every non-zero of a dense one.
+// Numbers are written as %g writes them.
+func (r Row) appendLIBSVM(buf []byte) []byte {
+	buf = slices.Grow(buf, 24+36*len(r.Vals))
+	buf = strconv.AppendFloat(buf, r.Label, 'g', -1, 64)
+	for k, v := range r.Vals {
+		i := int64(k)
+		if r.sparse {
+			i = int64(r.Idx[k])
+		} else if v == 0 {
+			continue
+		}
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, i+1, 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+	}
+	return buf
+}
+
+// appendCSV is appendLIBSVM for the dense comma-separated form; a sparse row
+// is spread over max index + 1 columns first.
+func (r Row) appendCSV(buf []byte) []byte {
+	vals := r.Vals
+	if r.sparse {
+		vals = linalg.Sparse{Indices: r.Idx, Values: r.Vals}.Dense(r.MaxIndex() + 1)
+	}
+	buf = slices.Grow(buf, 24+25*len(vals))
+	buf = strconv.AppendFloat(buf, r.Label, 'g', -1, 64)
+	for _, v := range vals {
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+	}
+	return buf
+}
 
 // RowsEqual reports whether two rows are bitwise-identical views: same label,
 // same representation, same indices and values (NaN-safe bit comparison).

@@ -7,12 +7,7 @@
 // line); Transform turns it into a parsed, typed row (label + features).
 package data
 
-import (
-	"fmt"
-	"strings"
-
-	"ml4all/internal/linalg"
-)
+import "ml4all/internal/linalg"
 
 // Unit is the standalone (non-arena) form of one parsed data unit: a labeled
 // feature vector that owns its slices. Since the columnar-arena refactor the
@@ -75,41 +70,11 @@ func (u Unit) MaxIndex() int { return u.Row().MaxIndex() }
 
 // String renders the unit in LIBSVM text form (1-based indices), the format
 // used throughout the paper's examples.
-func (u Unit) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%g", u.Label)
-	if u.sparse {
-		for k, i := range u.Sparse.Indices {
-			fmt.Fprintf(&b, " %d:%g", i+1, u.Sparse.Values[k])
-		}
-		return b.String()
-	}
-	for i, v := range u.Dense {
-		if v != 0 {
-			fmt.Fprintf(&b, " %d:%g", i+1, v)
-		}
-	}
-	return b.String()
-}
+func (u Unit) String() string { return u.Row().String() }
 
 // CSVString renders the unit as a dense comma-separated line with the label
 // in the first column — the paper's dense input convention.
-func (u Unit) CSVString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%g", u.Label)
-	if u.sparse {
-		d := int(u.Sparse.MaxIndex()) + 1
-		dense := u.Sparse.Dense(d)
-		for _, v := range dense {
-			fmt.Fprintf(&b, ",%g", v)
-		}
-		return b.String()
-	}
-	for _, v := range u.Dense {
-		fmt.Fprintf(&b, ",%g", v)
-	}
-	return b.String()
-}
+func (u Unit) CSVString() string { return u.Row().CSVString() }
 
 // ApproxBytes estimates the in-memory footprint of the unit in bytes. The
 // storage layer uses it to lay units out on simulated pages; it intentionally

@@ -156,6 +156,10 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 	est := Estimate{Algo: plan.Algorithm, Exact: -1}
 
 	sample := store.Dataset.Sample(cfg.SampleSize, cfg.Seed)
+	// Sample is a gathered view of the parent's arena; packing the (tiny) D'
+	// into an arena of its own lets the run's full passes take the contiguous
+	// block kernels — the same bits, by the block-vs-row contract.
+	sample.Mat = sample.Mat.Compact()
 	// The sample is tiny; lay it out with the same page size but a single
 	// partition, as the paper's driver-side speculation would see it.
 	layout := store.Layout

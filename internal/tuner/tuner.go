@@ -116,6 +116,7 @@ func Tune(plan gd.Plan, store *storage.Store, g gradients.Gradient, reg gradient
 	cfg = cfg.withDefaults(plan)
 
 	sample := store.Dataset.Sample(cfg.SampleSize, cfg.Seed)
+	sample.Mat = sample.Mat.Compact() // contiguous rows: every trial's passes take the block kernels
 	layout := store.Layout
 	layout.PartitionBytes = 1 << 62
 	sampleStore, err := storage.Build(sample, layout)

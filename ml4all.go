@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -133,15 +134,21 @@ func (s *System) Model(name string) (*Model, bool) {
 }
 
 // LoadDataset reads a dataset file from disk, registers it under its path
-// and returns it. Format is guessed from content unless forced via spec.
+// and returns it. The format is guessed from the first record. The file is
+// read and parsed once (data.ReadMatrix), and the dataset's Raw records are
+// the file's own lines (data.FromMatrix adopts the text the matrix was parsed
+// from), so the bytes the simulator charges are the file's.
 func (s *System) LoadDataset(path string, task data.TaskKind) (*data.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	format, err := sniffFormat(path)
+	format, err := sniffFormat(f)
 	if err != nil {
+		return nil, fmt.Errorf("ml4all: loading %s: %w", path, err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
 	m, err := data.ReadMatrix(f, format)
@@ -154,20 +161,18 @@ func (s *System) LoadDataset(path string, task data.TaskKind) (*data.Dataset, er
 	return ds, nil
 }
 
-// sniffFormat decides LIBSVM vs CSV from the first non-blank line.
-func sniffFormat(path string) (data.Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return data.FormatLIBSVM, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+// sniffFormat decides LIBSVM vs CSV from the first record of r (the first
+// line that is neither blank nor a comment), which may be as long as the
+// loader accepts.
+func sniffFormat(r io.Reader) (data.Format, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, data.MaxRecordBytes)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if strings.ContainsRune(line, ':') {
+		if bytes.IndexByte(line, ':') >= 0 {
 			return data.FormatLIBSVM, nil
 		}
 		return data.FormatCSV, nil

@@ -1,12 +1,16 @@
 package ml4all
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ml4all/internal/data"
+	"ml4all/internal/lang"
 	"ml4all/internal/synth"
 )
 
@@ -277,6 +281,101 @@ func TestLoadDatasetSniffsFormat(t *testing.T) {
 	}
 	if dsB.Format != data.FormatCSV || dsB.NumFeatures != 2 {
 		t.Fatalf("csv load: %+v", dsB.Stats())
+	}
+}
+
+// TestLoadDatasetWideFirstRecord: the format sniff reads the first record
+// under the loader's own record limit, so a file whose first line is longer
+// than bufio.Scanner's 64 KB default loads — directly and from a statement.
+func TestLoadDatasetWideFirstRecord(t *testing.T) {
+	const cols = 12000
+	var sb strings.Builder
+	for r := 0; r < 3; r++ {
+		sb.WriteString([]string{"1", "-1", "1"}[r])
+		for c := 0; c < cols; c++ {
+			fmt.Fprintf(&sb, ",%d.125", (r+c)%7)
+		}
+		sb.WriteString("\n")
+	}
+	if first := strings.IndexByte(sb.String(), '\n'); first <= 64<<10 {
+		t.Fatalf("first record is only %d bytes", first)
+	}
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := testSystem().LoadDataset(path, data.TaskSVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Format != data.FormatCSV || ds.N() != 3 || ds.NumFeatures != cols {
+		t.Fatalf("wide load: %+v", ds.Stats())
+	}
+	outs, err := testSystem().Exec(`Q = run svm() on ` + path + ` having max iter 5;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(outs[0].Model.Weights); got != cols {
+		t.Fatalf("model dimensionality = %d, want %d", got, cols)
+	}
+}
+
+// TestResumeJobRecostsToSamePlan: a job over a file, checkpointed mid-run and
+// resumed on a fresh System — which loads the file and runs the optimizer
+// (speculation included) again — lands on the checkpoint's plan and finishes
+// with the weights of a run that was never stopped.
+func TestResumeJobRecostsToSamePlan(t *testing.T) {
+	ds := testDataset(t, "adult", 1500)
+	path := filepath.Join(t.TempDir(), "adult.libsvm")
+	if err := os.WriteFile(path, []byte(strings.Join(ds.Raw, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := lang.ParseOne(`m = run logistic on ` + path + ` having epsilon 0.001, max iter 300 using algorithm MGD;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := stmt.(*lang.Run)
+	finish := func(j *TrainJob) *Model {
+		for !j.Done() {
+			if err := j.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return j.Model()
+	}
+	straight, err := testSystem().OpenJob(q, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finish(straight)
+	if want.Iterations <= 7 {
+		t.Fatalf("the straight run ended after %d iterations, before the checkpoint", want.Iterations)
+	}
+
+	stopped, err := testSystem().OpenJob(q, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if err := stopped.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, err := stopped.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := testSystem().ResumeJob(q, state, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.PlanName() != straight.PlanName() || resumed.Iteration() != 7 {
+		t.Fatalf("resumed on %s at iteration %d, want %s at 7", resumed.PlanName(), resumed.Iteration(), straight.PlanName())
+	}
+	got := finish(resumed)
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.Iterations != want.Iterations || got.TrainTime != want.TrainTime || !slices.EqualFunc(got.Weights, want.Weights, sameBits) {
+		t.Fatalf("resumed run: %d iterations, %v sim s; straight run: %d, %v — or weights differ", got.Iterations, got.TrainTime, want.Iterations, want.TrainTime)
 	}
 }
 
