@@ -34,19 +34,13 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical, only wall time changes)")
 	adaptive := flag.Bool("adaptive", false, "train the optimizer's chosen plan with mid-flight re-optimization where experiments support it (fig8; the 'adaptive' experiment always adapts)")
-	fastmath := flag.Bool("fastmath", false, "run engine executions on the opt-in fast kernel tier (tolerance-bounded results; with -predict, adds the fast-tier scoring column)")
-	predict := flag.Bool("predict", false, "benchmark batched vs per-row prediction throughput (the serving path) instead of running experiments")
-	serveLoad := flag.Bool("serve-load", false, "run the closed-loop serving load sweep (concurrency ladder × request mixes × baseline/pooled/coalesced arms; with -fastmath, adds a fast-tier coalesced pass)")
-	serveDur := flag.Duration("serve-duration", 300*time.Millisecond, "wall time per -serve-load rung")
-	serveOut := flag.String("serve-out", "BENCH_7.json", "output path for the -serve-load report")
-	kernels := flag.Bool("kernels", false, "measure fast-tier kernel and engine throughput per backend (exact / fast-go / runtime-dispatched SIMD) and write a self-describing report")
-	kernelsOut := flag.String("kernels-out", "BENCH_8.json", "output path for the -kernels report")
+	fastmath := flag.Bool("fastmath", false, "run engine executions on the opt-in fast kernel tier (tolerance-bounded results)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file after the runs")
 	flag.Parse()
 
-	if *list || (*exp == "" && !*predict && !*serveLoad && !*kernels) {
+	if *list || *exp == "" {
 		fmt.Println("experiments:", strings.Join(experiments.IDs(), " "))
 		if *exp == "" {
 			return 2
@@ -87,28 +81,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "ml4all-bench:", err)
 			}
 		}()
-	}
-
-	if *predict {
-		if err := runPredictBench(*scale, *fastmath); err != nil {
-			fmt.Fprintln(os.Stderr, "ml4all-bench:", err)
-			return 1
-		}
-		return 0
-	}
-	if *serveLoad {
-		if err := runServeLoad(*serveDur, *fastmath, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "ml4all-bench:", err)
-			return 1
-		}
-		return 0
-	}
-	if *kernels {
-		if err := runKernelBench(*kernelsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "ml4all-bench:", err)
-			return 1
-		}
-		return 0
 	}
 
 	cfg := experiments.Config{Scale: *scale, Quick: *quick, Seed: *seed, Workers: *workers, Adaptive: *adaptive, FastMath: *fastmath}

@@ -186,29 +186,18 @@ func (m *Model) PlanCost(plan gd.Plan, T int) cluster.Seconds {
 func (m *Model) Breakdown(plan gd.Plan) Breakdown {
 	ops := plan.Computer.Ops(int(math.Round(m.Stats.AvgNNZ)))
 	accDim := plan.Computer.AccDim(m.Stats.NumFeatures)
-	// Batch-capable (fused kernels will actually run) and not randomized —
-	// the same eligibility the engine's cost charging applies (randomized
-	// computers run per row for their RNG stream). The engine additionally
-	// bills per-row when a custom Transformer forces a row memo; the model
-	// cannot see transformer stockness (it has no dataset format) and
-	// prices those plans as batched — an approximation on an already-
-	// approximate estimate.
-	bc, batched := plan.Computer.(gd.BatchComputer)
-	if batched && !bc.BatchCapable() {
-		batched = false
-	}
+	// The tier the engine resolves for this plan (gd.KernelTier), and not
+	// randomized — the same eligibility the engine's cost charging applies
+	// (randomized computers run per row for their RNG stream). The engine
+	// additionally bills per-row when a custom Transformer forces a row
+	// memo; the model cannot see transformer stockness (it has no dataset
+	// format) and prices those plans as batched — an approximation on an
+	// already-approximate estimate.
+	tier := gd.KernelTier(plan.Computer, m.FastMath)
 	if _, randomized := plan.Computer.(gd.RandomizedComputer); randomized {
-		batched = false
+		tier = gd.RowTier
 	}
-	// Fast-tier pricing applies only where the fast kernels will actually
-	// dispatch: a batched pass whose computer reports FastCapable — the
-	// same resolution the engine performs once per run.
-	fast := false
-	if m.FastMath && batched {
-		if fc, ok := plan.Computer.(gd.FastBatchComputer); ok && fc.FastCapable() {
-			fast = true
-		}
-	}
+	batched, fast := tier != gd.RowTier, tier == gd.FastTier
 	d := float64(m.Stats.NumFeatures)
 
 	br := Breakdown{Plan: plan.Name(), JobInit: m.Cfg.JobInitSec}

@@ -80,7 +80,7 @@ type customLoss struct{ gradients.Gradient }
 // A stock computer wrapping a Gradient WITHOUT block kernels must stay on
 // the per-row path end to end: same numerics AND same simulated time and
 // accounting as a plain per-row Computer, i.e. billed at the full per-unit
-// dispatch overhead, never the amortized batched rate (BatchCapable gates
+// dispatch overhead, never the amortized batched rate (gd.KernelTier gates
 // both execution and cost charging together).
 func TestCustomGradientPlanStaysPerRowBilled(t *testing.T) {
 	ds := layoutDataset(t, data.TaskLogisticRegression, true, 300)

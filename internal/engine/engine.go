@@ -189,8 +189,7 @@ type executor struct {
 	blockSize int
 
 	// fast is set when the blocked path will actually dispatch the
-	// fast-math kernel tier (Options.FastMath, batch-capable computer,
-	// gradient with fast kernels — gd.FastBatchComputer); the cost loop
+	// fast-math kernel tier (gd.KernelTier resolved gd.FastTier); the cost loop
 	// then charges Sim.CostComputeFast for blocked passes, keeping
 	// execution and billing on the same tier.
 	fast bool

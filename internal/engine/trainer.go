@@ -142,16 +142,14 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 		blockSize: blockSize,
 		costBuf:   make([]cluster.Seconds, 0, store.NumPartitions()),
 	}
-	// Resolve the batched-compute capability once. Custom Computer UDFs
-	// (no BatchComputer) and stock computers wrapping a custom Gradient
-	// without block kernels (BatchCapable false) leave it nil: the span
-	// loop stays row-at-a-time and cost charging stays at the full per-row
-	// overhead, keeping execution and billing consistent.
-	if bc, ok := plan.Computer.(gd.BatchComputer); ok && bc.BatchCapable() {
-		t.ex.batch = bc
-		if fc, ok := bc.(gd.FastBatchComputer); ok && opts.FastMath && fc.FastCapable() {
-			t.ex.fast = true
-		}
+	// Resolve the compute tier once. Custom Computer UDFs and stock
+	// computers wrapping a custom Gradient without block kernels resolve to
+	// gd.RowTier and leave batch nil: the span loop stays row-at-a-time and
+	// cost charging stays at the full per-row overhead, keeping execution
+	// and billing consistent.
+	if tier := gd.KernelTier(plan.Computer, opts.FastMath); tier != gd.RowTier {
+		t.ex.batch = plan.Computer.(gd.BatchComputer)
+		t.ex.fast = tier == gd.FastTier
 	}
 	// Same for the fused driver step.
 	if fu, ok := plan.Updater.(gd.FusedUpdater); ok {

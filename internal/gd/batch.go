@@ -18,24 +18,53 @@ import (
 //
 // Contract: ComputeBlock must accumulate into acc exactly what Len() calls
 // of Compute on the block's rows — in block row order — would, bit for bit.
-// The stock implementations achieve this through the two-pass
-// gradients.BlockGradient kernels (margins first, then an in-order
-// accumulate); the engine's block property test enforces it. The Computer
-// concurrency contract applies unchanged: ctx is read-only, acc is the only
-// output, many goroutines call ComputeBlock at once with disjoint acc
-// buffers.
+// The stock implementations achieve this through the gradients package's
+// kernel pipeline (margins first, then an in-order accumulate); the engine's
+// block property test enforces it. The Computer concurrency contract applies
+// unchanged: ctx is read-only, acc is the only output, many goroutines call
+// ComputeBlock at once with disjoint acc buffers.
 type BatchComputer interface {
 	Computer
 	ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector)
+}
 
-	// BatchCapable reports whether ComputeBlock will actually run fused
-	// block kernels, as opposed to falling back to the per-row loop
-	// internally. The stock computers wrap an arbitrary gradients.Gradient
-	// and are only capable when it implements gradients.BlockGradient; the
-	// engine skips the blocked path — and, with it, the amortized dispatch
-	// cost charging — entirely when this reports false, so execution and
-	// billing stay per-row together.
-	BatchCapable() bool
+// Tier is which kernels a plan's compute pass runs.
+type Tier int
+
+const (
+	// RowTier is one Compute call per row, billed at the full per-row
+	// dispatch overhead: custom Computer UDFs, and stock computers over a
+	// custom Gradient without block kernels.
+	RowTier Tier = iota
+	// BlockTier is one ComputeBlock call per block over the bit-exact block
+	// kernels, billed at the amortized dispatch cost.
+	BlockTier
+	// FastTier is BlockTier over the tolerance-bounded fast kernels, billed
+	// at the fast tier's measured throughput.
+	FastTier
+)
+
+// KernelTier resolves the tier c's compute pass runs at, given whether the
+// run asked for fast math. The engine and the cost model both ask here, once
+// per run, so execution and billing cannot disagree: a stock computer is
+// only as capable as the Gradient it wraps.
+func KernelTier(c Computer, fastMath bool) Tier {
+	if _, ok := c.(BatchComputer); !ok {
+		return RowTier
+	}
+	var g gradients.Gradient
+	switch c := c.(type) {
+	case GradientComputer:
+		g = c.Gradient
+	case SVRGComputer:
+		g = c.Gradient
+	case LineSearchComputer:
+		g = c.Gradient
+	default:
+		return BlockTier // a BatchComputer UDF owns its kernels
+	}
+	_, _, tier := blockKernels(g, fastMath)
+	return tier
 }
 
 // marginPool recycles the per-block margin scratch the stock ComputeBlock
@@ -65,88 +94,36 @@ func takeMargins(n int) *[]float64 {
 
 func putMargins(p *[]float64) { marginPool.Put(p) }
 
-// FastBatchComputer is the optional fast-math extension of BatchComputer:
-// FastCapable reports whether ComputeBlock will actually dispatch the
-// tolerance-bounded fast kernels when ctx.FastMath is set, as opposed to
-// staying on the bit-exact block kernels. The engine consults it to charge
-// the fast tier's measured throughput (cluster.CostComputeFast) only when
-// the fast kernels really run, keeping execution and billing consistent —
-// the same pairing BatchCapable maintains for the blocked tier itself.
-type FastBatchComputer interface {
-	BatchComputer
-	FastCapable() bool
-}
-
-// FastCapable implements FastBatchComputer.
-func (c GradientComputer) FastCapable() bool {
-	_, ok := c.Gradient.(gradients.FastGradient)
-	return ok
-}
-
-// FastCapable implements FastBatchComputer.
-func (c SVRGComputer) FastCapable() bool {
-	_, ok := c.Gradient.(gradients.FastGradient)
-	return ok
-}
-
-// FastCapable implements FastBatchComputer.
-func (c LineSearchComputer) FastCapable() bool {
-	_, ok := c.Gradient.(gradients.FastGradient)
-	return ok
-}
-
-// blockKernels resolves which kernel tier a stock ComputeBlock runs: the
-// fast-math kernels when ctx.FastMath is set and the gradient implements
-// them, else the bit-exact block kernels. Returning the kernel pair as plain
-// funcs keeps the per-block dispatch to two type assertions at most, paid
-// once per block, not per row.
-func blockKernels(g gradients.Gradient, ctx *Context) (addGrad func(linalg.Vector, data.Block, []float64, linalg.Vector), loss func(linalg.Vector, data.Block, []float64, *float64), ok bool) {
-	bg, ok := g.(gradients.BlockGradient)
-	if !ok {
-		return nil, nil, false
+// blockKernels is the one resolution of which kernels a Gradient has: the
+// fast-math kernels when asked for and implemented, else the bit-exact
+// block kernels, else none (RowTier). Returning the pair as plain funcs
+// keeps the per-block dispatch to two type assertions at most, paid once per
+// block, not per row.
+func blockKernels(g gradients.Gradient, fastMath bool) (addGrad func(linalg.Vector, data.Block, []float64, linalg.Vector), loss func(linalg.Vector, data.Block, []float64, *float64), tier Tier) {
+	if fg, ok := g.(gradients.FastGradient); ok && fastMath {
+		return fg.AddGradientBlockFast, fg.LossBlockFast, FastTier
 	}
-	if ctx.FastMath {
-		if fg, isFast := bg.(gradients.FastGradient); isFast {
-			return fg.AddGradientBlockFast, fg.LossBlockFast, true
-		}
+	if bg, ok := g.(gradients.BlockGradient); ok {
+		return bg.AddGradientBlock, bg.LossBlock, BlockTier
 	}
-	return bg.AddGradientBlock, bg.LossBlock, true
+	return nil, nil, RowTier
 }
 
 // computeRowByRow is the shared fallback for gradients without block
 // kernels: the exact per-row loop the engine's non-batched path runs. The
-// engine never reaches it (it consults BatchCapable and keeps such plans on
-// the per-row path, where cost charging matches); it guards direct
-// ComputeBlock callers.
+// engine never reaches it (KernelTier keeps such plans on the per-row path,
+// where cost charging matches); it guards direct ComputeBlock callers.
 func computeRowByRow(c Computer, rows data.Block, ctx *Context, acc linalg.Vector) {
 	for j, n := 0, rows.Len(); j < n; j++ {
 		c.Compute(rows.Row(j), ctx, acc)
 	}
 }
 
-// BatchCapable implements BatchComputer.
-func (c GradientComputer) BatchCapable() bool {
-	_, ok := c.Gradient.(gradients.BlockGradient)
-	return ok
-}
-
-// BatchCapable implements BatchComputer.
-func (c SVRGComputer) BatchCapable() bool {
-	_, ok := c.Gradient.(gradients.BlockGradient)
-	return ok
-}
-
-// BatchCapable implements BatchComputer.
-func (c LineSearchComputer) BatchCapable() bool {
-	_, ok := c.Gradient.(gradients.BlockGradient)
-	return ok
-}
-
 // ComputeBlock implements BatchComputer: one fused gradient kernel call per
 // block (Listing 2, batched).
 func (c GradientComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
-	addGrad, _, ok := blockKernels(c.Gradient, ctx)
-	if !ok {
+	addGrad, _, tier := blockKernels(c.Gradient, ctx.FastMath)
+	if tier == RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}
@@ -161,8 +138,8 @@ func (c GradientComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg
 // disjoint halves of acc and each half is filled in row order, so the
 // result is still bit-identical to the interleaved per-row loop.
 func (c SVRGComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
-	addGrad, _, ok := blockKernels(c.Gradient, ctx)
-	if !ok {
+	addGrad, _, tier := blockKernels(c.Gradient, ctx.FastMath)
+	if tier == RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}
@@ -186,8 +163,8 @@ func (c SVRGComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vec
 // the fused kernels. acc slots 0/1 and the gradient tail are disjoint, each
 // filled in row order, matching the per-row loop bit for bit.
 func (c LineSearchComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
-	addGrad, loss, ok := blockKernels(c.Gradient, ctx)
-	if !ok {
+	addGrad, loss, tier := blockKernels(c.Gradient, ctx.FastMath)
+	if tier == RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}

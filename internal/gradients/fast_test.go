@@ -30,7 +30,7 @@ func fastRelDiff(a, b float64) float64 {
 func TestFastBlockKernelsMatchExactWithinEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const d = 12
-	losses := []Gradient{Hinge{}, Logistic{}, LeastSquares{}}
+	losses := []Gradient{Hinge{}, Logistic{}, LeastSquares{}, sqHinge{}}
 	w := make(linalg.Vector, d)
 	for i := range w {
 		w[i] = rng.NormFloat64()
@@ -95,7 +95,7 @@ func TestFastKernelsHugeMargins(t *testing.T) {
 		for i := range w {
 			w[i] = rng.NormFloat64() * scale
 		}
-		for _, g := range []Gradient{Logistic{}, Hinge{}, LeastSquares{}} {
+		for _, g := range []Gradient{Logistic{}, Hinge{}, LeastSquares{}, sqHinge{}} {
 			fg := g.(FastGradient)
 			gradExact := make(linalg.Vector, d)
 			gradFast := make(linalg.Vector, d)

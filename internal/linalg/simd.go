@@ -17,11 +17,10 @@ import "ml4all/internal/linalg/cpu"
 // bench hook.
 var simdOn = simdAvailable()
 
-// Backend names as reported by FastBackend and surfaced in /metrics, BENCH
-// artifacts, and the serve-load report. The SIMD names are per-architecture
-// constants (simdBackendName) such as "fast-simd-avx2" and "fast-simd-neon".
+// Backend names as reported by FastBackend and surfaced in /metrics, /healthz
+// and the run ledger. The SIMD names are per-architecture constants
+// (simdBackendName) such as "fast-simd-avx2" and "fast-simd-neon".
 const (
-	BackendExact    = "exact"
 	BackendFastGo   = "fast-go"
 	BackendSIMDAVX2 = "fast-simd-avx2"
 	BackendSIMDNEON = "fast-simd-neon"

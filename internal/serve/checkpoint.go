@@ -54,40 +54,24 @@ func decodeCheckpointFrame(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// legacyCheckpoint is the pre-framing single-checkpoint filename; jobs
-// written by older builds resume from it when no framed checkpoint exists.
-const legacyCheckpoint = "checkpoint.gob"
-
 // ckptFileName names a framed checkpoint by the iteration it captured;
 // zero-padding makes lexicographic order chronological.
 func ckptFileName(iteration int) string { return fmt.Sprintf("ckpt-%09d.ckpt", iteration) }
 
-// listCheckpoints returns the checkpoint filenames in dir, newest first,
-// with the legacy unframed file (if any) as the last resort. Recovery walks
-// this list front to back, skipping frames that fail their checksum.
+// listCheckpoints returns the checkpoint filenames in dir, newest first.
+// Recovery walks this list front to back, skipping frames that fail their
+// checksum.
 func listCheckpoints(fsys fault.FS, dir string) []string {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
 	var names []string
-	legacy := false
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if name == legacyCheckpoint {
-			legacy = true
-			continue
-		}
-		if strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".ckpt") {
+		if name := e.Name(); !e.IsDir() && strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".ckpt") {
 			names = append(names, name)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	if legacy {
-		names = append(names, legacyCheckpoint)
-	}
 	return names
 }

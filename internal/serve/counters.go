@@ -130,10 +130,6 @@ func newCounters() *Counters {
 	return &Counters{routes: map[string]*routeStats{}, phases: map[string]*routeStats{}}
 }
 
-// NewCounters builds an empty metrics registry. Embedders driving a Predictor
-// without a Server pass one to NewPredictor to observe the pipeline.
-func NewCounters() *Counters { return newCounters() }
-
 // PredictTotals is a point-in-time snapshot of the prediction pipeline's
 // throughput counters — the /metrics ml4all_predict_* series as numbers, for
 // harnesses that read rather than scrape.
@@ -194,38 +190,6 @@ func (c *Counters) observePhase(name string, d time.Duration) {
 	if c != nil {
 		c.phase(name).observe(d, false)
 	}
-}
-
-// PhaseSummary is one phase's aggregate as numbers — the
-// ml4all_phase_seconds series for harnesses that read rather than scrape
-// (the load harness embeds these in its JSON artifact).
-type PhaseSummary struct {
-	Count        uint64  `json:"count"`
-	P50Seconds   float64 `json:"p50_seconds"`
-	P99Seconds   float64 `json:"p99_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-	TotalSeconds float64 `json:"total_seconds"`
-}
-
-// PhaseSummaries snapshots every observed phase.
-func (c *Counters) PhaseSummaries() map[string]PhaseSummary {
-	c.mu.Lock()
-	phases := make(map[string]*routeStats, len(c.phases))
-	for name, rs := range c.phases {
-		phases[name] = rs
-	}
-	c.mu.Unlock()
-	out := make(map[string]PhaseSummary, len(phases))
-	for name, rs := range phases {
-		out[name] = PhaseSummary{
-			Count:        rs.count.Load(),
-			P50Seconds:   rs.quantile(0.50),
-			P99Seconds:   rs.quantile(0.99),
-			MaxSeconds:   time.Duration(rs.maxNanos.Load()).Seconds(),
-			TotalSeconds: time.Duration(rs.nanos.Load()).Seconds(),
-		}
-	}
-	return out
 }
 
 // The ledger observers tolerate a nil receiver like the durability ones.

@@ -18,6 +18,7 @@ package serve
 //     and the manager keeps running other jobs.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -318,10 +319,26 @@ func TestCorruptNewestCheckpointTruncated(t *testing.T) {
 }
 
 // TestCorruptModelVersionFallsBack pins the registry's corruption fallback:
-// a latest version whose file fails its checksum is entombed on open, the
-// previous good version serves as latest, and the burned number is never
-// reissued.
+// a latest version whose file fails its checksum — or was cut at a line
+// boundary before its checksum, which leaves a well-formed shorter model —
+// is entombed on open, the previous good version serves as latest, and the
+// burned number is never reissued.
 func TestCorruptModelVersionFallsBack(t *testing.T) {
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"bit-flip": func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x01
+			return raw
+		},
+		"cut-before-trailer": func(raw []byte) []byte {
+			lines := bytes.SplitAfter(raw, []byte("\n"))
+			return bytes.Join(lines[:len(lines)-3], nil) // drops a weight, the trailer and the empty tail
+		},
+	} {
+		t.Run(name, func(t *testing.T) { corruptModelVersionFallsBack(t, corrupt) })
+	}
+}
+
+func corruptModelVersionFallsBack(t *testing.T, corrupt func([]byte) []byte) {
 	dir := t.TempDir()
 	reg, err := OpenRegistry(dir)
 	if err != nil {
@@ -341,8 +358,7 @@ func TestCorruptModelVersionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(mv2.Path, raw, 0o644); err != nil {
+	if err := os.WriteFile(mv2.Path, corrupt(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

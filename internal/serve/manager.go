@@ -714,12 +714,10 @@ func (m *Manager) openJob(j *Job) error {
 			m.cfg.Counters.checkpointCorrupt()
 			continue
 		}
-		state := raw
-		if name != legacyCheckpoint {
-			if state, err = decodeCheckpointFrame(raw); err != nil {
-				m.cfg.Counters.checkpointCorrupt()
-				continue
-			}
+		state, err := decodeCheckpointFrame(raw)
+		if err != nil {
+			m.cfg.Counters.checkpointCorrupt()
+			continue
 		}
 		tj, err := m.sys.ResumeJob(j.stmt, state, opts)
 		if err != nil {

@@ -166,7 +166,7 @@ func Tune(plan gd.Plan, store *storage.Store, g gradients.Gradient, reg gradient
 			SpecTime:       res.Time,
 		}
 		if !res.Diverged {
-			tr.FinalObjective = gradients.Objective(g, reg, res.Weights, sample.Rows())
+			tr.FinalObjective = gradients.ObjectiveMatrix(g, reg, res.Weights, sample.Mat)
 		}
 		tr.IterationsTo = math.MaxInt32
 		for i, d := range res.Deltas {

@@ -562,8 +562,7 @@ var modelCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // EncodeModel renders a model in the SaveModel text format — a provenance
 // header, one %.17g weight per line (bit-exact round-trip) — terminated by a
 // "# crc32c=XXXXXXXX" trailer over everything before it, so loaders detect a
-// torn or bit-flipped file instead of serving it. Readers predating the
-// trailer parse it as one more comment.
+// torn or bit-flipped file instead of serving it.
 func EncodeModel(m *Model) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "# ml4all model %s task=%s plan=%s iterations=%d converged=%t traintime=%.17g\n",
@@ -608,21 +607,23 @@ func LoadModel(path string) (*Model, error) {
 
 // DecodeModel parses the SaveModel text format. name labels the model and
 // its error messages (LoadModel passes the path; the registry, the version
-// name). When the checksum trailer is present it must match — a mismatch
-// means the file was torn or corrupted and must not be served; files written
-// before the trailer existed load unverified.
+// name). The checksum trailer must be present and match: a file without one
+// was cut before its last line, a mismatch means it was torn or corrupted,
+// and neither may be served.
 func DecodeModel(raw []byte, name string) (*Model, error) {
-	if i := bytes.LastIndex(raw, []byte(modelCRCPrefix)); i >= 0 && (i == 0 || raw[i-1] == '\n') {
-		trailer := strings.TrimSpace(string(raw[i+len(modelCRCPrefix):]))
-		want, err := strconv.ParseUint(trailer, 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("ml4all: model %s: bad checksum trailer %q", name, trailer)
-		}
-		if got := crc32.Checksum(raw[:i], modelCRCTable); got != uint32(want) {
-			return nil, fmt.Errorf("ml4all: model %s: checksum mismatch (file says %08x, content is %08x) — corrupt or torn file", name, uint32(want), got)
-		}
-		raw = raw[:i]
+	i := bytes.LastIndex(raw, []byte(modelCRCPrefix))
+	if i < 0 || (i > 0 && raw[i-1] != '\n') {
+		return nil, fmt.Errorf("ml4all: model %s: no checksum trailer — corrupt or torn file", name)
 	}
+	trailer := strings.TrimSpace(string(raw[i+len(modelCRCPrefix):]))
+	want, err := strconv.ParseUint(trailer, 16, 32)
+	if err != nil {
+		return nil, fmt.Errorf("ml4all: model %s: bad checksum trailer %q", name, trailer)
+	}
+	if got := crc32.Checksum(raw[:i], modelCRCTable); got != uint32(want) {
+		return nil, fmt.Errorf("ml4all: model %s: checksum mismatch (file says %08x, content is %08x) — corrupt or torn file", name, uint32(want), got)
+	}
+	raw = raw[:i]
 	path := name
 	m := &Model{Name: name}
 	sc := bufio.NewScanner(bytes.NewReader(raw))

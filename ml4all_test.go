@@ -242,14 +242,14 @@ func TestLoadModelErrors(t *testing.T) {
 	}
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.txt")
-	if err := os.WriteFile(empty, []byte("# header only\n"), 0o644); err != nil {
+	if err := os.WriteFile(empty, []byte(sealed("# header only\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadModel(empty); err == nil {
 		t.Error("weightless file accepted")
 	}
 	bad := filepath.Join(dir, "bad.txt")
-	if err := os.WriteFile(bad, []byte("not-a-number\n"), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(sealed("not-a-number\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadModel(bad); err == nil {

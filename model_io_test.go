@@ -7,6 +7,9 @@ package ml4all
 // instead of producing a silently wrong model.
 
 import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +85,12 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// sealed appends a valid checksum trailer to hand-written model text, so the
+// loader gets past its integrity check to the parse error under test.
+func sealed(content string) string {
+	return fmt.Sprintf("%s%s%08x\n", content, modelCRCPrefix, crc32.Checksum([]byte(content), modelCRCTable))
+}
+
 func TestLoadModelCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -105,7 +114,7 @@ func TestLoadModelCorruptFiles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadModel(write(tc.name, tc.content))
+			_, err := LoadModel(write(tc.name, sealed(tc.content)))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
@@ -113,6 +122,30 @@ func TestLoadModelCorruptFiles(t *testing.T) {
 	}
 	if _, err := LoadModel(filepath.Join(dir, "does-not-exist")); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// A model file cut after any whole line — before its trailer, so no checksum
+// is left to mismatch — must not load as a shorter model.
+func TestLoadModelTruncatedAtLineBoundary(t *testing.T) {
+	full := EncodeModel(&Model{
+		Name: "m", Task: data.TaskSVM, PlanName: "BGD(eager)",
+		Weights: linalg.Vector{1, 2, 3, 4, 5}, Iterations: 3,
+	})
+	if _, err := DecodeModel(full, "m"); err != nil {
+		t.Fatalf("intact file: %v", err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	for n := 0; n < len(lines)-1; n++ { // every proper prefix of whole lines
+		cut := bytes.Join(lines[:n], nil)
+		path := filepath.Join(t.TempDir(), "cut.model")
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(path)
+		if err == nil || !strings.Contains(err.Error(), "corrupt or torn file") {
+			t.Fatalf("cut after %d lines: want a corrupt-or-torn error, got %v (model %+v)", n, err, m)
+		}
 	}
 }
 
