@@ -353,7 +353,7 @@ func BenchmarkAdaptiveVsStatic(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cl := cluster.New(cluster.Default())
 			ar, err := planner.RunAdaptive(cl, st, p, planner.Options{Estimator: est},
-				planner.AdaptiveConfig{Every: 50, Seed: 1})
+				engine.Options{Seed: 1}, planner.AdaptiveConfig{Every: 50})
 			if err != nil {
 				b.Fatal(err)
 			}

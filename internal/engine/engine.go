@@ -58,18 +58,6 @@ type Options struct {
 	// documented on gd.Computer when Workers != 1.
 	Workers int
 
-	// InitWeights, when non-nil, overrides the weights the plan's Stage
-	// operator produced, warm-starting the run. The adaptive controller
-	// uses it to carry the model across a mid-flight plan switch; the
-	// vector is cloned, so callers keep ownership.
-	InitWeights linalg.Vector
-
-	// InitIter, when positive, starts the iteration counter there instead
-	// of 0, so step-size schedules (alpha_i) continue across a plan switch
-	// instead of restarting hot. The first executed iteration is then
-	// InitIter+1. MaxIter still bounds the counter's absolute value.
-	InitIter int
-
 	// BlockSize is the row-block width the batched compute path hands to
 	// gd.BatchComputer implementations (see DESIGN.md §8). 0 (the default)
 	// means 512. The value trades cache residency against dispatch

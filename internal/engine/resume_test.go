@@ -252,3 +252,73 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		t.Fatal("resume on a differently-configured sim succeeded")
 	}
 }
+
+// TestSwitchThenCheckpointResume pins Trainer.Switch: mid-run it stands the
+// next plan up with the weights, iteration counter, delta history and start
+// clock carried (and nothing else: a step-size schedule continues, the
+// successor's sampler starts fresh), a checkpoint taken after it resumes
+// bitwise like any other, and a finished trainer has nothing to switch from.
+func TestSwitchThenCheckpointResume(t *testing.T) {
+	st := resumeDataset(t, data.TaskLogisticRegression)
+	plans := resumePlans(st.Dataset.Task, st.Dataset.Format)
+	for i, from := range plans {
+		to := plans[(i+1)%len(plans)]
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%s→%s/workers=%d", from.Name(), to.Name(), workers)
+			opts := engine.Options{Seed: 11, Workers: workers}
+			run := func(resumeAt int) *engine.Result {
+				sim := cluster.New(cluster.Default())
+				tr, err := engine.NewTrainer(sim, st, &from, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for tr.Iteration() < 9 {
+					if err := tr.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before, w := sim.Now(), tr.Weights().Clone()
+				if tr, err = tr.Switch(&to); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if tr.Iteration() != 9 || len(tr.Deltas()) != 9 || !tr.Weights().Equal(w, 0) || tr.Plan() != &to {
+					t.Fatalf("%s: after Switch: iteration %d, %d deltas, plan %s", label, tr.Iteration(), len(tr.Deltas()), tr.Plan().Name())
+				}
+				if sim.Now() <= before {
+					t.Fatalf("%s: standing %s up charged nothing", label, to.Name())
+				}
+				for !tr.Done() {
+					if tr.Iteration() == resumeAt {
+						cp, err := tr.Checkpoint()
+						if err != nil {
+							t.Fatal(err)
+						}
+						blob, err := cp.Encode()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cp, err = engine.DecodeTrainState(blob); err != nil {
+							t.Fatal(err)
+						}
+						if tr, err = engine.Resume(cluster.New(cluster.Default()), st, &to, opts, cp); err != nil {
+							t.Fatalf("%s: resuming at %d: %v", label, resumeAt, err)
+						}
+					}
+					if err := tr.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := tr.Switch(&from); err == nil {
+					t.Fatalf("%s: Switch on a finished trainer succeeded", label)
+				}
+				return tr.Finish()
+			}
+			want := run(-1)
+			if want.Iterations != to.MaxIter || want.PlanName != to.Name() {
+				t.Fatalf("%s: ran %d iterations as %s", label, want.Iterations, want.PlanName)
+			}
+			checkSame(t, label+"/resumed at the switch", want, run(9))
+			checkSame(t, label+"/resumed after the switch", want, run(20))
+		}
+	}
+}

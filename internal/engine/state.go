@@ -55,6 +55,12 @@ type TrainState struct {
 	// Simulator state.
 	StartClock cluster.Seconds // sim clock at trainer start (Time baseline)
 	Sim        cluster.SimState
+
+	// Policy is what the driver between Steps wants restored with the trainer
+	// — the adaptive controller's encoded state; empty for a static run. The
+	// engine neither writes nor reads it: it is here to share the frame, the
+	// checksum and the durable write of the state it belongs to.
+	Policy []byte
 }
 
 func init() {

@@ -14,7 +14,7 @@ import (
 
 // Trainer is the resumable form of a plan execution: an explicit lifecycle
 //
-//	New → Step* → (Checkpoint → Resume → Step*)* → Finish
+//	New → Step* → (Checkpoint → Resume → Step* | Switch → Step*)* → Finish
 //
 // where NewTrainer performs everything up to the first iteration (job init,
 // Stage, eager Transform, sampler construction), each Step executes exactly
@@ -38,7 +38,7 @@ type Trainer struct {
 	ex    executor
 	src   *cluster.CountingSource // the sampling RNG's underlying stream
 	res   *Result
-	start cluster.Seconds // sim clock when the run (segment) began
+	start cluster.Seconds // sim clock when the run began (carried across Switch)
 	done  bool
 
 	// fused is the plan's Updater when Update, Converge and the finite check
@@ -56,40 +56,54 @@ type Trainer struct {
 }
 
 // NewTrainer validates the plan and performs the pre-loop phases on sim:
-// job init, Stage (optionally warm-started via Options.InitWeights), eager
-// Transform, and sampler construction. The returned Trainer is ready for
-// Step.
+// job init, Stage, eager Transform, and sampler construction. The returned
+// Trainer is ready for Step.
 func NewTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options) (*Trainer, error) {
+	return startTrainer(sim, store, plan, opts, nil)
+}
+
+// Switch stands plan up from where t is, mid-run: everything NewTrainer does
+// (and charges the simulator), with the weights, the iteration counter (so
+// step-size schedules continue instead of restarting hot), the delta history
+// and the start clock carried over; the rest of the operator context is what
+// the successor's own Stage produced. It returns a new Trainer rather than
+// re-planning t in place because the executor's worker-pool closure captures
+// the executor's address; after a successful Switch t must not be used again.
+// A failed Switch leaves t as it was, but for the simulated time charged.
+func (t *Trainer) Switch(plan *gd.Plan) (*Trainer, error) {
+	if t.done {
+		return nil, fmt.Errorf("engine: Switch on a finished trainer (plan %s)", t.plan.Name())
+	}
+	return startTrainer(t.sim, t.store, plan, t.opts, t)
+}
+
+// startTrainer is NewTrainer, or with from the trainer switched away from.
+func startTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options, from *Trainer) (*Trainer, error) {
 	t, err := newTrainerShell(sim, store, plan, opts)
 	if err != nil {
 		return nil, err
 	}
-	ex := &t.ex
-
 	sim.JobInit()
-	if err := ex.stage(); err != nil {
+	if err := t.ex.stage(); err != nil {
 		return nil, err
 	}
-	if opts.InitWeights != nil {
-		if len(opts.InitWeights) != ex.ctx.NumFeatures {
-			return nil, fmt.Errorf("engine: InitWeights has %d features, dataset has %d",
-				len(opts.InitWeights), ex.ctx.NumFeatures)
-		}
-		ex.ctx.Weights = opts.InitWeights.Clone()
-	}
-	if opts.InitIter > 0 {
-		ex.ctx.Iter = opts.InitIter
+	if from != nil {
+		t.ex.ctx.Weights = from.ex.ctx.Weights.Clone()
+		t.ex.ctx.Iter = from.ex.ctx.Iter
 	}
 	if plan.Transform == gd.Eager {
-		if err := ex.eagerTransform(); err != nil {
+		if err := t.ex.eagerTransform(); err != nil {
 			return nil, err
 		}
 	}
 	if err := t.initSampler(); err != nil {
 		return nil, err
 	}
-
-	t.res = &Result{PlanName: plan.Name(), Deltas: make([]float64, 0, 16)}
+	t.res = &Result{Deltas: make([]float64, 0, 16)}
+	if from != nil {
+		t.start, t.res = from.start, from.res
+	}
+	t.res.PlanName = plan.Name()
 	return t, nil
 }
 
@@ -192,8 +206,11 @@ func (t *Trainer) rngDraws() uint64 {
 func (t *Trainer) Done() bool { return t.done }
 
 // Iteration returns the 1-based count of iterations executed so far (the
-// context's counter; it starts at Options.InitIter for warm-started runs).
+// context's counter, carried across Switch).
 func (t *Trainer) Iteration() int { return t.ex.ctx.Iter }
+
+// Plan returns the plan the trainer executes (live; callers must not modify).
+func (t *Trainer) Plan() *gd.Plan { return t.plan }
 
 // Deltas returns the per-iteration convergence deltas observed so far. The
 // slice is live — callers must not modify it.

@@ -77,7 +77,7 @@ func Adaptive(cfg Config) (*Report, error) {
 	// tolerances (the Figure 6 effect the scenario is built on).
 	sim := cfg.sim()
 	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: adaptiveEstimator(cfg)},
-		adaptiveControllerFor(cfg))
+		cfg.engineOpts(0), planner.AdaptiveConfig{Every: 50})
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +86,14 @@ func Adaptive(cfg Config) (*Report, error) {
 
 	r.Note("optimizer chose %s (estimated %d iters); best static %s at %.3gs",
 		ar.Decision.Best.Plan.Name(), ar.Decision.Best.Iterations, bestStatic, float64(minStatic))
-	for _, sw := range ar.Switches {
+	for _, sw := range ar.Refits.Switches() {
 		r.Note("switch at iter %d: %s -> %s (refit a=%.4g vs spec a=%.4g at eps=%.4g)",
-			sw.Iter, sw.From, sw.To, sw.FittedA, sw.SpecA, sw.Epsilon)
+			sw.Iter, sw.Plan, sw.To, sw.FittedA, sw.SpecA, sw.Epsilon)
 	}
-	for _, line := range ar.Log {
-		r.Note("decision log: %s", line)
+	for _, ev := range ar.Refits {
+		if ev.Action != "converging" { // looked, and decided nothing
+			r.Note("decision log: iter %d: %s", ev.Iter, ev.Reason)
+		}
 	}
 	if !math.IsInf(float64(minStatic), 0) {
 		r.Note("adaptive %.3gs vs best static %.3gs (speedup %.2fx, speculation+switch overhead included)",
@@ -121,12 +123,6 @@ func adaptiveScenario(cfg Config) (*data.Dataset, gd.Params, error) {
 	}
 	p := ParamsFor(ds, 2e-4, 4000)
 	return ds, p, nil
-}
-
-// adaptiveControllerFor returns the controller settings the experiment (and
-// its benchmark) uses.
-func adaptiveControllerFor(cfg Config) planner.AdaptiveConfig {
-	return planner.AdaptiveConfig{Every: 50, Seed: cfg.Seed, Workers: cfg.Workers, FastMath: cfg.FastMath}
 }
 
 // adaptiveEstimator is the Section 8 estimator with a 3-second speculation

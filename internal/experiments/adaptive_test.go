@@ -40,7 +40,7 @@ func TestAdaptiveBeatsBestStaticFullScale(t *testing.T) {
 
 	sim := cfg.sim()
 	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: adaptiveEstimator(cfg)},
-		adaptiveControllerFor(cfg))
+		cfg.engineOpts(0), planner.AdaptiveConfig{Every: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAdaptiveBeatsBestStaticFullScale(t *testing.T) {
 		t.Fatalf("scenario drifted: optimizer chose %s up front, no mis-estimation to correct",
 			ar.Decision.Best.Plan.Name())
 	}
-	if len(ar.Switches) == 0 {
+	if len(ar.Refits.Switches()) == 0 {
 		t.Fatal("controller never switched")
 	}
 	if !ar.Result.Converged {
@@ -62,5 +62,5 @@ func TestAdaptiveBeatsBestStaticFullScale(t *testing.T) {
 			float64(total), float64(static.Time))
 	}
 	t.Logf("adaptive %.1fs vs best static %.1fs (%.2fx), switch: %+v",
-		float64(total), float64(static.Time), float64(static.Time)/float64(total), ar.Switches[0])
+		float64(total), float64(static.Time), float64(static.Time)/float64(total), ar.Refits.Switches()[0])
 }

@@ -60,7 +60,7 @@ func Fig8(cfg Config) (*Report, error) {
 		var planName string
 		if cfg.Adaptive {
 			ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: cfg.estimatorFor()},
-				planner.AdaptiveConfig{Seed: cfg.Seed, Workers: cfg.Workers, FastMath: cfg.FastMath})
+				cfg.engineOpts(0), planner.AdaptiveConfig{})
 			if err != nil {
 				return nil, err
 			}

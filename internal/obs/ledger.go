@@ -42,7 +42,7 @@ type CurvePoint struct {
 }
 
 // SwitchRecord is a mid-flight plan switch as persisted in the ledger
-// (planner.SwitchEvent flattened to JSON-safe types).
+// (a switching planner.RefitEvent flattened to JSON-safe types).
 type SwitchRecord struct {
 	Iter    int     `json:"iter"`
 	Clock   float64 `json:"clock_seconds"`
@@ -73,7 +73,7 @@ type RefitRecord struct {
 // producers sanitize fit-derived values before building a Record.
 type Record struct {
 	Schema      int                `json:"schema"`
-	Kind        string             `json:"kind"` // "job" (serving) | "adaptive" (batch API)
+	Kind        string             `json:"kind"` // "job" (serving; adaptive jobs fill Plans/Switches/Refits)
 	JobID       string             `json:"job_id,omitempty"`
 	Model       string             `json:"model,omitempty"`
 	Dataset     DatasetInfo        `json:"dataset"`

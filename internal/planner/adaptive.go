@@ -1,8 +1,11 @@
 package planner
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"ml4all/internal/cluster"
@@ -19,7 +22,9 @@ import (
 // cost-based re-costing in PAPERS.md — observed costs for the running plan,
 // estimated costs for the alternatives).
 //
-// The controller trains through the resumable engine.Trainer. Every K
+// The Controller is a policy acting between two engine.Trainer Steps — the
+// static run is the nil policy — whose whole memory is a ControllerState, so
+// an adaptive run checkpoints, resumes and is served like any other. Every K
 // iterations it re-fits the estimator's T(ε) = a/ε curve on the *observed*
 // delta sequence of the running segment (estimator.MonotoneSequence +
 // FitInverse — the exact functions speculation uses, now fed real-run data
@@ -27,101 +32,39 @@ import (
 // with the re-fitted curve and for every other plan of the eleven-plan space
 // with its speculative estimate, and switches when an alternative's
 // projected remaining cost — including its full switch overhead: job init,
-// Stage and (eager) Transform, exactly what starting a new Trainer charges
+// Stage and (eager) Transform, exactly what engine.Trainer.Switch charges
 // the simulator — undercuts the incumbent's by the hysteresis margin.
 // Weights and the iteration counter carry across the switch, so step-size
 // schedules continue and the model keeps its progress.
 
-// AdaptiveConfig tunes the mid-flight re-optimization controller. Zero
-// values take defaults.
+// AdaptiveConfig tunes the mid-flight re-optimization controller.
 type AdaptiveConfig struct {
 	// Every is the re-optimization period: a check runs after every
 	// Every-th iteration. 0 means 25.
 	Every int
-	// Hysteresis is the relative margin an alternative's projected
-	// remaining cost must undercut the incumbent's by before the
-	// controller switches (guarding against estimate noise and plan
-	// oscillation). 0 means 0.2; negative disables the margin.
-	Hysteresis float64
-	// MaxSwitches caps how many times the controller may switch plans.
-	// 0 means 3.
-	MaxSwitches int
-	// MinPoints is the minimum number of monotone error observations the
-	// running segment must have produced before a check may act. 0 means 3.
-	MinPoints int
-	// DeviationFactor gates re-optimization on demonstrated
-	// mis-estimation: the controller considers switching only when the
-	// re-fitted a exceeds DeviationFactor times the speculative a for the
-	// incumbent's algorithm — while speculation is tracking reality, the
-	// up-front optimizer decision stands. The default 4 sits above the
-	// natural sample-vs-full drift a sound speculation shows (~2-3x) and
-	// below the blow-ups genuine mis-estimation produces. 0 means 4;
-	// negative disables the gate (every check may switch).
-	DeviationFactor float64
-	// Seed, Workers and FastMath are the engine options the training
-	// segments run with (same semantics as engine.Options). FastMath also
-	// flips the controller's re-costing model to fast-tier throughput, so
-	// mid-flight comparisons price remaining work at the rates the
-	// segments actually execute at.
-	Seed     int64
-	Workers  int
-	FastMath bool
-
-	// Interrupt is polled at the top of every engine Step of every segment
-	// (same semantics as engine.Options.Interrupt): the serving layer wires
-	// a context's Err here so adaptive jobs cancel between iterations.
-	Interrupt func() error
-
-	// Observer, when non-nil, is threaded into every training segment's
-	// engine.Options, receiving one IterEvent per iteration across all
-	// segments (iteration counters carry across switches, so the stream is
-	// globally monotone). nil keeps the engine's zero-overhead path.
-	Observer engine.Observer
 }
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Every <= 0 {
-		c.Every = 25
-	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 0.2
-	}
-	if c.Hysteresis < 0 {
-		c.Hysteresis = 0 // negative means "no margin", not an inverted one
-	}
-	if c.MaxSwitches <= 0 {
-		c.MaxSwitches = 3
-	}
-	if c.MinPoints <= 0 {
-		c.MinPoints = 3
-	}
-	if c.DeviationFactor == 0 {
-		c.DeviationFactor = 4
-	}
-	return c
-}
-
-// SwitchEvent records one executed plan switch and the re-fitted estimate
-// that triggered it.
-type SwitchEvent struct {
-	Iter  int             // global iteration the switch happened after
-	Clock cluster.Seconds // sim clock at the switch
-	From  string
-	To    string
-	// FittedA is the re-fitted coefficient of T(ε) = a/ε over the
-	// incumbent segment's observed deltas; SpecA is what speculation had
-	// predicted for the same algorithm. Their gap is the mis-estimation
-	// the switch corrects.
-	FittedA float64
-	SpecA   float64
-	// Epsilon is the best (smallest) observed delta at switch time — the
-	// error level the successor plan inherits.
-	Epsilon float64
-	// IncumbentRemaining and AltRemaining are the projected remaining
-	// costs that were compared (AltRemaining includes switch overhead).
-	IncumbentRemaining cluster.Seconds
-	AltRemaining       cluster.Seconds
-}
+// The controller's guards are constants, each with the reason for its value:
+// nothing in the repo needs two values of any of them.
+const (
+	// hysteresis is the relative margin an alternative's projected
+	// remaining cost must undercut the incumbent's by before the controller
+	// switches (guarding against estimate noise and plan oscillation).
+	hysteresis = 0.2
+	// maxSwitches caps how many times one run may switch plans.
+	maxSwitches = 3
+	// minPoints is the minimum number of monotone error observations the
+	// running segment must have produced before a check may act.
+	minPoints = 3
+	// deviationFactor gates re-optimization on demonstrated mis-estimation:
+	// the controller considers switching only when the re-fitted a exceeds
+	// deviationFactor times the speculative a for the incumbent's algorithm
+	// — while speculation is tracking reality, the up-front optimizer
+	// decision stands. 4 sits above the natural sample-vs-full drift a sound
+	// speculation shows (~2-3x) and below the blow-ups genuine
+	// mis-estimation produces.
+	deviationFactor = 4
+)
 
 // PlanCost is one candidate's projection inside a re-fit check: the curve
 // coefficient the re-costing used (observed for the incumbent's algorithm,
@@ -135,17 +78,17 @@ type PlanCost struct {
 	Cost      cluster.Seconds
 }
 
-// RefitEvent is the structured record of one re-optimization check — the
-// machine-readable counterpart of AdaptiveResult.Log, persisted into the run
-// ledger so past runs' planner decisions can be replayed and audited.
+// RefitEvent is the structured record of one re-optimization check,
+// persisted into the run ledger so past runs' planner decisions can be
+// replayed and audited.
 type RefitEvent struct {
 	Iter    int             // global iteration the check ran after
 	Clock   cluster.Seconds // sim clock at the check
 	Plan    string          // incumbent plan at check time
 	Points  int             // monotone observations available to the fit
-	FittedA float64         // re-fitted a (0 when the check bailed before fitting)
-	SpecA   float64         // speculative a for the incumbent's algorithm
-	Epsilon float64         // best observed delta at check time
+	FittedA float64         // a of T(ε) = a/ε re-fitted on the segment's deltas (0: bailed before fitting)
+	SpecA   float64         // speculation's a for the same algorithm; the gap is what a switch corrects
+	Epsilon float64         // best observed delta at check time — the level a successor plan inherits
 	// Remaining and Cost are the incumbent's own projection at the check
 	// (populated once the check got far enough to compute them).
 	Remaining float64
@@ -157,32 +100,138 @@ type RefitEvent struct {
 	// "converging", "deviation-gate", "endgame", "no-alternative",
 	// "hysteresis-keep" or "switch".
 	Action string
-	// Reason is the human-readable explanation (mirrors the Log line).
+	// Reason is the human-readable explanation, showing the re-fitted
+	// estimate and the costs compared.
 	Reason string
+	// To and AltCost are the plan switched to and its projected remaining
+	// cost, switch overhead included; To is empty unless the check switched.
+	To      string
+	AltCost cluster.Seconds
 }
 
-// AdaptiveResult is the outcome of an adaptive training run.
-type AdaptiveResult struct {
-	// Result merges the training segments: concatenated deltas, the final
-	// weights and termination flags, total training time (excluding the
-	// initial speculation, like engine.Run) and final accounting. PlanName
-	// chains the executed plans, e.g. "MGD-lazy-shuffle→BGD".
-	Result *engine.Result
-	// Decision is the up-front optimizer decision the run started from.
-	Decision *Decision
-	// Plans lists the executed plan names in order.
-	Plans []string
-	// Switches records every executed switch.
-	Switches []SwitchEvent
-	// Refits records every re-optimization check as a structured event
-	// (including the ones that kept the incumbent, with the reason). The
-	// budget-exhausted state is recorded once, like its Log line.
-	Refits []RefitEvent
-	// Checks counts how many re-optimization checks ran.
-	Checks int
-	// Log is the human-readable decision log: one line per check, showing
-	// the re-fitted estimate and the costs compared.
-	Log []string
+// History is the controller's record of a run, one RefitEvent per check
+// (including the ones that kept the incumbent, with the reason; the
+// budget-exhausted state is recorded once). It is the only record: the
+// executed switches, the plan chain and the decision log ("iter <Iter>:
+// <Reason>" per check that decided something) are views of it.
+type History []RefitEvent
+
+// Switches returns the checks that switched plans.
+func (h History) Switches() History {
+	var out History
+	for _, ev := range h {
+		if ev.To != "" {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// ControllerState is everything the controller remembers between two Steps —
+// what a checkpoint must carry for a resumed adaptive run to take the same
+// decisions as one that was never stopped.
+type ControllerState struct {
+	// ObservedA ratchets the re-fitted curve coefficient per algorithm: an
+	// algorithm whose observed curve was ever worse than its speculative
+	// one is never trusted at the speculative estimate again. Disqualified
+	// marks algorithms abandoned for demonstrated mis-estimation: their
+	// speculative curve is known-wrong and their observed curve never
+	// covered the target regime, so re-entering on either extrapolation
+	// would repeat the very mistake the controller exists to correct. The
+	// two are the one-sided memory that keeps re-optimization from
+	// oscillating.
+	ObservedA    map[gd.Algo]float64
+	Disqualified map[gd.Algo]bool
+	// SegStart is the iteration the running plan took over at: the re-fit
+	// sees only the deltas observed since.
+	SegStart int
+	History  History
+}
+
+// Controller drives one adaptive run: Step in place of engine.Trainer.Step.
+type Controller struct {
+	ControllerState
+	every int
+	sim   *cluster.Sim
+	dec   *Decision
+	space []gd.Plan
+	model *costmodel.Model
+}
+
+// NewController returns the controller for a run that starts on dec.Best on
+// sim. fastMath is the kernel tier the run executes on: the re-costing prices
+// remaining work at the rates the trainer is charged.
+func NewController(sim *cluster.Sim, store *storage.Store, p gd.Params, dec *Decision, fastMath bool, cfg AdaptiveConfig) *Controller {
+	c := &Controller{
+		ControllerState: newControllerState(), every: cfg.Every,
+		sim: sim, dec: dec, space: Space(p), model: costmodel.New(store, sim.Cfg),
+	}
+	if c.every <= 0 {
+		c.every = 25
+	}
+	c.model.FastMath = fastMath
+	return c
+}
+
+func newControllerState() ControllerState {
+	return ControllerState{ObservedA: map[gd.Algo]float64{}, Disqualified: map[gd.Algo]bool{}}
+}
+
+// Plans lists the executed plan names in order; PlanName chains them, e.g.
+// "MGD-lazy-shuffle→BGD".
+func (c *Controller) Plans() []string {
+	plans := []string{c.dec.Best.Plan.Name()}
+	for _, sw := range c.History.Switches() {
+		plans = append(plans, sw.To)
+	}
+	return plans
+}
+
+func (c *Controller) PlanName() string { return strings.Join(c.Plans(), "→") }
+
+// Encode serializes the controller's state for engine.TrainState.Policy.
+func (c *Controller) Encode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&c.ControllerState)
+	return buf.Bytes(), err
+}
+
+// Restore adopts a state produced by Encode for continuing tr. The bytes come
+// from disk, so nothing in them is trusted: the check slices tr's deltas at
+// SegStart, and the recorded plans end up in the model header and the ledger.
+func (c *Controller) Restore(policy []byte, tr *engine.Trainer) error {
+	st := newControllerState() // gob leaves a map absent from the stream as it finds it
+	if err := gob.NewDecoder(bytes.NewReader(policy)).Decode(&st); err != nil {
+		return fmt.Errorf("planner: decoding controller state: %w", err)
+	}
+	inSpace := func(name string) bool {
+		return slices.ContainsFunc(c.space, func(p gd.Plan) bool { return p.Name() == name })
+	}
+	iter, last := tr.Iteration(), c.dec.Best.Plan.Name()
+	ok := st.SegStart >= 0 && st.SegStart <= iter && len(tr.Deltas()) == iter
+	for _, ev := range st.History {
+		ok = ok && inSpace(ev.Plan) && (ev.To == "" || inSpace(ev.To))
+		if ev.To != "" {
+			last = ev.To
+		}
+	}
+	if !ok || last != tr.Plan().Name() {
+		return fmt.Errorf("planner: controller state (segment from iteration %d, %d checks ending on %s) does not fit the checkpoint (%d deltas at iteration %d of %s) or the plan space",
+			st.SegStart, len(st.History), last, len(tr.Deltas()), iter, tr.Plan().Name())
+	}
+	c.ControllerState = st
+	return nil
+}
+
+// Step executes one iteration of tr and, after every Every-th, the
+// re-optimization check. It returns the trainer to continue with: tr itself,
+// or on a switch its successor (tr.Switch). A failed step or switch returns
+// tr with the error.
+func (c *Controller) Step(tr *engine.Trainer) (*engine.Trainer, error) {
+	if err := tr.Step(); err != nil || tr.Done() || tr.Iteration()%c.every != 0 {
+		return tr, err
+	}
+	return c.check(tr)
 }
 
 // segmentCost prices rem iterations of a plan's steady-state loop. The
@@ -197,259 +246,183 @@ func segmentCost(br costmodel.Breakdown, rem float64) cluster.Seconds {
 }
 
 // switchCost is the one-time overhead of standing a new plan up mid-run:
-// the job init, Stage and (eager) Transform a fresh Trainer charges.
+// the job init, Stage and (eager) Transform engine.Trainer.Switch charges.
 func switchCost(br costmodel.Breakdown) cluster.Seconds {
 	return br.JobInit + br.Stage + br.Transform
 }
 
-// RunAdaptive optimizes, then trains with mid-flight re-optimization: the
-// optimizer's chosen plan starts, and every cfg.Every iterations the
-// controller re-fits the iteration estimate on observed deltas and switches
-// to a cheaper plan when the re-costing says so, carrying weights and the
-// iteration counter (and thus the step-size schedule) across the switch. The
-// switch overhead — job init, staging, eager transform of the new plan — is
-// charged to sim like any fresh plan start. Speculation time is on sim's
-// clock, exactly as Choose charges it; Result.Time covers training only.
-func RunAdaptive(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	cfg = cfg.withDefaults()
+// check is the re-optimization check, run between two Steps of tr: it
+// appends its RefitEvent to the history and keeps tr or switches.
+func (c *Controller) check(tr *engine.Trainer) (*engine.Trainer, error) {
+	incumbent := *tr.Plan()
+	globalIter := tr.Iteration()
+	// ev accumulates the structured record of this check; every exit path
+	// below stamps an Action and records it.
+	ev := RefitEvent{Iter: globalIter, Clock: c.sim.Now(), Plan: incumbent.Name()}
+	record := func(action, reason string) (*engine.Trainer, error) {
+		ev.Action, ev.Reason = action, reason
+		c.History = append(c.History, ev)
+		return tr, nil
+	}
+	if len(c.History.Switches()) >= maxSwitches {
+		// The switch budget is spent: further re-fits could change nothing,
+		// so ride the incumbent out (recorded once).
+		if c.History[len(c.History)-1].Action == "budget-exhausted" {
+			return tr, nil
+		}
+		return record("budget-exhausted", fmt.Sprintf("switch budget (%d) exhausted — riding out %s",
+			maxSwitches, incumbent.Name()))
+	}
+
+	seq := estimator.MonotoneSequence(tr.Deltas()[c.SegStart:])
+	ev.Points = len(seq)
+	if len(seq) < minPoints {
+		return record("too-few-points", fmt.Sprintf("%d monotone points, too few to refit", len(seq)))
+	}
+	epsNow := seq[len(seq)-1].Err
+	ev.Epsilon = epsNow
+	if epsNow <= incumbent.Tolerance {
+		return record("converging", "best observed delta at or below tolerance")
+	}
+	// Append the current position (iterations into the segment, epsNow)
+	// before fitting: the monotone sequence records only improvements, so a
+	// stalled plan would otherwise keep its optimistic early fit forever. The
+	// appended point drags the fitted a up exactly when progress has stopped
+	// — the signal the whole controller exists to catch.
+	obs := append(append([]estimator.Point(nil), seq...), estimator.Point{Iter: globalIter - c.SegStart, Err: epsNow})
+	aObs, ferr := estimator.FitInverse(obs)
+	if ferr != nil {
+		aObs = math.Inf(1)
+	}
+	specA := math.Inf(1)
+	if est, ok := c.dec.Estimates[incumbent.Algorithm]; ok {
+		specA = est.A
+	}
+	if !math.IsInf(aObs, 0) && aObs > c.ObservedA[incumbent.Algorithm] {
+		c.ObservedA[incumbent.Algorithm] = aObs
+	}
+	ev.FittedA = aObs
+	ev.SpecA = specA
+
+	// Deviation gate: while the observed curve tracks the speculative one,
+	// the up-front decision stands — no switch chatter.
+	if !math.IsInf(specA, 0) && aObs <= deviationFactor*specA {
+		return record("deviation-gate", fmt.Sprintf(
+			"refit a=%.4g within %dx of spec a=%.4g — speculation on track, keep %s",
+			aObs, deviationFactor, specA, incumbent.Name()))
+	}
+
+	brInc := c.model.Breakdown(incumbent)
+	remInc := estimator.RemainingIterations(aObs, incumbent.Tolerance, epsNow)
+	costInc := segmentCost(brInc, remInc)
+	ev.Remaining = remInc
+	ev.Cost = costInc
+
+	// Endgame guard: when the incumbent is projected to finish within one
+	// check period, a switch could never be re-evaluated before the
+	// incumbent would have converged anyway — ride it out.
+	if remInc <= float64(c.every) {
+		return record("endgame", fmt.Sprintf("%s projected to finish in %.0f iters — ride it out",
+			incumbent.Name(), remInc))
+	}
+
+	// Re-cost the rest of the space: observed curve for the incumbent's
+	// algorithm, speculative curves for the others (the mixed re-costing).
+	// All candidates inherit the current error level, so their
+	// remaining-iteration projections skip the curve head the incumbent
+	// already descended.
+	bestCost := cluster.Seconds(math.Inf(1))
+	var best *gd.Plan
+	for _, cand := range c.space {
+		if cand.Name() == incumbent.Name() {
+			continue
+		}
+		a := aObs
+		if cand.Algorithm != incumbent.Algorithm {
+			if c.Disqualified[cand.Algorithm] {
+				continue
+			}
+			est, ok := c.dec.Estimates[cand.Algorithm]
+			if !ok {
+				continue // no estimate (e.g. FixedIterations): cannot re-cost
+			}
+			a = est.A
+			// Trust past observation over the speculation whenever an
+			// earlier segment already ran this algorithm and refit a worse
+			// curve.
+			if ratchet, seen := c.ObservedA[cand.Algorithm]; seen && ratchet > a {
+				a = ratchet
+			}
+		}
+		rem := estimator.RemainingIterations(a, cand.Tolerance, epsNow)
+		// A candidate whose projection does not fit the remaining iteration
+		// budget cannot reach the tolerance at all — switching to it would
+		// trade a slow plan for a hopeless one.
+		if budget := float64(cand.MaxIter - globalIter); cand.MaxIter > 0 && rem > budget {
+			continue
+		}
+		br := c.model.Breakdown(cand)
+		cost := switchCost(br) + segmentCost(br, rem)
+		ev.Costs = append(ev.Costs, PlanCost{Plan: cand.Name(), A: a, Remaining: rem, Cost: cost})
+		if cost < bestCost {
+			bestCost, best = cost, &cand
+		}
+	}
+	if best == nil {
+		return record("no-alternative", "no alternative can be re-costed")
+	}
+
+	line := fmt.Sprintf(
+		"refit a=%.4g (spec a=%.4g), eps=%.4g; %s remaining %.4gs; best alt %s remaining %.4gs incl switch",
+		aObs, specA, epsNow, incumbent.Name(), float64(costInc), best.Name(), float64(bestCost))
+	if !(float64(bestCost) < float64(costInc)*(1-hysteresis)) {
+		return record("hysteresis-keep", line+" -> keep")
+	}
+
+	ev.To, ev.AltCost = best.Name(), bestCost
+	record("switch", line+" -> switch")
+	if best.Algorithm != incumbent.Algorithm {
+		c.Disqualified[incumbent.Algorithm] = true
+	}
+	c.SegStart = globalIter
+	succ, err := tr.Switch(best)
+	if err != nil {
+		return tr, err
+	}
+	return succ, nil
+}
+
+// AdaptiveResult is the outcome of an adaptive training run: the engine
+// result over all executed plans (Time excludes the initial speculation, like
+// engine.Run; PlanName chains the plans, e.g. "MGD-lazy-shuffle→BGD"), the
+// up-front optimizer decision it started from, and the controller's history.
+type AdaptiveResult struct {
+	Result   *engine.Result
+	Decision *Decision
+	Refits   History
+}
+
+// RunAdaptive optimizes, then trains with mid-flight re-optimization: what
+// engine.Run is over Trainer.Step, over Controller.Step, starting on the
+// optimizer's chosen plan. Speculation time is on sim's clock, exactly as
+// Choose charges it; Result.Time covers training only.
+func RunAdaptive(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options, eopts engine.Options, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	dec, err := Choose(sim, store, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	model := costmodel.New(store, sim.Cfg)
-	model.FastMath = cfg.FastMath
-	eopts := engine.Options{Seed: cfg.Seed, Workers: cfg.Workers, FastMath: cfg.FastMath, Interrupt: cfg.Interrupt, Observer: cfg.Observer}
-
-	incumbent := dec.Best.Plan
-	out := &AdaptiveResult{Decision: dec, Plans: []string{incumbent.Name()}}
-	merged := &engine.Result{}
-
-	// observedA ratchets the re-fitted curve coefficient per algorithm: an
-	// algorithm whose observed curve was ever worse than its speculative
-	// one is never trusted at the speculative estimate again. disqualified
-	// marks algorithms abandoned for demonstrated mis-estimation: their
-	// speculative curve is known-wrong and their observed curve never
-	// covered the target regime, so re-entering on either extrapolation
-	// would repeat the very mistake the controller exists to correct. The
-	// two are the one-sided memory that keeps re-optimization from
-	// oscillating.
-	observedA := map[gd.Algo]float64{}
-	disqualified := map[gd.Algo]bool{}
-
-	trainStart := sim.Now()
-	tr, err := engine.NewTrainer(sim, store, &incumbent, eopts)
+	ctl := NewController(sim, store, p, dec, eopts.FastMath, cfg)
+	plan := dec.Best.Plan
+	tr, err := engine.NewTrainer(sim, store, &plan, eopts)
 	if err != nil {
 		return nil, err
 	}
-	segStartIter := 0
-	capLogged := false
-
 	for !tr.Done() {
-		if err := tr.Step(); err != nil {
+		if tr, err = ctl.Step(tr); err != nil {
 			return nil, err
 		}
-		if tr.Done() || tr.Iteration()%cfg.Every != 0 {
-			continue
-		}
-		if len(out.Switches) >= cfg.MaxSwitches {
-			// The switch budget is spent: further re-fits could change
-			// nothing, so ride the incumbent out (logged once).
-			if !capLogged {
-				reason := fmt.Sprintf("switch budget (%d) exhausted — riding out %s",
-					cfg.MaxSwitches, incumbent.Name())
-				out.Log = append(out.Log, fmt.Sprintf("iter %d: %s", tr.Iteration(), reason))
-				out.Refits = append(out.Refits, RefitEvent{
-					Iter: tr.Iteration(), Clock: sim.Now(), Plan: incumbent.Name(),
-					Action: "budget-exhausted", Reason: reason,
-				})
-				capLogged = true
-			}
-			continue
-		}
-
-		// --- re-optimization check ---
-		out.Checks++
-		globalIter := tr.Iteration()
-		segIters := globalIter - segStartIter
-		seq := estimator.MonotoneSequence(tr.Deltas())
-		// ev accumulates the structured record of this check; every exit
-		// path below stamps an Action and appends it to out.Refits.
-		ev := RefitEvent{
-			Iter: globalIter, Clock: sim.Now(), Plan: incumbent.Name(),
-			Points: len(seq),
-		}
-		if len(seq) < cfg.MinPoints {
-			ev.Action = "too-few-points"
-			ev.Reason = fmt.Sprintf("%d monotone points, too few to refit", len(seq))
-			out.Refits = append(out.Refits, ev)
-			out.Log = append(out.Log, fmt.Sprintf("iter %d: %s", globalIter, ev.Reason))
-			continue
-		}
-		epsNow := seq[len(seq)-1].Err
-		ev.Epsilon = epsNow
-		if epsNow <= incumbent.Tolerance {
-			ev.Action = "converging"
-			ev.Reason = "best observed delta at or below tolerance"
-			out.Refits = append(out.Refits, ev)
-			continue // converging as we speak
-		}
-		// Append the current position (segIters, epsNow) before fitting:
-		// the monotone sequence records only improvements, so a stalled
-		// plan would otherwise keep its optimistic early fit forever. The
-		// appended point drags the fitted a up exactly when progress has
-		// stopped — the signal the whole controller exists to catch.
-		obs := append(append([]estimator.Point(nil), seq...), estimator.Point{Iter: segIters, Err: epsNow})
-		aObs, ferr := estimator.FitInverse(obs)
-		if ferr != nil {
-			aObs = math.Inf(1)
-		}
-		specA := math.Inf(1)
-		if est, ok := dec.Estimates[incumbent.Algorithm]; ok {
-			specA = est.A
-		}
-		if !math.IsInf(aObs, 0) && aObs > observedA[incumbent.Algorithm] {
-			observedA[incumbent.Algorithm] = aObs
-		}
-		ev.FittedA = aObs
-		ev.SpecA = specA
-
-		// Deviation gate: while the observed curve tracks the speculative
-		// one, the up-front decision stands — no switch chatter.
-		if cfg.DeviationFactor > 0 && !math.IsInf(specA, 0) && aObs <= cfg.DeviationFactor*specA {
-			ev.Action = "deviation-gate"
-			ev.Reason = fmt.Sprintf(
-				"refit a=%.4g within %.2gx of spec a=%.4g — speculation on track, keep %s",
-				aObs, cfg.DeviationFactor, specA, incumbent.Name())
-			out.Refits = append(out.Refits, ev)
-			out.Log = append(out.Log, fmt.Sprintf("iter %d: %s", globalIter, ev.Reason))
-			continue
-		}
-
-		brInc := model.Breakdown(incumbent)
-		remInc := estimator.RemainingIterations(aObs, incumbent.Tolerance, epsNow)
-		costInc := segmentCost(brInc, remInc)
-		ev.Remaining = remInc
-		ev.Cost = costInc
-
-		// Endgame guard: when the incumbent is projected to finish within
-		// one check period, a switch could never be re-evaluated before
-		// the incumbent would have converged anyway — ride it out.
-		if remInc <= float64(cfg.Every) {
-			ev.Action = "endgame"
-			ev.Reason = fmt.Sprintf("%s projected to finish in %.0f iters — ride it out",
-				incumbent.Name(), remInc)
-			out.Refits = append(out.Refits, ev)
-			out.Log = append(out.Log, fmt.Sprintf("iter %d: %s", globalIter, ev.Reason))
-			continue
-		}
-
-		// Re-cost the rest of the space: observed curve for the
-		// incumbent's algorithm, speculative curves for the others (the
-		// mixed re-costing). All candidates inherit the current error
-		// level, so their remaining-iteration projections skip the curve
-		// head the incumbent already descended.
-		bestCost := cluster.Seconds(math.Inf(1))
-		var bestPlan gd.Plan
-		found := false
-		for _, cand := range Space(p) {
-			if cand.Name() == incumbent.Name() {
-				continue
-			}
-			a := aObs
-			if cand.Algorithm != incumbent.Algorithm {
-				if disqualified[cand.Algorithm] {
-					continue
-				}
-				est, ok := dec.Estimates[cand.Algorithm]
-				if !ok {
-					continue // no estimate (e.g. FixedIterations): cannot re-cost
-				}
-				a = est.A
-				// Trust past observation over the speculation whenever an
-				// earlier segment already ran this algorithm and refit a
-				// worse curve.
-				if ratchet, seen := observedA[cand.Algorithm]; seen && ratchet > a {
-					a = ratchet
-				}
-			}
-			rem := estimator.RemainingIterations(a, cand.Tolerance, epsNow)
-			// A candidate whose projection does not fit the remaining
-			// iteration budget cannot reach the tolerance at all —
-			// switching to it would trade a slow plan for a hopeless one.
-			if budget := float64(cand.MaxIter - globalIter); cand.MaxIter > 0 && rem > budget {
-				continue
-			}
-			br := model.Breakdown(cand)
-			cost := switchCost(br) + segmentCost(br, rem)
-			ev.Costs = append(ev.Costs, PlanCost{
-				Plan: cand.Name(), A: a, Remaining: rem, Cost: cost,
-			})
-			if cost < bestCost {
-				bestCost, bestPlan, found = cost, cand, true
-			}
-		}
-		if !found {
-			ev.Action = "no-alternative"
-			ev.Reason = "no alternative can be re-costed"
-			out.Refits = append(out.Refits, ev)
-			out.Log = append(out.Log, fmt.Sprintf("iter %d: %s", globalIter, ev.Reason))
-			continue
-		}
-
-		line := fmt.Sprintf(
-			"iter %d: refit a=%.4g (spec a=%.4g), eps=%.4g; %s remaining %.4gs; best alt %s remaining %.4gs incl switch",
-			globalIter, aObs, specA, epsNow,
-			incumbent.Name(), float64(costInc), bestPlan.Name(), float64(bestCost))
-
-		if !(float64(bestCost) < float64(costInc)*(1-cfg.Hysteresis)) {
-			ev.Action = "hysteresis-keep"
-			ev.Reason = line + " -> keep"
-			out.Refits = append(out.Refits, ev)
-			out.Log = append(out.Log, ev.Reason)
-			continue
-		}
-
-		// --- switch: close the segment, carry weights and counter ---
-		ev.Action = "switch"
-		ev.Reason = line + " -> switch"
-		out.Refits = append(out.Refits, ev)
-		out.Log = append(out.Log, ev.Reason)
-		out.Switches = append(out.Switches, SwitchEvent{
-			Iter: globalIter, Clock: sim.Now(),
-			From: incumbent.Name(), To: bestPlan.Name(),
-			FittedA: aObs, SpecA: specA, Epsilon: epsNow,
-			IncumbentRemaining: costInc, AltRemaining: bestCost,
-		})
-		seg := tr.Finish()
-		merged.Deltas = append(merged.Deltas, seg.Deltas...)
-		if bestPlan.Algorithm != incumbent.Algorithm {
-			disqualified[incumbent.Algorithm] = true
-		}
-
-		next := bestPlan
-		segOpts := eopts
-		segOpts.InitWeights = tr.Weights().Clone()
-		segOpts.InitIter = globalIter
-		incumbent = next
-		out.Plans = append(out.Plans, incumbent.Name())
-		tr, err = engine.NewTrainer(sim, store, &incumbent, segOpts)
-		if err != nil {
-			return nil, err
-		}
-		segStartIter = globalIter
 	}
-
-	last := tr.Finish()
-	merged.PlanName = strings.Join(out.Plans, "→")
-	merged.Deltas = append(merged.Deltas, last.Deltas...)
-	merged.Weights = last.Weights
-	merged.Iterations = last.Iterations
-	merged.Converged = last.Converged
-	merged.Budgeted = last.Budgeted
-	merged.Diverged = last.Diverged
-	merged.FinalDelta = last.FinalDelta
-	merged.Time = sim.Now() - trainStart
-	merged.Acct = sim.Acct
-	out.Result = merged
-	return out, nil
+	res := tr.Finish()
+	res.PlanName = ctl.PlanName()
+	return &AdaptiveResult{Result: res, Decision: dec, Refits: ctl.History}, nil
 }

@@ -50,7 +50,12 @@ func crashScript(t *testing.T, name string, seed int64) string {
 // crashed-and-recovered run must reproduce bitwise.
 func crashReference(t *testing.T, script string) *ml4all.Model {
 	t.Helper()
-	outs, err := servingSystem().Exec(script)
+	return crashReferenceOn(t, servingSystem, script)
+}
+
+func crashReferenceOn(t *testing.T, system func() *ml4all.System, script string) *ml4all.Model {
+	t.Helper()
+	outs, err := system().Exec(script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,91 +100,116 @@ func stopManager(mgr *Manager) {
 // weights must be bit-identical to the uninterrupted reference. The
 // submission ack is the durability boundary: faults arm only after Submit
 // returns, because a job killed before its first manifest persist was never
-// acknowledged and owes the client nothing.
+// acknowledged and owes the client nothing. Every point takes a static job
+// and an adaptive one through the three phases; the adaptive job's first kill
+// is armed at submission on every other point and once the job has switched
+// plans on the rest, so crashes land on both sides of the switch.
 func TestCrashpointSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crashpoint sweep is long")
 	}
 	script := crashScript(t, "sweep-train", 21)
 	refModel := crashReference(t, script)
+	adaptive := adaptiveScript(t, "sweep-adaptive")
+	adaptiveRef := crashReferenceOn(t, adaptiveSystem, adaptive)
+	if adaptiveRef.PlanName != adaptiveChain {
+		t.Fatalf("scenario drifted: the adaptive reference executed %s, want %s", adaptiveRef.PlanName, adaptiveChain)
+	}
 
 	var points []string
 	for _, tag := range []string{"ckpt", "manifest", "registry"} {
 		points = append(points, fault.FSPoints(tag)...)
 	}
-	for _, point := range points {
+	for i, point := range points {
 		t.Run(point, func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
-
-			// Phase 1: kill mid-run. The step hook throttles iterations so
-			// the job is reliably mid-flight when the fault arms.
-			inj1 := fault.New()
-			reg1, err := OpenRegistryWith(filepath.Join(dir, "models"), inj1, nil)
-			if err != nil {
-				t.Fatal(err)
+			sweepPoint(t, point, servingSystem, script, refModel, nil)
+			var switched func(JobStatus) bool
+			if i%2 == 1 {
+				switched = func(st JobStatus) bool { return st.Plan == adaptiveChain }
 			}
-			cfg1 := cfg
-			cfg1.Fault = inj1
-			cfg1.stepHook = func(string, int) { time.Sleep(100 * time.Microsecond) }
-			mgr1, err := NewManager(cfg1, servingSystem(), reg1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := mgr1.Submit(script, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj1.Arm(fault.Crash(point))
-			waitCrashOrSettle(mgr1, inj1, 30*time.Second)
-			stopManager(mgr1)
-
-			// Phase 2: the same kill armed from the start of recovery, so
-			// crashes inside replay (manifest reads, checkpoint scans,
-			// re-publish) are exercised too. Failing to even construct the
-			// manager is a legitimate simulated death.
-			inj2 := fault.New()
-			inj2.Arm(fault.Crash(point))
-			if reg2, err := OpenRegistryWith(filepath.Join(dir, "models"), inj2, nil); err == nil {
-				cfg2 := cfg
-				cfg2.Fault = inj2
-				if mgr2, err := NewManager(cfg2, servingSystem(), reg2); err == nil {
-					waitCrashOrSettle(mgr2, inj2, 30*time.Second)
-					stopManager(mgr2)
-				} else if !errors.Is(err, fault.ErrCrash) {
-					t.Fatalf("phase-2 manager failed with a non-crash error: %v", err)
-				}
-			} else if !errors.Is(err, fault.ErrCrash) {
-				t.Fatalf("phase-2 registry failed with a non-crash error: %v", err)
-			}
-
-			// Phase 3: clean restart — recovery must finish the job.
-			reg3, err := OpenRegistry(filepath.Join(dir, "models"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mgr3, err := NewManager(cfg, servingSystem(), reg3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stopManager(mgr3)
-			j3, ok := mgr3.Job(j.ID)
-			if !ok {
-				t.Fatalf("job %s lost across the crashes", j.ID)
-			}
-			final := waitState(t, j3.Status, JobCompleted, 60*time.Second)
-			if final.Iteration != refModel.Iterations {
-				t.Fatalf("recovered job ran %d iterations, reference ran %d", final.Iteration, refModel.Iterations)
-			}
-			mv, ok := reg3.Get("m", 0)
-			if !ok {
-				t.Fatal("recovered job published no model")
-			}
-			if !mv.Model.Weights.Equal(refModel.Weights, 0) {
-				t.Fatalf("weights after crash at %s differ from the uninterrupted run", point)
-			}
+			sweepPoint(t, point, adaptiveSystem, adaptive, adaptiveRef, switched)
 		})
+	}
+}
+
+// sweepPoint is one (point, job) cell of TestCrashpointSweep. arm, when
+// non-nil, delays phase 1's kill until the job's status satisfies it.
+func sweepPoint(t *testing.T, point string, system func() *ml4all.System, script string, refModel *ml4all.Model, arm func(JobStatus) bool) {
+	dir := t.TempDir()
+	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+
+	// Phase 1: kill mid-run. The step hook throttles iterations so
+	// the job is reliably mid-flight when the fault arms.
+	inj1 := fault.New()
+	reg1, err := OpenRegistryWith(filepath.Join(dir, "models"), inj1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg1 := cfg
+	cfg1.Fault = inj1
+	cfg1.stepHook = func(string, int) { time.Sleep(100 * time.Microsecond) }
+	mgr1, err := NewManager(cfg1, system(), reg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := mgr1.Submit(script, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); arm != nil && !arm(j.Status()); time.Sleep(time.Millisecond) {
+		if st := j.Status(); st.State.terminal() || time.Now().After(deadline) {
+			t.Fatalf("job never reached the state the kill arms in: %+v", st)
+		}
+	}
+	inj1.Arm(fault.Crash(point))
+	waitCrashOrSettle(mgr1, inj1, 30*time.Second)
+	stopManager(mgr1)
+
+	// Phase 2: the same kill armed from the start of recovery, so
+	// crashes inside replay (manifest reads, checkpoint scans,
+	// re-publish) are exercised too. Failing to even construct the
+	// manager is a legitimate simulated death.
+	inj2 := fault.New()
+	inj2.Arm(fault.Crash(point))
+	if reg2, err := OpenRegistryWith(filepath.Join(dir, "models"), inj2, nil); err == nil {
+		cfg2 := cfg
+		cfg2.Fault = inj2
+		if mgr2, err := NewManager(cfg2, system(), reg2); err == nil {
+			waitCrashOrSettle(mgr2, inj2, 30*time.Second)
+			stopManager(mgr2)
+		} else if !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("phase-2 manager failed with a non-crash error: %v", err)
+		}
+	} else if !errors.Is(err, fault.ErrCrash) {
+		t.Fatalf("phase-2 registry failed with a non-crash error: %v", err)
+	}
+
+	// Phase 3: clean restart — recovery must finish the job.
+	reg3, err := OpenRegistry(filepath.Join(dir, "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr3, err := NewManager(cfg, system(), reg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopManager(mgr3)
+	j3, ok := mgr3.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s lost across the crashes", j.ID)
+	}
+	final := waitState(t, j3.Status, JobCompleted, 60*time.Second)
+	if final.Iteration != refModel.Iterations || final.Plan != refModel.PlanName {
+		t.Fatalf("recovered job ran %d iterations of %s, reference ran %d of %s",
+			final.Iteration, final.Plan, refModel.Iterations, refModel.PlanName)
+	}
+	mv, ok := reg3.Get("m", 0)
+	if !ok {
+		t.Fatal("recovered job published no model")
+	}
+	if !mv.Model.Weights.Equal(refModel.Weights, 0) {
+		t.Fatalf("weights after crash at %s differ from the uninterrupted run", point)
 	}
 }
 

@@ -46,6 +46,40 @@ func servingSystem() *ml4all.System {
 	return sys
 }
 
+// adaptiveSystem and adaptiveScript are the served form of the mis-estimation
+// scenario planner.TestAdaptiveRescuesMisestimatedPlan runs in batch:
+// speculation on a 1000-point sample makes batch-1000 MGD look
+// near-deterministic, the optimizer commits to it, and the controller's check
+// after iteration adaptiveSwitchIter moves the job to BGD. The same generator
+// at 3 000 points instead of 19 531, so the crash sweep can afford it 99 times
+// under the race detector; the full-size scenario's checkpoint/resume
+// equivalence is the root package's TestAdaptiveJobResumeEquivalence.
+func adaptiveSystem() *ml4all.System {
+	sys := servingSystem()
+	sys.Estimator.SampleSize = 1000
+	sys.Estimator.SpecTolerance = 0.1
+	sys.Estimator.TimeBudget = 3
+	return sys
+}
+
+const (
+	adaptiveSwitchIter = 50
+	adaptiveChain      = "MGD-eager-shuffle→BGD"
+)
+
+func adaptiveSpec(name string) synth.Spec {
+	return synth.Spec{
+		Name: name, Task: data.TaskLogisticRegression,
+		N: 3000, D: 40, Density: 0.6, Noise: 0.6, Margin: 0.5, Seed: 1,
+	}
+}
+
+func adaptiveScript(t *testing.T, name string) string {
+	t.Helper()
+	trainPath, _ := writeDataset(t, adaptiveSpec(name))
+	return fmt.Sprintf("m = run logistic on %s having epsilon 0.001, max iter 200, adaptive;", trainPath)
+}
+
 // writeDataset materializes a synthetic dataset as a text file (the form
 // server jobs reference) and returns its path plus the in-memory dataset.
 func writeDataset(t *testing.T, spec synth.Spec) (string, *data.Dataset) {
@@ -111,18 +145,35 @@ func waitState(t *testing.T, get func() JobStatus, want JobState, timeout time.D
 }
 
 func TestEndToEndServeMatchesOffline(t *testing.T) {
-	trainPath, _ := writeDataset(t, synth.Spec{
-		Name: "e2e-train", Task: data.TaskLogisticRegression,
-		N: 1200, D: 24, Density: 0.4, Noise: 0.1, Margin: 1, Seed: 5,
+	t.Run("static", func(t *testing.T) {
+		trainPath, _ := writeDataset(t, synth.Spec{
+			Name: "e2e-train", Task: data.TaskLogisticRegression,
+			N: 1200, D: 24, Density: 0.4, Noise: 0.1, Margin: 1, Seed: 5,
+		})
+		_, testDS := writeDataset(t, synth.Spec{
+			Name: "e2e-test", Task: data.TaskLogisticRegression,
+			N: 300, D: 24, Density: 0.4, Noise: 0.1, Margin: 1, Seed: 6,
+		})
+		script := fmt.Sprintf("m = run logistic on %s having epsilon 0.001, max iter 150;", trainPath)
+		serveMatchesOffline(t, servingSystem, script, testDS)
 	})
-	_, testDS := writeDataset(t, synth.Spec{
-		Name: "e2e-test", Task: data.TaskLogisticRegression,
-		N: 300, D: 24, Density: 0.4, Noise: 0.1, Margin: 1, Seed: 6,
+	t.Run("adaptive", func(t *testing.T) {
+		spec := adaptiveSpec("e2e-adaptive-test")
+		spec.N, spec.Seed = 300, 2
+		_, testDS := writeDataset(t, spec)
+		plan := serveMatchesOffline(t, adaptiveSystem, adaptiveScript(t, "e2e-adaptive-train"), testDS)
+		if plan != adaptiveChain {
+			t.Fatalf("scenario drifted: the adaptive job executed %s, want %s", plan, adaptiveChain)
+		}
 	})
-	script := fmt.Sprintf("m = run logistic on %s having epsilon 0.001, max iter 150;", trainPath)
+}
 
+// serveMatchesOffline submits script to a fresh server on system() and holds
+// the served job, model and predictions to the offline Exec + Evaluate path
+// on another system(); it returns the plan the job executed.
+func serveMatchesOffline(t *testing.T, system func() *ml4all.System, script string, testDS *data.Dataset) string {
 	// Offline reference: the established Train path.
-	ref := servingSystem()
+	ref := system()
 	outs, err := ref.Exec(script)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +187,7 @@ func TestEndToEndServeMatchesOffline(t *testing.T) {
 	// The server, in-process.
 	srv, err := New(Config{
 		Dir: t.TempDir(), Pool: 1, CheckpointEvery: time.Millisecond,
-		System: servingSystem(),
+		System: system(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +311,7 @@ func TestEndToEndServeMatchesOffline(t *testing.T) {
 		t.Fatalf("healthz backend = %q/%q, want %q/%q",
 			health.KernelBackend, health.CPUFeatures, linalg.FastBackend(), linalg.CPUFeatures())
 	}
+	return final.Plan
 }
 
 // TestJobResumesAcrossRestart is the kill/restart acceptance: a manager shut
@@ -267,16 +319,40 @@ func TestEndToEndServeMatchesOffline(t *testing.T) {
 // from the checkpoint and converges to exactly the weights the offline,
 // never-interrupted run produces.
 func TestJobResumesAcrossRestart(t *testing.T) {
-	trainPath, _ := writeDataset(t, synth.Spec{
-		Name: "restart-train", Task: data.TaskLogisticRegression,
-		N: 3000, D: 24, Density: 0.4, Noise: 0.15, Margin: 1, Seed: 7,
+	t.Run("static", func(t *testing.T) {
+		trainPath, _ := writeDataset(t, synth.Spec{
+			Name: "restart-train", Task: data.TaskLogisticRegression,
+			N: 3000, D: 24, Density: 0.4, Noise: 0.15, Margin: 1, Seed: 7,
+		})
+		// Logistic gradients never vanish exactly, so with an unreachable
+		// tolerance the job runs its full iteration budget — a long, steady run
+		// the test can interrupt mid-flight deterministically.
+		script := fmt.Sprintf("m = run logistic on %s having epsilon 0.0000000000000000001, max iter 1200;", trainPath)
+		resumesAcrossRestart(t, servingSystem, script, func(st JobStatus) bool { return st.Iteration >= 25 })
 	})
-	// Logistic gradients never vanish exactly, so with an unreachable
-	// tolerance the job runs its full iteration budget — a long, steady run
-	// the test can interrupt mid-flight deterministically.
-	script := fmt.Sprintf("m = run logistic on %s having epsilon 0.0000000000000000001, max iter 1200;", trainPath)
+	// The adaptive job is shut down on either side of its switch: the first
+	// manager's checkpoint then carries the controller before, or after, it
+	// acted, and the second manager's run must cross, or not repeat, it.
+	t.Run("adaptive before the switch", func(t *testing.T) {
+		stopped, final := resumesAcrossRestart(t, adaptiveSystem, adaptiveScript(t, "restart-adaptive"),
+			func(st JobStatus) bool { return st.Iteration >= 10 })
+		if stopped.Iteration >= adaptiveSwitchIter || stopped.Plan == adaptiveChain || final.Plan != adaptiveChain {
+			t.Fatalf("stopped at iteration %d on %s, finished on %s; want the switch to %s after the restart",
+				stopped.Iteration, stopped.Plan, final.Plan, adaptiveChain)
+		}
+	})
+	t.Run("adaptive after the switch", func(t *testing.T) {
+		resumesAcrossRestart(t, adaptiveSystem, adaptiveScript(t, "restart-adaptive"),
+			func(st JobStatus) bool { return st.Plan == adaptiveChain })
+	})
+}
 
-	ref := servingSystem()
+// resumesAcrossRestart runs script under a throttled manager until the job's
+// status satisfies midFlight, shuts that manager down, and holds what a fresh
+// manager on the same directory finishes to the offline, never-interrupted
+// run. It returns the job's status at the shutdown and at the end.
+func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script string, midFlight func(JobStatus) bool) (stopped, final JobStatus) {
+	ref := system()
 	outs, err := ref.Exec(script)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +372,7 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	// mid-flight when the shutdown lands; the resumed manager runs unthrottled.
 	throttled := cfg
 	throttled.stepHook = func(string, int) { time.Sleep(200 * time.Microsecond) }
-	mgr1, err := NewManager(throttled, servingSystem(), reg1)
+	mgr1, err := NewManager(throttled, system(), reg1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +383,12 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 
 	// Let it get properly mid-flight, then shut the manager down.
 	deadline := time.Now().Add(30 * time.Second)
-	for j.Status().Iteration < 25 {
+	for !midFlight(j.Status()) {
 		if st := j.Status(); st.State.terminal() {
 			t.Fatalf("job settled prematurely: %+v", st)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never reached iteration 25: %+v", j.Status())
+			t.Fatalf("job never got mid-flight: %+v", j.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -321,7 +397,7 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	if err := mgr1.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	stopped := j.Status()
+	stopped = j.Status()
 	if stopped.State != JobQueued {
 		t.Fatalf("after shutdown job is %s, want re-queueable (queued); error %q", stopped.State, stopped.Error)
 	}
@@ -337,7 +413,7 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2, err := NewManager(cfg, servingSystem(), reg2)
+	mgr2, err := NewManager(cfg, system(), reg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +422,9 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s lost across restart", j.ID)
 	}
-	final := waitState(t, j2.Status, JobCompleted, 60*time.Second)
-	if final.Iteration != refModel.Iterations {
-		t.Fatalf("resumed job ran %d iterations, offline ran %d", final.Iteration, refModel.Iterations)
+	final = waitState(t, j2.Status, JobCompleted, 60*time.Second)
+	if final.Iteration != refModel.Iterations || final.Plan != refModel.PlanName {
+		t.Fatalf("resumed job ran %d iterations of %s, offline ran %d of %s", final.Iteration, final.Plan, refModel.Iterations, refModel.PlanName)
 	}
 	mv, ok := reg2.Get("m", 0)
 	if !ok {
@@ -360,6 +436,7 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	if mv.Model.Converged != refModel.Converged {
 		t.Fatalf("resumed converged=%v, offline %v", mv.Model.Converged, refModel.Converged)
 	}
+	return stopped, final
 }
 
 // TestDivergedJobIsNotPublished: a job whose trainer ends with non-finite

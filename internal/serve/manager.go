@@ -382,11 +382,6 @@ func parseJobScript(script string) (*lang.Run, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: a job must be a run statement, got %s", stmts[0])
 	}
-	if q.Adaptive {
-		// OpenJob would reject this at run time; fail the statically
-		// detectable error at submission instead of queuing a doomed job.
-		return nil, fmt.Errorf("serve: adaptive run statements are not servable as resumable jobs — drop 'adaptive' (TrainAdaptive remains a batch API)")
-	}
 	return q, nil
 }
 
@@ -796,6 +791,8 @@ func (m *Manager) runJob(j *Job) {
 	// observed curve is re-fitted every 8 iterations, not every event.
 	etaA, etaRem := 0.0, -1.0
 
+	ctl := tj.Controller() // nil for a static job: its plan never changes
+
 	lastCkpt := time.Now()
 	for !tj.Done() {
 		// Cancellation is observed at iteration edges too (not only through
@@ -875,6 +872,16 @@ func (m *Manager) runJob(j *Job) {
 			Type: "progress", Iter: iter, Delta: obs.Finite(delta),
 			FittedA: obs.Finite(etaA), EtaIters: etaRem,
 		})
+		if ctl != nil && ctl.SegStart == iter {
+			// The controller just switched plans (its newest history entry):
+			// listings and the manifest follow, the stream carries the event.
+			j.mu.Lock()
+			j.planName = tj.PlanName()
+			j.mu.Unlock()
+			m.persist(j)
+			j.events.Append(obs.Event{Type: "switch", Plan: tj.PlanName(), Iter: iter,
+				FittedA: obs.Finite(ctl.History[len(ctl.History)-1].FittedA)})
+		}
 
 		if m.cfg.CheckpointEvery > 0 && time.Since(lastCkpt) >= m.cfg.CheckpointEvery {
 			if err := m.writeCheckpoint(j, tj); err != nil {
@@ -933,10 +940,10 @@ func (m *Manager) complete(j *Job) {
 }
 
 // runRecord assembles the completed job's ledger record: dataset identity
-// and stats, the plan the optimizer chose, the kernel tier and backend it
-// executed on, the trained weights' fingerprint, the observed T(ε) curve,
-// and where the time went (simulated training clock, observed wall time,
-// per-phase span totals).
+// and stats, the plan the optimizer chose (and every re-fit and switch of an
+// adaptive job's controller), the kernel tier and backend it executed on, the
+// trained weights' fingerprint, the observed T(ε) curve, and where the time
+// went (simulated training clock, observed wall time, per-phase span totals).
 func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, prog ml4all.JobProgress) obs.Record {
 	ds := tj.Dataset()
 	st := ds.Stats()
@@ -971,6 +978,18 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 			rec.Curve = append(rec.Curve, obs.CurvePoint{Iter: p.Iter, Err: p.Err})
 		}
 		rec.WallSeconds = j.ring.WallSeconds()
+	}
+	if ctl := tj.Controller(); ctl != nil {
+		rec.Plans = ctl.Plans()
+		for _, ev := range ctl.History {
+			fittedA, specA, eps := obs.Finite(ev.FittedA), obs.Finite(ev.SpecA), obs.Finite(ev.Epsilon)
+			rec.Refits = append(rec.Refits, obs.RefitRecord{Iter: ev.Iter, Plan: ev.Plan, Action: ev.Action,
+				FittedA: fittedA, SpecA: specA, Epsilon: eps, Reason: ev.Reason})
+			if ev.To != "" {
+				rec.Switches = append(rec.Switches, obs.SwitchRecord{Iter: ev.Iter, Clock: obs.Finite(float64(ev.Clock)),
+					From: ev.Plan, To: ev.To, FittedA: fittedA, SpecA: specA, Epsilon: eps})
+			}
+		}
 	}
 	return rec
 }

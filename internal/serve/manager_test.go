@@ -6,15 +6,21 @@ package serve
 // shutdown — no deadlocks, no lost jobs, every survivor in a sane state.
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ml4all/internal/data"
+	"ml4all/internal/obs"
 	"ml4all/internal/synth"
 )
 
@@ -364,16 +370,87 @@ func TestManagerFastMathPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestManagerRejectsAdaptiveAtSubmit: the statically detectable failure must
-// not become a deferred, asynchronous one.
-func TestManagerRejectsAdaptiveAtSubmit(t *testing.T) {
-	mgr, _ := testManager(t, ManagerConfig{Pool: 1})
-	defer mgr.Shutdown(context.Background())
-	_, err := mgr.Submit("run classification on x.txt having adaptive;", "")
-	if err == nil || !strings.Contains(err.Error(), "adaptive") {
-		t.Fatalf("adaptive submit must be rejected synchronously, got %v", err)
+// TestServedAdaptiveJobRecordsItsSwitch: an adaptive statement is a job like
+// any other, and what its controller did is where a static job's plan choice
+// is — the status and the model header carry the plan chain, the ledger
+// record the plans, the switch and every re-fit, and the event stream a
+// switch event between the progress events around it.
+func TestServedAdaptiveJobRecordsItsSwitch(t *testing.T) {
+	srv, err := New(Config{Dir: t.TempDir(), Pool: 1, System: adaptiveSystem(), CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(mgr.List()); n != 0 {
-		t.Fatalf("rejected submit left %d jobs behind", n)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	var st JobStatus
+	if code := postJSON(t, ts.URL+"/v1/jobs", map[string]string{"script": adaptiveScript(t, "adaptive-served")}, &st); code != http.StatusOK {
+		t.Fatalf("submit: %d", code)
+	}
+	final := waitState(t, func() JobStatus {
+		var cur JobStatus
+		getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &cur)
+		return cur
+	}, JobCompleted, 30*time.Second)
+	mv, ok := srv.Registry().Get("m", 0)
+	if !ok || final.Plan != adaptiveChain || mv.Model.PlanName != adaptiveChain {
+		t.Fatalf("status plan %q, model %+v (found %v); want %s", final.Plan, mv, ok, adaptiveChain)
+	}
+
+	// The stream of a finished job replays and ends — after the runner has
+	// appended the ledger record, which the job's status does not wait for.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []obs.Event
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			var ev obs.Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				t.Fatalf("event %q: %v", data, err)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := srv.Manager().Ledger().Records()
+	if len(recs) != 1 {
+		t.Fatalf("ledger holds %d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.Plan != adaptiveChain || strings.Join(rec.Plans, "→") != adaptiveChain {
+		t.Fatalf("record plan %q, plans %v", rec.Plan, rec.Plans)
+	}
+	if len(rec.Switches) != 1 || rec.Switches[0].Iter != adaptiveSwitchIter ||
+		rec.Switches[0].From != rec.Plans[0] || rec.Switches[0].To != rec.Plans[1] ||
+		rec.Switches[0].FittedA <= rec.Switches[0].SpecA || rec.Switches[0].Clock <= 0 {
+		t.Fatalf("record switches: %+v", rec.Switches)
+	}
+	switches := 0
+	for _, rf := range rec.Refits {
+		if rf.Iter <= 0 || rf.Plan == "" || rf.Action == "" || rf.Reason == "" {
+			t.Fatalf("incomplete refit record: %+v", rf)
+		}
+		if rf.Action == "switch" {
+			switches++
+		}
+	}
+	if len(rec.Refits) < 2 || switches != 1 {
+		t.Fatalf("record refits (%d switching): %+v", switches, rec.Refits)
+	}
+	at := slices.IndexFunc(evs, func(ev obs.Event) bool { return ev.Type == "switch" })
+	if at < 1 || at+1 >= len(evs) {
+		t.Fatalf("no switch event inside the stream of %d events", len(evs))
+	}
+	if sw := evs[at]; sw.Plan != adaptiveChain || sw.Iter != adaptiveSwitchIter || sw.FittedA != rec.Switches[0].FittedA ||
+		evs[at-1].Iter != adaptiveSwitchIter || evs[at+1].Iter != adaptiveSwitchIter+1 {
+		t.Fatalf("switch event %+v between %+v and %+v", sw, evs[at-1], evs[at+1])
 	}
 }

@@ -223,6 +223,9 @@ func TestEventsSSEStreamsBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The stream ends before the runner has settled the job's directory:
+	// drain the pool before TempDir's cleanup removes it.
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	// An unreachable epsilon keeps the job running until max iter, so the

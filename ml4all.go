@@ -24,9 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -242,23 +240,16 @@ func (s *System) Train(ds *data.Dataset, p Params) (*Result, *Decision, error) {
 // deltas and switches plans when the re-costing projects the remaining work
 // to be cheaper elsewhere (weights and step-size schedule carry across; the
 // switch overhead is charged to the simulated clock like a fresh job init).
-// The returned Result.Time includes the speculation overhead, like Train.
+// The returned Result.Time includes the speculation overhead, like Train. An
+// `adaptive` run statement is the same controller as a resumable TrainJob.
 func (s *System) TrainAdaptive(ds *data.Dataset, p Params, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	sim := cluster.New(s.Cluster)
 	st, err := storage.Build(ds, s.Layout)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = s.Cluster.Seed
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.Workers
-	}
-	if s.FastMath {
-		cfg.FastMath = true
-	}
-	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: cfg.FastMath}, cfg)
+	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: s.FastMath},
+		engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.FastMath}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -334,26 +325,6 @@ func (s *System) execStmt(st lang.Stmt) (Output, error) {
 // serving.go), so offline Exec and a server-submitted job execute the exact
 // same path — same plan choice, same weights, same simulated clock.
 func (s *System) runQuery(q *lang.Run) (*Model, error) {
-	if q.Adaptive {
-		if len(q.Sources) == 0 {
-			return nil, fmt.Errorf("ml4all: run without a data source")
-		}
-		ds, err := s.resolveSource(q)
-		if err != nil {
-			return nil, err
-		}
-		p, err := bindParams(q, ds)
-		if err != nil {
-			return nil, err
-		}
-		sim := cluster.New(s.Cluster)
-		stn, err := storage.Build(ds, s.Layout)
-		if err != nil {
-			return nil, err
-		}
-		return s.runAdaptiveQuery(q, ds, sim, stn, p)
-	}
-
 	j, err := s.OpenJob(q, JobOptions{})
 	if err != nil {
 		return nil, err
@@ -368,39 +339,6 @@ func (s *System) runQuery(q *lang.Run) (*Model, error) {
 		m.Name = fmt.Sprintf("q%d", len(s.models)+1)
 	}
 	s.models[m.Name] = m
-	return m, nil
-}
-
-// runAdaptiveQuery executes a run statement under mid-flight
-// re-optimization. The adaptive controller owns plan selection for the whole
-// run, so using-directives that pin the physical plan and up-front time
-// constraints (which gate on a single static estimate) are rejected.
-func (s *System) runAdaptiveQuery(q *lang.Run, ds *data.Dataset, sim *cluster.Sim, stn *storage.Store, p Params) (*Model, error) {
-	if q.Algorithm != "" || q.Sampler != "" {
-		return nil, fmt.Errorf("ml4all: adaptive cannot be combined with using algorithm/sampler — the controller picks plans at runtime")
-	}
-	if q.Time > 0 {
-		return nil, fmt.Errorf("ml4all: adaptive cannot be combined with a time constraint")
-	}
-	cfg := AdaptiveConfig{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.FastMath || q.FastMath}
-	ar, err := planner.RunAdaptive(sim, stn, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: cfg.FastMath}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	name := q.Result
-	if name == "" {
-		name = fmt.Sprintf("q%d", len(s.models)+1)
-	}
-	m := &Model{
-		Name:       name,
-		Task:       ds.Task,
-		Weights:    ar.Result.Weights,
-		PlanName:   ar.Result.PlanName,
-		Iterations: ar.Result.Iterations,
-		TrainTime:  sim.Now(),
-		Converged:  ar.Result.Converged,
-	}
-	s.models[name] = m
 	return m, nil
 }
 
@@ -697,15 +635,3 @@ func RankedPlanNames(dec *Decision) []string {
 	}
 	return names
 }
-
-// SortChoicesByName orders a copy of the choices alphabetically; reports use
-// it for stable output.
-func SortChoicesByName(cs []planner.Choice) []planner.Choice {
-	out := make([]planner.Choice, len(cs))
-	copy(out, cs)
-	sort.Slice(out, func(i, j int) bool { return out[i].Plan.Name() < out[j].Plan.Name() })
-	return out
-}
-
-// Infinity is a convenience for callers comparing against unbounded costs.
-const Infinity = Seconds(math.MaxFloat64)

@@ -88,9 +88,9 @@ func TestTrainAdaptive(t *testing.T) {
 	if ar.Result.Iterations == 0 || !ar.Result.Weights.IsFinite() {
 		t.Fatalf("bad adaptive result: %+v", ar.Result)
 	}
-	if len(ar.Plans) == 0 || ar.Plans[0] != ar.Decision.Best.Plan.Name() {
-		t.Fatalf("plan chain %v does not start at the optimizer's choice %s",
-			ar.Plans, ar.Decision.Best.Plan.Name())
+	if !strings.HasPrefix(ar.Result.PlanName, ar.Decision.Best.Plan.Name()) {
+		t.Fatalf("plan chain %s does not start at the optimizer's choice %s",
+			ar.Result.PlanName, ar.Decision.Best.Plan.Name())
 	}
 	if ar.Result.Time <= ar.Decision.SpecTime {
 		t.Fatalf("total %.2fs does not include speculation %.2fs plus training",

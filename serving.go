@@ -1,12 +1,13 @@
 package ml4all
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"ml4all/internal/cluster"
 	"ml4all/internal/data"
 	"ml4all/internal/engine"
-	"ml4all/internal/gd"
 	"ml4all/internal/lang"
 	"ml4all/internal/metrics"
 	"ml4all/internal/obs"
@@ -55,16 +56,17 @@ type JobOptions struct {
 // TrainJob is a resumable handle on one declarative training statement: the
 // statement is bound and costed up front (the cost-based optimizer picks the
 // plan), then the caller drives the plan one iteration at a time with Step,
-// checkpointing, cancelling, or inspecting progress between iterations.
+// checkpointing, cancelling, or inspecting progress between iterations. An
+// `adaptive` statement's job also holds the re-optimization controller, which
+// may replace the trainer (and so the plan) between two Steps.
 type TrainJob struct {
 	stmt    *lang.Run
 	ds      *data.Dataset
-	params  Params
 	sim     *cluster.Sim
 	store   *storage.Store
-	plan    gd.Plan
 	dec     *Decision
 	trainer *engine.Trainer
+	ctl     *planner.Controller // nil: static, the optimizer's plan runs to the end
 }
 
 // JobProgress is a point-in-time view of a job's training state.
@@ -81,13 +83,8 @@ type JobProgress struct {
 // OpenJob binds a parsed run statement to the system's catalogs, runs the
 // cost-based optimizer over the eleven-plan space (narrowed by any using
 // directives, gated by any time constraint) and returns a TrainJob positioned
-// before its first iteration. Adaptive statements are rejected: mid-flight
-// re-optimization owns plan selection for the whole run and executes through
-// TrainAdaptive, not a resumable job.
+// before its first iteration.
 func (s *System) OpenJob(q *lang.Run, jo JobOptions) (*TrainJob, error) {
-	if q.Adaptive {
-		return nil, fmt.Errorf("ml4all: adaptive run statements execute through TrainAdaptive, not a resumable job")
-	}
 	j, dec, err := s.costJob(q, jo)
 	if err != nil {
 		return nil, err
@@ -104,8 +101,7 @@ func (s *System) OpenJob(q *lang.Run, jo JobOptions) (*TrainJob, error) {
 				q.Time, choice.Plan.Name(), float64(choice.Cost))
 		}
 	}
-	j.plan = choice.Plan
-	j.trainer, err = engine.NewTrainer(j.sim, j.store, &j.plan, s.jobEngineOptions(q, jo))
+	j.trainer, err = engine.NewTrainer(j.sim, j.store, &choice.Plan, s.jobEngineOptions(q, jo))
 	if err != nil {
 		return nil, err
 	}
@@ -117,14 +113,12 @@ func (s *System) OpenJob(q *lang.Run, jo JobOptions) (*TrainJob, error) {
 // is deterministic, so this reproduces the original plan space), the
 // checkpointed plan is looked up in the ranked space by name, and the trainer
 // is restored to the snapshot — clock, RNG position, weights and all — so the
-// resumed run is bit-identical to one that was never stopped. The statement
-// and the system configuration must be the ones the checkpoint was taken
-// under, which is why the serving layer persists the job's script next to its
-// checkpoint.
+// resumed run is bit-identical to one that was never stopped; an adaptive
+// job's controller state (TrainState.Policy) is validated, then adopted. The
+// statement and the system configuration must be the ones the checkpoint was
+// taken under, which is why the serving layer persists the job's script next
+// to its checkpoint.
 func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob, error) {
-	if q.Adaptive {
-		return nil, fmt.Errorf("ml4all: adaptive run statements execute through TrainAdaptive, not a resumable job")
-	}
 	st, err := engine.DecodeTrainState(state)
 	if err != nil {
 		return nil, err
@@ -133,30 +127,38 @@ func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob,
 	if err != nil {
 		return nil, err
 	}
-	found := false
-	for _, c := range dec.Ranked {
-		if c.Plan.Name() == st.PlanName {
-			j.plan = c.Plan
-			found = true
-			break
-		}
+	const changed = "script or configuration changed since the checkpoint"
+	i := slices.IndexFunc(dec.Ranked, func(c planner.Choice) bool { return c.Plan.Name() == st.PlanName })
+	if i < 0 {
+		return nil, fmt.Errorf("ml4all: checkpoint plan %s not in the statement's plan space — %s", st.PlanName, changed)
 	}
-	if !found {
-		return nil, fmt.Errorf("ml4all: checkpoint plan %s not in the statement's plan space — script or configuration changed since the checkpoint", st.PlanName)
-	}
-	j.trainer, err = engine.Resume(j.sim, j.store, &j.plan, s.jobEngineOptions(q, jo), st)
+	plan := dec.Ranked[i].Plan
+	j.trainer, err = engine.Resume(j.sim, j.store, &plan, s.jobEngineOptions(q, jo), st)
 	if err != nil {
 		return nil, err
+	}
+	if j.ctl != nil {
+		err = j.ctl.Restore(st.Policy, j.trainer) // an empty policy does not decode
+	} else if len(st.Policy) > 0 {
+		err = errors.New("a static statement's checkpoint carries controller state")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ml4all: %w — %s", err, changed)
 	}
 	return j, nil
 }
 
 // costJob performs the shared front half of OpenJob and ResumeJob: resolve
 // the data source, bind parameters, lay out the store, and run the cost-based
-// optimizer on a fresh simulated timeline.
+// optimizer on a fresh simulated timeline. An adaptive statement's controller
+// owns plan selection for the whole run, so using directives that pin the
+// plan and time constraints (a gate on one static estimate) are rejected.
 func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, error) {
 	if len(q.Sources) == 0 {
 		return nil, nil, fmt.Errorf("ml4all: run without a data source")
+	}
+	if q.Adaptive && (q.Algorithm != "" || q.Sampler != "" || q.Time > 0) {
+		return nil, nil, fmt.Errorf("ml4all: adaptive cannot be combined with using algorithm/sampler or a time constraint — the controller picks plans at runtime")
 	}
 	ds, err := s.resolveSource(q)
 	if err != nil {
@@ -185,7 +187,11 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return &TrainJob{stmt: q, ds: ds, params: p, sim: sim, store: stn, dec: dec}, dec, nil
+	j := &TrainJob{stmt: q, ds: ds, sim: sim, store: stn, dec: dec}
+	if q.Adaptive {
+		j.ctl = planner.NewController(sim, stn, p, dec, popts.FastMath, AdaptiveConfig{})
+	}
+	return j, dec, nil
 }
 
 // jobFastMath resolves a job's effective kernel tier: the statement's
@@ -201,8 +207,15 @@ func (s *System) jobEngineOptions(q *lang.Run, jo JobOptions) engine.Options {
 	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.jobFastMath(q, jo), Interrupt: jo.Interrupt, Observer: jo.Observer}
 }
 
-// Step executes exactly one plan iteration (engine.Trainer.Step).
-func (j *TrainJob) Step() error { return j.trainer.Step() }
+// Step executes exactly one plan iteration: engine.Trainer.Step, or the
+// controller's, which may hand back a successor trainer on another plan.
+func (j *TrainJob) Step() (err error) {
+	if j.ctl == nil {
+		return j.trainer.Step()
+	}
+	j.trainer, err = j.ctl.Step(j.trainer)
+	return err
+}
 
 // Done reports whether the run has terminated.
 func (j *TrainJob) Done() bool { return j.trainer.Done() }
@@ -210,27 +223,38 @@ func (j *TrainJob) Done() bool { return j.trainer.Done() }
 // Iteration returns the number of iterations executed so far.
 func (j *TrainJob) Iteration() int { return j.trainer.Iteration() }
 
-// PlanName names the physical plan the optimizer chose for this job.
-func (j *TrainJob) PlanName() string { return j.plan.Name() }
+// PlanName names the physical plan the optimizer chose for this job; for an
+// adaptive job, the chain of plans executed so far ("MGD-eager-shuffle→BGD").
+func (j *TrainJob) PlanName() string {
+	if j.ctl != nil {
+		return j.ctl.PlanName()
+	}
+	return j.trainer.Plan().Name()
+}
+
+// Controller returns the job's mid-flight re-optimization controller — its
+// history is the run's refit and switch record — or nil for a static job.
+func (j *TrainJob) Controller() *planner.Controller { return j.ctl }
 
 // Deltas returns the per-iteration convergence deltas observed so far
 // (live; callers must not modify — see engine.Trainer.Deltas).
 func (j *TrainJob) Deltas() []float64 { return j.trainer.Deltas() }
 
-// Tolerance returns the chosen plan's convergence tolerance εd, the target
+// Tolerance returns the running plan's convergence tolerance εd, the target
 // the live-progress ETA projects down to.
-func (j *TrainJob) Tolerance() float64 { return j.plan.Tolerance }
-
-// Decision returns the optimizer's costed choice for this job.
-func (j *TrainJob) Decision() *Decision { return j.dec }
+func (j *TrainJob) Tolerance() float64 { return j.trainer.Plan().Tolerance }
 
 // Dataset returns the dataset the job trains on.
 func (j *TrainJob) Dataset() *data.Dataset { return j.ds }
 
 // Checkpoint serializes the job's full training state (engine.TrainState,
-// gob-encoded): everything a fresh process needs to ResumeJob bit-identically.
+// gob-encoded, any controller's inside it): everything a fresh process needs
+// to ResumeJob bit-identically.
 func (j *TrainJob) Checkpoint() ([]byte, error) {
 	st, err := j.trainer.Checkpoint()
+	if err == nil && j.ctl != nil {
+		st.Policy, err = j.ctl.Encode()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +265,7 @@ func (j *TrainJob) Checkpoint() ([]byte, error) {
 func (j *TrainJob) Progress() JobProgress {
 	res := j.trainer.Finish()
 	return JobProgress{
-		PlanName:   j.plan.Name(),
+		PlanName:   j.PlanName(),
 		Iteration:  res.Iterations,
 		FinalDelta: res.FinalDelta,
 		Done:       j.trainer.Done(),
@@ -261,7 +285,7 @@ func (j *TrainJob) Model() *Model {
 		Name:       j.stmt.Result,
 		Task:       j.ds.Task,
 		Weights:    res.Weights,
-		PlanName:   j.plan.Name(),
+		PlanName:   j.PlanName(),
 		Iterations: res.Iterations,
 		TrainTime:  j.sim.Now(),
 		Converged:  res.Converged,
