@@ -19,18 +19,16 @@ import (
 // DataStats is the statistics vector the model needs about a dataset —
 // everything in Table 1 that depends on D.
 type DataStats struct {
-	N             int     // n: number of data units
-	Bytes         int64   // |D|_b
-	AvgUnitBytes  float64 // |U|_b on average
-	AvgNNZ        float64 // mean stored values per unit
-	NumFeatures   int     // d
-	Partitions    int     // p(D)
-	UnitsPerPart  int     // k
-	PartBytes     int64   // |P|_b
-	PageBytes     int64   // |page|_b
-	FitsInCache   bool    // |D|_b <= cache capacity
-	AccDimFor     int     // accumulator dimensionality (set per plan)
-	SampleUnitCap int     // unused by the model; reserved for reports
+	N            int     // n: number of data units
+	Bytes        int64   // |D|_b
+	AvgUnitBytes float64 // |U|_b on average
+	AvgNNZ       float64 // mean stored values per unit
+	NumFeatures  int     // d
+	Partitions   int     // p(D)
+	UnitsPerPart int     // k
+	PartBytes    int64   // |P|_b
+	PageBytes    int64   // |page|_b
+	FitsInCache  bool    // |D|_b <= cache capacity
 }
 
 // StatsOf derives DataStats from a laid-out store and a cluster config.

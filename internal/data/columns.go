@@ -1,12 +1,6 @@
 package data
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"ml4all/internal/linalg"
-)
+import "fmt"
 
 // ColumnSpec selects which CSV columns hold the label and the features, all
 // 1-based as written in the declarative language ("input.txt:2,
@@ -31,41 +25,48 @@ func (c ColumnSpec) Validate() error {
 	return nil
 }
 
-// ParseCSVColumns parses a dense comma-separated line under the given column
-// selection.
-func ParseCSVColumns(line string, spec ColumnSpec) (u Unit, ok bool, err error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return Unit{}, false, nil
-	}
+// Project returns the dense matrix spec selects from m, whose rows are read
+// as the comma-separated records they were parsed from: file column 1 is the
+// row's label and file column c > 1 is feature c-2. Only a dense matrix has
+// file columns; a spec that reaches past them is an error.
+func (m *Matrix) Project(spec ColumnSpec) (*Matrix, error) {
 	if err := spec.Validate(); err != nil {
-		return Unit{}, false, err
+		return nil, err
 	}
-	parts := strings.Split(line, ",")
-	if spec.LabelCol > len(parts) {
-		return Unit{}, false, fmt.Errorf("data: label column %d beyond %d columns", spec.LabelCol, len(parts))
+	if !m.dense {
+		return nil, fmt.Errorf("data: a column specification needs dense comma-separated input, not LIBSVM")
 	}
-	label, err := strconv.ParseFloat(strings.TrimSpace(parts[spec.LabelCol-1]), 64)
-	if err != nil {
-		return Unit{}, false, fmt.Errorf("data: bad label %q: %w", parts[spec.LabelCol-1], err)
+	cols := m.stride + 1
+	if spec.LabelCol > cols {
+		return nil, fmt.Errorf("data: label column %d beyond %d columns", spec.LabelCol, cols)
 	}
 	lo, hi := spec.FeatLo, spec.FeatHi
 	if lo == 0 {
-		lo, hi = 1, len(parts)
+		lo, hi = 1, cols
 	}
-	if hi > len(parts) {
-		return Unit{}, false, fmt.Errorf("data: feature column %d beyond %d columns", hi, len(parts))
+	if hi > cols {
+		return nil, fmt.Errorf("data: feature column %d beyond %d columns", hi, cols)
 	}
-	feats := make(linalg.Vector, 0, hi-lo+1)
-	for col := lo; col <= hi; col++ {
-		if col == spec.LabelCol {
-			continue
+	stride := hi - lo + 1
+	if spec.LabelCol >= lo && spec.LabelCol <= hi { // only when FeatLo == 0, see Validate
+		stride--
+	}
+	b := NewDenseMatrixBuilder(m.n, stride)
+	file := make([]float64, cols)
+	feats := make([]float64, 0, stride)
+	for i := 0; i < m.n; i++ {
+		r := m.Row(i)
+		file[0] = r.Label
+		copy(file[1:], r.Vals)
+		feats = feats[:0]
+		for c := lo; c <= hi; c++ {
+			if c != spec.LabelCol {
+				feats = append(feats, file[c-1])
+			}
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[col-1]), 64)
-		if err != nil {
-			return Unit{}, false, fmt.Errorf("data: bad value %q in column %d: %w", parts[col-1], col, err)
+		if err := b.AppendDense(file[spec.LabelCol-1], feats); err != nil {
+			return nil, err
 		}
-		feats = append(feats, v)
 	}
-	return NewDenseUnit(label, feats), true, nil
+	return b.Build(), nil
 }

@@ -92,47 +92,6 @@ func FromMatrix(name string, task TaskKind, m *Matrix) *Dataset {
 	return ds
 }
 
-// FromUnits builds a Dataset from individually-materialized units — the
-// compatibility constructor: the units are packed into a fresh arena (see
-// matrixOfUnits) and the raw text lines are rendered from the units
-// themselves, so mixed sparse/dense unit sets keep their exact legacy text
-// form. All-dense unit sets render as CSV (the paper's dense convention);
-// anything else as LIBSVM.
-func FromUnits(name string, task TaskKind, units []Unit) *Dataset {
-	m, err := matrixOfUnits(units)
-	if err != nil {
-		// Unit sets that cannot pack (length-mismatched sparse slices) were
-		// never constructible through the public constructors; fail loudly.
-		panic(fmt.Sprintf("data: FromUnits: %v", err))
-	}
-	ds := &Dataset{Name: name, Task: task, Format: FormatLIBSVM, Mat: m}
-	allDense := len(units) > 0
-	for _, u := range units {
-		if u.IsSparse() {
-			allDense = false
-			break
-		}
-	}
-	if allDense {
-		ds.Format = FormatCSV
-	}
-	ds.Raw = make([]string, len(units))
-	var buf []byte
-	for i, u := range units {
-		if allDense {
-			buf = u.Row().appendCSV(buf[:0])
-		} else {
-			buf = u.Row().appendLIBSVM(buf[:0])
-		}
-		ds.Raw[i] = string(buf)
-		if mi := u.MaxIndex(); mi+1 > ds.NumFeatures {
-			ds.NumFeatures = mi + 1
-		}
-	}
-	ds.computeDensity()
-	return ds
-}
-
 // computeDensity refreshes Density from the arena and NumFeatures.
 func (ds *Dataset) computeDensity() {
 	ds.Density = 0

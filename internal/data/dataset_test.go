@@ -3,25 +3,34 @@ package data
 import (
 	"math"
 	"testing"
-
-	"ml4all/internal/linalg"
 )
 
-func sparseUnit(t *testing.T, label float64, idx []int32, val []float64) Unit {
+// datasetOf packs standalone rows into an arena, as a generator would, and
+// wraps it in a Dataset. The rows must share one layout.
+func datasetOf(t testing.TB, name string, task TaskKind, rows []Row) *Dataset {
 	t.Helper()
-	s, err := linalg.NewSparse(idx, val)
-	if err != nil {
-		t.Fatal(err)
+	b := NewMatrixBuilder(len(rows), 0)
+	for _, r := range rows {
+		var err error
+		if r.IsSparse() {
+			err = b.AppendSparse(r.Label, r.Idx, r.Vals)
+		} else {
+			err = b.AppendDense(r.Label, r.Vals)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	return NewSparseUnit(label, s)
+	return FromMatrix(name, task, b.Build())
 }
 
+// TestFromUnitsSparse: a dataset over an arena built row by row ("from data
+// units") reports the format, dimensionality and density of its rows.
 func TestFromUnitsSparse(t *testing.T) {
-	units := []Unit{
-		sparseUnit(t, 1, []int32{0, 4}, []float64{1, 2}),
-		sparseUnit(t, -1, []int32{2}, []float64{3}),
-	}
-	ds := FromUnits("toy", TaskSVM, units)
+	ds := datasetOf(t, "toy", TaskSVM, []Row{
+		NewSparseRow(1, []int32{0, 4}, []float64{1, 2}),
+		NewSparseRow(-1, []int32{2}, []float64{3}),
+	})
 	if ds.Format != FormatLIBSVM {
 		t.Fatalf("format = %v, want libsvm", ds.Format)
 	}
@@ -40,34 +49,34 @@ func TestFromUnitsSparse(t *testing.T) {
 }
 
 func TestFromUnitsDenseRendersCSV(t *testing.T) {
-	units := []Unit{
-		NewDenseUnit(1, linalg.Vector{0.5, 0.25}),
-		NewDenseUnit(-1, linalg.Vector{1, 0}),
+	rows := []Row{
+		NewDenseRow(1, []float64{0.5, 0.25}),
+		NewDenseRow(-1, []float64{1, 0}),
 	}
-	ds := FromUnits("densetoy", TaskLinearRegression, units)
+	ds := datasetOf(t, "densetoy", TaskLinearRegression, rows)
 	if ds.Format != FormatCSV {
 		t.Fatalf("format = %v, want csv", ds.Format)
 	}
-	// Raw lines must parse back to the same units under the dataset format.
+	// Raw lines must parse back to the same rows under the dataset format.
 	for i, raw := range ds.Raw {
-		u, ok, err := ds.Format.ParseLine(raw)
+		r, ok, err := ds.Format.ParseLine(raw)
 		if err != nil || !ok {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if u.Label != units[i].Label || !u.Dense.Equal(units[i].Dense, 0) {
-			t.Fatalf("line %d round trip: %v != %v", i, u, units[i])
+		if !RowsEqual(r, rows[i]) {
+			t.Fatalf("line %d round trip: %v != %v", i, r, rows[i])
 		}
 	}
 }
 
 func TestSplitProportionsAndDimensions(t *testing.T) {
-	units := make([]Unit, 1000)
-	for i := range units {
-		units[i] = sparseUnit(t, 1, []int32{int32(i % 20)}, []float64{1})
+	rows := make([]Row, 1000)
+	for i := range rows {
+		rows[i] = NewSparseRow(1, []int32{int32(i % 20)}, []float64{1})
 	}
-	// Give the max index only to one unit so a split side may lose it.
-	units[0] = sparseUnit(t, 1, []int32{99}, []float64{1})
-	ds := FromUnits("toy", TaskSVM, units)
+	// Give the max index only to one row so a split side may lose it.
+	rows[0] = NewSparseRow(1, []int32{99}, []float64{1})
+	ds := datasetOf(t, "toy", TaskSVM, rows)
 
 	train, test := ds.Split(0.8, 1)
 	if train.N()+test.N() != ds.N() {
@@ -84,11 +93,11 @@ func TestSplitProportionsAndDimensions(t *testing.T) {
 }
 
 func TestSplitDeterministic(t *testing.T) {
-	units := make([]Unit, 100)
-	for i := range units {
-		units[i] = sparseUnit(t, float64(i%2*2-1), []int32{int32(i % 7)}, []float64{1})
+	rows := make([]Row, 100)
+	for i := range rows {
+		rows[i] = NewSparseRow(float64(i%2*2-1), []int32{int32(i % 7)}, []float64{1})
 	}
-	ds := FromUnits("toy", TaskSVM, units)
+	ds := datasetOf(t, "toy", TaskSVM, rows)
 	a1, _ := ds.Split(0.5, 42)
 	a2, _ := ds.Split(0.5, 42)
 	if a1.N() != a2.N() {
@@ -97,11 +106,11 @@ func TestSplitDeterministic(t *testing.T) {
 }
 
 func TestSampleWithoutReplacement(t *testing.T) {
-	units := make([]Unit, 50)
-	for i := range units {
-		units[i] = sparseUnit(t, float64(i), []int32{0}, []float64{float64(i)})
+	rows := make([]Row, 50)
+	for i := range rows {
+		rows[i] = NewSparseRow(float64(i), []int32{0}, []float64{float64(i)})
 	}
-	ds := FromUnits("toy", TaskSVM, units)
+	ds := datasetOf(t, "toy", TaskSVM, rows)
 	s := ds.Sample(20, 7)
 	if s.N() != 20 {
 		t.Fatalf("sample size = %d, want 20", s.N())
@@ -120,7 +129,7 @@ func TestSampleWithoutReplacement(t *testing.T) {
 }
 
 func TestValidateCatchesBadDimensions(t *testing.T) {
-	ds := FromUnits("toy", TaskSVM, []Unit{sparseUnit(t, 1, []int32{3}, []float64{1})})
+	ds := datasetOf(t, "toy", TaskSVM, []Row{NewSparseRow(1, []int32{3}, []float64{1})})
 	ds.NumFeatures = 2 // corrupt
 	if err := ds.Validate(); err == nil {
 		t.Fatal("Validate accepted feature index beyond NumFeatures")
@@ -128,8 +137,8 @@ func TestValidateCatchesBadDimensions(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ds := FromUnits("toy", TaskLogisticRegression, []Unit{
-		sparseUnit(t, 1, []int32{0, 1}, []float64{1, 1}),
+	ds := datasetOf(t, "toy", TaskLogisticRegression, []Row{
+		NewSparseRow(1, []int32{0, 1}, []float64{1, 1}),
 	})
 	st := ds.Stats()
 	if st.Name != "toy" || st.Points != 1 || st.Features != 2 || st.Task != TaskLogisticRegression {

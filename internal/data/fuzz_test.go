@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the two text parsers, which since the columnar-arena
-// refactor write straight into the arena: the per-line (Unit) parser and the
-// two-pass arena builder must never panic, must agree with each other on
+// Fuzz targets for the two text formats: the per-line parser (one standalone
+// Row) and the arena parser must never panic, must agree with each other on
 // every well-formed line, and must reject anything the arena layout cannot
 // hold (e.g. indices beyond int32).
 
@@ -31,7 +30,7 @@ func FuzzParseLIBSVM(f *testing.F) {
 	f.Add(strings.Repeat("1:1 ", 50) + "x") // trailing junk
 
 	f.Fuzz(func(t *testing.T, line string) {
-		u, ok, err := ParseLIBSVMLine(line)
+		row, ok, err := ParseLIBSVMLine(line)
 		if err != nil && ok {
 			t.Fatalf("ok with error: %v", err)
 		}
@@ -51,8 +50,8 @@ func FuzzParseLIBSVM(f *testing.F) {
 		if m.NumRows() != 1 {
 			t.Fatalf("line %q produced %d arena rows, want 1", line, m.NumRows())
 		}
-		if !RowsEqual(u.Row(), m.Row(0)) {
-			t.Fatalf("line %q: unit row %v != arena row %v", line, u.Row(), m.Row(0))
+		if !RowsEqual(row, m.Row(0)) {
+			t.Fatalf("line %q: parsed row %v != arena row %v", line, row, m.Row(0))
 		}
 		// Normalization invariants the compute kernels rely on.
 		r := m.Row(0)
@@ -80,7 +79,7 @@ func FuzzParseDense(f *testing.F) {
 	f.Add("5," + strings.Repeat("0.125,", 100) + "1")
 
 	f.Fuzz(func(t *testing.T, line string) {
-		u, ok, err := ParseCSVLine(line, 0)
+		row, ok, err := ParseCSVLine(line, 0)
 		if err != nil && ok {
 			t.Fatalf("ok with error: %v", err)
 		}
@@ -94,8 +93,8 @@ func FuzzParseDense(f *testing.F) {
 		if m.NumRows() != 1 {
 			t.Fatalf("line %q produced %d arena rows, want 1", line, m.NumRows())
 		}
-		if !RowsEqual(u.Row(), m.Row(0)) {
-			t.Fatalf("line %q: unit row %v != arena row %v", line, u.Row(), m.Row(0))
+		if !RowsEqual(row, m.Row(0)) {
+			t.Fatalf("line %q: parsed row %v != arena row %v", line, row, m.Row(0))
 		}
 	})
 }

@@ -113,16 +113,16 @@ func parseLIBSVMFeatures(line string, pos int, idx []int32, vals []float64) (oid
 
 // ParseLIBSVMLine parses one line of LIBSVM text: "label idx:val idx:val ...".
 // Empty lines and lines starting with '#' yield ok=false with no error.
-func ParseLIBSVMLine(line string) (u Unit, ok bool, err error) {
+func ParseLIBSVMLine(line string) (r Row, ok bool, err error) {
 	label, idx, vals, ok, err := parseLIBSVMInto(line, nil, nil)
 	if err != nil || !ok {
-		return Unit{}, false, err
+		return Row{}, false, err
 	}
-	s, err := linalg.NewSparse(idx, vals)
+	n, err := linalg.SortDedup(idx, vals)
 	if err != nil {
-		return Unit{}, false, err
+		return Row{}, false, err
 	}
-	return NewSparseUnit(label, s), true, nil
+	return NewSparseRow(label, idx[:n], vals[:n]), true, nil
 }
 
 // parseCSVInto parses one dense comma-separated line, appending the features
@@ -181,12 +181,12 @@ func parseCSVInto(line string, labelCol int, vals []float64) (label float64, ova
 // 0-based column holding the label; all remaining columns are features in
 // order. This matches the paper's default of "first column as the label and
 // the remaining columns as the features".
-func ParseCSVLine(line string, labelCol int) (u Unit, ok bool, err error) {
+func ParseCSVLine(line string, labelCol int) (r Row, ok bool, err error) {
 	label, vals, ok, err := parseCSVInto(line, labelCol, nil)
 	if err != nil || !ok {
-		return Unit{}, false, err
+		return Row{}, false, err
 	}
-	return NewDenseUnit(label, vals), true, nil
+	return NewDenseRow(label, vals), true, nil
 }
 
 // Format identifies an input text format.
@@ -211,14 +211,14 @@ func (f Format) String() string {
 }
 
 // ParseLine dispatches to the parser for f.
-func (f Format) ParseLine(line string) (Unit, bool, error) {
+func (f Format) ParseLine(line string) (Row, bool, error) {
 	switch f {
 	case FormatLIBSVM:
 		return ParseLIBSVMLine(line)
 	case FormatCSV:
 		return ParseCSVLine(line, 0)
 	default:
-		return Unit{}, false, fmt.Errorf("data: unknown format %v", f)
+		return Row{}, false, fmt.Errorf("data: unknown format %v", f)
 	}
 }
 
@@ -340,9 +340,8 @@ func (p *matrixParser) matrix() *Matrix {
 // lines (sharing the callers' strings), which FromMatrix adopts as Raw.
 //
 // CSV input must be rectangular: the first record fixes the dense stride and
-// a line with a different column count fails the parse. (The legacy per-unit
-// loader accepted ragged CSV and produced datasets that later panicked in
-// the engine on the dimension mismatch; the arena rejects them up front.)
+// a line with a different column count fails the parse (a ragged dataset
+// would only panic later, in the engine, on the dimension mismatch).
 func ParseMatrix(lines []string, f Format) (*Matrix, error) {
 	if f != FormatLIBSVM && f != FormatCSV {
 		return nil, fmt.Errorf("data: unknown format %v", f)

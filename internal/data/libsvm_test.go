@@ -20,11 +20,11 @@ func TestParseLIBSVMLine(t *testing.T) {
 		t.Fatalf("label = %g, want 1", u.Label)
 	}
 	if !u.IsSparse() {
-		t.Fatal("LIBSVM unit not sparse")
+		t.Fatal("LIBSVM row not sparse")
 	}
 	wantIdx := []int32{1, 3, 9} // 1-based in text, 0-based stored
-	if !reflect.DeepEqual(u.Sparse.Indices, wantIdx) {
-		t.Fatalf("indices = %v, want %v", u.Sparse.Indices, wantIdx)
+	if !reflect.DeepEqual(u.Idx, wantIdx) {
+		t.Fatalf("indices = %v, want %v", u.Idx, wantIdx)
 	}
 	if u.NNZ() != 3 || u.MaxIndex() != 9 {
 		t.Fatalf("NNZ/MaxIndex = %d/%d", u.NNZ(), u.MaxIndex())
@@ -64,8 +64,8 @@ func TestParseCSVLine(t *testing.T) {
 	if u.Label != 1.5 || u.IsSparse() {
 		t.Fatalf("label=%g sparse=%v", u.Label, u.IsSparse())
 	}
-	if !u.Dense.Equal(linalg.Vector{2, 3, -4}, 0) {
-		t.Fatalf("features = %v", u.Dense)
+	if !reflect.DeepEqual(u.Vals, []float64{2, 3, -4}) {
+		t.Fatalf("features = %v", u.Vals)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
-// TestLIBSVMRoundTripProperty: unit -> String() -> parse reproduces the unit.
+// TestLIBSVMRoundTripProperty: row -> String() -> parse reproduces the row.
 func TestLIBSVMRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 300,
@@ -100,7 +100,7 @@ func TestLIBSVMRoundTripProperty(t *testing.T) {
 				idx = append(idx, i)
 				val = append(val, math.Round(r.NormFloat64()*1e4)/1e4)
 			}
-			s, err := linalg.NewSparse(idx, val)
+			n, err := linalg.SortDedup(idx, val)
 			if err != nil {
 				panic(err)
 			}
@@ -108,28 +108,14 @@ func TestLIBSVMRoundTripProperty(t *testing.T) {
 			if r.Float64() < 0.5 {
 				label = -1
 			}
-			vals[0] = reflect.ValueOf(NewSparseUnit(label, s))
+			vals[0] = reflect.ValueOf(NewSparseRow(label, idx[:n], val[:n]))
 		},
 	}
-	f := func(u Unit) bool {
+	f := func(u Row) bool {
+		// A row with no stored value renders as a bare label; it must still
+		// parse. %g prints the shortest text that reads back to the same bits.
 		parsed, ok, err := ParseLIBSVMLine(u.String())
-		if err != nil {
-			// All-zero sparse unit renders as bare label; must still parse.
-			return false
-		}
-		if !ok {
-			return false
-		}
-		if parsed.Label != u.Label || parsed.NNZ() != u.NNZ() {
-			return false
-		}
-		for k := range u.Sparse.Indices {
-			if parsed.Sparse.Indices[k] != u.Sparse.Indices[k] ||
-				math.Abs(parsed.Sparse.Values[k]-u.Sparse.Values[k]) > 1e-12 {
-				return false
-			}
-		}
-		return true
+		return err == nil && ok && RowsEqual(parsed, u)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -137,12 +123,12 @@ func TestLIBSVMRoundTripProperty(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	u := NewDenseUnit(-1, linalg.Vector{0.5, 0, -2.25})
+	u := NewDenseRow(-1, []float64{0.5, 0, -2.25})
 	parsed, ok, err := ParseCSVLine(u.CSVString(), 0)
 	if err != nil || !ok {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	if parsed.Label != -1 || !parsed.Dense.Equal(u.Dense, 0) {
+	if !RowsEqual(parsed, u) {
 		t.Fatalf("round trip = %v, want %v", parsed, u)
 	}
 }
@@ -186,25 +172,6 @@ func TestReadMatrixReportsLineNumbers(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "line 4") {
 			t.Fatalf("%v: err = %v, want line-4 mention", f, err)
 		}
-	}
-}
-
-func TestParseCSVColumns(t *testing.T) {
-	// label in column 2, features in 4-6 (1-based)
-	u, ok, err := ParseCSVColumns("9,1,8,0.1,0.2,0.3", ColumnSpec{LabelCol: 2, FeatLo: 4, FeatHi: 6})
-	if err != nil || !ok {
-		t.Fatalf("parse failed: %v", err)
-	}
-	if u.Label != 1 || !u.Dense.Equal(linalg.Vector{0.1, 0.2, 0.3}, 0) {
-		t.Fatalf("got label=%g feats=%v", u.Label, u.Dense)
-	}
-	// Label inside feature range is rejected.
-	if _, _, err := ParseCSVColumns("1,2,3", ColumnSpec{LabelCol: 2, FeatLo: 1, FeatHi: 3}); err == nil {
-		t.Error("label inside feature range accepted")
-	}
-	// Range beyond columns is rejected.
-	if _, _, err := ParseCSVColumns("1,2", ColumnSpec{LabelCol: 1, FeatLo: 2, FeatHi: 9}); err == nil {
-		t.Error("out-of-range features accepted")
 	}
 }
 

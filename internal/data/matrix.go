@@ -1,3 +1,10 @@
+// Package data defines the columnar data layer that flows through GD plans —
+// the Matrix arena and its Row views — plus parsers for the two input formats
+// the paper exercises (sparse LIBSVM and dense comma-separated), dataset
+// handles, train/test splitting and global statistics.
+//
+// Terminology follows the paper: a raw "data unit" is one input record (a text
+// line); Transform turns it into a parsed, typed row (label + features).
 package data
 
 import (
@@ -10,13 +17,12 @@ import (
 )
 
 // Matrix is the columnar arena the whole compute stack reads from: instead of
-// one heap object per data unit (a Unit with its own Indices/Values/Dense
-// slices), the entire dataset lives in a handful of flat arrays. Sparse data
-// is CSR — one indices array, one values array, one rowOffsets array — and
-// dense data is a single strided values array; labels are a column of their
-// own. Rows are handed out as cheap value-type views (Row) that alias the
-// arena: no copying, no per-row allocation, and sequential scans walk
-// contiguous memory instead of chasing pointers.
+// one heap object per data unit, the entire dataset lives in a handful of flat
+// arrays. Sparse data is CSR — one indices array, one values array, one
+// rowOffsets array — and dense data is a single strided values array; labels
+// are a column of their own. Rows are handed out as cheap value-type views
+// (Row) that alias the arena: no copying, no per-row allocation, and
+// sequential scans walk contiguous memory instead of chasing pointers.
 //
 // A Matrix is immutable after Build. Views produced by Slice and Gather share
 // the arena and add only a row-index indirection, so train/test splits and
@@ -39,10 +45,10 @@ type Matrix struct {
 }
 
 // Row is a zero-copy view of one matrix row: the label plus the row's slice
-// of the arena. It is the value type the operators, gradients and kernels
-// take in place of Unit. For sparse rows Idx holds the (ascending) column
-// indices of Vals; for dense rows Idx is nil and Vals is the full feature
-// vector.
+// of the arena. It is the one record type: what the parsers return and what
+// the operators, gradients and kernels take. For sparse rows Idx holds the
+// (ascending) column indices of Vals; for dense rows Idx is nil and Vals is
+// the full feature vector.
 type Row struct {
 	Label float64
 	Idx   []int32
@@ -52,8 +58,8 @@ type Row struct {
 }
 
 // NewSparseRow builds a standalone sparse row view over the given slices.
-// Indices must be sorted ascending with duplicates summed (the SortDedup
-// normalization); parsers and NewSparse guarantee this.
+// Indices must be sorted ascending with duplicates summed (the
+// linalg.SortDedup normalization, which the parsers apply).
 func NewSparseRow(label float64, idx []int32, vals []float64) Row {
 	return Row{Label: label, Idx: idx, Vals: vals, sparse: true}
 }
@@ -111,15 +117,6 @@ func (r Row) ApproxBytes() int {
 	return 8 + 8*len(r.Vals)
 }
 
-// Unit materializes the row as a standalone compatibility Unit. The slices
-// are shared, not copied — treat the result as read-only.
-func (r Row) Unit() Unit {
-	if r.sparse {
-		return NewSparseUnit(r.Label, linalg.Sparse{Indices: r.Idx, Values: r.Vals})
-	}
-	return NewDenseUnit(r.Label, r.Vals)
-}
-
 // emptyIdx backs the Idx slice of empty sparse rows so IsSparse-by-shape
 // stays distinguishable from dense even for rows with no stored features.
 var emptyIdx = make([]int32, 0)
@@ -160,11 +157,10 @@ func (m *Matrix) Label(i int) float64 { return m.labels[m.baseRow(i)] }
 // (label-noise injection, relabeling workflows). The feature arena stays
 // immutable. Views share the labels column with their base, so the write is
 // visible through every view of the same arena — including Split/Sample
-// subsets, which under the legacy []Unit layout held their own Unit copies
-// and did NOT see later label writes. Corrupt labels before splitting, or
-// accept that held-out views observe the write; the view tests pin this
-// aliasing as intentional. A Dataset's Raw text is fixed when it is built and
-// never reflects a later SetLabel.
+// subsets. Corrupt labels before splitting, or accept that held-out views
+// observe the write; the view tests pin this aliasing as intentional. A
+// Dataset's Raw text is fixed when it is built and never reflects a later
+// SetLabel.
 func (m *Matrix) SetLabel(i int, v float64) { m.labels[m.baseRow(i)] = v }
 
 // RowNNZ returns the number of stored values of row i — an O(1) offsets
@@ -318,9 +314,9 @@ func (b *MatrixBuilder) Len() int { return len(b.m.labels) }
 
 // AppendSparse appends one sparse row, copying (idx, vals) into the arena and
 // normalizing the copy in place (sorted ascending, duplicate indices summed —
-// the same SortDedup rule NewSparse applies, so arena rows are bitwise
-// identical to Unit construction). The caller keeps ownership of idx/vals and
-// may reuse them across calls.
+// linalg.SortDedup, the one normalization rule, so an arena row is bitwise
+// the row ParseLIBSVMLine returns for the same text). The caller keeps
+// ownership of idx/vals and may reuse them across calls.
 func (b *MatrixBuilder) AppendSparse(label float64, idx []int32, vals []float64) error {
 	if b.set && b.dense {
 		return fmt.Errorf("data: AppendSparse on a dense matrix builder")
@@ -563,58 +559,6 @@ func (b *MatrixBuilder) SetDense(stride int) error {
 	return nil
 }
 
-// matrixOfUnits converts already-materialized units into an arena — the
-// compatibility path FromUnits rides on. All-dense unit sets with a uniform
-// dimensionality become a strided dense matrix; anything else (sparse or
-// ragged) becomes CSR, with dense units expanded to explicit entries 0..k-1,
-// which preserves every numeric result (same values visited in the same
-// order) and every NNZ count.
-func matrixOfUnits(units []Unit) (*Matrix, error) {
-	dense := len(units) > 0
-	stride := -1
-	var nnz int
-	for _, u := range units {
-		nnz += u.NNZ()
-		if !u.IsSparse() {
-			if stride == -1 {
-				stride = len(u.Dense)
-			} else if stride != len(u.Dense) {
-				dense = false
-			}
-		} else {
-			dense = false
-		}
-	}
-	if dense && stride >= 0 {
-		b := NewDenseMatrixBuilder(len(units), stride)
-		for _, u := range units {
-			if err := b.AppendDense(u.Label, u.Dense); err != nil {
-				return nil, err
-			}
-		}
-		return b.Build(), nil
-	}
-	b := NewMatrixBuilder(len(units), nnz)
-	var scratchIdx []int32
-	for _, u := range units {
-		idx, vals := u.Sparse.Indices, u.Sparse.Values
-		if !u.IsSparse() {
-			if cap(scratchIdx) < len(u.Dense) {
-				scratchIdx = make([]int32, len(u.Dense))
-			}
-			idx = scratchIdx[:len(u.Dense)]
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			vals = u.Dense
-		}
-		if err := b.AppendSparse(u.Label, idx, vals); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
 // String renders the row in LIBSVM text form (1-based indices), the format
 // used throughout the paper's examples.
 func (r Row) String() string { return string(r.appendLIBSVM(nil)) }
@@ -650,7 +594,8 @@ func (r Row) appendLIBSVM(buf []byte) []byte {
 func (r Row) appendCSV(buf []byte) []byte {
 	vals := r.Vals
 	if r.sparse {
-		vals = linalg.Sparse{Indices: r.Idx, Values: r.Vals}.Dense(r.MaxIndex() + 1)
+		vals = make([]float64, r.MaxIndex()+1)
+		linalg.SparseAddScaledInto(vals, 1, r.Idx, r.Vals)
 	}
 	buf = slices.Grow(buf, 24+25*len(vals))
 	buf = strconv.AppendFloat(buf, r.Label, 'g', -1, 64)

@@ -8,83 +8,61 @@ import (
 	"ml4all/internal/linalg"
 )
 
-// randomUnits generates a mixed bag of legacy units: sparse for LIBSVM-style
-// datasets (with occasional duplicate indices, which NewSparse sums), dense
+// randomRows generates standalone rows: sparse ones for LIBSVM-style datasets
+// (drawn with occasional duplicate indices, which SortDedup sums), dense
 // otherwise.
-func randomUnits(t *testing.T, r *rand.Rand, n, d int, sparse bool) []Unit {
+func randomRows(t *testing.T, r *rand.Rand, n, d int, sparse bool) []Row {
 	t.Helper()
-	units := make([]Unit, n)
-	for i := range units {
+	rows := make([]Row, n)
+	for i := range rows {
 		label := float64(r.Intn(5)) - 2
 		if sparse {
 			nnz := r.Intn(d/2 + 1)
-			idx := make([]int32, 0, nnz+1)
-			val := make([]float64, 0, nnz+1)
+			idx := make([]int32, 0, nnz)
+			val := make([]float64, 0, nnz)
 			for k := 0; k < nnz; k++ {
 				idx = append(idx, int32(r.Intn(d)))
 				val = append(val, math.Round(r.NormFloat64()*1e4)/1e4)
 			}
-			s, err := linalg.NewSparse(idx, val)
+			m, err := linalg.SortDedup(idx, val)
 			if err != nil {
 				t.Fatal(err)
 			}
-			units[i] = NewSparseUnit(label, s)
+			rows[i] = NewSparseRow(label, idx[:m], val[:m])
 			continue
 		}
-		v := make(linalg.Vector, d)
+		v := make([]float64, d)
 		for j := range v {
 			v[j] = math.Round(r.NormFloat64()*1e4) / 1e4
 		}
-		units[i] = NewDenseUnit(label, v)
+		rows[i] = NewDenseRow(label, v)
 	}
-	return units
+	return rows
 }
 
 // TestArenaRowsMatchUnitConstruction is the bitwise-equivalence property at
-// the heart of the columnar refactor: for sparse and dense data alike, a
+// the heart of the columnar layout: for sparse and dense data alike, a
 // dataset packed into the arena must hand out rows identical — labels,
-// indices and values to the last bit — to the standalone units it was built
-// from, and identical to re-parsing its own raw text through the arena
-// builder (the path the engine's stock transformer rides).
+// indices and values to the last bit — to the standalone rows it was built
+// from, and identical to re-parsing its own raw text, through the arena
+// parser and line by line (the path the engine's stock transformer rides).
 func TestArenaRowsMatchUnitConstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for _, task := range []TaskKind{TaskSVM, TaskLogisticRegression, TaskLinearRegression} {
 		for _, sparse := range []bool{true, false} {
-			units := randomUnits(t, r, 120, 25, sparse)
-			ds := FromUnits("t", task, units)
-			if ds.N() != len(units) {
-				t.Fatalf("%v sparse=%v: N=%d want %d", task, sparse, ds.N(), len(units))
+			rows := randomRows(t, r, 120, 25, sparse)
+			ds := datasetOf(t, "t", task, rows)
+			if ds.N() != len(rows) {
+				t.Fatalf("%v sparse=%v: N=%d want %d", task, sparse, ds.N(), len(rows))
 			}
-			for i, u := range units {
-				if !RowsEqual(u.Row(), ds.Row(i)) {
-					t.Fatalf("%v sparse=%v row %d: unit %v != arena %v", task, sparse, i, u.Row(), ds.Row(i))
+			for i, u := range rows {
+				if !RowsEqual(u, ds.Row(i)) {
+					t.Fatalf("%v sparse=%v row %d: standalone %v != arena %v", task, sparse, i, u, ds.Row(i))
 				}
-				if u.NNZ() != ds.Mat.RowNNZ(i) || u.MaxIndex() != ds.Row(i).MaxIndex() {
-					t.Fatalf("%v sparse=%v row %d: NNZ/MaxIndex diverge", task, sparse, i)
-				}
-			}
-			// Kernel results must agree bit-for-bit too.
-			w := make(linalg.Vector, ds.NumFeatures)
-			for j := range w {
-				w[j] = r.NormFloat64()
-			}
-			grad1 := linalg.NewVector(ds.NumFeatures)
-			grad2 := linalg.NewVector(ds.NumFeatures)
-			for i, u := range units {
-				row := ds.Row(i)
-				if a, b := u.Dot(w), row.Dot(w); a != b {
-					t.Fatalf("%v sparse=%v row %d: Dot %g != %g", task, sparse, i, a, b)
-				}
-				u.AddScaledInto(grad1, 0.5)
-				row.AddScaledInto(grad2, 0.5)
-			}
-			for j := range grad1 {
-				if math.Float64bits(grad1[j]) != math.Float64bits(grad2[j]) {
-					t.Fatalf("%v sparse=%v: accumulated gradient diverges at %d", task, sparse, j)
+				if u.NNZ() != ds.Mat.RowNNZ(i) {
+					t.Fatalf("%v sparse=%v row %d: NNZ diverges", task, sparse, i)
 				}
 			}
-			// Re-parsing the rendered raw text through the arena builder
-			// must reproduce the arena (the stock-transformer invariant).
 			m2, err := ParseMatrix(ds.Raw, ds.Format)
 			if err != nil {
 				t.Fatal(err)
@@ -93,14 +71,16 @@ func TestArenaRowsMatchUnitConstruction(t *testing.T) {
 				if !RowsEqual(ds.Row(i), m2.Row(i)) {
 					t.Fatalf("%v sparse=%v row %d: reparse diverges", task, sparse, i)
 				}
+				if u, ok, err := ds.Format.ParseLine(ds.Raw[i]); err != nil || !ok || !RowsEqual(u, ds.Row(i)) {
+					t.Fatalf("%v sparse=%v row %d: ParseLine gives %v (ok=%v err=%v)", task, sparse, i, u, ok, err)
+				}
 			}
 		}
 	}
 }
 
 func TestMatrixSliceAndGatherAreViews(t *testing.T) {
-	units := randomUnits(t, rand.New(rand.NewSource(3)), 40, 10, true)
-	ds := FromUnits("t", TaskSVM, units)
+	ds := datasetOf(t, "t", TaskSVM, randomRows(t, rand.New(rand.NewSource(3)), 40, 10, true))
 	sl := ds.Mat.Slice(10, 25)
 	if sl.NumRows() != 15 {
 		t.Fatalf("slice rows = %d", sl.NumRows())
@@ -130,8 +110,7 @@ func TestMatrixSliceAndGatherAreViews(t *testing.T) {
 }
 
 func TestSplitProducesSharedArenaViews(t *testing.T) {
-	units := randomUnits(t, rand.New(rand.NewSource(5)), 300, 12, true)
-	ds := FromUnits("t", TaskSVM, units)
+	ds := datasetOf(t, "t", TaskSVM, randomRows(t, rand.New(rand.NewSource(5)), 300, 12, true))
 	train, test := ds.Split(0.8, 9)
 	if train.N()+test.N() != ds.N() {
 		t.Fatalf("split lost rows: %d+%d != %d", train.N(), test.N(), ds.N())
@@ -166,15 +145,11 @@ func TestSplitProducesSharedArenaViews(t *testing.T) {
 // seed: index-sliced views must keep reproducing the same membership across
 // releases, since stored experiment seeds depend on it.
 func TestSplitSeedStability(t *testing.T) {
-	units := make([]Unit, 20)
-	for i := range units {
-		s, err := linalg.NewSparse([]int32{int32(i)}, []float64{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		units[i] = NewSparseUnit(float64(i), s)
+	rows := make([]Row, 20)
+	for i := range rows {
+		rows[i] = NewSparseRow(float64(i), []int32{int32(i)}, []float64{1})
 	}
-	ds := FromUnits("t", TaskSVM, units)
+	ds := datasetOf(t, "t", TaskSVM, rows)
 	train, test := ds.Split(0.5, 42)
 	var gotTrain, gotTest []int
 	for i := 0; i < train.N(); i++ {
@@ -205,8 +180,7 @@ func TestSplitSeedStability(t *testing.T) {
 }
 
 func TestSampleIsSharedArenaView(t *testing.T) {
-	units := randomUnits(t, rand.New(rand.NewSource(8)), 60, 8, false)
-	ds := FromUnits("t", TaskLinearRegression, units)
+	ds := datasetOf(t, "t", TaskLinearRegression, randomRows(t, rand.New(rand.NewSource(8)), 60, 8, false))
 	s := ds.Sample(25, 7)
 	if s.N() != 25 {
 		t.Fatalf("sample size %d", s.N())
@@ -267,11 +241,7 @@ func TestAppendRowsMergesBitwise(t *testing.T) {
 		// Three source matrices of differing sizes, the third a gathered view.
 		var sources []*Matrix
 		for k, n := range []int{7, 1, 12} {
-			units := randomUnits(t, r, n, 9, sparse)
-			m, err := matrixOfUnits(units)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := datasetOf(t, "src", TaskSVM, randomRows(t, r, n, 9, sparse)).Mat
 			if k == 2 {
 				m = m.Gather([]int{11, 0, 5, 5, 3})
 			}

@@ -20,7 +20,7 @@ import (
 // standard library only: split the text into lines, trim, drop blank and
 // comment lines, cut fields with strings.Fields / strings.Split and convert
 // every number with strconv. It returns the trimmed records and the rows
-// they parse to (sparse rows normalized by linalg.NewSparse).
+// they parse to (sparse rows normalized by linalg.SortDedup).
 func refRecords(t *testing.T, text string, f data.Format) (recs []string, rows []data.Row) {
 	t.Helper()
 	num := func(s string) float64 {
@@ -57,11 +57,11 @@ func refRecords(t *testing.T, text string, f data.Format) (recs []string, rows [
 			idx = append(idx, int32(n-1))
 			vals = append(vals, num(v))
 		}
-		s, err := linalg.NewSparse(idx, vals)
+		n, err := linalg.SortDedup(idx, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, data.NewSparseUnit(num(fields[0]), s).Row())
+		rows = append(rows, data.NewSparseRow(num(fields[0]), idx[:n], vals[:n]))
 	}
 	return recs, rows
 }

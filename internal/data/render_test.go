@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ml4all/internal/data"
-	"ml4all/internal/linalg"
 	"ml4all/internal/synth"
 )
 
@@ -15,29 +14,29 @@ import (
 // appended into one buffer: one fmt verb per number. The text they produce is
 // the canonical form files and fingerprints were built from, so the
 // renderers must keep reproducing it byte for byte.
-func fmtLIBSVM(u data.Unit) string {
+func fmtLIBSVM(r data.Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%g", u.Label)
-	if u.IsSparse() {
-		for k, i := range u.Sparse.Indices {
-			fmt.Fprintf(&b, " %d:%g", i+1, u.Sparse.Values[k])
-		}
-		return b.String()
-	}
-	for i, v := range u.Dense {
-		if v != 0 {
-			fmt.Fprintf(&b, " %d:%g", i+1, v)
+	fmt.Fprintf(&b, "%g", r.Label)
+	for k, v := range r.Vals {
+		switch {
+		case r.IsSparse():
+			fmt.Fprintf(&b, " %d:%g", r.Idx[k]+1, v)
+		case v != 0:
+			fmt.Fprintf(&b, " %d:%g", k+1, v)
 		}
 	}
 	return b.String()
 }
 
-func fmtCSV(u data.Unit) string {
+func fmtCSV(r data.Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%g", u.Label)
-	dense := u.Dense
-	if u.IsSparse() {
-		dense = u.Sparse.Dense(int(u.Sparse.MaxIndex()) + 1)
+	fmt.Fprintf(&b, "%g", r.Label)
+	dense := r.Vals
+	if r.IsSparse() {
+		dense = make([]float64, r.MaxIndex()+1)
+		for k, i := range r.Idx {
+			dense[i] += r.Vals[k] // a stored -0 spreads as +0, as the sum it is
+		}
 	}
 	for _, v := range dense {
 		fmt.Fprintf(&b, ",%g", v)
@@ -45,16 +44,13 @@ func fmtCSV(u data.Unit) string {
 	return b.String()
 }
 
-func checkRender(t *testing.T, u data.Unit) {
+func checkRender(t *testing.T, r data.Row) {
 	t.Helper()
-	if got, want := u.String(), fmtLIBSVM(u); got != want {
+	if got, want := r.String(), fmtLIBSVM(r); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if got, want := u.CSVString(), fmtCSV(u); got != want {
+	if got, want := r.CSVString(), fmtCSV(r); got != want {
 		t.Fatalf("CSVString() = %q, want %q", got, want)
-	}
-	if r := u.Row(); r.String() != u.String() || r.CSVString() != u.CSVString() {
-		t.Fatalf("Row renders %q / %q, Unit %q / %q", r.String(), r.CSVString(), u.String(), u.CSVString())
 	}
 }
 
@@ -70,16 +66,15 @@ func TestRenderersMatchFmt(t *testing.T) {
 	}
 	idx[len(idx)-1] = math.MaxInt32 - 1 // the widest index fmt rendered without wrapping
 	for _, label := range awkward {
-		checkRender(t, data.NewDenseUnit(label, awkward))
-		u := data.NewSparseUnit(label, linalg.Sparse{Indices: idx[:len(idx)-1], Values: awkward[:len(idx)-1]})
-		checkRender(t, u)
-		wide := data.NewSparseUnit(label, linalg.Sparse{Indices: idx, Values: awkward})
+		checkRender(t, data.NewDenseRow(label, awkward))
+		checkRender(t, data.NewSparseRow(label, idx[:len(idx)-1], awkward[:len(idx)-1]))
+		wide := data.NewSparseRow(label, idx, awkward)
 		if got, want := wide.String(), fmtLIBSVM(wide); got != want {
 			t.Fatalf("String() = %q, want %q", got, want)
 		}
 	}
-	checkRender(t, data.NewDenseUnit(1, nil))
-	checkRender(t, data.NewSparseUnit(-1, linalg.Sparse{}))
+	checkRender(t, data.NewDenseRow(1, nil))
+	checkRender(t, data.NewSparseRow(-1, nil, nil))
 
 	// Every registry dataset's first rows, through both renderers and as the
 	// Raw lines the generator hands to FromMatrix.
@@ -89,11 +84,11 @@ func TestRenderersMatchFmt(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {
-			u := ds.Row(i).Unit()
-			checkRender(t, u)
-			want := fmtLIBSVM(u)
+			r := ds.Row(i)
+			checkRender(t, r)
+			want := fmtLIBSVM(r)
 			if ds.Format == data.FormatCSV {
-				want = fmtCSV(u)
+				want = fmtCSV(r)
 			}
 			if ds.Raw[i] != want {
 				t.Fatalf("%s Raw[%d] = %q, want %q", spec.Name, i, ds.Raw[i], want)

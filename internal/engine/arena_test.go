@@ -1,74 +1,24 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"ml4all/internal/data"
-	"ml4all/internal/gd"
 )
 
-// The columnar-arena equivalence guarantee, wired into the same harness the
-// parallel/resume tests use: a dataset whose arena was packed from legacy
-// standalone units (FromUnits — the compatibility construction) must train
-// bit-identically to the same dataset re-built by parsing its raw text
-// straight into the arena (ParseMatrix + FromMatrix — the construction every
-// loader and generator uses now), for every task, across representative plans
-// and worker counts. Weights, deltas, simulated time and accounting all pin.
-
+// What executor.stockTransformer relies on when it reads the arena instead of
+// transforming Raw: for every task's dataset, parsing a raw record under the
+// dataset's format gives the arena row it stands for, bit for bit.
 func TestArenaConstructionMatchesUnitConstructionBitwise(t *testing.T) {
-	tasks := []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression}
-	for _, task := range tasks {
-		parent := taskDataset(t, task, 500)
-
-		// Legacy route: standalone units, packed by the compatibility
-		// constructor.
-		units := make([]data.Unit, parent.N())
-		for i := 0; i < parent.N(); i++ {
-			u, ok, err := parent.Format.ParseLine(parent.Raw[i])
+	for _, task := range []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression} {
+		ds := taskDataset(t, task, 500)
+		for i, raw := range ds.Raw {
+			r, ok, err := ds.Format.ParseLine(raw)
 			if err != nil || !ok {
 				t.Fatalf("%v: line %d: ok=%v err=%v", task, i, ok, err)
 			}
-			units[i] = u
-		}
-		viaUnits := data.FromUnits(parent.Name, task, units)
-		viaUnits.Format = parent.Format
-		if parent.NumFeatures > viaUnits.NumFeatures {
-			viaUnits.NumFeatures = parent.NumFeatures
-		}
-
-		// Arena route: two-pass parse of the same raw text.
-		m, err := data.ParseMatrix(parent.Raw, parent.Format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaArena := data.FromMatrix(parent.Name, task, m)
-		viaArena.Format = parent.Format
-		if parent.NumFeatures > viaArena.NumFeatures {
-			viaArena.NumFeatures = parent.NumFeatures
-		}
-
-		for i := 0; i < parent.N(); i++ {
-			if !data.RowsEqual(viaUnits.Row(i), viaArena.Row(i)) {
-				t.Fatalf("%v: row %d diverges between constructions", task, i)
-			}
-		}
-
-		stUnits := buildStore(t, viaUnits, 2<<10)
-		stArena := buildStore(t, viaArena, 2<<10)
-
-		p := gd.Params{Task: task, Format: parent.Format, Tolerance: 1e-3, MaxIter: 25, Lambda: 0.05, BatchSize: 32}
-		plans := []gd.Plan{
-			gd.NewBGD(p),
-			gd.NewMGD(p, gd.Lazy, gd.ShuffledPartition),
-			gd.NewSVRG(p, 5),
-		}
-		for _, plan := range plans {
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%v/%s/arena-vs-units", task, plan.Name())
-				base := runWorkers(t, stUnits, plan, workers)
-				got := runWorkers(t, stArena, plan, workers)
-				sameResult(t, label, base, got, workers)
+			if !data.RowsEqual(r, ds.Row(i)) {
+				t.Fatalf("%v: row %d: parsed %v, arena %v", task, i, r, ds.Row(i))
 			}
 		}
 	}

@@ -199,7 +199,7 @@ func TestRunValidates(t *testing.T) {
 		t.Fatal("invalid plan accepted")
 	}
 
-	empty, err := storage.Build(data.FromUnits("e", data.TaskSVM, nil), storage.DefaultLayout())
+	empty, err := storage.Build(data.FromMatrix("e", data.TaskSVM, data.NewMatrixBuilder(0, 0).Build()), storage.DefaultLayout())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,22 +204,3 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 	est.A = a
 	return est, nil
 }
-
-// SpeculateAll runs the estimator for each of the given plans (typically one
-// per GD algorithm: BGD, MGD, SGD) and returns the estimates in order, plus
-// the total simulated speculation time. Per the paper, MGD and SGD draw
-// their samples from the same D' the BGD speculation uses, which here is
-// guaranteed by sharing cfg.Seed.
-func SpeculateAll(plans []gd.Plan, store *storage.Store, cfg Config) ([]Estimate, cluster.Seconds, error) {
-	ests := make([]Estimate, 0, len(plans))
-	var total cluster.Seconds
-	for _, p := range plans {
-		e, err := Speculate(p, store, cfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("estimator: speculating %s: %w", p.Name(), err)
-		}
-		ests = append(ests, e)
-		total += e.SpecTime
-	}
-	return ests, total, nil
-}

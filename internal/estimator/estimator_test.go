@@ -148,37 +148,6 @@ func TestSpeculateOnRealPlan(t *testing.T) {
 	}
 }
 
-func TestSpeculateAllSharesOrder(t *testing.T) {
-	spec, err := synth.ByName("adult", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := synth.MustGenerate(spec)
-	st, err := storage.Build(ds, storage.DefaultLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 0.01, MaxIter: 500, Lambda: 0.05}
-	plans := []gd.Plan{gd.NewBGD(p), gd.NewMGD(p, gd.Eager, gd.ShuffledPartition), gd.NewSGD(p, gd.Eager, gd.ShuffledPartition)}
-	ests, total, err := SpeculateAll(plans, st, Config{SampleSize: 400, TimeBudget: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 3 {
-		t.Fatalf("estimates = %d, want 3", len(ests))
-	}
-	var sum float64
-	for i, e := range ests {
-		if e.Algo != plans[i].Algorithm {
-			t.Fatalf("estimate %d for %v, want %v", i, e.Algo, plans[i].Algorithm)
-		}
-		sum += float64(e.SpecTime)
-	}
-	if math.Abs(sum-float64(total)) > 1e-9 {
-		t.Fatalf("total %g != sum %g", total, sum)
-	}
-}
-
 func TestClassifyRate(t *testing.T) {
 	mk := func(f func(i int) float64, n int) []Point {
 		var seq []Point
@@ -204,18 +173,5 @@ func TestClassifyRate(t *testing.T) {
 	}
 	if got := ClassifyRate(nil); got != RateUnknown {
 		t.Errorf("empty sequence = %v, want unknown", got)
-	}
-}
-
-func TestHalfLife(t *testing.T) {
-	seq := []Point{{1, 8}, {4, 1}} // 3 halvings over 3 iterations
-	if got := HalfLife(seq); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("HalfLife = %g, want 1", got)
-	}
-	if !math.IsInf(HalfLife([]Point{{1, 2}}), 1) {
-		t.Fatal("single point should give +Inf")
-	}
-	if !math.IsInf(HalfLife([]Point{{1, 1}, {5, 2}}), 1) {
-		t.Fatal("non-decreasing should give +Inf")
 	}
 }

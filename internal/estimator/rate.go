@@ -1,7 +1,5 @@
 package estimator
 
-import "math"
-
 // Rate classifies the convergence behaviour of an error sequence. The paper
 // (Section 5) observes that gradient methods on convex functions exhibit
 // three standard rates — linear, superlinear of order p, quadratic — all
@@ -88,19 +86,4 @@ func ClassifyRate(seq []Point) Rate {
 	default:
 		return RateUnknown
 	}
-}
-
-// HalfLife returns the number of iterations the tail of the sequence needs to
-// halve its error — a robust, unitless summary used in reports. Returns +Inf
-// when the sequence never halves.
-func HalfLife(seq []Point) float64 {
-	if len(seq) < 2 {
-		return math.Inf(1)
-	}
-	first, last := seq[0], seq[len(seq)-1]
-	if last.Err <= 0 || first.Err <= 0 || last.Err >= first.Err {
-		return math.Inf(1)
-	}
-	halvings := math.Log2(first.Err / last.Err)
-	return float64(last.Iter-first.Iter) / halvings
 }

@@ -106,14 +106,11 @@ type FormatTransformer struct{ Format data.Format }
 
 // Transform implements Transformer.
 func (t FormatTransformer) Transform(raw string, _ *Context) (data.Row, error) {
-	u, ok, err := t.Format.ParseLine(raw)
-	if err != nil {
-		return data.Row{}, err
+	r, ok, err := t.Format.ParseLine(raw)
+	if err == nil && !ok {
+		err = fmt.Errorf("gd: blank data unit")
 	}
-	if !ok {
-		return data.Row{}, fmt.Errorf("gd: blank data unit")
-	}
-	return u.Row(), nil
+	return r, err
 }
 
 // ZeroStager is the paper's Listing 4: weights to zero, step to its initial

@@ -188,13 +188,9 @@ func TestObjectiveEmptyUnits(t *testing.T) {
 }
 
 func TestSparseGradientMatchesDense(t *testing.T) {
-	// A sparse unit and its densification must produce identical gradients.
-	s, err := linalg.NewSparse([]int32{0, 3}, []float64{1.5, -2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	su := data.NewSparseUnit(1, s).Row()
-	du := data.NewDenseUnit(1, s.Dense(5)).Row()
+	// A sparse row and its densification must produce identical gradients.
+	su := data.NewSparseRow(1, []int32{0, 3}, []float64{1.5, -2})
+	du := data.NewDenseRow(1, []float64{1.5, 0, 0, -2, 0})
 	w := linalg.Vector{0.1, 0.2, 0.3, -0.4, 0.5}
 	for _, g := range []Gradient{Hinge{}, Logistic{}, LeastSquares{}} {
 		gs, gd := linalg.NewVector(5), linalg.NewVector(5)

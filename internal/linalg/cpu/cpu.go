@@ -50,10 +50,6 @@ func init() {
 	Detected = detect()
 }
 
-// EnvDisabled reports whether ML4ALL_NOSIMD masked features the hardware
-// actually has.
-func EnvDisabled() bool { return envDisabled }
-
 // Summary renders the detection result as a short, stable string for bench
 // artifacts and /metrics, e.g. "avx2,fma", "neon", or "none (ML4ALL_NOSIMD)".
 func (f Features) Summary() string {

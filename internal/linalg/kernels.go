@@ -92,9 +92,9 @@ func (s indexValueSorter) Swap(a, b int) {
 // SortDedup sorts the parallel (idx, vals) pair in place by ascending index,
 // sums the values of duplicate indices, and returns the deduplicated length
 // (the first n entries of both slices hold the result). Negative indices are
-// rejected. This is the one normalization rule for sparse rows: NewSparse and
-// the columnar arena builder both route through it, so a row built either way
-// is bitwise identical.
+// rejected. This is the one normalization rule for sparse rows: the per-line
+// parser and the columnar arena builder both route through it, so a row built
+// either way is bitwise identical.
 func SortDedup(idx []int32, vals []float64) (int, error) {
 	if len(idx) != len(vals) {
 		return 0, fmt.Errorf("linalg: SortDedup length mismatch %d vs %d", len(idx), len(vals))

@@ -29,12 +29,18 @@ func TestPredictRegressionRawScore(t *testing.T) {
 	}
 }
 
-func TestEvaluatePerfectModel(t *testing.T) {
-	units := []data.Unit{
-		data.NewDenseUnit(1, linalg.Vector{1, 0}),
-		data.NewDenseUnit(-1, linalg.Vector{-1, 0}),
+// csvDataset parses dense label-first records into an SVM dataset.
+func csvDataset(t *testing.T, lines ...string) *data.Dataset {
+	t.Helper()
+	m, err := data.ParseMatrix(lines, data.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ds := data.FromUnits("t", data.TaskSVM, units)
+	return data.FromMatrix("t", data.TaskSVM, m)
+}
+
+func TestEvaluatePerfectModel(t *testing.T) {
+	ds := csvDataset(t, "1,1,0", "-1,-1,0")
 	rep, err := Evaluate(data.TaskSVM, linalg.Vector{1, 0}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +51,7 @@ func TestEvaluatePerfectModel(t *testing.T) {
 }
 
 func TestEvaluateAllWrong(t *testing.T) {
-	units := []data.Unit{data.NewDenseUnit(1, linalg.Vector{-1})}
-	ds := data.FromUnits("t", data.TaskSVM, units)
+	ds := csvDataset(t, "1,-1")
 	rep, err := Evaluate(data.TaskSVM, linalg.Vector{1}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +63,7 @@ func TestEvaluateAllWrong(t *testing.T) {
 }
 
 func TestEvaluateEmptyErrors(t *testing.T) {
-	ds := data.FromUnits("e", data.TaskSVM, nil)
+	ds := csvDataset(t)
 	if _, err := Evaluate(data.TaskSVM, linalg.Vector{1}, ds); err == nil {
 		t.Fatal("empty test set accepted")
 	}

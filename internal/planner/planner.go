@@ -170,13 +170,3 @@ func CostAll(store *storage.Store, cfg cluster.Config, p gd.Params, iterations i
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out
 }
-
-// EstimateFor exposes a single-algorithm estimate (Figure 6 compares these
-// against real runs per tolerance).
-func EstimateFor(store *storage.Store, p gd.Params, algo gd.Algo, cfg estimator.Config) (estimator.Estimate, error) {
-	plan, err := gd.ForAlgo(p, algo)
-	if err != nil {
-		return estimator.Estimate{}, err
-	}
-	return estimator.Speculate(plan, store, cfg)
-}

@@ -172,17 +172,6 @@ func TestChoiceAvoidsWorstPlan(t *testing.T) {
 	}
 }
 
-func TestEstimateFor(t *testing.T) {
-	st, p := fixture(t, "adult", 0)
-	est, err := EstimateFor(st, p, gd.BGD, estimator.Config{SampleSize: 300, TimeBudget: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Algo != gd.BGD || len(est.Sequence) == 0 {
-		t.Fatalf("estimate = %+v", est)
-	}
-}
-
 func TestIterationEstimatesCappedByMaxIter(t *testing.T) {
 	st, p := fixture(t, "adult", 0)
 	p.Tolerance = 1e-9 // extrapolates to astronomically many iterations

@@ -8,21 +8,18 @@ import (
 	"ml4all/internal/cluster"
 	"ml4all/internal/data"
 	"ml4all/internal/gd"
-	"ml4all/internal/linalg"
 	"ml4all/internal/storage"
 )
 
 func env(t *testing.T, n int, partBytes int64, seed int64) *Env {
 	t.Helper()
-	units := make([]data.Unit, n)
-	for i := range units {
-		s, err := linalg.NewSparse([]int32{int32(i % 10)}, []float64{1})
-		if err != nil {
+	b := data.NewMatrixBuilder(n, n)
+	for i := 0; i < n; i++ {
+		if err := b.AppendSparse(1, []int32{int32(i % 10)}, []float64{1}); err != nil {
 			t.Fatal(err)
 		}
-		units[i] = data.NewSparseUnit(1, s)
 	}
-	ds := data.FromUnits("s", data.TaskSVM, units)
+	ds := data.FromMatrix("s", data.TaskSVM, b.Build())
 	st, err := storage.Build(ds, storage.Layout{PartitionBytes: partBytes, PageBytes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +177,7 @@ func TestShuffledCheaperThanBernoulliPerDraw(t *testing.T) {
 }
 
 func TestEmptyDatasetErrors(t *testing.T) {
-	ds := data.FromUnits("empty", data.TaskSVM, nil)
+	ds := data.FromMatrix("empty", data.TaskSVM, data.NewMatrixBuilder(0, 0).Build())
 	st, err := storage.Build(ds, storage.DefaultLayout())
 	if err != nil {
 		t.Fatal(err)

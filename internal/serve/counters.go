@@ -184,27 +184,6 @@ func (c *Counters) phase(name string) *routeStats {
 	return rs
 }
 
-// observePhase records one closed tracing span. Nil-safe so the manager can
-// hook traces unconditionally in embedded/test setups without counters.
-func (c *Counters) observePhase(name string, d time.Duration) {
-	if c != nil {
-		c.phase(name).observe(d, false)
-	}
-}
-
-// The ledger observers tolerate a nil receiver like the durability ones.
-func (c *Counters) ledgerRecord() {
-	if c != nil {
-		c.ledgerRecords.Add(1)
-	}
-}
-
-func (c *Counters) ledgerError() {
-	if c != nil {
-		c.ledgerErrors.Add(1)
-	}
-}
-
 // LedgerTotals reports (records appended, append errors).
 func (c *Counters) LedgerTotals() (records, errors uint64) {
 	return c.ledgerRecords.Load(), c.ledgerErrors.Load()
@@ -222,39 +201,9 @@ func (c *Counters) observeCoalesced(rows int) {
 	c.coalescedRows.Add(uint64(rows))
 }
 
-// The durability observers tolerate a nil receiver: the manager and registry
-// run with no Counters in embedded/test setups, and the recording sites stay
+// deadlineExpire tolerates a nil receiver: a Predictor may run with no
+// Counters (NewPredictor's contract), and its recording sites stay
 // unconditional.
-func (c *Counters) checkpointWritten() {
-	if c != nil {
-		c.ckptWritten.Add(1)
-	}
-}
-
-func (c *Counters) checkpointVerified() {
-	if c != nil {
-		c.ckptVerified.Add(1)
-	}
-}
-
-func (c *Counters) checkpointCorrupt() {
-	if c != nil {
-		c.ckptCorrupt.Add(1)
-	}
-}
-
-func (c *Counters) registryFallback() {
-	if c != nil {
-		c.registryFallbacks.Add(1)
-	}
-}
-
-func (c *Counters) panicRecovered() {
-	if c != nil {
-		c.recoveredPanics.Add(1)
-	}
-}
-
 func (c *Counters) deadlineExpire() {
 	if c != nil {
 		c.deadlineExpired.Add(1)

@@ -56,7 +56,7 @@ func (s *Server) wrap(route string, h handler) http.HandlerFunc {
 		payload, err := func() (out any, err error) {
 			defer func() {
 				if rec := recover(); rec != nil {
-					s.counters.panicRecovered()
+					s.counters.recoveredPanics.Add(1)
 					log.Printf("serve: panic in %s handler: %v\n%s", route, rec, debug.Stack())
 					err = errStatus(http.StatusInternalServerError, "internal panic: %v", rec)
 				}

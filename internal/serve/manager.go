@@ -152,8 +152,9 @@ type ManagerConfig struct {
 	// Fault, when non-nil, injects deterministic faults into every
 	// checkpoint/manifest filesystem operation (crash tests, chaos drills).
 	Fault *fault.Injector
-	// Counters, when non-nil, receives durability observations (checkpoints
-	// written/verified/discarded, recovered panics).
+	// Counters receives durability observations (checkpoints
+	// written/verified/discarded, recovered panics). nil means a private set
+	// nobody reads.
 	Counters *Counters
 
 	// stepHook, when non-nil, runs after every successful Step of every
@@ -174,6 +175,9 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.RetainCheckpoints <= 0 {
 		c.RetainCheckpoints = 3
+	}
+	if c.Counters == nil {
+		c.Counters = newCounters()
 	}
 	return c
 }
@@ -284,7 +288,7 @@ func (m *Manager) Ledger() *obs.Ledger { return m.ledger }
 func (m *Manager) attachObs(j *Job) {
 	j.ring = obs.NewRing(0)
 	j.trace = obs.NewTrace()
-	j.trace.OnEnd(func(name string, d time.Duration) { m.cfg.Counters.observePhase(name, d) })
+	j.trace.OnEnd(func(name string, d time.Duration) { m.cfg.Counters.phase(name).observe(d, false) })
 	j.events = obs.NewEventLog(0)
 }
 
@@ -441,17 +445,17 @@ func (m *Manager) SubmitJob(script, model string, opts SubmitOptions) (*Job, err
 	// runner will ever claim.
 	if err := m.mfFS.MkdirAll(m.jobDir(id)); err != nil {
 		err = fmt.Errorf("serve: job dir: %w", err)
-		m.fail(j, err)
+		m.settle(j, JobFailed, err)
 		return nil, err
 	}
 	if err := m.persist(j); err != nil {
-		m.fail(j, err)
+		m.settle(j, JobFailed, err)
 		return nil, err
 	}
 	select {
 	case m.queue <- j:
 	default:
-		m.fail(j, fmt.Errorf("job queue full (%d pending)", m.cfg.QueueDepth))
+		m.settle(j, JobFailed, fmt.Errorf("job queue full (%d pending)", m.cfg.QueueDepth))
 		return nil, fmt.Errorf("serve: job queue full (%d pending)", m.cfg.QueueDepth)
 	}
 	return j, nil
@@ -510,18 +514,16 @@ func (m *Manager) Cancel(id string) error {
 	// runner's iteration edge checks cancellation before the pause flag.
 	j.pause = false
 	// A queued or paused job has no runner to observe the channel: settle it
-	// here. A running job's runner settles it on the next iteration edge.
-	settled := false
-	if j.state == JobQueued || j.state == JobPaused {
+	// here, claiming it under the lock that found it idle so no runner picks
+	// it up meanwhile. A running job's runner settles it on the next
+	// iteration edge.
+	idle := j.state == JobQueued || j.state == JobPaused
+	if idle {
 		j.state = JobCancelled
-		j.job = nil
-		settled = true
 	}
 	j.mu.Unlock()
-	if settled {
-		j.events.Close(string(JobCancelled))
-		m.persist(j)
-		m.replayDone(j)
+	if idle {
+		m.settle(j, JobCancelled, nil)
 	}
 	return nil
 }
@@ -613,7 +615,7 @@ func (m *Manager) writeCheckpoint(j *Job, tj *ml4all.TrainJob) error {
 	if err := fault.WriteDurable(m.ckptFS, path, encodeCheckpointFrame(state)); err != nil {
 		return fmt.Errorf("serve: job %s checkpoint: %w", j.ID, err)
 	}
-	m.cfg.Counters.checkpointWritten()
+	m.cfg.Counters.ckptWritten.Add(1)
 	m.pruneCheckpoints(dir)
 	return nil
 }
@@ -706,20 +708,20 @@ func (m *Manager) openJob(j *Job) error {
 				j.trace.End(rec)
 				return err // simulated process death: stop, don't burn frames
 			}
-			m.cfg.Counters.checkpointCorrupt()
+			m.cfg.Counters.ckptCorrupt.Add(1)
 			continue
 		}
 		state, err := decodeCheckpointFrame(raw)
 		if err != nil {
-			m.cfg.Counters.checkpointCorrupt()
+			m.cfg.Counters.ckptCorrupt.Add(1)
 			continue
 		}
 		tj, err := m.sys.ResumeJob(j.stmt, state, opts)
 		if err != nil {
-			m.cfg.Counters.checkpointCorrupt()
+			m.cfg.Counters.ckptCorrupt.Add(1)
 			continue
 		}
-		m.cfg.Counters.checkpointVerified()
+		m.cfg.Counters.ckptVerified.Add(1)
 		j.mu.Lock()
 		j.job = tj
 		j.mu.Unlock()
@@ -746,8 +748,8 @@ func (m *Manager) openJob(j *Job) error {
 func (m *Manager) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.cfg.Counters.panicRecovered()
-			m.fail(j, fmt.Errorf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack()))
+			m.cfg.Counters.recoveredPanics.Add(1)
+			m.settle(j, JobFailed, fmt.Errorf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack()))
 		}
 	}()
 	j.mu.Lock()
@@ -766,7 +768,7 @@ func (m *Manager) runJob(j *Job) {
 		m.replayDone(j)
 		if err != nil {
 			// Position the failure in the submitted script, like Exec does.
-			m.fail(j, fmt.Errorf("statement at %s: %w", j.stmt.At(), err))
+			m.settle(j, JobFailed, fmt.Errorf("statement at %s: %w", j.stmt.At(), err))
 			return
 		}
 	} else {
@@ -800,12 +802,7 @@ func (m *Manager) runJob(j *Job) {
 		// racing a pending pause must win, not strand the job in paused.
 		select {
 		case <-j.cancelled:
-			j.mu.Lock()
-			j.state = JobCancelled
-			j.job = nil
-			j.mu.Unlock()
-			j.events.Close(string(JobCancelled))
-			m.persist(j)
+			m.settle(j, JobCancelled, nil)
 			return
 		default:
 		}
@@ -813,15 +810,7 @@ func (m *Manager) runJob(j *Job) {
 		pausing := j.pause
 		j.mu.Unlock()
 		if pausing {
-			if err := m.writeCheckpoint(j, tj); err != nil {
-				m.fail(j, err)
-				return
-			}
-			j.mu.Lock()
-			j.state = JobPaused
-			j.mu.Unlock()
-			j.events.Append(obs.Event{Type: "state", State: string(JobPaused), Iter: tj.Iteration()})
-			m.persist(j)
+			m.park(j, tj, JobPaused)
 			return
 		}
 
@@ -835,30 +824,15 @@ func (m *Manager) runJob(j *Job) {
 		if err != nil {
 			switch {
 			case errors.Is(err, errShutdown):
-				// Checkpoint and leave the job re-queueable: a new manager
-				// on this directory resumes it bit-identically.
-				if cerr := m.writeCheckpoint(j, tj); cerr != nil {
-					m.fail(j, cerr)
-					return
-				}
-				j.mu.Lock()
-				j.state = JobQueued
-				j.mu.Unlock()
-				j.events.Append(obs.Event{Type: "state", State: string(JobQueued), Iter: tj.Iteration()})
-				m.persist(j)
-				return
+				// Leave the job re-queueable: a new manager on this directory
+				// resumes it bit-identically.
+				m.park(j, tj, JobQueued)
 			case errors.Is(err, errCancelled):
-				j.mu.Lock()
-				j.state = JobCancelled
-				j.job = nil
-				j.mu.Unlock()
-				j.events.Close(string(JobCancelled))
-				m.persist(j)
-				return
+				m.settle(j, JobCancelled, nil)
 			default:
-				m.fail(j, err)
-				return
+				m.settle(j, JobFailed, err)
 			}
+			return
 		}
 		iter := tj.Iteration()
 		if iter%8 == 1 {
@@ -885,7 +859,7 @@ func (m *Manager) runJob(j *Job) {
 
 		if m.cfg.CheckpointEvery > 0 && time.Since(lastCkpt) >= m.cfg.CheckpointEvery {
 			if err := m.writeCheckpoint(j, tj); err != nil {
-				m.fail(j, err)
+				m.settle(j, JobFailed, err)
 				return
 			}
 			lastCkpt = time.Now()
@@ -906,37 +880,33 @@ func (m *Manager) complete(j *Job) {
 	j.mu.Unlock()
 	prog := tj.Progress()
 	if prog.Diverged {
-		m.fail(j, fmt.Errorf("diverged at iteration %d: non-finite weights", prog.Iteration))
+		m.settle(j, JobFailed, fmt.Errorf("diverged at iteration %d: non-finite weights", prog.Iteration))
 		return
 	}
 	model := tj.Model()
 	mv, err := m.reg.Publish(j.Model, model)
 	if err != nil {
-		m.fail(j, fmt.Errorf("publishing model: %w", err))
+		m.settle(j, JobFailed, fmt.Errorf("publishing model: %w", err))
 		return
 	}
 	j.mu.Lock()
-	j.state = JobCompleted
 	j.iteration = prog.Iteration
 	j.finalErr = prog.FinalDelta
 	j.converged = prog.Converged
 	j.published = mv.Version
-	j.job = nil // release the trainer
 	j.mu.Unlock()
 	if m.ledger != nil {
 		if err := m.ledger.Append(m.runRecord(j, tj, model, prog)); err != nil {
-			m.cfg.Counters.ledgerError()
+			m.cfg.Counters.ledgerErrors.Add(1)
 		} else {
-			m.cfg.Counters.ledgerRecord()
+			m.cfg.Counters.ledgerRecords.Add(1)
 		}
 	}
-	j.events.Close(string(JobCompleted))
 	dir := m.jobDir(j.ID) // terminal jobs don't resume: drop every checkpoint
 	for _, name := range listCheckpoints(m.ckptFS, dir) {
 		m.ckptFS.Remove(filepath.Join(dir, name))
 	}
-	m.persist(j)
-	m.replayDone(j)
+	m.settle(j, JobCompleted, nil)
 }
 
 // runRecord assembles the completed job's ledger record: dataset identity
@@ -994,14 +964,33 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 	return rec
 }
 
-// fail settles a job as failed.
-func (m *Manager) fail(j *Job, err error) {
+// settle ends a job in a terminal state: the trainer is released, the event
+// stream closed, the manifest written — last, after whatever the caller put
+// on disk for this outcome — and, for a job reloaded after a restart, the
+// recovering gauge drained.
+func (m *Manager) settle(j *Job, state JobState, err error) {
 	j.mu.Lock()
-	j.state = JobFailed
-	j.errMsg = err.Error()
+	j.state = state
+	if err != nil {
+		j.errMsg = err.Error()
+	}
 	j.job = nil
 	j.mu.Unlock()
-	j.events.Close(string(JobFailed))
+	j.events.Close(string(state))
 	m.persist(j)
 	m.replayDone(j)
+}
+
+// park checkpoints a running job and gives up its pool slot in a state it
+// resumes from: paused, or queued again for the next manager at shutdown.
+func (m *Manager) park(j *Job, tj *ml4all.TrainJob, state JobState) {
+	if err := m.writeCheckpoint(j, tj); err != nil {
+		m.settle(j, JobFailed, err)
+		return
+	}
+	j.mu.Lock()
+	j.state = state
+	j.mu.Unlock()
+	j.events.Append(obs.Event{Type: "state", State: string(state), Iter: tj.Iteration()})
+	m.persist(j)
 }

@@ -26,9 +26,8 @@ import (
 // ".corrupt-v*" (number stays burned) and the previous good version serves
 // as latest; stranded ".tmp-*" files from mid-publish crashes are swept.
 type Registry struct {
-	dir      string
-	fs       fault.FS
-	counters *Counters
+	dir string
+	fs  fault.FS
 
 	mu     sync.RWMutex
 	models map[string][]*ModelVersion // per name, ascending by version
@@ -95,17 +94,20 @@ func OpenRegistry(dir string) (*Registry, error) {
 
 // OpenRegistryWith is OpenRegistry with a fault injector on the filesystem
 // seam (nil: the raw OS) and counters for corruption-fallback observations
-// (nil: unobserved). Startup is where the crash-recovery work happens:
+// (nil: counted privately). Startup is where the crash-recovery work happens:
 // stranded ".tmp-*" files from mid-publish crashes are removed, and any
 // version that no longer loads — torn file, checksum mismatch — is entombed
 // as ".corrupt-v*" (burning its number) so the previous good version serves
 // as latest instead of the whole registry failing to open.
 func OpenRegistryWith(dir string, inj *fault.Injector, counters *Counters) (*Registry, error) {
+	if counters == nil {
+		counters = newCounters()
+	}
 	fsys := fault.NewFS(inj, "registry")
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("serve: registry dir: %w", err)
 	}
-	r := &Registry{dir: dir, fs: fsys, counters: counters, models: map[string][]*ModelVersion{}, highV: map[string]int{}}
+	r := &Registry{dir: dir, fs: fsys, models: map[string][]*ModelVersion{}, highV: map[string]int{}}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry dir: %w", err)
@@ -158,7 +160,7 @@ func OpenRegistryWith(dir string, inj *fault.Injector, counters *Counters) (*Reg
 				// Corrupt version: entomb it (keeping the number burned) and
 				// fall back — the previous good version becomes the latest.
 				fsys.Rename(path, filepath.Join(dir, name, ".corrupt-"+f.Name()))
-				counters.registryFallback()
+				counters.registryFallbacks.Add(1)
 				continue
 			}
 			r.models[name] = append(r.models[name], &ModelVersion{Name: name, Version: v, Path: path, Model: m})

@@ -9,15 +9,15 @@ import (
 
 func shardTestStore(t *testing.T, n int, partBytes int64) *Store {
 	t.Helper()
-	units := make([]data.Unit, n)
 	raws := make([]string, n)
-	for i := range units {
-		units[i] = data.NewDenseUnit(1, []float64{float64(i), 2, 3})
+	for i := range raws {
 		raws[i] = fmt.Sprintf("1,%d,2,3", i)
 	}
-	ds := data.FromUnits("shards", data.TaskSVM, units)
-	ds.Raw = raws
-	st, err := Build(ds, Layout{PartitionBytes: partBytes, PageBytes: 64})
+	m, err := data.ParseMatrix(raws, data.FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(data.FromMatrix("shards", data.TaskSVM, m), Layout{PartitionBytes: partBytes, PageBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestShardsStable(t *testing.T) {
 }
 
 func TestShardsEmptyStore(t *testing.T) {
-	ds := data.FromUnits("empty", data.TaskSVM, nil)
+	ds := data.FromMatrix("empty", data.TaskSVM, data.NewMatrixBuilder(0, 0).Build())
 	st, err := Build(ds, DefaultLayout())
 	if err != nil {
 		t.Fatal(err)

@@ -7,20 +7,23 @@ import (
 	"testing/quick"
 
 	"ml4all/internal/data"
-	"ml4all/internal/linalg"
 )
 
-func toyDataset(t *testing.T, n int) *data.Dataset {
+// oneFeatureDataset builds n sparse rows of one stored value each: row i has
+// the given label and val at feature i%mod.
+func oneFeatureDataset(t *testing.T, name string, n, mod int, label, val float64) *data.Dataset {
 	t.Helper()
-	units := make([]data.Unit, n)
-	for i := range units {
-		s, err := linalg.NewSparse([]int32{int32(i % 10)}, []float64{1.5})
-		if err != nil {
+	b := data.NewMatrixBuilder(n, n)
+	for i := 0; i < n; i++ {
+		if err := b.AppendSparse(label, []int32{int32(i % mod)}, []float64{val}); err != nil {
 			t.Fatal(err)
 		}
-		units[i] = data.NewSparseUnit(1, s)
 	}
-	return data.FromUnits("toy", data.TaskSVM, units)
+	return data.FromMatrix(name, data.TaskSVM, b.Build())
+}
+
+func toyDataset(t *testing.T, n int) *data.Dataset {
+	return oneFeatureDataset(t, "toy", n, 10, 1, 1.5)
 }
 
 func TestBuildPartitionInvariants(t *testing.T) {
@@ -68,12 +71,7 @@ func TestBuildCoverageProperty(t *testing.T) {
 		},
 	}
 	f := func(n, partBytes int) bool {
-		units := make([]data.Unit, n)
-		for i := range units {
-			s, _ := linalg.NewSparse([]int32{int32(i % 5)}, []float64{2})
-			units[i] = data.NewSparseUnit(-1, s)
-		}
-		ds := data.FromUnits("q", data.TaskSVM, units)
+		ds := oneFeatureDataset(t, "q", n, 5, -1, 2)
 		st, err := Build(ds, Layout{PartitionBytes: int64(partBytes), PageBytes: 32})
 		if err != nil {
 			return false
@@ -103,7 +101,7 @@ func TestBuildRejectsBadLayouts(t *testing.T) {
 }
 
 func TestEmptyDatasetGetsOnePartition(t *testing.T) {
-	ds := data.FromUnits("empty", data.TaskSVM, nil)
+	ds := data.FromMatrix("empty", data.TaskSVM, data.NewMatrixBuilder(0, 0).Build())
 	st, err := Build(ds, DefaultLayout())
 	if err != nil {
 		t.Fatal(err)

@@ -162,8 +162,8 @@ func Generate(s Spec) (*data.Dataset, error) {
 				scratchIdx = append(scratchIdx, j)
 				scratchVal = append(scratchVal, genVal(drift))
 			}
-			// Normalize the scratch row exactly the way NewSparse would
-			// (indices are distinct by construction, so this only sorts).
+			// Normalize the scratch row the way the parsers do (indices are
+			// distinct by construction, so this only sorts).
 			n, err := linalg.SortDedup(scratchIdx, scratchVal)
 			if err != nil {
 				return nil, err

@@ -32,6 +32,7 @@ import (
 	"ml4all/internal/data"
 	"ml4all/internal/engine"
 	"ml4all/internal/estimator"
+	"ml4all/internal/fault"
 	"ml4all/internal/gd"
 	"ml4all/internal/gradients"
 	"ml4all/internal/lang"
@@ -354,25 +355,17 @@ func (s *System) resolveSource(q *lang.Run) (*data.Dataset, error) {
 		}
 		ds = loaded
 	}
-	// A column specification re-parses the raw lines under the spec.
+	// A column specification projects the parsed arena; nothing is re-read.
 	if q.Sources[0].Lo != 0 {
 		spec := data.ColumnSpec{LabelCol: q.Sources[0].Lo}
 		if len(q.Sources) > 1 {
 			spec.FeatLo, spec.FeatHi = q.Sources[1].Lo, q.Sources[1].Hi
 		}
-		units := make([]data.Unit, 0, ds.N())
-		for i, raw := range ds.Raw {
-			u, ok, err := data.ParseCSVColumns(raw, spec)
-			if err != nil {
-				return nil, fmt.Errorf("ml4all: %s line %d: %w", path, i+1, err)
-			}
-			if ok {
-				units = append(units, u)
-			}
+		m, err := ds.Mat.Project(spec)
+		if err != nil {
+			return nil, fmt.Errorf("ml4all: %s: %w", path, err)
 		}
-		cds := data.FromUnits(ds.Name+specString(spec), ds.Task, units)
-		cds.Format = data.FormatCSV
-		return cds, nil
+		return data.FromMatrix(ds.Name+specString(spec), ds.Task, m), nil
 	}
 	return ds, nil
 }
@@ -514,24 +507,12 @@ func EncodeModel(m *Model) []byte {
 
 const modelCRCPrefix = "# crc32c="
 
-// SaveModel persists a model as a small text file (see EncodeModel), fsynced
-// before close so a published model survives power loss. The header's
-// key=value fields round-trip through LoadModel (the model registry depends
-// on it).
+// SaveModel persists a model as a small text file (see EncodeModel) through
+// the durable-write protocol: a crash or a failed write leaves the file that
+// was at path before, never a truncated one. The header's key=value fields
+// round-trip through LoadModel (the model registry depends on it).
 func SaveModel(path string, m *Model) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(EncodeModel(m)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return fault.WriteDurable(fault.OS, path, EncodeModel(m))
 }
 
 // LoadModel reads a model persisted by SaveModel, verifying its checksum.

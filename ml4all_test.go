@@ -392,7 +392,43 @@ func TestColumnSpecQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(outs[0].Model.Weights); got != 2 {
-		t.Fatalf("model dimensionality = %d, want 2 (columns 4-5)", got)
+	got := outs[0].Model
+	if len(got.Weights) != 2 {
+		t.Fatalf("model dimensionality = %d, want 2 (columns 4-5)", len(got.Weights))
+	}
+
+	// The projection is the dataset a file already written in the projected
+	// column order loads as: same plan, same run, same weights to the bit.
+	plain := filepath.Join(dir, "plain.csv")
+	if err := os.WriteFile(plain, []byte("1,0.5,1.5\n-1,-0.5,-1.5\n1,0.25,0.75\n-1,-0.25,-0.75\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs, err = testSystem().Exec(`Q = run svm() on ` + plain + ` having max iter 50;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outs[0].Model
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.PlanName != want.PlanName || got.Iterations != want.Iterations || got.TrainTime != want.TrainTime ||
+		!slices.EqualFunc(got.Weights, want.Weights, sameBits) {
+		t.Fatalf("projected: %s, %d iterations, %v sim s, %v; written in that order: %s, %d, %v, %v",
+			got.PlanName, got.Iterations, got.TrainTime, got.Weights, want.PlanName, want.Iterations, want.TrainTime, want.Weights)
+	}
+
+	// A spec that reaches past the file's columns, or is put on a LIBSVM
+	// source, is an error.
+	sparse := filepath.Join(dir, "sparse.txt")
+	if err := os.WriteFile(sparse, []byte("1 1:0.5 2:1.5\n-1 1:-0.5 2:-1.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`run svm() on ` + path + `:2, ` + path + `:4-9;`,
+		`run svm() on ` + path + `:7;`,
+		`run svm() on ` + path + `:4, ` + path + `:1-5;`,
+		`run svm() on ` + sparse + `:1;`,
+	} {
+		if _, err := sys.Exec(q); err == nil {
+			t.Errorf("no error for %q", q)
+		}
 	}
 }

@@ -85,6 +85,46 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// SaveModel goes through the durable-write protocol: saving over a model
+// replaces it whole and strands no temp file, and a save that fails leaves
+// the bytes that were there.
+func TestSaveModelReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	// A 250-byte name: the file itself fits NAME_MAX, the ".tmp-<name>-*"
+	// sibling the protocol writes first cannot be created — a failure that,
+	// unlike a read-only directory, also stops a test running as root.
+	for _, tc := range []struct {
+		name     string
+		wantFail bool
+	}{{"m.model", false}, {strings.Repeat("m", 250), true}} {
+		path := filepath.Join(dir, tc.name)
+		older := &Model{Name: "m", Task: data.TaskSVM, PlanName: "BGD(eager)", Weights: linalg.Vector{1, 2, 3, 4, 5, 6, 7, 8}}
+		newer := &Model{Name: "m", Task: data.TaskSVM, PlanName: "SGD(eager,random)", Weights: linalg.Vector{-0.5}}
+		if err := os.WriteFile(path, EncodeModel(older), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := SaveModel(path, newer)
+		want := newer
+		if tc.wantFail {
+			if err == nil {
+				t.Fatalf("%d-byte name: SaveModel succeeded, want the temp file to be uncreatable", len(tc.name))
+			}
+			want = older
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, EncodeModel(want)) {
+			t.Fatalf("%d-byte name: file holds %q (err %v), want plan %s whole", len(tc.name), raw, err, want.PlanName)
+		}
+		if got, err := LoadModel(path); err != nil || got.PlanName != want.PlanName {
+			t.Fatalf("%d-byte name: LoadModel = %+v, %v", len(tc.name), got, err)
+		}
+	}
+	if strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(strays) != 0 {
+		t.Fatalf("stranded temp files: %v", strays)
+	}
+}
+
 // sealed appends a valid checksum trailer to hand-written model text, so the
 // loader gets past its integrity check to the parse error under test.
 func sealed(content string) string {
