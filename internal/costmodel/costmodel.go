@@ -186,11 +186,7 @@ func (m *Model) Breakdown(plan gd.Plan) Breakdown {
 	accDim := plan.Computer.AccDim(m.Stats.NumFeatures)
 	// The tier the engine resolves for this plan (gd.KernelTier), and not
 	// randomized — the same eligibility the engine's cost charging applies
-	// (randomized computers run per row for their RNG stream). The engine
-	// additionally bills per-row when a custom Transformer forces a row
-	// memo; the model cannot see transformer stockness (it has no dataset
-	// format) and prices those plans as batched — an approximation on an
-	// already-approximate estimate.
+	// (randomized computers run per row for their RNG stream).
 	tier := gd.KernelTier(plan.Computer, m.FastMath)
 	if _, randomized := plan.Computer.(gd.RandomizedComputer); randomized {
 		tier = gd.RowTier

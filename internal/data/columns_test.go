@@ -7,11 +7,9 @@ import (
 	"testing"
 )
 
-// TestParseCSVColumns is the Matrix.Project table test: the column
-// specification is a projection of the parsed arena (the test keeps the name
-// it had when the specification was a CSV parser of its own, so the suite's
-// history follows it).
-func TestParseCSVColumns(t *testing.T) {
+// TestProjectColumns is the Matrix.Project table test: the column
+// specification is a projection of the parsed arena.
+func TestProjectColumns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		line   string

@@ -123,11 +123,16 @@ func (ds *Dataset) Rows() []Row {
 // (raw text length), which is what the storage layer partitions.
 func (ds *Dataset) SizeBytes() int64 {
 	var b int64
-	for _, r := range ds.Raw {
-		b += int64(len(r)) + 1
+	for i := range ds.Raw {
+		b += ds.UnitBytes(i)
 	}
 	return b
 }
+
+// UnitBytes returns the bytes record i occupies on disk: its text plus the
+// newline. It is the one definition the storage layer partitions by and the
+// simulator charges I/O and parsing on.
+func (ds *Dataset) UnitBytes(i int) int64 { return int64(len(ds.Raw[i])) + 1 }
 
 // Validate checks internal consistency and returns a descriptive error for
 // the first violation found.

@@ -24,9 +24,9 @@ func datasetOf(t testing.TB, name string, task TaskKind, rows []Row) *Dataset {
 	return FromMatrix(name, task, b.Build())
 }
 
-// TestFromUnitsSparse: a dataset over an arena built row by row ("from data
-// units") reports the format, dimensionality and density of its rows.
-func TestFromUnitsSparse(t *testing.T) {
+// TestFromMatrixSparse: a dataset over an arena built row by row reports the
+// format, dimensionality and density of its rows.
+func TestFromMatrixSparse(t *testing.T) {
 	ds := datasetOf(t, "toy", TaskSVM, []Row{
 		NewSparseRow(1, []int32{0, 4}, []float64{1, 2}),
 		NewSparseRow(-1, []int32{2}, []float64{3}),
@@ -48,7 +48,7 @@ func TestFromUnitsSparse(t *testing.T) {
 	}
 }
 
-func TestFromUnitsDenseRendersCSV(t *testing.T) {
+func TestFromMatrixDenseRendersCSV(t *testing.T) {
 	rows := []Row{
 		NewDenseRow(1, []float64{0.5, 0.25}),
 		NewDenseRow(-1, []float64{1, 0}),

@@ -40,13 +40,13 @@ func randomRows(t *testing.T, r *rand.Rand, n, d int, sparse bool) []Row {
 	return rows
 }
 
-// TestArenaRowsMatchUnitConstruction is the bitwise-equivalence property at
+// TestArenaRowsMatchStandaloneRowsBitwise is the bitwise-equivalence property at
 // the heart of the columnar layout: for sparse and dense data alike, a
 // dataset packed into the arena must hand out rows identical — labels,
 // indices and values to the last bit — to the standalone rows it was built
 // from, and identical to re-parsing its own raw text, through the arena
 // parser and line by line (the path the engine's stock transformer rides).
-func TestArenaRowsMatchUnitConstruction(t *testing.T) {
+func TestArenaRowsMatchStandaloneRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for _, task := range []TaskKind{TaskSVM, TaskLogisticRegression, TaskLinearRegression} {
 		for _, sparse := range []bool{true, false} {

@@ -9,7 +9,7 @@ import (
 // What executor.stockTransformer relies on when it reads the arena instead of
 // transforming Raw: for every task's dataset, parsing a raw record under the
 // dataset's format gives the arena row it stands for, bit for bit.
-func TestArenaConstructionMatchesUnitConstructionBitwise(t *testing.T) {
+func TestRawParsesBackToArenaRowsBitwise(t *testing.T) {
 	for _, task := range []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression} {
 		ds := taskDataset(t, task, 500)
 		for i, raw := range ds.Raw {

@@ -11,52 +11,71 @@ import (
 	"ml4all/internal/linalg"
 )
 
-// This file holds the two execution paths of the numeric phases. The split
-// the whole design hangs on: real work (parsing, gradient math, loss sums)
-// fans out over the worker pool, while every sim.Cost*/Run*/Transfer call
-// stays on the driver goroutine in a fixed order. The serial path is the
-// parallel path with one worker — same shards, same per-shard partials, same
-// ordered tree reduction — so Workers changes wall-clock time and nothing
-// else.
+// This file holds the numeric phases. The split the whole design hangs on:
+// real work (parsing, gradient math, loss sums) fans out over the worker
+// pool, while every sim.Cost*/Run*/Transfer call stays on the driver goroutine
+// in a fixed order. The serial path is the parallel path with one worker —
+// same shards, same per-shard partials, same ordered tree reduction — so
+// Workers changes wall-clock time and nothing else.
 //
-// Since the columnar-arena refactor the stock-transformer paths never
-// materialize per-row objects at all: workers index the dataset's Matrix
-// directly (ex.row is a zero-copy view) and the per-task accumulators are
-// carved from one flat arena, so a steady-state compute pass performs no
-// heap allocation.
+// There is one data path: every pass reads the columnar arena ex.mat (the
+// dataset's own under a stock transformer, materialize's otherwise) through
+// zero-copy views, and the per-task accumulators are carved from one flat
+// arena, so a steady-state compute pass performs no heap allocation.
 
-// eagerTransform parses the whole dataset upfront — with a stock transformer
-// the engine adopts the dataset's columnar arena as-is (re-parsing would
-// reproduce it bit-for-bit); custom UDFs fan the real parsing out over the
-// worker pool, one task per shard writing a disjoint slice of the row memo.
-// Either way the simulated cost is charged one distributed task per partition
-// (or locally when the dataset is a single partition), exactly as a serial
-// execution would.
-func (ex *executor) eagerTransform() error {
+// materialize leaves the transformed data in ex.mat. A stock transformer's
+// output is the dataset's arena, adopted by newTrainerShell; a custom
+// Transformer UDF is run here over every raw unit on the worker pool, one
+// arena per shard, merged in shard order. It charges nothing: eager plans pay
+// in eagerTransform and lazy plans per touch in every pass (parseCost),
+// whatever was physically parsed when.
+func (ex *executor) materialize() error {
+	if ex.mat != nil {
+		return nil
+	}
 	ds := ex.store.Dataset
-	if ex.stockTransformer() {
-		ex.mat = ds.Mat
-	} else {
-		ex.rows = make([]data.Row, ds.N())
-		guard := ex.ctx.Guard()
-		err := ex.runTasks(len(ex.shards), func(task int) error {
-			sh := ex.shards[task]
-			for i := sh.Lo; i < sh.Hi; i++ {
-				r, err := ex.plan.Transformer.Transform(ds.Raw[i], ex.ctx)
-				if err != nil {
-					return fmt.Errorf("engine: transform unit %d: %w", i, err)
+	parts := make([]*data.Matrix, len(ex.shards))
+	guard := ex.ctx.Guard()
+	err := ex.runTasks(len(ex.shards), func(task int) error {
+		sh := ex.shards[task]
+		b := data.NewMatrixBuilder(sh.Hi-sh.Lo, 0)
+		for i := sh.Lo; i < sh.Hi; i++ {
+			r, err := ex.plan.Transformer.Transform(ds.Raw[i], ex.ctx)
+			if err == nil {
+				if r.IsSparse() {
+					err = b.AppendSparse(r.Label, r.Idx, r.Vals)
+				} else {
+					err = b.AppendDense(r.Label, r.Vals)
 				}
-				ex.rows[i] = r
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			if err != nil {
+				return fmt.Errorf("engine: transform unit %d: %w", i, err)
+			}
 		}
-		if err := guard.Check(ex.ctx); err != nil {
-			return err
+		parts[task] = b.Build()
+		return nil
+	})
+	if err == nil {
+		err = guard.Check(ex.ctx)
+	}
+	if err != nil {
+		return err
+	}
+	all := data.NewMatrixBuilder(ds.N(), 0)
+	for task, m := range parts {
+		if err := all.AppendRows(m); err != nil {
+			return fmt.Errorf("engine: transform unit %d: %w", ex.shards[task].Lo, err)
 		}
 	}
+	ex.mat = all.Build()
+	return nil
+}
+
+// eagerTransform charges the upfront parse of the whole dataset: one
+// distributed task per partition (or locally when the dataset is a single
+// partition), exactly as a serial execution would. The parsing itself is
+// materialize's.
+func (ex *executor) eagerTransform() {
 	costs := ex.costBuf[:0]
 	for _, p := range ex.store.Partitions {
 		c := ex.sim.CostReadPartition(p, ex.store.Layout)
@@ -77,42 +96,6 @@ func (ex *executor) eagerTransform() error {
 		}
 		ex.sim.RunLocal(sum)
 	}
-	return nil
-}
-
-// ensureLazyBuffers initializes the lazy-transformation memo once, on the
-// driver, before any parallel region touches it. With the stock transformer
-// the dataset's arena is read directly (re-parsing Raw would reproduce it
-// bit-for-bit; the per-touch parse cost is still charged); otherwise rows are
-// parsed on first touch and memoized.
-func (ex *executor) ensureLazyBuffers() {
-	if ex.mat != nil || ex.rows != nil {
-		return
-	}
-	if ex.stockTransformer() {
-		ex.mat = ex.store.Dataset.Mat
-		ex.lazy = nil
-	} else {
-		n := ex.store.Dataset.N()
-		ex.rows = make([]data.Row, n)
-		ex.lazy = make([]bool, n)
-	}
-}
-
-// transformRow parses unit i under lazy transformation if it has not been
-// parsed yet. Callers hand distinct goroutines disjoint index sets, so the
-// memo writes are race-free; transformRow itself performs no sim calls.
-func (ex *executor) transformRow(i int) error {
-	if ex.lazy == nil || ex.lazy[i] {
-		return nil
-	}
-	r, err := ex.plan.Transformer.Transform(ex.store.Dataset.Raw[i], ex.ctx)
-	if err != nil {
-		return fmt.Errorf("engine: lazy transform unit %d: %w", i, err)
-	}
-	ex.rows[i] = r
-	ex.lazy[i] = true
-	return nil
 }
 
 // opsSumRange accumulates the Computer's per-unit op estimate over units
@@ -123,7 +106,8 @@ func (ex *executor) transformRow(i int) error {
 // add per row, keeping the sum bit-identical to the naive per-row loop.
 func (ex *executor) opsSumRange(lo, hi int) float64 {
 	var ops float64
-	if m := ex.mat; m != nil && m.IsDense() {
+	m := ex.mat
+	if m.IsDense() {
 		per := ex.plan.Computer.Ops(m.Stride())
 		for i := lo; i < hi; i++ {
 			ops += per
@@ -131,7 +115,7 @@ func (ex *executor) opsSumRange(lo, hi int) float64 {
 		return ops
 	}
 	for i := lo; i < hi; i++ {
-		ops += ex.plan.Computer.Ops(ex.rowNNZ(i))
+		ops += ex.plan.Computer.Ops(m.RowNNZ(i))
 	}
 	return ops
 }
@@ -140,7 +124,8 @@ func (ex *executor) opsSumRange(lo, hi int) float64 {
 // batches), with the same dense hoist and the same add-per-row order.
 func (ex *executor) opsSumIdx(idx []int) float64 {
 	var ops float64
-	if m := ex.mat; m != nil && m.IsDense() {
+	m := ex.mat
+	if m.IsDense() {
 		per := ex.plan.Computer.Ops(m.Stride())
 		for range idx {
 			ops += per
@@ -148,36 +133,32 @@ func (ex *executor) opsSumIdx(idx []int) float64 {
 		return ops
 	}
 	for _, i := range idx {
-		ops += ex.plan.Computer.Ops(ex.rowNNZ(i))
+		ops += ex.plan.Computer.Ops(m.RowNNZ(i))
 	}
 	return ops
 }
 
 // costComputeCPU charges one compute task's CPU cost: the per-block
 // amortized unit overhead (Sim.CostCompute, see the calibration table at
-// cluster.ComputeUnitOverheadFrac) when this pass actually executes
-// blocked, the full per-row overhead (Sim.CostCPU) otherwise. The
-// eligibility mirrors computeSpan exactly — a BatchComputer still runs (and
-// is billed) row by row when the pass reads a custom-transformer row memo
-// instead of the arena, or when the computer is randomized. transform is
-// the pass's lazy-scan flag.
-func (ex *executor) costComputeCPU(units int, ops float64, transform bool) cluster.Seconds {
-	if ex.batch != nil && ex.mat != nil && !(transform && ex.lazy != nil) {
-		if _, randomized := ex.plan.Computer.(gd.RandomizedComputer); !randomized {
-			if ex.fast {
-				return ex.sim.CostComputeFast(units, ops)
-			}
-			return ex.sim.CostCompute(units, ops)
-		}
+// cluster.ComputeUnitOverheadFrac) when the run executes blocked, the full
+// per-row overhead (Sim.CostCPU) otherwise — the same ex.batch test
+// computeSpan dispatches on.
+func (ex *executor) costComputeCPU(units int, ops float64) cluster.Seconds {
+	switch {
+	case ex.batch == nil:
+		return ex.sim.CostCPU(units, ops)
+	case ex.fast:
+		return ex.sim.CostComputeFast(units, ops)
+	default:
+		return ex.sim.CostCompute(units, ops)
 	}
-	return ex.sim.CostCPU(units, ops)
 }
 
 // parseCost returns the simulated CPU cost of (re-)parsing unit i, charged
-// per touch under lazy transformation regardless of memoization — lazy
-// physically re-parses every sampled unit each time it is drawn.
+// per touch under lazy transformation — lazy physically re-parses every
+// sampled unit each time it is drawn.
 func (ex *executor) parseCost(i int) cluster.Seconds {
-	return ex.sim.CostParse(1, int64(len(ex.store.Dataset.Raw[i]))+1)
+	return ex.sim.CostParse(1, ex.store.Dataset.UnitBytes(i))
 }
 
 // passPartials returns the nspans zeroed per-task accumulators of a pass
@@ -216,11 +197,9 @@ func (ex *executor) passPartials(acc linalg.Vector, nspans int) []linalg.Vector 
 // by idx (nil means identity — position IS the unit index), each task
 // accumulating into its own slice of the accumulator arena, and folds the
 // partials into acc — which must be zero on entry — with an ordered tree
-// reduction (a single span accumulates into acc itself). When transform is set
-// (lazy full scans) workers parse-and-memoize on the fly; spans must then
-// address disjoint unit ranges. The context guard enforces the gd.Computer
-// contract around the whole pass.
-func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int, transform bool) error {
+// reduction (a single span accumulates into acc itself). The context guard
+// enforces the gd.Computer contract around the whole pass.
+func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int) error {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -234,13 +213,14 @@ func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int, tran
 		// task closure, no pool. Panic isolation still applies: a UDF blowing
 		// up here must fail the run, not the process, same as on the pool.
 		for task := 0; task < len(spans); task++ {
-			if err = ex.safeComputeSpan(task, spans, partials, idx, transform); err != nil {
+			if err = ex.safeComputeSpan(task, spans, partials, idx); err != nil {
 				break
 			}
 		}
 	} else {
 		err = ex.runTasks(len(spans), func(task int) error {
-			return ex.computeSpan(task, spans, partials, idx, transform)
+			ex.computeSpan(task, spans, partials, idx)
+			return nil
 		})
 	}
 	if err == nil {
@@ -253,73 +233,48 @@ func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int, tran
 }
 
 // computeSpan executes one compute-pass task: the plan's Computer over every
-// position of spans[task], accumulating into partials[task]. On the stock
-// arena path with a batch-capable Computer the span is carved into
-// fixed-size row blocks (ex.blockSize, boundaries derived from the span
-// alone — never from workers) and executed one devirtualized ComputeBlock
-// call per block; the per-row loops below remain for custom transformers,
-// randomized computers and non-batch Computer UDFs, and produce bit-identical
-// accumulators (the BatchComputer contract the block property test pins).
-func (ex *executor) computeSpan(task int, spans []span, partials []linalg.Vector, idx []int, transform bool) error {
-	plan, ctx := ex.plan, ex.ctx
+// position of spans[task], accumulating into partials[task]. With a
+// batch-capable Computer the span is carved into fixed-size row blocks
+// (ex.blockSize, boundaries derived from the span alone — never from
+// workers) and executed one devirtualized ComputeBlock call per block; the
+// per-row loop below is for randomized computers and non-batch Computer UDFs,
+// and produces bit-identical accumulators (the BatchComputer contract the
+// block property test pins).
+func (ex *executor) computeSpan(task int, spans []span, partials []linalg.Vector, idx []int) {
+	ctx, mat := ex.ctx, ex.mat
 	part := partials[task]
-	rc, randomized := plan.Computer.(gd.RandomizedComputer)
-	var rng *rand.Rand
-	if randomized {
-		rng = ex.shardRNG(ctx.Iter, task)
-	}
 	sp := spans[task]
-	// Lazy plans on the stock transformer read the arena directly — there is
-	// no memo to fill, so the transform step degenerates to a no-op and the
-	// fast paths below stay eligible.
-	transform = transform && ex.lazy != nil
-	if mat := ex.mat; mat != nil && !transform && !randomized {
-		if bc := ex.batch; bc != nil {
-			// Blocked stock path: one kernel call per row block.
-			for lo := sp.lo; lo < sp.hi; lo += ex.blockSize {
-				hi := lo + ex.blockSize
-				if hi > sp.hi {
-					hi = sp.hi
-				}
-				var blk data.Block
-				if idx == nil {
-					blk = mat.Block(lo, hi)
-				} else {
-					blk = mat.GatherBlock(idx[lo:hi])
-				}
-				bc.ComputeBlock(blk, ctx, part)
+	if bc := ex.batch; bc != nil {
+		for lo := sp.lo; lo < sp.hi; lo += ex.blockSize {
+			hi := lo + ex.blockSize
+			if hi > sp.hi {
+				hi = sp.hi
 			}
-			return nil
+			var blk data.Block
+			if idx == nil {
+				blk = mat.Block(lo, hi)
+			} else {
+				blk = mat.GatherBlock(idx[lo:hi])
+			}
+			bc.ComputeBlock(blk, ctx, part)
 		}
-		// Per-row stock path: straight arena scan, no memo/RNG branch.
-		if idx == nil {
-			for pos := sp.lo; pos < sp.hi; pos++ {
-				plan.Computer.Compute(mat.Row(pos), ctx, part)
-			}
-		} else {
-			for pos := sp.lo; pos < sp.hi; pos++ {
-				plan.Computer.Compute(mat.Row(idx[pos]), ctx, part)
-			}
-		}
-		return nil
+		return
+	}
+	var rng *rand.Rand
+	if ex.randomized != nil {
+		rng = ex.shardRNG(ctx.Iter, task)
 	}
 	for pos := sp.lo; pos < sp.hi; pos++ {
 		i := pos
 		if idx != nil {
 			i = idx[pos]
 		}
-		if transform {
-			if err := ex.transformRow(i); err != nil {
-				return err
-			}
-		}
-		if randomized {
-			rc.ComputeRand(ex.row(i), ctx, part, rng)
+		if ex.randomized != nil {
+			ex.randomized.ComputeRand(mat.Row(i), ctx, part, rng)
 		} else {
-			plan.Computer.Compute(ex.row(i), ctx, part)
+			ex.plan.Computer.Compute(mat.Row(i), ctx, part)
 		}
 	}
-	return nil
 }
 
 // iteration runs Sample (optional) + Transform (if lazy) + Compute for one
@@ -368,23 +323,19 @@ func (ex *executor) iteration() (linalg.Vector, error) {
 // partition (reads plus per-unit parse under lazy plus CPU), in partition
 // order — the identical sim call sequence a serial run issues.
 func (ex *executor) computeFull(acc linalg.Vector) error {
-	plan := ex.plan
-	lazy := plan.Transform == gd.Lazy
-	if lazy {
-		ex.ensureLazyBuffers()
-	}
+	lazy := ex.plan.Transform == gd.Lazy
 	if ex.fullSpans == nil {
 		ex.fullSpans = make([]span, len(ex.shards))
 		for s, sh := range ex.shards {
 			ex.fullSpans[s] = span{lo: sh.Lo, hi: sh.Hi}
 		}
 	}
-	if err := ex.computePass(acc, ex.fullSpans, nil, lazy); err != nil {
+	if err := ex.computePass(acc, ex.fullSpans, nil); err != nil {
 		return err
 	}
 
-	// Ops is a pure function of a unit's nnz and a full pass leaves every
-	// unit parsed, so the per-partition ops sums are iteration-invariant:
+	// Ops is a pure function of a unit's nnz, so the per-partition ops sums
+	// are iteration-invariant:
 	// compute them once on the first full pass and reuse them after,
 	// keeping the driver's per-iteration cost loop O(partitions) instead of
 	// O(units) for eager plans. (Lazy plans still charge the per-touch
@@ -404,7 +355,7 @@ func (ex *executor) computeFull(acc linalg.Vector) error {
 		if cacheOps {
 			ex.opsByPart[pi] = ex.opsSumRange(p.Lo, p.Hi)
 		}
-		c += ex.costComputeCPU(p.Units(), ex.opsByPart[pi], lazy)
+		c += ex.costComputeCPU(p.Units(), ex.opsByPart[pi])
 		costs = append(costs, c)
 	}
 	ex.costBuf = costs
@@ -423,68 +374,21 @@ func (ex *executor) computeFull(acc linalg.Vector) error {
 	return nil
 }
 
-// parseBatch memoizes every not-yet-parsed unit a sampled batch touches,
-// fanning the parsing out over the pool. Deduplication keeps the parallel
-// writes disjoint: a batch may draw the same unit twice (random-partition
-// sampling does), and two tasks must not both write its memo slot.
-func (ex *executor) parseBatch(idx []int) error {
-	if ex.lazy == nil {
-		return nil // stock transformer: the dataset arena is read directly
-	}
-	var need []int
-	seen := make(map[int]struct{}, len(idx))
-	for _, i := range idx {
-		if ex.lazy[i] {
-			continue
-		}
-		if _, dup := seen[i]; dup {
-			continue
-		}
-		seen[i] = struct{}{}
-		need = append(need, i)
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	guard := ex.ctx.Guard()
-	spans := ex.chunkSpans(len(need), batchChunkTarget)
-	err := ex.runTasks(len(spans), func(task int) error {
-		sp := spans[task]
-		for pos := sp.lo; pos < sp.hi; pos++ {
-			if err := ex.transformRow(need[pos]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return guard.Check(ex.ctx)
-}
-
-// computeBatch runs Compute over the sampled unit indices: lazy parsing
-// first (deduplicated, pooled), then the numeric pass over stable chunks of
-// the batch, then cost charging. Placement follows the batch's byte size:
-// small batches run on the driver (after shipping the sampled units there),
-// large ones run as distributed tasks grouped by partition.
+// computeBatch runs Compute over the sampled unit indices: the numeric pass
+// over stable chunks of the batch, then cost charging. Placement follows the
+// batch's byte size: small batches run on the driver (after shipping the
+// sampled units there), large ones run as distributed tasks grouped by
+// partition.
 func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
-	plan := ex.plan
-	lazy := plan.Transform == gd.Lazy
-	if lazy {
-		ex.ensureLazyBuffers()
-		if err := ex.parseBatch(idx); err != nil {
-			return err
-		}
-	}
+	lazy := ex.plan.Transform == gd.Lazy
 	spans := ex.chunkSpans(len(idx), batchChunkTarget)
-	if err := ex.computePass(acc, spans, idx, false); err != nil {
+	if err := ex.computePass(acc, spans, idx); err != nil {
 		return err
 	}
 
 	var batchBytes int64
 	for _, i := range idx {
-		batchBytes += int64(len(ex.store.Dataset.Raw[i])) + 1
+		batchBytes += ex.store.Dataset.UnitBytes(i)
 	}
 	if !ex.distributedInput(batchBytes) {
 		// Centralized: sampled units travel to the driver, then one task.
@@ -495,7 +399,7 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 				cpu += ex.parseCost(i)
 			}
 		}
-		cpu += ex.costComputeCPU(len(idx), ex.opsSumIdx(idx), false)
+		cpu += ex.costComputeCPU(len(idx), ex.opsSumIdx(idx))
 		ex.sim.RunLocal(cpu)
 		return nil
 	}
@@ -524,7 +428,7 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 				c += ex.parseCost(i)
 			}
 		}
-		c += ex.costComputeCPU(len(byPart[pid]), ex.opsSumIdx(byPart[pid]), false)
+		c += ex.costComputeCPU(len(byPart[pid]), ex.opsSumIdx(byPart[pid]))
 		costs = append(costs, c)
 	}
 	ex.costBuf = costs

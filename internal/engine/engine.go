@@ -8,13 +8,14 @@
 //
 // Since the parallel-executor refactor the numeric work is also physically
 // parallel: the Compute phase (including the line-search loss passes and SVRG
-// snapshot sweeps, which are Compute passes) and the eager Transform phase
-// run on a worker pool (Options.Workers, default GOMAXPROCS) over stable
-// shards of the dataset, each shard into its own accumulator, reduced with an
-// ordered tree. Cost charging stays on the driver goroutine in a fixed order,
-// so the simulated clock, accounting and all numeric results are bit-identical
-// for every worker count — Workers only changes wall-clock speed. See
-// DESIGN.md for the full simulated-time vs real-work split.
+// snapshot sweeps, which are Compute passes) and a custom Transformer's
+// materialization run on a worker pool (Options.Workers, default GOMAXPROCS)
+// over stable shards of the dataset, each shard into its own accumulator (or
+// arena), reduced (or merged) in shard order. Cost charging stays on the
+// driver goroutine in a fixed order, so the simulated clock, accounting and
+// all numeric results are bit-identical for every worker count — Workers only
+// changes wall-clock speed. See DESIGN.md for the full simulated-time vs
+// real-work split.
 package engine
 
 import (
@@ -42,14 +43,10 @@ type Options struct {
 	// Seed drives the run's sampling RNG. Zero means seed 1.
 	Seed int64
 
-	// CollectWeightsTrace, when true, snapshots the weight vector after
-	// every iteration (used by curve-fit figures; costs memory).
-	CollectWeightsTrace bool
-
-	// Workers sizes the real worker pool the Compute and eager-Transform
-	// phases execute on (line-search loss passes are Compute passes; model
-	// evaluation in package metrics is outside the engine and stays
-	// serial). 0 (the default) means runtime.GOMAXPROCS(0);
+	// Workers sizes the real worker pool the Compute phase and a custom
+	// Transformer's materialization execute on (line-search loss passes are
+	// Compute passes; model evaluation in package metrics is outside the
+	// engine and stays serial). 0 (the default) means runtime.GOMAXPROCS(0);
 	// 1 forces the serial path. The engine guarantees bit-identical results
 	// (weights, iteration counts, deltas, simulated time, accounting) for
 	// every worker count: shard boundaries never depend on Workers and
@@ -133,7 +130,6 @@ type Result struct {
 	FinalDelta float64
 	Time       cluster.Seconds // simulated training time
 	Deltas     []float64       // per-iteration convergence deltas (error sequence)
-	Trace      []linalg.Vector // optional per-iteration weights
 	Acct       cluster.Accounting
 }
 
@@ -169,12 +165,14 @@ type executor struct {
 	workers int
 	shards  []storage.Shard
 
-	// batch is the plan's Computer when it implements the blocked compute
-	// extension (all stock computers do), resolved once per run; nil keeps
-	// the per-row path. blockSize is the row-block width of the blocked
-	// path (Options.BlockSize, default 512).
-	batch     gd.BatchComputer
-	blockSize int
+	// batch is the plan's Computer when the run executes blocked (all stock
+	// computers do), resolved once per run; nil keeps the per-row path, which
+	// calls randomized instead of Compute when the Computer takes per-shard
+	// randomness. blockSize is the row-block width of the blocked path
+	// (Options.BlockSize, default 512).
+	batch      gd.BatchComputer
+	randomized gd.RandomizedComputer
+	blockSize  int
 
 	// fast is set when the blocked path will actually dispatch the
 	// fast-math kernel tier (gd.KernelTier resolved gd.FastTier); the cost loop
@@ -185,15 +183,11 @@ type executor struct {
 	sampler sampling.Sampler
 	senv    *sampling.Env
 
-	// The transformed data the processing phase reads. With a stock
-	// transformer the engine reads the dataset's columnar arena directly
-	// (mat) — zero copies, zero per-row objects. Custom Transform UDFs
-	// materialize standalone rows into the rows memo instead: all of them
-	// after an eager transform, or on first touch under lazy transformation
-	// (every iteration charged).
-	mat  *data.Matrix
-	rows []data.Row
-	lazy []bool // under lazy transform: which indices are parsed already
+	// mat is the transformed data every numeric phase reads, never nil once
+	// the trainer is handed out: the dataset's own columnar arena under a
+	// stock transformer (zero copies), the arena materialize built from a
+	// custom Transform UDF's rows otherwise.
+	mat *data.Matrix
 
 	// opsByPart caches the per-partition Ops sums after the first full
 	// pass; see computeFull.
@@ -222,23 +216,6 @@ type executor struct {
 	workFn        func()
 }
 
-// row returns the transformed data unit i as a zero-copy row view.
-func (ex *executor) row(i int) data.Row {
-	if ex.mat != nil {
-		return ex.mat.Row(i)
-	}
-	return ex.rows[i]
-}
-
-// rowNNZ returns the stored-value count of unit i (an O(1) offsets lookup on
-// the arena path), used by per-unit cost accounting.
-func (ex *executor) rowNNZ(i int) int {
-	if ex.mat != nil {
-		return ex.mat.RowNNZ(i)
-	}
-	return ex.rows[i].NNZ()
-}
-
 // stage runs the Stage operator on the driver, optionally feeding it a small
 // sample of (parsed) units per Figure 3(b).
 func (ex *executor) stage() error {
@@ -255,7 +232,7 @@ func (ex *executor) stage() error {
 				return fmt.Errorf("engine: staging sample: %w", err)
 			}
 			sample = append(sample, u)
-			bytes += int64(len(ex.store.Dataset.Raw[i])) + 1
+			bytes += ex.store.Dataset.UnitBytes(i)
 		}
 		ex.sim.RunLocal(ex.sim.CostParse(m, bytes))
 	}
@@ -265,8 +242,8 @@ func (ex *executor) stage() error {
 
 // stockTransformer reports whether the plan uses the unmodified format
 // transformer for the dataset's own format, in which case re-parsing Raw is
-// guaranteed to reproduce the dataset's columnar arena and the engine reads
-// it directly (cost is charged identically either way).
+// guaranteed to reproduce the dataset's columnar arena and the engine adopts
+// it instead (cost is charged identically either way).
 func (ex *executor) stockTransformer() bool {
 	ft, ok := ex.plan.Transformer.(gd.FormatTransformer)
 	return ok && ft.Format == ex.store.Dataset.Format

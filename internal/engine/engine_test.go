@@ -262,15 +262,18 @@ func TestLineSearchImprovesObjectiveMonotonically(t *testing.T) {
 	p.MaxIter = 40
 	plan := gd.NewLineSearchBGD(p, 0.5)
 	sim := cluster.New(noJitterCfg())
-	res, err := Run(sim, st, &plan, Options{Seed: 4, CollectWeightsTrace: true})
+	tr, err := NewTrainer(sim, st, &plan, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := gradients.Logistic{}
 	reg := gradients.L2{Lambda: p.Lambda}
 	prev := math.Inf(1)
-	for i, w := range res.Trace {
-		obj := gradients.Objective(g, reg, w, ds.Rows())
+	for i := 0; !tr.Done(); i++ {
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+		obj := gradients.Objective(g, reg, tr.Finish().Weights, ds.Rows())
 		if obj > prev+1e-12 {
 			t.Fatalf("objective increased at pass %d: %g -> %g", i, prev, obj)
 		}

@@ -138,45 +138,6 @@ func TestStageErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestCustomTransformerActuallyRuns guards the stock-transformer shortcut:
-// a non-stock transformer must be invoked for real, not bypassed.
-type doublingTransformer struct{ inner gd.Transformer }
-
-func (d doublingTransformer) Transform(raw string, ctx *gd.Context) (data.Row, error) {
-	u, err := d.inner.Transform(raw, ctx)
-	if err != nil {
-		return u, err
-	}
-	u.Label *= 2
-	return u, nil
-}
-
-func TestCustomTransformerActuallyRuns(t *testing.T) {
-	ds := smallDataset(t, 100)
-	st := buildStore(t, ds, 4<<10)
-	p := testParams(ds)
-	p.MaxIter = 5
-	p.Tolerance = 1e-12
-
-	stock := gd.NewBGD(p)
-	simA := cluster.New(noJitterCfg())
-	resStock, err := Run(simA, st, &stock, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	custom := gd.NewBGD(p)
-	custom.Transformer = doublingTransformer{inner: gd.FormatTransformer{Format: ds.Format}}
-	simB := cluster.New(noJitterCfg())
-	resCustom, err := Run(simB, st, &custom, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resStock.Weights.Equal(resCustom.Weights, 1e-12) {
-		t.Fatal("custom transformer was bypassed: identical weights")
-	}
-}
-
 // TestBudgetZeroMeansUnbounded: a zero time budget must not stop the run.
 func TestBudgetZeroMeansUnbounded(t *testing.T) {
 	ds := smallDataset(t, 50)

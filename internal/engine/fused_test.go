@@ -200,9 +200,10 @@ func TestFusedStepDivergesOnTheSameIteration(t *testing.T) {
 	}
 }
 
-// parentTrainState is engine.TrainState as the parent commit wrote it: the
-// same fields plus Prev, the copy of the previous iterate the trainer used
-// to carry.
+// parentTrainState is engine.TrainState as the commit before the fused step
+// wrote it: the same fields plus Prev, the copy of the previous iterate the
+// trainer used to carry. (Blobs with the fields deleted after that are real
+// ones, see TestResumeFromParentWrittenCheckpoint.)
 type parentTrainState struct {
 	PlanName string
 	Seed     int64
@@ -214,24 +215,21 @@ type parentTrainState struct {
 	Prev       linalg.Vector
 	Vars       map[string]any
 	Deltas     []float64
-	Trace      []linalg.Vector
 	FinalDelta float64
 	Converged  bool
 	Budgeted   bool
 	Diverged   bool
 	Done       bool
 
-	RNGDraws   uint64
-	UnitsReady bool
-	Lazy       []bool
-	OpsByPart  []float64
-	Sampler    []int
+	RNGDraws  uint64
+	OpsByPart []float64
+	Sampler   []int
 
 	StartClock cluster.Seconds
 	Sim        cluster.SimState
 }
 
-// encodeAsParent serializes st the way the parent commit did.
+// encodeAsParent serializes st the way that commit did.
 func encodeAsParent(t *testing.T, st *engine.TrainState) []byte {
 	t.Helper()
 	var old parentTrainState

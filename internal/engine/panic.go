@@ -42,11 +42,12 @@ func safeCall(fn func(task int) error, i int) (err error) {
 // safeComputeSpan is computeSpan behind the same recovery boundary, for
 // computePass's inline serial fast path (which skips runTasks and would
 // otherwise let a UDF panic unwind through the driver).
-func (ex *executor) safeComputeSpan(task int, spans []span, partials []linalg.Vector, idx []int, transform bool) (err error) {
+func (ex *executor) safeComputeSpan(task int, spans []span, partials []linalg.Vector, idx []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Op: fmt.Sprintf("task %d", task), Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return ex.computeSpan(task, spans, partials, idx, transform)
+	ex.computeSpan(task, spans, partials, idx)
+	return nil
 }

@@ -33,7 +33,7 @@ func (p panicComputer) AccDim(d int) int    { return p.inner.AccDim(d) }
 func (p panicComputer) Ops(nnz int) float64 { return p.inner.Ops(nnz) }
 
 // panicTransformer is a user-defined Transform operator that panics on one
-// unit, exercising the eager-transform fan-out path.
+// unit, exercising the materialize fan-out path.
 type panicTransformer struct {
 	inner gd.Transformer
 	n     *atomic.Int64

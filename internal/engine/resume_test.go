@@ -43,8 +43,8 @@ func resumeDataset(t testing.TB, task data.TaskKind) *storage.Store {
 }
 
 // wrapTransformer hides the stock FormatTransformer behind a distinct type,
-// forcing the engine down the real parse-and-memoize path (the stock
-// transformer reuses the dataset's pre-parsed units instead).
+// forcing the engine to run it over the raw units into an arena of its own
+// (the stock transformer's output is the dataset's arena, adopted as is).
 type wrapTransformer struct{ inner gd.Transformer }
 
 func (w wrapTransformer) Transform(raw string, ctx *gd.Context) (data.Row, error) {
@@ -54,7 +54,7 @@ func (w wrapTransformer) Transform(raw string, ctx *gd.Context) (data.Row, error
 // resumePlans returns the representative plan set for one task: BGD, the
 // sampled SGD/MGD corners (eager+bernoulli, eager+random, lazy+shuffle), the
 // stateful-context variants (SVRG, line-search BGD), and a lazy plan with a
-// non-stock transformer exercising memo rebuild on resume.
+// non-stock transformer exercising the arena rebuild on resume.
 func resumePlans(task data.TaskKind, format data.Format) []gd.Plan {
 	p := gd.Params{Task: task, Format: format, Tolerance: 1e-9, MaxIter: 36, BatchSize: 220}
 	plans := []gd.Plan{

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"ml4all/internal/cluster"
-	"ml4all/internal/data"
 	"ml4all/internal/gd"
 	"ml4all/internal/linalg"
 	"ml4all/internal/sampling"
@@ -17,16 +16,16 @@ import (
 // everything a fresh process needs to continue the run bit-identically.
 // Model state (weights, operator context variables), loop state (iteration
 // counter, delta history, termination flags), physical-execution state (the
-// sampling RNG position as a draw count, the lazy-transform memo, the
-// per-partition op-cost cache, the shuffled-partition sampler queue) and the
-// simulator snapshot (clock, accounting, jitter position, cache residency)
-// are all captured by value. The data units themselves are NOT serialized —
-// they are reproduced on Resume by re-running the (deterministic) Transform
-// UDF over the same raw dataset, which is why a resumed run needs the same
-// store the checkpointed run used. Neither is the previous iterate: between
-// Steps it equals Weights (see Trainer.prev), so a checkpoint written when it
-// still was a field (Prev) resumes to the same weights — gob drops the
-// unknown field.
+// sampling RNG position as a draw count, the per-partition op-cost cache, the
+// shuffled-partition sampler queue) and the simulator snapshot (clock,
+// accounting, jitter position, cache residency) are all captured by value.
+// The data units themselves are NOT serialized — they are the store's arena,
+// or reproduced on Resume by re-running the (deterministic) Transform UDF
+// over the same raw dataset, which is why a resumed run needs the same store
+// the checkpointed run used. Neither is the previous iterate: between Steps
+// it equals Weights (see Trainer.prev). A checkpoint written when Prev, the
+// lazy-transform memo or the per-iteration weights trace still were fields
+// resumes to the same run — gob drops unknown fields.
 type TrainState struct {
 	PlanName string
 	Seed     int64
@@ -38,7 +37,6 @@ type TrainState struct {
 	Weights    linalg.Vector
 	Vars       map[string]any
 	Deltas     []float64
-	Trace      []linalg.Vector
 	FinalDelta float64
 	Converged  bool
 	Budgeted   bool
@@ -46,11 +44,9 @@ type TrainState struct {
 	Done       bool
 
 	// Physical-execution state.
-	RNGDraws   uint64 // sampling-stream position: draws consumed since seeding
-	UnitsReady bool   // whether the unit memo existed at checkpoint time
-	Lazy       []bool // lazy-transform memo: which units are parsed
-	OpsByPart  []float64
-	Sampler    []int // shuffled-partition queue; nil for stateless samplers
+	RNGDraws  uint64 // sampling-stream position: draws consumed since seeding
+	OpsByPart []float64
+	Sampler   []int // shuffled-partition queue; nil for stateless samplers
 
 	// Simulator state.
 	StartClock cluster.Seconds // sim clock at trainer start (Time baseline)
@@ -117,14 +113,9 @@ func (t *Trainer) Checkpoint() (*TrainState, error) {
 		Diverged:   t.res.Diverged,
 		Done:       t.done,
 		RNGDraws:   t.rngDraws(),
-		UnitsReady: t.ex.mat != nil || t.ex.rows != nil,
-		Lazy:       append([]bool(nil), t.ex.lazy...),
 		OpsByPart:  append([]float64(nil), t.ex.opsByPart...),
 		StartClock: t.start,
 		Sim:        t.sim.Snapshot(),
-	}
-	for _, w := range t.res.Trace {
-		st.Trace = append(st.Trace, w.Clone())
 	}
 	if sp, ok := t.ex.sampler.(sampling.Stateful); ok {
 		st.Sampler = sp.StateSnapshot()
@@ -135,17 +126,14 @@ func (t *Trainer) Checkpoint() (*TrainState, error) {
 // Resume reconstructs a Trainer from a checkpoint on a fresh simulator built
 // from the same cluster configuration, continuing the run bit-identically:
 // the simulator is rewound to the snapshot, the RNG stream is fast-forwarded
-// to its recorded position, and the unit memo is reproduced by re-running
-// the plan's Transform over the store's raw data (charging nothing — the
-// restored clock already includes those costs). The plan must be the one the
+// to its recorded position, and a custom Transformer's arena is reproduced by
+// re-running it over the store's raw data (charging nothing — the restored
+// clock already includes those costs). The plan must be the one the
 // checkpoint was taken from and the store must hold the same dataset and
 // layout; Options.Seed is ignored in favor of the checkpoint's.
 func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options, st *TrainState) (*Trainer, error) {
 	if plan.Name() != st.PlanName {
 		return nil, fmt.Errorf("engine: resuming %s checkpoint with plan %s", st.PlanName, plan.Name())
-	}
-	if st.Lazy != nil && len(st.Lazy) != store.Dataset.N() {
-		return nil, fmt.Errorf("engine: checkpoint memo covers %d units, store holds %d", len(st.Lazy), store.Dataset.N())
 	}
 	if len(st.Weights) != store.Dataset.NumFeatures {
 		return nil, fmt.Errorf("engine: checkpoint weights have %d features, store dataset has %d",
@@ -172,7 +160,7 @@ func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options,
 		ctx.Vars = map[string]any{}
 	}
 
-	if err := t.ex.rebuildRows(st); err != nil {
+	if err := t.ex.materialize(); err != nil {
 		return nil, err
 	}
 	t.ex.opsByPart = append([]float64(nil), st.OpsByPart...)
@@ -195,51 +183,8 @@ func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options,
 		Budgeted:   st.Budgeted,
 		Diverged:   st.Diverged,
 	}
-	for _, w := range st.Trace {
-		t.res.Trace = append(t.res.Trace, w.Clone())
-	}
 	t.done = st.Done
 	return t, nil
-}
-
-// rebuildRows reproduces the executor's transformed data from a checkpoint:
-// with a stock transformer the dataset's columnar arena is adopted directly
-// (nothing to re-parse); custom UDFs physically re-run (Transform UDFs are
-// required to be deterministic functions of the raw unit). No simulated cost
-// is charged either way — the restored clock already paid for every parse
-// the original run performed.
-func (ex *executor) rebuildRows(st *TrainState) error {
-	if !st.UnitsReady {
-		return nil // checkpoint predates any transform; lazy init will run
-	}
-	if ex.stockTransformer() {
-		ex.mat = ex.store.Dataset.Mat
-		ex.lazy = append([]bool(nil), st.Lazy...)
-		return nil
-	}
-	ds := ex.store.Dataset
-	ex.rows = make([]data.Row, ds.N())
-	ex.lazy = append([]bool(nil), st.Lazy...)
-	guard := ex.ctx.Guard()
-	parsed := func(i int) bool { return ex.lazy == nil || ex.lazy[i] }
-	err := ex.runTasks(len(ex.shards), func(task int) error {
-		sh := ex.shards[task]
-		for i := sh.Lo; i < sh.Hi; i++ {
-			if !parsed(i) {
-				continue
-			}
-			r, err := ex.plan.Transformer.Transform(ds.Raw[i], ex.ctx)
-			if err != nil {
-				return fmt.Errorf("engine: rebuilding unit %d: %w", i, err)
-			}
-			ex.rows[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return guard.Check(ex.ctx)
 }
 
 // cloneVars copies a context-variable map, cloning vector values so the copy

@@ -17,7 +17,7 @@ import (
 //	New → Step* → (Checkpoint → Resume → Step* | Switch → Step*)* → Finish
 //
 // where NewTrainer performs everything up to the first iteration (job init,
-// Stage, eager Transform, sampler construction), each Step executes exactly
+// Stage, Transform, sampler construction), each Step executes exactly
 // one plan iteration, and Finish assembles the Result. Run is a thin loop
 // over Step, so a Trainer driven to completion is bit-identical to the
 // monolithic loop it replaced — same weights, deltas, simulated time and
@@ -27,8 +27,10 @@ import (
 // stream, accounting — captured by cluster.Sim.Snapshot) or in the fields
 // Checkpoint serializes into a TrainState: weights and operator context
 // variables, the iteration counter, the sampling RNG position (a draw count
-// over a seeded stream), the lazy-transform memo, the per-partition op-cost
-// cache, the delta history and the clock offset the run started at.
+// over a seeded stream), the per-partition op-cost cache, the delta history
+// and the clock offset the run started at. The transformed data is not state:
+// it is the dataset's arena, or a custom Transformer's output rebuilt from
+// the raw units on Resume.
 type Trainer struct {
 	sim   *cluster.Sim
 	store *storage.Store
@@ -56,8 +58,9 @@ type Trainer struct {
 }
 
 // NewTrainer validates the plan and performs the pre-loop phases on sim:
-// job init, Stage, eager Transform, and sampler construction. The returned
-// Trainer is ready for Step.
+// job init, Stage, Transform (a custom Transformer runs over every unit here,
+// so its errors surface now; only an eager plan is charged for it now), and
+// sampler construction. The returned Trainer is ready for Step.
 func NewTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options) (*Trainer, error) {
 	return startTrainer(sim, store, plan, opts, nil)
 }
@@ -91,10 +94,11 @@ func startTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Op
 		t.ex.ctx.Weights = from.ex.ctx.Weights.Clone()
 		t.ex.ctx.Iter = from.ex.ctx.Iter
 	}
+	if err := t.ex.materialize(); err != nil {
+		return nil, err
+	}
 	if plan.Transform == gd.Eager {
-		if err := t.ex.eagerTransform(); err != nil {
-			return nil, err
-		}
+		t.ex.eagerTransform()
 	}
 	if err := t.initSampler(); err != nil {
 		return nil, err
@@ -108,8 +112,9 @@ func startTrainer(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Op
 }
 
 // newTrainerShell builds the trainer and executor skeleton shared by
-// NewTrainer and Resume: defaults, context, shards, RNG stream — everything
-// that involves no simulated work.
+// NewTrainer and Resume: defaults, context, shards, the dataset's arena when
+// the transformer is the stock one — everything that involves no simulated
+// work and runs no UDF.
 func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options) (*Trainer, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -156,12 +161,16 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 		blockSize: blockSize,
 		costBuf:   make([]cluster.Seconds, 0, store.NumPartitions()),
 	}
-	// Resolve the compute tier once. Custom Computer UDFs and stock
-	// computers wrapping a custom Gradient without block kernels resolve to
-	// gd.RowTier and leave batch nil: the span loop stays row-at-a-time and
-	// cost charging stays at the full per-row overhead, keeping execution
-	// and billing consistent.
-	if tier := gd.KernelTier(plan.Computer, opts.FastMath); tier != gd.RowTier {
+	if t.ex.stockTransformer() {
+		t.ex.mat = ds.Mat
+	}
+	// Resolve the compute tier once. Custom Computer UDFs, stock computers
+	// wrapping a custom Gradient without block kernels (gd.RowTier) and
+	// randomized computers (their noise is drawn per row) leave batch nil:
+	// the span loop stays row-at-a-time and cost charging stays at the full
+	// per-row overhead, keeping execution and billing consistent.
+	t.ex.randomized, _ = plan.Computer.(gd.RandomizedComputer)
+	if tier := gd.KernelTier(plan.Computer, opts.FastMath); tier != gd.RowTier && t.ex.randomized == nil {
 		t.ex.batch = plan.Computer.(gd.BatchComputer)
 		t.ex.fast = tier == gd.FastTier
 	}
@@ -274,9 +283,6 @@ func (t *Trainer) Step() error {
 		finite = wNew.IsFinite()
 	}
 	res.Deltas = append(res.Deltas, delta)
-	if t.opts.CollectWeightsTrace {
-		res.Trace = append(res.Trace, wNew.Clone())
-	}
 	res.FinalDelta = delta
 	t.copyPrev = len(wOld) > 0 && len(wNew) > 0 && &wOld[0] == &wNew[0]
 	if !t.copyPrev {

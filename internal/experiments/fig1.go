@@ -18,7 +18,6 @@ import (
 // draw yields an exact zero delta), so this experiment uses the datasets'
 // Table 2 tasks (logistic regression) for adult/covtype, which preserves the
 // figure's claim — different winners per dataset — without the degeneracy.
-// EXPERIMENTS.md records the substitution.
 func Fig1(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	r := &Report{

@@ -77,6 +77,6 @@ func Fig10(cfg Config) (*Report, error) {
 		}
 	}
 	r.Note("both ML4all plans beat MLlib on %d/%d cells", wins, cells)
-	r.Note("sweeps scaled 1/%d; see EXPERIMENTS.md for the mapping to paper sizes", cfg.Scale)
+	r.Note("sweeps scaled 1/%d; see synth.SVMA/SVMB for the mapping to paper sizes", cfg.Scale)
 	return r, nil
 }

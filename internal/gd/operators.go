@@ -15,11 +15,19 @@ import (
 // Transformer is operator (1), Transform(U) -> UT: it parses one raw data
 // unit into a typed row.
 //
-// Like Compute, Transform runs on the engine's worker pool (eager transforms
-// and lazy full scans fan out over shards), so with engine Workers != 1 a
-// Transformer must be safe for concurrent calls and must not mutate shared
-// state or ctx — parse the line, return the unit. Stateful transformers are
-// only legal on the serial path (Workers: 1).
+// Eager-vs-lazy is a costing decision only: the engine runs a custom
+// Transformer once over every raw unit when the trainer starts, and again
+// when it resumes from a checkpoint, and every pass reads the resulting
+// arena. So Transform must be a deterministic function of raw that ignores
+// whatever in ctx changes during a run, and all rows of one dataset must
+// share a layout (all sparse, or all dense of one width) — a mix fails the
+// build of the arena, at NewTrainer, as does any Transform error.
+//
+// Like Compute, Transform runs on the engine's worker pool (the units fan out
+// over shards), so with engine Workers != 1 a Transformer must be safe for
+// concurrent calls and must not mutate shared state or ctx — parse the line,
+// return the unit. Stateful transformers are only legal on the serial path
+// (Workers: 1).
 type Transformer interface {
 	Transform(raw string, ctx *Context) (data.Row, error)
 }

@@ -24,9 +24,9 @@ func randomSparse(r *rand.Rand, dim int) ([]int32, []float64) {
 	return idx[:n], val[:n]
 }
 
-// TestNewSparseSortsAndDedups: what makes a new sparse row — SortDedup, the
-// one normalization rule — sorts by index and sums duplicates.
-func TestNewSparseSortsAndDedups(t *testing.T) {
+// TestSortDedupSortsAndSums: SortDedup, the one normalization rule of a
+// sparse row, sorts by index and sums duplicates.
+func TestSortDedupSortsAndSums(t *testing.T) {
 	idx, val := []int32{5, 1, 5, 3}, []float64{1, 2, 4, 8}
 	n, err := SortDedup(idx, val)
 	if err != nil {
@@ -42,7 +42,7 @@ func TestNewSparseSortsAndDedups(t *testing.T) {
 	}
 }
 
-func TestNewSparseRejectsBadInput(t *testing.T) {
+func TestSortDedupRejectsBadInput(t *testing.T) {
 	if _, err := SortDedup([]int32{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}

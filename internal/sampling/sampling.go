@@ -141,7 +141,7 @@ func (s *RandomPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 	for j := 0; j < b; j++ {
 		part := st.Partitions[env.RNG.Intn(len(st.Partitions))]
 		idx := part.Lo + env.RNG.Intn(part.Units())
-		unitBytes := int64(len(st.Dataset.Raw[idx])) + 1
+		unitBytes := st.Dataset.UnitBytes(idx)
 		total += env.Sim.CostReadBytes(part, st.Layout, unitBytes)
 		picked = append(picked, idx)
 	}
@@ -211,7 +211,7 @@ func (s *ShuffledPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 		}
 		for _, idx := range s.queue[:take] {
 			picked = append(picked, idx)
-			servedBytes += int64(len(st.Dataset.Raw[idx])) + 1
+			servedBytes += st.Dataset.UnitBytes(idx)
 		}
 		s.queue = s.queue[take:]
 	}

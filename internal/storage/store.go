@@ -71,7 +71,7 @@ func Build(ds *data.Dataset, l Layout) (*Store, error) {
 	var cur Partition
 	cur.Lo = 0
 	for i := 0; i < ds.N(); i++ {
-		b := int64(len(ds.Raw[i])) + 1
+		b := ds.UnitBytes(i)
 		if cur.Bytes > 0 && cur.Bytes+b > l.PartitionBytes {
 			cur.Hi = i
 			s.Partitions = append(s.Partitions, cur)

@@ -125,7 +125,7 @@ func TestSkewShiftsLabelPrior(t *testing.T) {
 	}
 }
 
-func TestRawParsesBackToUnits(t *testing.T) {
+func TestRawParsesBackToRows(t *testing.T) {
 	// The generated text must reproduce the generated units exactly — the
 	// property the engine's stock-transformer shortcut relies on.
 	for _, spec := range []Spec{
