@@ -73,7 +73,9 @@ func printOutput(sys *ml4all.System, out ml4all.Output, explain bool) {
 		fmt.Printf("model %s: task=%s plan=%s iterations=%d converged=%v train_time=%.1fs (simulated)\n",
 			m.Name, m.Task, m.PlanName, m.Iterations, m.Converged, float64(m.TrainTime))
 		if explain {
-			fmt.Println("  (use the library API's Optimize for the full ranked plan space)")
+			for i, line := range ml4all.RankedPlanNames(out.Decision) {
+				fmt.Printf("  %2d. %s\n", i+1, line)
+			}
 		}
 	case out.Report != nil:
 		fmt.Printf("prediction: n=%d mse=%.4f accuracy=%.3f\n",

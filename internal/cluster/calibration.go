@@ -45,7 +45,8 @@ const ComputeUnitOverheadFrac = 0.25
 // runs the polynomial linalg.ExpFast instead of math.Exp. Measurement
 // (same host as the table above, go1.24, median of 5–7 runs):
 //
-//	go test -bench 'ComputePhase(Dense|Sparse)(Fast)?' -benchtime=5x -count=5 .
+//	three full BGD compute passes over 100k rows, exact and fast tier — the
+//	ratio bench/ reports on every PR as engine.rows_per_s.{dense,sparse}.{exact,fast}
 //
 //	                         exact        fast         fast/exact
 //	                         ns/op        ns/op
@@ -72,7 +73,8 @@ const FastMathFlopFrac = 0.70
 // kernels. Measurement (Intel Xeon @ 2.10GHz, AVX2+FMA, linux/amd64,
 // go1.24, median of 5 runs, runtime dispatch live):
 //
-//	go test -bench 'ComputePhase(Dense|Sparse)(Fast)?' -benchtime=5x -count=5 .
+//	three full BGD compute passes over 100k rows, exact and fast tier — the
+//	ratio bench/ reports on every PR as engine.rows_per_s.{dense,sparse}.{exact,fast}
 //
 //	                         exact        fast-simd    simd/exact
 //	                         ns/op        ns/op

@@ -1,14 +1,15 @@
 package experiments
 
 import (
-	"errors"
+	"fmt"
 
-	"ml4all/internal/engine"
 	"ml4all/internal/gd"
 )
 
 // The Section 8.6 in-depth ablations (Figures 13, 14, 17, 18): fix one
 // physical dimension, sweep the other, and report training time per dataset.
+// MGD runs with batch 1000 and both run tolerance 0.001, max 1000 iterations
+// — the setup of the shared sweep, of which every figure here is a view.
 
 // ablationDatasets mirrors the x-axis of Figures 13/14/17/18.
 func (c Config) ablationDatasets() []string {
@@ -18,102 +19,37 @@ func (c Config) ablationDatasets() []string {
 	return []string{"adult", "covtype", "yearpred", "rcv1", "higgs", "svm1", "svm2"}
 }
 
-// runAblation executes one (algo, transform, sampling) cell; MGD runs with
-// batch 1000 and both run tolerance 0.001, max 1000 iterations — the
-// Section 8.6 setup.
-func (c Config) runAblation(name string, algo gd.Algo, tp gd.TransformPlacement, sk gd.SamplingKind) (*engine.Result, error) {
-	ds, err := c.Dataset(name)
-	if err != nil {
-		return nil, err
-	}
-	p := ParamsFor(ds, 0.001, 1000)
-	var plan gd.Plan
-	if algo == gd.SGD {
-		plan = gd.NewSGD(p, tp, sk)
-	} else {
-		plan = gd.NewMGD(p, tp, sk)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return c.runPlan(ds, plan)
-}
-
-// samplingAblation builds the Figure 13/17 style report for one algorithm
-// and transform placement.
-func (c Config) samplingAblation(id, title string, algo gd.Algo, tp gd.TransformPlacement) (*Report, error) {
-	r := &Report{ID: id, Title: title,
-		Header: []string{"dataset", "bernoulli", "random-partition", "shuffle-partition"}}
-	kinds := []gd.SamplingKind{gd.Bernoulli, gd.RandomPartition, gd.ShuffledPartition}
-	for _, name := range c.ablationDatasets() {
-		cells := make([]any, 0, 4)
-		cells = append(cells, name)
-		for _, sk := range kinds {
-			if tp == gd.Lazy && sk == gd.Bernoulli {
-				cells = append(cells, "n/a") // discarded plan (Section 6)
-				continue
-			}
-			res, err := c.runAblation(name, algo, tp, sk)
+// samplingAblation builds the Figure 13/17 report for one algorithm: eager
+// (a) and lazy (b) transformation against each sampling technique.
+func (c Config) samplingAblation(id string, algo gd.Algo) (*Report, error) {
+	r := &Report{ID: id,
+		Title:  fmt.Sprintf("%[1]s sampling effect, eager transformation (s) / %[1]s sampling effect, lazy transformation (s)", algo),
+		Header: []string{"transform", "dataset", "bernoulli", "random-partition", "shuffle-partition"}}
+	for _, tp := range []gd.TransformPlacement{gd.Eager, gd.Lazy} {
+		for _, name := range c.ablationDatasets() {
+			sw, err := c.sweep(name)
 			if err != nil {
-				if errors.Is(err, errSkipped) {
-					cells = append(cells, "-")
-					continue
-				}
 				return nil, err
 			}
-			cells = append(cells, res.Time)
+			cells := []any{tp.String(), name}
+			for _, sk := range []gd.SamplingKind{gd.Bernoulli, gd.RandomPartition, gd.ShuffledPartition} {
+				if tp == gd.Lazy && sk == gd.Bernoulli {
+					cells = append(cells, "n/a") // discarded plan (Section 6)
+					continue
+				}
+				cells = append(cells, sw.cell(algo, tp, sk).Time)
+			}
+			r.Add(cells...)
 		}
-		r.Add(cells...)
 	}
 	return r, nil
 }
 
-var errSkipped = errors.New("experiments: cell skipped")
-
-// Fig13 is the MGD sampling-strategy ablation (Figure 13): eager (a) and
-// lazy (b) transformation against each sampling technique.
-func Fig13(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	a, err := cfg.samplingAblation("fig13a", "MGD sampling effect, eager transformation (s)", gd.MGD, gd.Eager)
-	if err != nil {
-		return nil, err
-	}
-	b, err := cfg.samplingAblation("fig13b", "MGD sampling effect, lazy transformation (s)", gd.MGD, gd.Lazy)
-	if err != nil {
-		return nil, err
-	}
-	merged := &Report{ID: "fig13", Title: a.Title + " / " + b.Title,
-		Header: []string{"transform", "dataset", "bernoulli", "random-partition", "shuffle-partition"}}
-	for _, row := range a.Rows {
-		merged.Add(append([]any{"eager"}, anySlice(row)...)...)
-	}
-	for _, row := range b.Rows {
-		merged.Add(append([]any{"lazy"}, anySlice(row)...)...)
-	}
-	return merged, nil
-}
+// Fig13 is the MGD sampling-strategy ablation (Figure 13).
+func Fig13(cfg Config) (*Report, error) { return cfg.samplingAblation("fig13", gd.MGD) }
 
 // Fig17 is the SGD sampling-strategy ablation (Figure 17, Appendix E).
-func Fig17(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	a, err := cfg.samplingAblation("fig17a", "SGD sampling effect, eager transformation (s)", gd.SGD, gd.Eager)
-	if err != nil {
-		return nil, err
-	}
-	b, err := cfg.samplingAblation("fig17b", "SGD sampling effect, lazy transformation (s)", gd.SGD, gd.Lazy)
-	if err != nil {
-		return nil, err
-	}
-	merged := &Report{ID: "fig17", Title: a.Title + " / " + b.Title,
-		Header: []string{"transform", "dataset", "bernoulli", "random-partition", "shuffle-partition"}}
-	for _, row := range a.Rows {
-		merged.Add(append([]any{"eager"}, anySlice(row)...)...)
-	}
-	for _, row := range b.Rows {
-		merged.Add(append([]any{"lazy"}, anySlice(row)...)...)
-	}
-	return merged, nil
-}
+func Fig17(cfg Config) (*Report, error) { return cfg.samplingAblation("fig17", gd.SGD) }
 
 // transformAblation builds the Figure 14/18 style report: eager vs lazy for
 // a fixed sampling strategy, for SGD and MGD.
@@ -123,22 +59,19 @@ func (c Config) transformAblation(id, title string, sk gd.SamplingKind) (*Report
 	sgdLazyWins, sgdCells := 0, 0
 	for _, algo := range []gd.Algo{gd.SGD, gd.MGD} {
 		for _, name := range c.ablationDatasets() {
-			eager, err := c.runAblation(name, algo, gd.Eager, sk)
+			sw, err := c.sweep(name)
 			if err != nil {
 				return nil, err
 			}
-			lazy, err := c.runAblation(name, algo, gd.Lazy, sk)
-			if err != nil {
-				return nil, err
-			}
-			wins := lazy.Time < eager.Time
+			eager, lazy := sw.cell(algo, gd.Eager, sk).Time, sw.cell(algo, gd.Lazy, sk).Time
+			wins := lazy < eager
 			if algo == gd.SGD {
 				sgdCells++
 				if wins {
 					sgdLazyWins++
 				}
 			}
-			r.Add(algo.String(), name, eager.Time, lazy.Time, wins)
+			r.Add(algo.String(), name, eager, lazy, wins)
 		}
 	}
 	r.Note("SGD prefers lazy on %d/%d datasets (paper: always)", sgdLazyWins, sgdCells)
@@ -148,7 +81,6 @@ func (c Config) transformAblation(id, title string, sk gd.SamplingKind) (*Report
 // Fig14 is the transformation ablation under shuffled-partition sampling
 // (Figure 14).
 func Fig14(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	return cfg.transformAblation("fig14",
 		"Transformation effect, shuffle-partition sampling (s)", gd.ShuffledPartition)
 }
@@ -156,15 +88,6 @@ func Fig14(cfg Config) (*Report, error) {
 // Fig18 is the transformation ablation under random-partition sampling
 // (Figure 18, Appendix E).
 func Fig18(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	return cfg.transformAblation("fig18",
 		"Transformation effect, random-partition sampling (s)", gd.RandomPartition)
-}
-
-func anySlice(ss []string) []any {
-	out := make([]any, len(ss))
-	for i, s := range ss {
-		out[i] = s
-	}
-	return out
 }

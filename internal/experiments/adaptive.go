@@ -90,9 +90,18 @@ func Adaptive(cfg Config) (*Report, error) {
 		r.Note("switch at iter %d: %s -> %s (refit a=%.4g vs spec a=%.4g at eps=%.4g)",
 			sw.Iter, sw.Plan, sw.To, sw.FittedA, sw.SpecA, sw.Epsilon)
 	}
-	for _, ev := range ar.Refits {
-		if ev.Action != "converging" { // looked, and decided nothing
+	// One line per run of consecutive checks that took the same action for
+	// the same reason.
+	for i, j := 0, 0; i < len(ar.Refits); i = j {
+		ev := ar.Refits[i]
+		for j = i + 1; j < len(ar.Refits) && ar.Refits[j].Action == ev.Action && ar.Refits[j].Reason == ev.Reason; j++ {
+		}
+		switch {
+		case ev.Action == "converging": // looked, and decided nothing
+		case j-i == 1:
 			r.Note("decision log: iter %d: %s", ev.Iter, ev.Reason)
+		default:
+			r.Note("decision log: iters %d-%d (%d checks): %s", ev.Iter, ar.Refits[j-1].Iter, j-i, ev.Reason)
 		}
 	}
 	if !math.IsInf(float64(minStatic), 0) {

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 8 plus Appendix E) on the simulated cluster. Each
 // experiment is a function taking a Config and returning a Report whose rows
-// carry the same quantities the paper plots; cmd/ml4all-bench prints them and
-// bench_test.go wraps each in a testing.B benchmark.
+// carry the same quantities the paper plots; cmd/ml4all-bench prints them, and
+// its `-exp all -quick` output is the committed EXPERIMENTS.txt that CI diffs.
 //
 // Scale: experiments default to Scale 256 — a 1/256 cut of the paper's
 // dataset bytes paired with a cluster whose cache and partitions shrink by
@@ -36,8 +36,8 @@ type Config struct {
 	// DefaultScale. The cluster's byte capacities shrink by the same
 	// factor.
 	Scale int
-	// Quick restricts sweeps to a representative subset (used by the Go
-	// benchmarks so the full suite stays minutes, not hours).
+	// Quick restricts sweeps to a representative subset, so the full suite
+	// stays minutes, not hours.
 	Quick bool
 	// Seed drives all sampling; 0 means 1.
 	Seed int64

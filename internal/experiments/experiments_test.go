@@ -1,16 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"ml4all/internal/cluster"
 	"ml4all/internal/synth"
 )
-
-// The experiment runners themselves are exercised end-to-end by the root
-// benchmarks; the tests here cover the harness plumbing plus the fastest
-// runners so `go test` alone still validates the experiment layer.
 
 func TestRegistryComplete(t *testing.T) {
 	// Every figure/table DESIGN.md promises must be registered.
@@ -115,13 +112,19 @@ func TestLambdaForTasks(t *testing.T) {
 	}
 }
 
-// TestFastRunnersEndToEnd exercises the cheapest runners fully.
-func TestFastRunnersEndToEnd(t *testing.T) {
+// TestEveryRunnerEndToEnd runs all 21 experiments the way `ml4all-bench -exp
+// all -quick` does, in one process, and then counts what the seven sweep
+// figures (fig8, fig9, fig13, fig14, fig17, fig18, table4) cost together: one
+// sweep per dataset — one planner.Choose, eleven fresh-simulator runs and the
+// chosen plan once on the optimizer's clock. A sweep is computed only on a
+// memo miss and every miss stores its result, so the number of memo entries
+// is the number of sweeps computed.
+func TestEveryRunnerEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs real experiments")
+		t.Skip("runs every experiment (~45s)")
 	}
 	cfg := Config{Scale: 1024, Quick: true, Seed: 1}
-	for _, id := range []string{"table2", "fig15", "ablation-placement"} {
+	for _, id := range IDs() {
 		rep, err := Run(id, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -132,5 +135,24 @@ func TestFastRunnersEndToEnd(t *testing.T) {
 		if rep.ID != id {
 			t.Fatalf("%s: report claims to be %s", id, rep.ID)
 		}
+	}
+
+	sweepMu.Lock()
+	defer sweepMu.Unlock()
+	var swept []string
+	for key, sw := range sweepCache {
+		if !strings.Contains(key, "@1024/") {
+			continue // another test's scale
+		}
+		swept = append(swept, key)
+		if len(sw.runs) != 11 {
+			t.Errorf("%s: %d plan runs, want 11", key, len(sw.runs))
+		}
+	}
+	slices.Sort(swept)
+	want := []string{"adult@1024/seed=1/fast=false", "covtype@1024/seed=1/fast=false",
+		"rcv1@1024/seed=1/fast=false", "svm1@1024/seed=1/fast=false"}
+	if !slices.Equal(swept, want) {
+		t.Errorf("sweeps computed = %v, want one per quick dataset %v", swept, want)
 	}
 }

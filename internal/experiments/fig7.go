@@ -38,23 +38,19 @@ func Fig7a(cfg Config) (*Report, error) {
 		}
 		p := ParamsFor(ds, 1e-12, 1000) // tolerance unreachable: fixed-length run
 
-		sim := cfg.sim()
-		dec, err := planner.Choose(sim, st, p, planner.Options{FixedIterations: 1000})
-		if err != nil {
-			return nil, err
-		}
-		plan := dec.Best.Plan
+		best := planner.CostAll(st, ClusterFor(cfg.Scale), p, 1000)[0]
+		plan := best.Plan
 		plan.Looper = gd.FixedIterLooper{}
 
 		res, err := engine.Run(cfg.sim(), st, &plan, cfg.engineOpts(0))
 		if err != nil {
 			return nil, err
 		}
-		rel := math.Abs(float64(dec.Best.Cost-res.Time)) / float64(res.Time)
+		rel := math.Abs(float64(best.Cost-res.Time)) / float64(res.Time)
 		if rel > worst {
 			worst = rel
 		}
-		r.Add(name, plan.Name(), res.Time, dec.Best.Cost, fmt.Sprintf("%.0f%%", rel*100))
+		r.Add(name, plan.Name(), res.Time, best.Cost, fmt.Sprintf("%.0f%%", rel*100))
 	}
 	r.Note("worst relative error %.0f%% (paper: 17%%)", worst*100)
 	return r, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"ml4all/internal/cluster"
-	"ml4all/internal/engine"
 	"ml4all/internal/planner"
 )
 
@@ -27,38 +26,39 @@ func Fig8(cfg Config) (*Report, error) {
 
 	nearBest := 0
 	for _, name := range datasets {
+		sw, err := cfg.sweep(name)
+		if err != nil {
+			return nil, err
+		}
 		ds, err := cfg.Dataset(name)
 		if err != nil {
 			return nil, err
 		}
-		st, err := cfg.store(ds)
-		if err != nil {
-			return nil, err
-		}
-		p := ParamsFor(ds, 0.001, 1000)
+		p := sweepParams(ds)
 
-		// Exhaustive execution of the whole plan space.
+		// Best and worst of the exhaustively run plan space.
 		var minT, maxT cluster.Seconds
 		var bestPlan string
 		for i, plan := range planner.Space(p) {
-			res, err := engine.Run(cfg.sim(), st, &plan, cfg.engineOpts(0))
-			if err != nil {
-				return nil, err
+			t := sw.runs[plan.Name()].Time
+			if i == 0 || t < minT {
+				minT, bestPlan = t, plan.Name()
 			}
-			if i == 0 || res.Time < minT {
-				minT, bestPlan = res.Time, plan.Name()
-			}
-			if i == 0 || res.Time > maxT {
-				maxT = res.Time
+			if i == 0 || t > maxT {
+				maxT = t
 			}
 		}
 
 		// Optimizer + chosen plan on one clock. With cfg.Adaptive the
-		// chosen plan additionally re-optimizes mid-flight.
-		sim := cfg.sim()
-		var specEnd cluster.Seconds
-		var planName string
+		// chosen plan additionally re-optimizes mid-flight, which is this
+		// figure's own run.
+		specEnd, total, planName := sw.specEnd, sw.total, sw.dec.Best.Plan.Name()
 		if cfg.Adaptive {
+			st, err := cfg.store(ds)
+			if err != nil {
+				return nil, err
+			}
+			sim := cfg.sim()
 			ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: cfg.estimatorFor()},
 				cfg.engineOpts(0), planner.AdaptiveConfig{})
 			if err != nil {
@@ -66,21 +66,9 @@ func Fig8(cfg Config) (*Report, error) {
 			}
 			// Result.Time covers training only, so this recovers the same
 			// post-optimization clock point the static branch records.
-			specEnd = sim.Now() - ar.Result.Time
-			planName = ar.Result.PlanName
-		} else {
-			dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: cfg.estimatorFor()})
-			if err != nil {
-				return nil, err
-			}
-			specEnd = sim.Now()
-			plan := dec.Best.Plan
-			planName = plan.Name()
-			if _, err := engine.Run(sim, st, &plan, cfg.engineOpts(0)); err != nil {
-				return nil, err
-			}
+			total = sim.Now()
+			specEnd, planName = total-ar.Result.Time, ar.Result.PlanName
 		}
-		total := sim.Now()
 
 		// "Near-best": within 2x of the exhaustive minimum including the
 		// optimization overhead.

@@ -6,10 +6,7 @@ import (
 
 	"ml4all/internal/baselines"
 	"ml4all/internal/cluster"
-	"ml4all/internal/data"
-	"ml4all/internal/engine"
 	"ml4all/internal/gd"
-	"ml4all/internal/planner"
 )
 
 // Fig9 reproduces the system comparison (Figure 9 a/b/c): for each dataset
@@ -39,7 +36,7 @@ func Fig9(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := ParamsFor(ds, 0.001, 1000)
+			p := sweepParams(ds)
 
 			mllib := runBaselineCell(func() (*baselines.Result, error) {
 				return baselines.RunMLlib(ClusterFor(cfg.Scale), ds, p, algo,
@@ -50,50 +47,24 @@ func Fig9(cfg Config) (*Report, error) {
 					SystemMLFor(cfg.Scale), cfg.baselineOpts(cfg.Seed))
 			})
 
-			ml4allTime, planName, err := cfg.ml4allBestForAlgo(ds, p, algo)
+			sw, err := cfg.sweep(name)
 			if err != nil {
 				return nil, err
 			}
+			plan, res := sw.bestFor(algo)
 
-			if mllib.ok && ml4allTime <= mllib.t {
+			if mllib.ok && res.Time <= mllib.t {
 				mlWins++
 			}
 			if mllib.ok {
 				cells++
 			}
 			r.Add(algo.String(), name, mllib.String(), sysml.String(),
-				cluster.Seconds(ml4allTime), planName)
+				res.Time, plan.Name())
 		}
 	}
 	r.Note("ML4all at least matches MLlib on %d/%d comparable cells", mlWins, cells)
 	return r, nil
-}
-
-// ml4allBestForAlgo picks the cheapest physical plan for a fixed algorithm
-// (what Section 8.4 uses ML4all for) and executes it.
-func (c Config) ml4allBestForAlgo(ds *data.Dataset, p gd.Params, algo gd.Algo) (cluster.Seconds, string, error) {
-	c = c.withDefaults()
-	st, err := c.store(ds)
-	if err != nil {
-		return 0, "", err
-	}
-	sim := c.sim()
-	dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: c.estimatorFor()})
-	if err != nil {
-		return 0, "", err
-	}
-	for _, choice := range dec.Ranked {
-		if choice.Plan.Algorithm != algo {
-			continue
-		}
-		plan := choice.Plan
-		res, err := engine.Run(c.sim(), st, &plan, c.engineOpts(0))
-		if err != nil {
-			return 0, "", err
-		}
-		return res.Time, plan.Name(), nil
-	}
-	return 0, "", fmt.Errorf("experiments: no plan for %v", algo)
 }
 
 // baselineCell is one baseline measurement or its failure.

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"ml4all/internal/engine"
 	"ml4all/internal/gd"
-	"ml4all/internal/planner"
 )
 
 // Table2 reproduces the dataset-suite table (Table 2) at the configured
@@ -41,7 +39,6 @@ func Table2(cfg Config) (*Report, error) {
 // iteration count of running that plan to convergence (tolerance 0.001, max
 // 1000).
 func Table4(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	r := &Report{ID: "table4",
 		Title:  "Chosen plan and iterations per GD algorithm",
 		Header: []string{"dataset", "SGD plan", "SGD iters", "MGD plan", "MGD iters", "BGD iters"}}
@@ -54,50 +51,25 @@ func Table4(cfg Config) (*Report, error) {
 	sgdLazyShuffleOnLarge := 0
 	largeCount := 0
 	for _, name := range datasets {
-		ds, err := cfg.Dataset(name)
-		if err != nil {
-			return nil, err
-		}
-		st, err := cfg.store(ds)
-		if err != nil {
-			return nil, err
-		}
-		p := ParamsFor(ds, 0.001, 1000)
-		dec, err := planner.Choose(cfg.sim(), st, p, planner.Options{Estimator: cfg.estimatorFor()})
+		sw, err := cfg.sweep(name)
 		if err != nil {
 			return nil, err
 		}
 
 		cells := []any{name}
-		var sgdPlanName string
 		for _, algo := range []gd.Algo{gd.SGD, gd.MGD, gd.BGD} {
-			for _, choice := range dec.Ranked {
-				if choice.Plan.Algorithm != algo {
-					continue
-				}
-				plan := choice.Plan
-				res, err := engine.Run(cfg.sim(), st, &plan, cfg.engineOpts(0))
-				if err != nil {
-					return nil, err
-				}
-				if algo == gd.BGD {
-					cells = append(cells, res.Iterations)
-				} else {
-					label := fmt.Sprintf("%s-%s", plan.Transform, plan.Sampling)
-					cells = append(cells, label, res.Iterations)
-				}
-				if algo == gd.SGD {
-					sgdPlanName = plan.Name()
-				}
-				break
+			plan, res := sw.bestFor(algo)
+			if algo != gd.BGD {
+				cells = append(cells, fmt.Sprintf("%s-%s", plan.Transform, plan.Sampling))
 			}
+			cells = append(cells, res.Iterations)
 		}
 		r.Add(cells...)
 
 		large := name == "higgs" || name == "svm1" || name == "svm2" || name == "svm3" || name == "yearpred"
 		if large {
 			largeCount++
-			if sgdPlanName == "SGD-lazy-shuffle" {
+			if sgdPlan, _ := sw.bestFor(gd.SGD); sgdPlan.Name() == "SGD-lazy-shuffle" {
 				sgdLazyShuffleOnLarge++
 			}
 		}

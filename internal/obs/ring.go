@@ -5,7 +5,7 @@
 // observes — and every type is safe for the access pattern its producer
 // uses. The contract with the hot paths: a nil observer costs the engine one
 // branch per iteration and the serving predict path zero allocations (the
-// benchgate pins both).
+// root package's zerotax_test.go pins both).
 package obs
 
 import (

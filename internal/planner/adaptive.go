@@ -344,7 +344,7 @@ func (c *Controller) check(tr *engine.Trainer) (*engine.Trainer, error) {
 			}
 			est, ok := c.dec.Estimates[cand.Algorithm]
 			if !ok {
-				continue // no estimate (e.g. FixedIterations): cannot re-cost
+				continue // no estimate: cannot re-cost
 			}
 			a = est.A
 			// Trust past observation over the speculation whenever an

@@ -65,10 +65,6 @@ type Decision struct {
 // Options tunes the optimizer.
 type Options struct {
 	Estimator estimator.Config
-	// FixedIterations, when positive, skips speculation entirely and costs
-	// every plan at that iteration count — the paper reports sub-100ms
-	// optimization for this case (Section 8.3).
-	FixedIterations int
 	// FastMath prices batched compute at the fast kernel tier's measured
 	// throughput (costmodel.Model.FastMath) — set it when the chosen plan
 	// will execute with engine.Options.FastMath, so the optimizer ranks the
@@ -83,8 +79,8 @@ type Options struct {
 	Span func(name string) func()
 }
 
-// Choose runs the full optimization: speculate (unless iterations are fixed),
-// cost all eleven plans, return the cheapest. The speculation time is charged
+// Choose runs the full optimization: speculate, cost all eleven plans, return
+// the cheapest. The speculation time is charged
 // to sim's clock, so end-to-end measurements include the optimizer's own
 // overhead exactly as Figure 8 does.
 func Choose(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options) (*Decision, error) {
@@ -94,9 +90,6 @@ func Choose(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options) (
 	model.FastMath = opts.FastMath
 
 	iterFor := func(plan gd.Plan) (t int, satisfies bool, err error) {
-		if opts.FixedIterations > 0 {
-			return opts.FixedIterations, true, nil
-		}
 		est, ok := dec.Estimates[plan.Algorithm]
 		if !ok {
 			var end func()
@@ -145,18 +138,17 @@ func Choose(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options) (
 	})
 	dec.Best = dec.Ranked[0]
 
-	if opts.FixedIterations <= 0 {
-		// One driver job collects the speculation sample (the ~4s overhead
-		// the paper attributes to Spark job init), then the speculation
-		// itself runs on the driver.
-		sim.JobInit()
-		sim.Advance(dec.SpecTime)
-	}
+	// One driver job collects the speculation sample (the ~4s overhead the
+	// paper attributes to Spark job init), then the speculation itself runs
+	// on the driver.
+	sim.JobInit()
+	sim.Advance(dec.SpecTime)
 	return dec, nil
 }
 
 // CostAll prices every plan in the space at a fixed iteration count without
-// speculating — the Figure 7(a) experiment and tests use it.
+// speculating, cheapest first — the paper reports sub-100ms optimization for
+// this case (Section 8.3); the Figure 7(a) experiment uses it.
 func CostAll(store *storage.Store, cfg cluster.Config, p gd.Params, iterations int) []Choice {
 	model := costmodel.New(store, cfg)
 	var out []Choice

@@ -1,11 +1,11 @@
 package serve
 
-// Serving hot-path benchmarks, gated in CI by cmd/benchgate against
-// BENCH_baseline.txt: BenchmarkServePredict pins the pooled direct path at 0
-// allocs/op (any per-request garbage regresses the gate immediately);
-// BenchmarkServePredictCoalesced smoke-tests the coalesced pipeline under
-// closed-loop parallel callers (ns/op gated, allocs not pinned — channel
-// parking is scheduler-dependent).
+// Serving hot-path benchmarks — developer tools, nothing gates on them:
+// BenchmarkServePredict times the pooled direct path,
+// BenchmarkServePredictCoalesced the coalesced pipeline under closed-loop
+// parallel callers. The 0-allocations rule is the root package's
+// TestPredictAllocatesNothing; bench/ measures the path under load
+// (serve.predictor_us.*, serve.predict_allocs_per_op).
 
 import (
 	"context"

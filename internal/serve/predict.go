@@ -74,7 +74,7 @@ func NewPredictor(cc CoalesceConfig, ac AdmissionConfig, counters *Counters) *Pr
 	if counters != nil {
 		// Resolved once so the per-pass observation is lock-free atomics —
 		// the timing shares the admission path's clock reads, keeping the
-		// scoring hot path at zero allocations (benchgate-pinned).
+		// scoring hot path at zero allocations (zerotax_test.go pins it).
 		p.phase = counters.phase("predict-batch")
 	}
 	p.adm = newAdmitter(ac, counters)

@@ -265,10 +265,11 @@ func (s *System) Evaluate(m *Model, test *data.Dataset) (Report, error) {
 
 // Output is what one executed statement produced.
 type Output struct {
-	Stmt   lang.Stmt
-	Model  *Model  // run statements
-	Report *Report // predict statements
-	Path   string  // persist statements
+	Stmt     lang.Stmt
+	Model    *Model    // run statements
+	Decision *Decision // run statements: the ranked plan space the model's plan came from
+	Report   *Report   // predict statements
+	Path     string    // persist statements
 }
 
 // Exec parses and executes a script of declarative statements against the
@@ -296,11 +297,11 @@ func (s *System) Exec(script string) ([]Output, error) {
 func (s *System) execStmt(st lang.Stmt) (Output, error) {
 	switch q := st.(type) {
 	case *lang.Run:
-		m, err := s.runQuery(q)
+		m, dec, err := s.runQuery(q)
 		if err != nil {
 			return Output{}, err
 		}
-		return Output{Stmt: st, Model: m}, nil
+		return Output{Stmt: st, Model: m, Decision: dec}, nil
 	case *lang.Persist:
 		m, ok := s.models[q.Model]
 		if !ok {
@@ -325,14 +326,14 @@ func (s *System) execStmt(st lang.Stmt) (Output, error) {
 // is a loop over the resumable TrainJob the serving subsystem drives (see
 // serving.go), so offline Exec and a server-submitted job execute the exact
 // same path — same plan choice, same weights, same simulated clock.
-func (s *System) runQuery(q *lang.Run) (*Model, error) {
+func (s *System) runQuery(q *lang.Run) (*Model, *Decision, error) {
 	j, err := s.OpenJob(q, JobOptions{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for !j.Done() {
 		if err := j.Step(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	m := j.Model()
@@ -340,7 +341,7 @@ func (s *System) runQuery(q *lang.Run) (*Model, error) {
 		m.Name = fmt.Sprintf("q%d", len(s.models)+1)
 	}
 	s.models[m.Name] = m
-	return m, nil
+	return m, j.Decision(), nil
 }
 
 // resolveSource loads/returns the dataset a run statement references,
@@ -607,8 +608,8 @@ func DecodeModel(raw []byte, name string) (*Model, error) {
 	return m, nil
 }
 
-// RankedPlanNames returns the decision's plans cheapest-first — a debugging
-// helper used by the CLI's explain output.
+// RankedPlanNames returns the decision's plans in ranked order, best first,
+// each with its estimated iterations and cost — the CLI's -explain output.
 func RankedPlanNames(dec *Decision) []string {
 	names := make([]string, len(dec.Ranked))
 	for i, c := range dec.Ranked {

@@ -149,6 +149,15 @@ func TestExecEndToEnd(t *testing.T) {
 	if m == nil || m.Name != "Q1" || len(m.Weights) != ds.NumFeatures {
 		t.Fatalf("model = %+v", m)
 	}
+	// The run statement carries the decision its plan came from; the other
+	// statements carry none.
+	dec := outs[0].Decision
+	if dec == nil || len(RankedPlanNames(dec)) != 11 || dec.Best.Plan.Name() != m.PlanName {
+		t.Fatalf("decision = %+v, want the 11-plan ranking headed by %s", dec, m.PlanName)
+	}
+	if outs[1].Decision != nil || outs[2].Decision != nil {
+		t.Fatal("persist/predict output carries a decision")
+	}
 	if outs[1].Path != modelPath {
 		t.Fatalf("persist path = %q", outs[1].Path)
 	}

@@ -232,6 +232,10 @@ func (j *TrainJob) PlanName() string {
 	return j.trainer.Plan().Name()
 }
 
+// Decision returns the optimizer's costed choice the job was opened under:
+// the full ranked plan space and the per-algorithm estimates.
+func (j *TrainJob) Decision() *Decision { return j.dec }
+
 // Controller returns the job's mid-flight re-optimization controller — its
 // history is the run's refit and switch record — or nil for a static job.
 func (j *TrainJob) Controller() *planner.Controller { return j.ctl }

@@ -1,9 +1,9 @@
 package ml4all_test
 
 // The zero-tax rule (ROADMAP aim 4) as tier-1 tests: a steady-state training
-// step with nobody watching, and a predict, allocate nothing. These are the
-// rows BENCH_baseline.txt carries at 0 allocs/op, asserted on this machine
-// instead of compared with a file from another one.
+// step with nobody watching, and a predict, allocate nothing. bench/ reports
+// the same two counts per run (engine.step_allocs,
+// serve.predict_allocs_per_op).
 
 import (
 	"context"
@@ -42,7 +42,11 @@ func TestTrainerStepAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 1e-12, MaxIter: 1 << 30, Lambda: 1e-4}
-	for _, plan := range []gd.Plan{gd.NewBGD(p), gd.NewSGD(p, gd.Lazy, gd.ShuffledPartition)} {
+	for _, plan := range []gd.Plan{
+		gd.NewBGD(p),
+		gd.NewMGD(p, gd.Eager, gd.ShuffledPartition), // batch 1000
+		gd.NewSGD(p, gd.Lazy, gd.ShuffledPartition),
+	} {
 		plan.Looper = gd.FixedIterLooper{} // never stops inside the measured loop
 		tr, err := engine.NewTrainer(cluster.New(cluster.Default()), st, &plan, engine.Options{Seed: 1, Workers: 1})
 		if err != nil {
