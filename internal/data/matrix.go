@@ -431,9 +431,9 @@ func (b *MatrixBuilder) AppendDensePadded(label float64, vals []float64) error {
 // built through AppendSparse or a parser — so the copy skips SortDedup: the
 // appended rows are bitwise identical to appending them one by one, at
 // memcpy speed. Identity views copy their arena ranges wholesale; gathered
-// views fall back to per-row copies. This is the merge step of the serving
-// layer's request coalescer: per-request arenas concatenate into one shared
-// batch arena.
+// views fall back to per-row copies. Two callers use it: the engine's
+// materialize step (engine/compute.go), which concatenates the per-shard
+// arenas a custom Transformer produced, and Matrix.Compact.
 func (b *MatrixBuilder) AppendRows(m *Matrix) error {
 	if m.dense {
 		if b.set && !b.dense {

@@ -230,11 +230,12 @@ func TestMatrixBuilderErrors(t *testing.T) {
 	}
 }
 
-// TestAppendRowsMergesBitwise pins the coalescer's merge step: concatenating
-// per-request arenas into one shared builder via AppendRows must produce rows
-// bitwise identical to the source matrices, in order, for dense and sparse
-// layouts, identity views and gathered views alike — without re-normalizing
-// (the sources are already SortDedup'd).
+// TestAppendRowsMergesBitwise pins the merge step behind the engine's
+// materialize and Matrix.Compact: concatenating arenas into one shared
+// builder via AppendRows must produce rows bitwise identical to the source
+// matrices, in order, for dense and sparse layouts, identity views and
+// gathered views alike — without re-normalizing (the sources are already
+// SortDedup'd).
 func TestAppendRowsMergesBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for _, sparse := range []bool{true, false} {

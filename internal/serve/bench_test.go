@@ -1,11 +1,9 @@
 package serve
 
-// Serving hot-path benchmarks — developer tools, nothing gates on them:
-// BenchmarkServePredict times the pooled direct path,
-// BenchmarkServePredictCoalesced the coalesced pipeline under closed-loop
-// parallel callers. The 0-allocations rule is the root package's
-// TestPredictAllocatesNothing; bench/ measures the path under load
-// (serve.predictor_us.*, serve.predict_allocs_per_op).
+// Serving hot-path benchmark — a developer tool, nothing gates on it:
+// BenchmarkServePredict times the pooled predict path. The 0-allocations
+// rule is the root package's TestPredictAllocatesNothing; bench/ measures
+// the path under load (serve.predictor_us.*, serve.predict_allocs_per_op).
 
 import (
 	"context"
@@ -41,11 +39,11 @@ func benchRequest(rows, d int) *PredictRequest {
 	return &PredictRequest{Rows: lines}
 }
 
-// BenchmarkServePredict measures the steady-state direct predict path:
+// BenchmarkServePredict measures the steady-state predict path:
 // pooled parse, admission, one kernel pass, pooled response. Must stay at 0
 // allocs/op — every pool has warmed before the timer starts.
 func BenchmarkServePredict(b *testing.B) {
-	p := NewPredictor(CoalesceConfig{Disabled: true}, AdmissionConfig{}, newCounters())
+	p := NewPredictor(AdmissionConfig{}, newCounters())
 	mv := benchModel(128)
 	req := benchRequest(8, 128)
 	for i := 0; i < 16; i++ { // warm every pool class the path touches
@@ -64,26 +62,4 @@ func BenchmarkServePredict(b *testing.B) {
 		}
 		resp.Release()
 	}
-}
-
-// BenchmarkServePredictCoalesced measures the coalesced pipeline: parallel
-// closed-loop callers against one model, merged into shared kernel passes.
-func BenchmarkServePredictCoalesced(b *testing.B) {
-	c := newCounters()
-	p := NewPredictor(CoalesceConfig{Force: true}, AdmissionConfig{}, c)
-	defer p.Close()
-	mv := benchModel(128)
-	req := benchRequest(8, 128)
-	b.SetParallelism(8) // 8×GOMAXPROCS closed-loop callers
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp := AcquirePredictResponse()
-			if err := p.Predict(context.Background(), mv, req, resp); err != nil {
-				b.Fatal(err)
-			}
-			resp.Release()
-		}
-	})
 }

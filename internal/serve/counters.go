@@ -26,12 +26,10 @@ type Counters struct {
 	// machinery the routes use, rendered as ml4all_phase_seconds.
 	phases map[string]*routeStats
 
-	predictRows      atomic.Uint64 // rows scored across all predict calls
-	predictBatches   atomic.Uint64 // predict calls that reached the kernels
-	coalescedBatches atomic.Uint64 // kernel passes serving >1 request
-	coalescedRows    atomic.Uint64 // rows scored through shared passes
-	rejected         atomic.Uint64 // requests refused by admission control
-	inFlightRows     atomic.Int64  // rows admitted, response not yet built
+	predictRows    atomic.Uint64 // rows scored across all predict calls
+	predictBatches atomic.Uint64 // predict calls that reached the kernels
+	rejected       atomic.Uint64 // requests refused by admission control
+	inFlightRows   atomic.Int64  // rows admitted, response not yet built
 
 	// Durability/recovery counters — how often the fault machinery actually
 	// fired, so degradation is observable rather than silent.
@@ -134,21 +132,23 @@ func newCounters() *Counters {
 // throughput counters — the /metrics ml4all_predict_* series as numbers, for
 // harnesses that read rather than scrape.
 type PredictTotals struct {
-	Rows             uint64 // rows scored across all predict calls
-	Batches          uint64 // predict calls that reached the kernels
-	CoalescedRows    uint64 // rows scored through shared passes
-	CoalescedBatches uint64 // kernel passes that served >1 request
-	Rejected         uint64 // requests refused by admission control
+	Rows     uint64 // rows scored across all predict calls
+	Batches  uint64 // predict calls that reached the kernels
+	Rejected uint64 // requests refused by admission control
+
+	// CoalescedRows and CoalescedBatches are always 0: every call scores its
+	// own rows in one kernel pass, so no pass serves more than one request.
+	// They remain only because the bench/ harness still reads them; the
+	// next change allowed to edit bench/ removes them.
+	CoalescedRows, CoalescedBatches uint64
 }
 
 // PredictTotals snapshots the prediction counters.
 func (c *Counters) PredictTotals() PredictTotals {
 	return PredictTotals{
-		Rows:             c.predictRows.Load(),
-		Batches:          c.predictBatches.Load(),
-		CoalescedRows:    c.coalescedRows.Load(),
-		CoalescedBatches: c.coalescedBatches.Load(),
-		Rejected:         c.rejected.Load(),
+		Rows:     c.predictRows.Load(),
+		Batches:  c.predictBatches.Load(),
+		Rejected: c.rejected.Load(),
 	}
 }
 
@@ -193,12 +193,6 @@ func (c *Counters) LedgerTotals() (records, errors uint64) {
 func (c *Counters) observePredict(rows int) {
 	c.predictBatches.Add(1)
 	c.predictRows.Add(uint64(rows))
-}
-
-// observeCoalesced records one shared kernel pass serving several requests.
-func (c *Counters) observeCoalesced(rows int) {
-	c.coalescedBatches.Add(1)
-	c.coalescedRows.Add(uint64(rows))
 }
 
 // deadlineExpire tolerates a nil receiver: a Predictor may run with no
@@ -308,10 +302,6 @@ func (c *Counters) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "ml4all_predict_rows_total %d\n", c.predictRows.Load())
 	header(w, "ml4all_predict_batches_total", "counter", "Predict calls that reached the kernels.")
 	fmt.Fprintf(w, "ml4all_predict_batches_total %d\n", c.predictBatches.Load())
-	header(w, "ml4all_predict_coalesced_batches_total", "counter", "Kernel passes that served more than one request.")
-	fmt.Fprintf(w, "ml4all_predict_coalesced_batches_total %d\n", c.coalescedBatches.Load())
-	header(w, "ml4all_predict_coalesced_rows_total", "counter", "Rows scored through shared kernel passes.")
-	fmt.Fprintf(w, "ml4all_predict_coalesced_rows_total %d\n", c.coalescedRows.Load())
 	header(w, "ml4all_predict_rejected_total", "counter", "Requests refused by admission control.")
 	fmt.Fprintf(w, "ml4all_predict_rejected_total %d\n", c.rejected.Load())
 	header(w, "ml4all_predict_inflight_rows", "gauge", "Rows admitted whose response is not yet built.")

@@ -1,8 +1,8 @@
 package serve
 
-// Graceful-degradation acceptance: deadline propagation through the predict
-// pipeline (including callers parked in a coalesced batch), request-body
-// caps, the recovering 503 gate, and the hardened http.Server edges.
+// Graceful-degradation acceptance: the predict pipeline's entry-time
+// deadline check, request-body caps, the recovering 503 gate, and the
+// hardened http.Server edges.
 
 import (
 	"bytes"
@@ -18,56 +18,10 @@ import (
 	"time"
 )
 
-// TestPredictDeadlineWhileParked pins the coalescer abandonment protocol: a
-// call parked in a batch whose window never closes abandons its slot when
-// its context expires — returning 503 + Retry-After instead of blocking —
-// and the coalescer recycles the abandoned arena without scoring it, so the
-// next call sees a clean pipeline.
-func TestPredictDeadlineWhileParked(t *testing.T) {
-	counters := newCounters()
-	p := NewPredictor(
-		CoalesceConfig{Force: true, Window: time.Hour, MaxRows: 1 << 20},
-		AdmissionConfig{Disabled: true}, counters)
-	defer p.Close()
-	p.co.always = true // park even a lone caller
-	mv := regressionModel()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	resp := AcquirePredictResponse()
-	err := p.Predict(ctx, mv, &PredictRequest{Instances: [][]float64{{1, 2, 3, 4}}}, resp)
-	resp.Release()
-	if err == nil {
-		t.Fatal("parked call with expired deadline returned nil")
-	}
-	var he *httpError
-	if !errors.As(err, &he) || he.status != http.StatusServiceUnavailable {
-		t.Fatalf("deadline error = %v, want 503 httpError", err)
-	}
-	if he.retryAfter <= 0 {
-		t.Fatal("deadline 503 carries no Retry-After")
-	}
-	if got := counters.FaultTotals().DeadlineExpired; got != 1 {
-		t.Fatalf("deadline-expired counter = %d, want 1", got)
-	}
-
-	// The abandoned batch flushes empty; the pipeline stays healthy — an
-	// unparked follow-up call (after Close, the direct path) scores fine.
-	p.Close()
-	resp2 := AcquirePredictResponse()
-	defer resp2.Release()
-	if err := p.Predict(context.Background(), mv, &PredictRequest{Instances: [][]float64{{1, 2, 3, 4}}}, resp2); err != nil {
-		t.Fatalf("predict after abandoned call: %v", err)
-	}
-	if resp2.N != 1 {
-		t.Fatalf("follow-up scored %d rows, want 1", resp2.N)
-	}
-}
-
 // TestPredictExpiredContextRejectedUpfront pins the entry check: a context
 // already expired at the call returns 503 before any parsing or admission.
 func TestPredictExpiredContextRejectedUpfront(t *testing.T) {
-	p := NewPredictor(CoalesceConfig{Disabled: true}, AdmissionConfig{Disabled: true}, nil)
+	p := NewPredictor(AdmissionConfig{Disabled: true}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	resp := AcquirePredictResponse()
@@ -216,7 +170,7 @@ func TestSubmitShedsWhileRecovering(t *testing.T) {
 		manager:   mgr,
 		registry:  reg,
 		counters:  counters,
-		predictor: NewPredictor(CoalesceConfig{Disabled: true}, AdmissionConfig{Disabled: true}, counters),
+		predictor: NewPredictor(AdmissionConfig{Disabled: true}, counters),
 		maxBody:   defaultMaxBodyBytes,
 		started:   time.Now(),
 	}

@@ -398,14 +398,9 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 	if err := decodeJSON(r, req); err != nil {
 		return nil, err
 	}
-	ctx := r.Context() // carries the client disconnect
-	if s.cfg.PredictTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.PredictTimeout)
-		defer cancel()
-	}
 	resp := AcquirePredictResponse()
-	if err := s.predictor.Predict(ctx, mv, req, resp); err != nil {
+	// The request context carries the client disconnect.
+	if err := s.predictor.Predict(r.Context(), mv, req, resp); err != nil {
 		resp.Release()
 		return nil, badRequest(err)
 	}

@@ -93,13 +93,6 @@ var (
 	// responsePool recycles PredictResponse structs; their Scores/Labels
 	// slices cycle through floatPool.
 	responsePool = sync.Pool{New: func() any { return &PredictResponse{} }}
-
-	// callPool recycles the coalescer's per-caller wait records.
-	callPool = sync.Pool{New: func() any { return &call{} }}
-
-	// batchPool recycles the coalescer's batch records (their merge builders
-	// come from builderPool at flush time; the calls slice keeps capacity).
-	batchPool = sync.Pool{New: func() any { return &batch{} }}
 )
 
 // parseScratch is the per-request parser scratch.

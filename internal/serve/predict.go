@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"ml4all/internal/data"
@@ -24,8 +22,7 @@ import (
 //     treats absent features).
 //
 // FastMath opts the request into the tolerance-bounded fast kernel tier
-// (metrics.ScoresIntoFast); fast and exact requests never share a coalesced
-// kernel pass.
+// (metrics.ScoresIntoFast).
 type PredictRequest struct {
 	Rows      []string    `json:"rows,omitempty"`
 	Instances [][]float64 `json:"instances,omitempty"`
@@ -51,25 +48,20 @@ type PredictResponse struct {
 	Scores  []float64 `json:"scores"` // raw margins <x, w>
 }
 
-// Predictor is the serving-side prediction pipeline: pooled request parsing,
-// admission control, and opportunistic request coalescing in front of the
-// blocked margin kernels. One Predictor serves every model; batches form per
-// (model, version, layout, tier).
+// Predictor is the serving-side prediction pipeline: pooled request parsing
+// and admission control in front of the blocked margin kernels. One
+// Predictor serves every model; each call scores its own rows in one kernel
+// pass.
 type Predictor struct {
 	counters *Counters
 	phase    *routeStats // "predict-batch" span histogram; nil without counters
 	adm      *admitter
-	co       *coalescer // nil when coalescing is disabled
-	active   atomic.Int64
 }
 
-// NewPredictor builds a pipeline with the given coalescing and admission
-// settings (zero values take defaults; see the Config types). counters may
-// be nil for standalone use. The coalescer engages only where a shared pass
-// can overlap other callers (GOMAXPROCS > 1) unless cc.Force is set; every
-// other part of the pipeline — pooled ingest, admission control, counters —
-// is active regardless.
-func NewPredictor(cc CoalesceConfig, ac AdmissionConfig, counters *Counters) *Predictor {
+// NewPredictor builds a pipeline with the given admission settings (zero
+// value takes defaults; see AdmissionConfig). counters may be nil for
+// standalone use.
+func NewPredictor(ac AdmissionConfig, counters *Counters) *Predictor {
 	p := &Predictor{counters: counters}
 	if counters != nil {
 		// Resolved once so the per-pass observation is lock-free atomics —
@@ -78,97 +70,42 @@ func NewPredictor(cc CoalesceConfig, ac AdmissionConfig, counters *Counters) *Pr
 		p.phase = counters.phase("predict-batch")
 	}
 	p.adm = newAdmitter(ac, counters)
-	if !cc.Disabled && (cc.Force || runtime.GOMAXPROCS(0) > 1) {
-		p.co = newCoalescer(cc, counters, p.adm, &p.active)
-		go p.co.run()
-	}
 	return p
-}
-
-// Close flushes pending coalesced batches and stops the window flusher.
-// Predict remains usable afterwards — calls score directly — so in-flight
-// traffic drains during shutdown instead of erroring.
-func (p *Predictor) Close() {
-	if p.co != nil {
-		p.co.close()
-	}
 }
 
 // Predict scores one request against one registry model, filling resp (use
 // AcquirePredictResponse + Release for pooled responses). The scored values
-// are bit-identical to offline metrics.Evaluate on the same rows whether the
-// call was coalesced or not. Requests refused by admission control return an
-// *httpError with status 429 and a Retry-After.
+// are bit-identical to offline metrics.Evaluate on the same rows. Requests
+// refused by admission control return an *httpError with status 429 and a
+// Retry-After.
 //
-// ctx bounds the call: a request whose deadline expires — including one
-// parked in a coalesced batch whose client has disconnected — returns a 503
-// with Retry-After instead of holding its arena until the batch flushes.
-// ctx is only consulted at wait points; scoring itself is not interrupted.
+// ctx is read once, at entry: a call whose client has already gone (or
+// whose deadline has passed) returns a 503 with Retry-After before any
+// parsing or admission. Scoring itself is not interrupted.
 func (p *Predictor) Predict(ctx context.Context, mv *ModelVersion, req *PredictRequest, resp *PredictResponse) error {
 	if err := ctx.Err(); err != nil {
 		p.counters.deadlineExpire()
 		return deadlineError(err)
 	}
-	p.active.Add(1)
-	defer p.active.Add(-1)
-
-	m := mv.Model
 	b := getBuilder()
-	mat, err := buildRequestMatrix(b, req, len(m.Weights))
+	defer putBuilder(b)
+	mat, err := buildRequestMatrix(b, req, len(mv.Model.Weights))
 	if err != nil {
-		putBuilder(b)
 		return err
 	}
 	n := mat.NumRows()
 	if retry, ok := p.adm.admit(n); !ok {
-		putBuilder(b)
 		return retryError(retry, n)
 	}
-
-	// Coalesce only when other calls are in flight: a lone caller never
-	// waits out the batching window (its batch would flush alone anyway).
-	coalesced := false
-	if p.co != nil && (p.co.always || p.active.Load() > 1) {
-		if cl, ok := p.co.submit(mv, req.FastMath, b, mat, resp, n); ok {
-			coalesced = true
-			select {
-			case err = <-cl.done:
-				putCall(cl)
-			case <-ctx.Done():
-				if cl.abandon() {
-					// The flusher will drop our rows and recycle the call
-					// record and the builder — neither is ours anymore.
-					b = nil
-					p.counters.deadlineExpire()
-					err = deadlineError(ctx.Err())
-				} else {
-					// The flusher claimed us first: the shared pass is
-					// already running, so take its verdict — the work is
-					// paid for either way.
-					err = <-cl.done
-					putCall(cl)
-				}
-			}
-		}
-	}
-	if !coalesced {
-		p.scoreDirect(mv, req.FastMath, mat, resp)
-	}
-	if b != nil {
-		putBuilder(b) // the batch (if any) is flushed: mat is no longer read
-	}
+	p.scoreDirect(mv, req.FastMath, mat, resp)
 	p.adm.done(n)
-	if err != nil {
-		return err
-	}
 	if p.counters != nil {
 		p.counters.observePredict(n)
 	}
 	return nil
 }
 
-// scoreDirect runs the uncoalesced path: one kernel pass over this request's
-// rows alone.
+// scoreDirect runs one kernel pass over this request's rows.
 func (p *Predictor) scoreDirect(mv *ModelVersion, fast bool, mat *data.Matrix, resp *PredictResponse) {
 	m := mv.Model
 	n := mat.NumRows()
@@ -193,28 +130,14 @@ func (p *Predictor) scoreDirect(mv *ModelVersion, fast bool, mat *data.Matrix, r
 			p.phase.observe(d, false)
 		}
 	}
-	setResponse(resp, mv, scores)
-}
-
-// fillResponse carves one caller's score range out of a shared batch pass
-// into pooled slices — the coalesced path's counterpart of scoreDirect.
-func fillResponse(resp *PredictResponse, mv *ModelVersion, carved []float64) {
-	scores := floatPool.get(len(carved))
-	copy(scores, carved)
-	setResponse(resp, mv, scores)
-}
-
-// setResponse attaches the (pooled) scores to resp and derives the labels.
-func setResponse(resp *PredictResponse, mv *ModelVersion, scores []float64) {
-	m := mv.Model
-	labels := floatPool.get(len(scores))
+	labels := floatPool.get(n)
 	for i, s := range scores {
 		labels[i] = metrics.PredictScore(m.Task, s)
 	}
 	resp.Model = mv.Name
 	resp.Version = mv.Version
 	resp.Task = m.Task.String()
-	resp.N = len(scores)
+	resp.N = n
 	resp.Labels = labels
 	resp.Scores = scores
 }
@@ -342,7 +265,7 @@ func appendPadded(b *data.MatrixBuilder, vals []float64, d, i int) error {
 
 // standalonePredictor scores compat-path calls: direct scoring, no
 // admission, no counters.
-var standalonePredictor = NewPredictor(CoalesceConfig{Disabled: true}, AdmissionConfig{Disabled: true}, nil)
+var standalonePredictor = NewPredictor(AdmissionConfig{Disabled: true}, nil)
 
 // predict scores one request against one registry model through the blocked
 // margin kernels, returning raw scores and predicted labels — the standalone

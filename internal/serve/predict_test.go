@@ -4,12 +4,18 @@ package serve
 // (label-optional LIBSVM rows, bare-feature CSV rows, dense JSON instances)
 // lands in a columnar arena and scores through the blocked margin kernels,
 // bit-identically to the per-row Dot path; malformed and mis-dimensioned
-// requests are rejected with actionable errors.
+// requests are rejected with actionable errors; concurrent callers get
+// bitwise a single caller's scores; and Server shutdown drains in-flight
+// predict traffic.
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ml4all"
 	"ml4all/internal/data"
@@ -148,5 +154,151 @@ func TestPredictMatchesPerRowDot(t *testing.T) {
 		if resp.Scores[i] != want {
 			t.Fatalf("row %d: blocked score %g != per-row %g", i, resp.Scores[i], want)
 		}
+	}
+}
+
+func regressionModel() *ModelVersion {
+	return &ModelVersion{
+		Name: "r", Version: 1,
+		Model: &ml4all.Model{
+			Name: "r", Task: data.TaskLinearRegression,
+			Weights: linalg.Vector{1, -2, 0.75, 0.3},
+		},
+	}
+}
+
+// mixedReq builds a deterministic request varying by (g, i): the three
+// accepted forms, sparse and dense, exact and fast tiers.
+func mixedReq(g, i int) *PredictRequest {
+	v := func(k int) float64 { return float64((g*31+i*7+k)%19)/19 - 0.5 }
+	fast := g%2 == 1
+	switch (g + i) % 3 {
+	case 0: // LIBSVM sparse rows
+		return &PredictRequest{Rows: []string{
+			fmt.Sprintf("1:%g 3:%g", v(0), v(1)),
+			fmt.Sprintf("2:%g 4:%g", v(2), v(3)),
+		}, FastMath: fast}
+	case 1: // dense CSV rows
+		return &PredictRequest{Rows: []string{
+			fmt.Sprintf("%g,%g,%g,%g", v(0), v(1), v(2), v(3)),
+		}, FastMath: fast}
+	default: // dense JSON instances, one short row zero-padded
+		return &PredictRequest{Instances: [][]float64{
+			{v(0), v(1)},
+			{v(1), v(2), v(3), v(0)},
+		}, FastMath: fast}
+	}
+}
+
+// sameBits fails the test unless got and want are bitwise-identical float
+// slices.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: got %v (bits %x), want %v (bits %x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestConcurrentPredictMatchesDirectBitwise hammers one predictor from
+// concurrent goroutines across mixed models, request forms and kernel tiers,
+// comparing every response bitwise against the same request scored by a
+// single caller. Concurrent callers share the pooled arenas, parse scratch
+// and score buffers; run under -race this checks none leaks between calls.
+// Responses are held until the end, so a buffer handed to two callers at
+// once shows as a wrong score.
+func TestConcurrentPredictMatchesDirectBitwise(t *testing.T) {
+	models := []*ModelVersion{predictModel(), regressionModel()}
+	const goroutines, iters = 8, 25
+	p := NewPredictor(AdmissionConfig{Disabled: true}, newCounters())
+	got := make([][]*PredictResponse, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*PredictResponse, iters)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range got[g] {
+				resp := AcquirePredictResponse()
+				if errs[g] = p.Predict(context.Background(), models[(g+i)%len(models)], mixedReq(g, i), resp); errs[g] != nil {
+					return
+				}
+				got[g][i] = resp
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, resp := range got[g] {
+			want, err := predict(models[(g+i)%len(models)], mixedReq(g, i))
+			if err != nil {
+				t.Fatalf("single caller g%d i%d: %v", g, i, err)
+			}
+			what := fmt.Sprintf("g%d i%d", g, i)
+			sameBits(t, what+" scores", resp.Scores, want.Scores)
+			sameBits(t, what+" labels", resp.Labels, want.Labels)
+			if resp.Model != want.Model || resp.Version != want.Version || resp.Task != want.Task {
+				t.Fatalf("%s: metadata %+v, want %+v", what, resp, want)
+			}
+		}
+	}
+}
+
+// TestServerShutdownDrainsPredictTraffic exercises the full Server shutdown
+// path with predict calls in flight: Shutdown must drain the manager
+// without failing a single call.
+func TestServerShutdownDrainsPredictTraffic(t *testing.T) {
+	srv, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := srv.Registry().Publish("m", predictModel().Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp := AcquirePredictResponse()
+				if err := srv.predictor.Predict(context.Background(), mv, mixedReq(g, i), resp); err != nil {
+					errc <- err
+					return
+				}
+				resp.Release()
+			}
+		}(g)
+	}
+	time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with traffic in flight: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
 	}
 }

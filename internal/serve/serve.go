@@ -13,13 +13,12 @@
 //     name@version, persisted through SaveModel/LoadModel with atomic
 //     publish, so the serving fleet never observes a half-written model;
 //
-//   - a prediction service (predict.go, coalesce.go, admission.go) that
-//     parses request rows into pooled columnar arenas and scores them
-//     through the batched block margin kernels — the same kernels training
+//   - a prediction service (predict.go, admission.go) that parses request
+//     rows into pooled columnar arenas and scores each call's rows in one
+//     pass of the batched block margin kernels — the same kernels training
 //     uses, which is what makes served predictions bit-identical to offline
-//     Evaluate on the same rows. Under concurrency, calls against the same
-//     model coalesce into shared kernel passes; per-model admission control
-//     sheds overload with 429 + Retry-After instead of queueing unboundedly.
+//     Evaluate on the same rows. Admission control sheds overload with
+//     429 + Retry-After instead of queueing unboundedly.
 //
 // Per-endpoint latency histograms (p50/p95/p99) and throughput counters are
 // exposed at /metrics (Prometheus text format) and a liveness summary at
@@ -56,19 +55,12 @@ type Config struct {
 	// on (cluster config, estimator settings, worker pool). Nil means
 	// ml4all.NewSystem().
 	System *ml4all.System
-	// Coalesce tunes predict-request coalescing (zero value: enabled with
-	// defaults; set Disabled to score every request alone).
-	Coalesce CoalesceConfig
 	// Admission bounds in-flight prediction rows (zero value: enabled with
 	// defaults; set Disabled to admit everything).
 	Admission AdmissionConfig
 	// MaxBodyBytes caps request bodies; an overrun returns 413. 0 means
 	// 8 MiB; negative disables the cap.
 	MaxBodyBytes int64
-	// PredictTimeout bounds each predict call beyond the client's own
-	// deadline; an expired call returns 503 + Retry-After. 0 means no
-	// server-side bound (the client context still applies).
-	PredictTimeout time.Duration
 	// RetainCheckpoints is how many checkpoint generations each running job
 	// keeps on disk. 0 means 3.
 	RetainCheckpoints int
@@ -148,7 +140,7 @@ func New(cfg Config) (*Server, error) {
 		manager:   mgr,
 		registry:  reg,
 		counters:  counters,
-		predictor: NewPredictor(cfg.Coalesce, cfg.Admission, counters),
+		predictor: NewPredictor(cfg.Admission, counters),
 		maxBody:   maxBody,
 		started:   time.Now(),
 	}, nil
@@ -184,14 +176,11 @@ func (s *Server) Predictor() *Predictor { return s.predictor }
 // per-phase span summaries from it without scraping /metrics).
 func (s *Server) Counters() *Counters { return s.counters }
 
-// Shutdown drains the service gracefully: pending coalesced batches flush
-// (predict calls still in flight score directly), then the training pool
-// drains — running jobs checkpoint and are left resumable on disk. The HTTP
-// listener (owned by the caller) should stop first.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.predictor.Close()
-	return s.manager.Shutdown(ctx)
-}
+// Shutdown drains the training pool gracefully: running jobs checkpoint and
+// are left resumable on disk. Predict calls hold no server-side state, so
+// in-flight ones simply finish. The HTTP listener (owned by the caller)
+// should stop first.
+func (s *Server) Shutdown(ctx context.Context) error { return s.manager.Shutdown(ctx) }
 
 // Handler returns the service's route table.
 func (s *Server) Handler() http.Handler {

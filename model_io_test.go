@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,6 +186,65 @@ func TestLoadModelTruncatedAtLineBoundary(t *testing.T) {
 		m, err := LoadModel(path)
 		if err == nil || !strings.Contains(err.Error(), "corrupt or torn file") {
 			t.Fatalf("cut after %d lines: want a corrupt-or-torn error, got %v (model %+v)", n, err, m)
+		}
+	}
+}
+
+// FuzzDecodeModel feeds the model decoder arbitrary bytes: it must never
+// panic, and any input it accepts must survive EncodeModel → DecodeModel with
+// the same task, plan, iteration count, convergence flag, train time and
+// weight bits.
+func FuzzDecodeModel(f *testing.F) {
+	var seeds [][]byte
+	for _, m := range []*Model{
+		{Name: "s", Task: data.TaskSVM, PlanName: "BGD(eager)", Weights: linalg.Vector{0.1, -0.0, 4e300}, Iterations: 12, TrainTime: 1.5, Converged: true},
+		{Name: "l", Task: data.TaskLogisticRegression, PlanName: "MGD(lazy,bernoulli)", Weights: linalg.Vector{0, 1e-9, -3.25}, Iterations: 7},
+		{Name: "r", Task: data.TaskLinearRegression, PlanName: "SGD(eager,random)", Weights: linalg.Vector{1.5}, Iterations: 9999, TrainTime: 1e-3, Converged: true},
+	} {
+		seeds = append(seeds, EncodeModel(m))
+	}
+	full := seeds[0]
+	flipped := bytes.Clone(full)
+	flipped[len(flipped)/2] ^= 0x01
+	seeds = append(seeds,
+		full[:len(full)/2], // truncated mid-file
+		flipped,            // one flipped byte: checksum mismatch
+		full[:bytes.LastIndex(full, []byte(modelCRCPrefix))], // no trailer
+	)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Sealing the input with a valid trailer lets mutations past the
+		// checksum and into the parser.
+		for _, in := range [][]byte{raw, []byte(sealed(string(raw)))} {
+			roundTrip(t, in)
+		}
+	})
+}
+
+// roundTrip checks an input DecodeModel accepts decodes the same again after
+// EncodeModel.
+func roundTrip(t *testing.T, raw []byte) {
+	t.Helper()
+	m, err := DecodeModel(raw, "fuzz")
+	if err != nil {
+		return
+	}
+	again, err := DecodeModel(EncodeModel(m), "fuzz")
+	if err != nil {
+		t.Fatalf("re-encoded model does not decode: %v (model %+v)", err, m)
+	}
+	if again.Task != m.Task || again.PlanName != m.PlanName || again.Iterations != m.Iterations ||
+		again.Converged != m.Converged || math.Float64bits(float64(again.TrainTime)) != math.Float64bits(float64(m.TrainTime)) {
+		t.Fatalf("metadata changed across re-encode: %+v -> %+v", m, again)
+	}
+	if len(again.Weights) != len(m.Weights) {
+		t.Fatalf("weights: %d -> %d", len(m.Weights), len(again.Weights))
+	}
+	for i := range m.Weights {
+		if math.Float64bits(again.Weights[i]) != math.Float64bits(m.Weights[i]) {
+			t.Fatalf("weight %d: %v -> %v", i, m.Weights[i], again.Weights[i])
 		}
 	}
 }

@@ -78,21 +78,18 @@ func TestPredictAllocatesNothing(t *testing.T) {
 	for i := range req.Rows {
 		req.Rows[i] = fmt.Sprintf("%d:%g %d:%g %d:%g", i%d+1, 0.25+float64(i), (i+7)%d+1, -1.5, (i+29)%d+1, float64(i%5))
 	}
-	for name, cc := range map[string]serve.CoalesceConfig{"direct": {Disabled: true}, "coalesced": {Force: true}} {
-		p := serve.NewPredictor(cc, serve.AdmissionConfig{}, nil)
-		predict := func() {
-			resp := serve.AcquirePredictResponse()
-			if err := p.Predict(context.Background(), mv, req, resp); err != nil {
-				t.Fatal(err)
-			}
-			resp.Release()
+	p := serve.NewPredictor(serve.AdmissionConfig{}, nil)
+	predict := func() {
+		resp := serve.AcquirePredictResponse()
+		if err := p.Predict(context.Background(), mv, req, resp); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 16; i++ { // warm every pool class the path touches
-			predict()
-		}
-		if allocs := testing.AllocsPerRun(200, predict); allocs != 0 {
-			t.Errorf("%s: %v allocs per Predict, want 0", name, allocs)
-		}
-		p.Close()
+		resp.Release()
+	}
+	for i := 0; i < 16; i++ { // warm every pool class the path touches
+		predict()
+	}
+	if allocs := testing.AllocsPerRun(200, predict); allocs != 0 {
+		t.Errorf("%v allocs per Predict, want 0", allocs)
 	}
 }
