@@ -107,16 +107,6 @@ func (r Row) MaxIndex() int {
 	return len(r.Vals) - 1
 }
 
-// ApproxBytes estimates the in-memory footprint of the row in bytes, matching
-// the accounting a columnar record reader does (8 bytes per value, 4 per
-// sparse index, 8 for the label).
-func (r Row) ApproxBytes() int {
-	if r.sparse {
-		return 8 + 12*len(r.Vals)
-	}
-	return 8 + 8*len(r.Vals)
-}
-
 // emptyIdx backs the Idx slice of empty sparse rows so IsSparse-by-shape
 // stays distinguishable from dense even for rows with no stored features.
 var emptyIdx = make([]int32, 0)

@@ -14,6 +14,7 @@ import (
 	"ml4all/internal/cluster"
 	"ml4all/internal/engine"
 	"ml4all/internal/gd"
+	"ml4all/internal/linalg"
 	"ml4all/internal/storage"
 )
 
@@ -64,6 +65,10 @@ type Estimate struct {
 	// the requested tolerance after this many iterations, so Iterations
 	// reports observation instead of extrapolation.
 	Exact int
+	// Weights and Diverged are the speculation run's final model and whether
+	// it left the finite range, for callers that score what the run learned.
+	Weights  linalg.Vector
+	Diverged bool
 }
 
 // Iterations returns T(εd), the estimated iterations to reach tolerance εd.
@@ -187,6 +192,7 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 		return est, err
 	}
 	est.SpecTime = res.Time
+	est.Weights, est.Diverged = res.Weights, res.Diverged
 	est.Sequence = MonotoneSequence(res.Deltas)
 	if len(est.Sequence) == 0 {
 		// Nothing improved: assume the worst and let the plan's MaxIter

@@ -11,6 +11,7 @@ import (
 	"ml4all/internal/estimator"
 	"ml4all/internal/gd"
 	"ml4all/internal/planner"
+	"ml4all/internal/step"
 	"ml4all/internal/storage"
 	"ml4all/internal/synth"
 )
@@ -37,6 +38,7 @@ func speculateGathered(t *testing.T, plan gd.Plan, store *storage.Store, cfg est
 		t.Fatal(err)
 	}
 	est.SpecTime = res.Time
+	est.Weights, est.Diverged = res.Weights, res.Diverged
 	est.Sequence = estimator.MonotoneSequence(res.Deltas)
 	if len(est.Sequence) == 0 {
 		est.A = math.Inf(1)
@@ -56,11 +58,26 @@ func sameEstimate(a, b estimator.Estimate) bool {
 		a.SpecTime == b.SpecTime && reflect.DeepEqual(a.Sequence, b.Sequence)
 }
 
+// sameRun compares what the speculation run ended with: whether it diverged,
+// and its final weights bit for bit.
+func sameRun(a, b estimator.Estimate) bool {
+	if a.Diverged != b.Diverged || len(a.Weights) != len(b.Weights) {
+		return false
+	}
+	for i, w := range a.Weights {
+		if math.Float64bits(w) != math.Float64bits(b.Weights[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSpeculatePackedSampleBitwise: packing the speculation sample into its
 // own arena changes which kernels its passes take (contiguous blocks instead
 // of gathered rows) and nothing else — every plan of the space, eager and
-// lazy, speculates to the same estimate on both, so the optimizer decides
-// the same.
+// lazy, speculates to the same estimate and the same final weights on both,
+// so the optimizer decides the same. A least-squares plan with an exploding
+// step diverges on both.
 func TestSpeculatePackedSampleBitwise(t *testing.T) {
 	cfg := estimator.Config{SampleSize: 1000, SpecTolerance: 0.05, TimeBudget: 10, Seed: 3, Workers: 1}
 	for _, task := range []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression} {
@@ -89,6 +106,9 @@ func TestSpeculatePackedSampleBitwise(t *testing.T) {
 				if !sameEstimate(got, ref) {
 					t.Fatalf("%v %s %s: packed %+v, gathered %+v", task, shape.Name, plan.Name(), got, ref)
 				}
+				if !sameRun(got, ref) {
+					t.Fatalf("%v %s %s: packed run diverged=%v, gathered diverged=%v, or their weights differ", task, shape.Name, plan.Name(), got.Diverged, ref.Diverged)
+				}
 				if len(ref.Sequence) == 0 {
 					t.Fatalf("%v %s %s: speculation recorded no progress", task, shape.Name, plan.Name())
 				}
@@ -107,6 +127,17 @@ func TestSpeculatePackedSampleBitwise(t *testing.T) {
 			for algo, ref := range want {
 				if !sameEstimate(dec.Estimates[algo], ref) {
 					t.Fatalf("%v %s %v: Choose used %+v, gathered %+v", task, shape.Name, algo, dec.Estimates[algo], ref)
+				}
+			}
+			if task == data.TaskLinearRegression {
+				exploding := planner.Space(p)[0]
+				exploding.Step = step.Constant{Value: 1e6}
+				got, err := estimator.Speculate(exploding, store, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := speculateGathered(t, exploding, store, cfg); !got.Diverged || !sameEstimate(got, ref) || !sameRun(got, ref) {
+					t.Fatalf("%s exploding step: packed diverged=%v %+v, gathered diverged=%v %+v", shape.Name, got.Diverged, got, ref.Diverged, ref)
 				}
 			}
 		}

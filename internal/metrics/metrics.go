@@ -92,15 +92,6 @@ func ScoresIntoFast(w linalg.Vector, m *data.Matrix, out []float64) {
 	}
 }
 
-// PredictInto fills out[i] with the label the model assigns to row i of m:
-// ScoresInto mapped through PredictScore, in place.
-func PredictInto(task data.TaskKind, w linalg.Vector, m *data.Matrix, out []float64) {
-	ScoresInto(w, m, out)
-	for i, s := range out[:m.NumRows()] {
-		out[i] = PredictScore(task, s)
-	}
-}
-
 // Evaluate scores the model on every unit of the test dataset. Scoring runs
 // through the blocked margin kernels over the dataset's columnar arena: one
 // fused dot-product pass per row block instead of a Row view and a Dot call

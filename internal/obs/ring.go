@@ -74,9 +74,16 @@ func (r *Ring) ObserveIter(ev engine.IterEvent) {
 		r.next = (r.next + 1) % len(r.buf)
 	}
 	r.count++
-	if ev.Delta < r.best && ev.Delta > 0 && !math.IsInf(ev.Delta, 0) {
-		r.best = ev.Delta
-		r.curve = append(r.curve, estimator.Point{Iter: ev.Iter, Err: ev.Delta})
+	r.extendCurve(ev.Iter, ev.Delta)
+	r.mu.Unlock()
+}
+
+// extendCurve adds iteration iter's delta d to the monotone curve when it
+// improves on the best so far. The caller holds mu.
+func (r *Ring) extendCurve(iter int, d float64) {
+	if d < r.best && d > 0 && !math.IsInf(d, 0) {
+		r.best = d
+		r.curve = append(r.curve, estimator.Point{Iter: iter, Err: d})
 		if len(r.curve) > maxCurvePoints {
 			kept := r.curve[:0]
 			for i, p := range r.curve {
@@ -87,7 +94,20 @@ func (r *Ring) ObserveIter(ev engine.IterEvent) {
 			r.curve = kept
 		}
 	}
-	r.mu.Unlock()
+}
+
+// RestoreCurve rebuilds the curve from a resumed run's delta history
+// (deltas[i] is iteration i+1's), so a run reopened from a checkpoint
+// accumulates the curve an uninterrupted run would. The retained events,
+// the count and the wall clock are left alone: they describe only what this
+// ring observed.
+func (r *Ring) RestoreCurve(deltas []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.curve, r.best = nil, math.Inf(1)
+	for i, d := range deltas {
+		r.extendCurve(i+1, d)
+	}
 }
 
 // Events returns the retained events in chronological order (a copy).

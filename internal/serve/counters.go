@@ -165,12 +165,6 @@ func (c *Counters) route(name string) *routeStats {
 	return rs
 }
 
-// observe records one served request on a route — the slow path for callers
-// that did not pre-resolve the record.
-func (c *Counters) observe(route string, d time.Duration, isErr bool) {
-	c.route(route).observe(d, isErr)
-}
-
 // phase returns (registering if needed) a phase's stats record; like route,
 // callers on hot paths resolve it once so observing is pure atomics.
 func (c *Counters) phase(name string) *routeStats {
@@ -182,11 +176,6 @@ func (c *Counters) phase(name string) *routeStats {
 		c.phases[name] = rs
 	}
 	return rs
-}
-
-// LedgerTotals reports (records appended, append errors).
-func (c *Counters) LedgerTotals() (records, errors uint64) {
-	return c.ledgerRecords.Load(), c.ledgerErrors.Load()
 }
 
 // observePredict records one prediction call's row count.

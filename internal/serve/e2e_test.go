@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -320,21 +321,13 @@ func serveMatchesOffline(t *testing.T, system func() *ml4all.System, script stri
 // never-interrupted run produces.
 func TestJobResumesAcrossRestart(t *testing.T) {
 	t.Run("static", func(t *testing.T) {
-		trainPath, _ := writeDataset(t, synth.Spec{
-			Name: "restart-train", Task: data.TaskLogisticRegression,
-			N: 3000, D: 24, Density: 0.4, Noise: 0.15, Margin: 1, Seed: 7,
-		})
-		// Logistic gradients never vanish exactly, so with an unreachable
-		// tolerance the job runs its full iteration budget — a long, steady run
-		// the test can interrupt mid-flight deterministically.
-		script := fmt.Sprintf("m = run logistic on %s having epsilon 0.0000000000000000001, max iter 1200;", trainPath)
-		resumesAcrossRestart(t, servingSystem, script, func(st JobStatus) bool { return st.Iteration >= 25 })
+		resumesAcrossRestart(t, servingSystem, staticRestartScript(t), staticMidFlight)
 	})
 	// The adaptive job is shut down on either side of its switch: the first
 	// manager's checkpoint then carries the controller before, or after, it
 	// acted, and the second manager's run must cross, or not repeat, it.
 	t.Run("adaptive before the switch", func(t *testing.T) {
-		stopped, final := resumesAcrossRestart(t, adaptiveSystem, adaptiveScript(t, "restart-adaptive"),
+		stopped, final, _ := resumesAcrossRestart(t, adaptiveSystem, adaptiveScript(t, "restart-adaptive"),
 			func(st JobStatus) bool { return st.Iteration >= 10 })
 		if stopped.Iteration >= adaptiveSwitchIter || stopped.Plan == adaptiveChain || final.Plan != adaptiveChain {
 			t.Fatalf("stopped at iteration %d on %s, finished on %s; want the switch to %s after the restart",
@@ -347,11 +340,56 @@ func TestJobResumesAcrossRestart(t *testing.T) {
 	})
 }
 
+// staticRestartScript is a long static job: logistic gradients never vanish
+// exactly, so with an unreachable tolerance it runs its full iteration budget
+// — a steady run a test can interrupt mid-flight deterministically.
+func staticRestartScript(t *testing.T) string {
+	t.Helper()
+	trainPath, _ := writeDataset(t, synth.Spec{
+		Name: "restart-train", Task: data.TaskLogisticRegression,
+		N: 3000, D: 24, Density: 0.4, Noise: 0.15, Margin: 1, Seed: 7,
+	})
+	return fmt.Sprintf("m = run logistic on %s having epsilon 0.0000000000000000001, max iter 1200;", trainPath)
+}
+
+func staticMidFlight(st JobStatus) bool { return st.Iteration >= 25 }
+
+// TestResumedJobRecordsTheUninterruptedCurve: the ledger curve of a job
+// resumed after a restart is the one a never-stopped served run records —
+// the same iterations, the same error bits — not a curve that starts over at
+// the resume iteration.
+func TestResumedJobRecordsTheUninterruptedCurve(t *testing.T) {
+	script := staticRestartScript(t)
+	mgr, _ := testManager(t, ManagerConfig{Pool: 1, CheckpointEvery: -1})
+	defer mgr.Shutdown(context.Background())
+	j, err := mgr.Submit(script, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j.Status, JobCompleted, 60*time.Second)
+	want := mgr.Ledger().Records()
+
+	_, _, got := resumesAcrossRestart(t, servingSystem, script, staticMidFlight)
+	if len(want) != 1 || len(got) != 1 {
+		t.Fatalf("ledgers hold %d (uninterrupted) and %d (resumed) records, want 1 each", len(want), len(got))
+	}
+	wc, gc := want[0].Curve, got[0].Curve
+	if len(wc) == 0 || len(gc) != len(wc) {
+		t.Fatalf("resumed curve has %d points, uninterrupted %d", len(gc), len(wc))
+	}
+	for i := range wc {
+		if gc[i].Iter != wc[i].Iter || math.Float64bits(gc[i].Err) != math.Float64bits(wc[i].Err) {
+			t.Fatalf("curve point %d: resumed %+v, uninterrupted %+v", i, gc[i], wc[i])
+		}
+	}
+}
+
 // resumesAcrossRestart runs script under a throttled manager until the job's
 // status satisfies midFlight, shuts that manager down, and holds what a fresh
 // manager on the same directory finishes to the offline, never-interrupted
-// run. It returns the job's status at the shutdown and at the end.
-func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script string, midFlight func(JobStatus) bool) (stopped, final JobStatus) {
+// run. It returns the job's status at the shutdown and at the end, and the
+// second manager's ledger.
+func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script string, midFlight func(JobStatus) bool) (stopped, final JobStatus, ledger []obs.Record) {
 	ref := system()
 	outs, err := ref.Exec(script)
 	if err != nil {
@@ -436,7 +474,7 @@ func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script str
 	if mv.Model.Converged != refModel.Converged {
 		t.Fatalf("resumed converged=%v, offline %v", mv.Model.Converged, refModel.Converged)
 	}
-	return stopped, final
+	return stopped, final, mgr2.Ledger().Records()
 }
 
 // TestDivergedJobIsNotPublished: a job whose trainer ends with non-finite

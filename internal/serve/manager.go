@@ -94,9 +94,6 @@ type Job struct {
 	replayed    bool
 }
 
-// Ring returns the job's iteration-telemetry ring buffer.
-func (j *Job) Ring() *obs.Ring { return j.ring }
-
 // Trace returns the job's span timeline (the /v1/jobs/{id}/trace source).
 func (j *Job) Trace() *obs.Trace { return j.trace }
 
@@ -722,6 +719,9 @@ func (m *Manager) openJob(j *Job) error {
 			continue
 		}
 		m.cfg.Counters.ckptVerified.Add(1)
+		// The ring is fresh after a restart: give it the curve up to the
+		// checkpoint, so the ledger and the live ETA see the whole run.
+		j.ring.RestoreCurve(tj.Deltas())
 		j.mu.Lock()
 		j.job = tj
 		j.mu.Unlock()
@@ -934,7 +934,7 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 			Density:     st.Density,
 		},
 		Plan:        prog.PlanName,
-		FastMath:    fast || m.sys.FastMath,
+		FastMath:    fast,
 		Backend:     linalg.FastBackend(),
 		WeightsHash: obs.WeightsHash(model.Weights),
 		Iterations:  prog.Iteration,

@@ -126,12 +126,3 @@ func (s *Store) PartitionOf(i int) (Partition, error) {
 	}
 	return Partition{}, fmt.Errorf("storage: unit index %d out of range", i)
 }
-
-// TotalPages returns the number of pages the whole dataset occupies.
-func (s *Store) TotalPages() int64 {
-	var n int64
-	for _, p := range s.Partitions {
-		n += p.Pages(s.Layout)
-	}
-	return n
-}

@@ -81,15 +81,6 @@ type System struct {
 	// simulated cluster time is charged the same either way. See DESIGN.md.
 	Workers int
 
-	// FastMath opts every run into the tolerance-bounded fast kernel tier
-	// (engine.Options.FastMath; see DESIGN.md §10): multi-accumulator
-	// margins, fused gradient accumulation, polynomial sigmoid. Training is
-	// faster but results agree with the default bit-exact tier only within
-	// documented epsilon bounds; the optimizer prices plans at the fast
-	// tier's measured throughput. Individual statements can opt in without
-	// flipping the system default via `having fastmath`.
-	FastMath bool
-
 	datasets map[string]*data.Dataset
 	models   map[string]*Model
 }
@@ -188,7 +179,7 @@ func (s *System) Optimize(ds *data.Dataset, p Params) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	return planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: s.FastMath})
+	return planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig()})
 }
 
 // estimatorConfig returns the estimator settings with the system's worker
@@ -209,7 +200,7 @@ func (s *System) Execute(ds *data.Dataset, plan Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.FastMath})
+	return engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers})
 }
 
 // Train optimizes and executes in one timeline: the returned result's Time
@@ -222,12 +213,12 @@ func (s *System) Train(ds *data.Dataset, p Params) (*Result, *Decision, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: s.FastMath})
+	dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig()})
 	if err != nil {
 		return nil, nil, err
 	}
 	plan := dec.Best.Plan
-	res, err := engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.FastMath})
+	res, err := engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,8 +240,8 @@ func (s *System) TrainAdaptive(ds *data.Dataset, p Params, cfg AdaptiveConfig) (
 	if err != nil {
 		return nil, err
 	}
-	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: s.estimatorConfig(), FastMath: s.FastMath},
-		engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.FastMath}, cfg)
+	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: s.estimatorConfig()},
+		engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -34,10 +34,10 @@ type JobOptions struct {
 
 	// FastMath opts the job into the tolerance-bounded fast kernel tier
 	// (engine.Options.FastMath). The job's effective tier is the OR of this
-	// option, the statement's `having fastmath` knob and the system default
-	// — and must be identical at OpenJob and ResumeJob time for a resumed
-	// run to be meaningful, which is why the serving layer persists it in
-	// the job manifest next to the script.
+	// option and the statement's `having fastmath` knob — and must be
+	// identical at OpenJob and ResumeJob time for a resumed run to be
+	// meaningful, which is why the serving layer persists it in the job
+	// manifest next to the script.
 	FastMath bool
 
 	// Observer, when non-nil, receives per-iteration telemetry
@@ -173,7 +173,7 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: s.jobFastMath(q, jo)}
+	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: jobFastMath(q, jo)}
 	optimize := -1
 	if jo.Trace != nil {
 		optimize = jo.Trace.Start("optimize", -1)
@@ -195,16 +195,16 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 }
 
 // jobFastMath resolves a job's effective kernel tier: the statement's
-// `having fastmath` knob, the job option, or the system default — any one
-// opts in. Costing (costJob) and execution (jobEngineOptions) both consult
-// it, so the optimizer prices the tier the trainer will run.
-func (s *System) jobFastMath(q *lang.Run, jo JobOptions) bool {
-	return s.FastMath || q.FastMath || jo.FastMath
+// `having fastmath` knob or the job option — either one opts in. Costing
+// (costJob) and execution (jobEngineOptions) both consult it, so the
+// optimizer prices the tier the trainer will run.
+func jobFastMath(q *lang.Run, jo JobOptions) bool {
+	return q.FastMath || jo.FastMath
 }
 
 // jobEngineOptions maps system settings plus job options onto the engine's.
 func (s *System) jobEngineOptions(q *lang.Run, jo JobOptions) engine.Options {
-	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: s.jobFastMath(q, jo), Interrupt: jo.Interrupt, Observer: jo.Observer}
+	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: jobFastMath(q, jo), Interrupt: jo.Interrupt, Observer: jo.Observer}
 }
 
 // Step executes exactly one plan iteration: engine.Trainer.Step, or the
@@ -307,17 +307,6 @@ func (m *Model) ScoreMatrix(mat *data.Matrix) ([]float64, error) {
 	}
 	out := make([]float64, mat.NumRows())
 	metrics.ScoresInto(m.Weights, mat, out)
-	return out, nil
-}
-
-// PredictMatrix returns the label the model assigns to every row of mat: the
-// raw score for regression models, its sign (±1) for classification.
-func (m *Model) PredictMatrix(mat *data.Matrix) ([]float64, error) {
-	if err := m.checkDims(mat); err != nil {
-		return nil, err
-	}
-	out := make([]float64, mat.NumRows())
-	metrics.PredictInto(m.Task, m.Weights, mat, out)
 	return out, nil
 }
 
