@@ -33,8 +33,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "restrict sweeps to a representative subset")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical, only wall time changes)")
-	adaptive := flag.Bool("adaptive", false, "train the optimizer's chosen plan with mid-flight re-optimization where experiments support it (fig8; the 'adaptive' experiment always adapts)")
-	fastmath := flag.Bool("fastmath", false, "run engine executions on the opt-in fast kernel tier (tolerance-bounded results)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file after the runs")
@@ -83,7 +81,7 @@ func run() int {
 		}()
 	}
 
-	cfg := experiments.Config{Scale: *scale, Quick: *quick, Seed: *seed, Workers: *workers, Adaptive: *adaptive, FastMath: *fastmath}
+	cfg := experiments.Config{Scale: *scale, Quick: *quick, Seed: *seed, Workers: *workers}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

@@ -93,10 +93,8 @@ const FastMathFlopFrac = 0.70
 const FastMathFlopFracSIMD = 0.50
 
 // FastMathFlopFracFor returns the per-flop cost fraction for a fast-tier
-// kernel backend (a linalg.FastBackend value). Unknown names — including
-// linalg.BackendSIMDNEON, which has no measurement yet — are charged the
-// portable tier's conservative fraction, so an unmeasured backend can only
-// be under-credited, never over-credited, by the planner.
+// kernel backend (a linalg.FastBackend value): the AVX2 figure for the
+// assembly backend, the portable tier's for anything else.
 func FastMathFlopFracFor(backend string) float64 {
 	if backend == linalg.BackendSIMDAVX2 {
 		return FastMathFlopFracSIMD
@@ -106,7 +104,7 @@ func FastMathFlopFracFor(backend string) float64 {
 
 // ActiveFastMathFlopFrac resolves the flop fraction of the backend the
 // running binary dispatches to right now (runtime CPU detection plus any
-// noasm/ML4ALL_NOSIMD/SetSIMD override), so simulator and cost model price
+// noasm/SetSIMD override), so simulator and cost model price
 // the fast tier as executed, not as compiled.
 func ActiveFastMathFlopFrac() float64 {
 	return FastMathFlopFracFor(linalg.FastBackend())

@@ -8,8 +8,7 @@ import (
 
 // TestFastMathFlopFracPerBackend pins the per-backend pricing table: the
 // SIMD backend is priced cheaper per flop than the portable fast tier, and
-// unknown or unmeasured backends (NEON included, until it has a table)
-// degrade to the conservative portable figure.
+// unknown backends degrade to the conservative portable figure.
 func TestFastMathFlopFracPerBackend(t *testing.T) {
 	if got := FastMathFlopFracFor(linalg.BackendFastGo); got != FastMathFlopFrac {
 		t.Fatalf("fast-go frac = %v, want %v", got, FastMathFlopFrac)
@@ -19,9 +18,6 @@ func TestFastMathFlopFracPerBackend(t *testing.T) {
 	}
 	if FastMathFlopFracSIMD >= FastMathFlopFrac {
 		t.Fatalf("SIMD frac %v should undercut fast-go frac %v", FastMathFlopFracSIMD, FastMathFlopFrac)
-	}
-	if got := FastMathFlopFracFor(linalg.BackendSIMDNEON); got != FastMathFlopFrac {
-		t.Fatalf("unmeasured neon frac = %v, want conservative %v", got, FastMathFlopFrac)
 	}
 	if got := FastMathFlopFracFor("no-such-backend"); got != FastMathFlopFrac {
 		t.Fatalf("unknown backend frac = %v, want %v", got, FastMathFlopFrac)

@@ -8,6 +8,7 @@ import (
 	"ml4all/internal/data"
 	"ml4all/internal/gd"
 	"ml4all/internal/gradients"
+	"ml4all/internal/storage"
 	"ml4all/internal/synth"
 )
 
@@ -96,6 +97,23 @@ func TestCustomGradientPlanStaysPerRowBilled(t *testing.T) {
 	sameResult(t, "custom-gradient/BGD", base, got, 1)
 }
 
+// runBlocked is Run with the executor's row-block width set to bs instead of
+// the blockSize constant: block kernels must be bit-identical to the per-row
+// path at every width, so the tests sweep widths the engine never picks.
+func runBlocked(sim *cluster.Sim, st *storage.Store, plan *gd.Plan, opts Options, bs int) (*Result, error) {
+	tr, err := NewTrainer(sim, st, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	tr.ex.blockSize = bs
+	for !tr.Done() {
+		if err := tr.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return tr.Finish(), nil
+}
+
 func TestBlockedComputeMatchesRowComputeBitwise(t *testing.T) {
 	tasks := []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression}
 	// 500 units over 2 KB partitions: several shards with boundaries that
@@ -130,7 +148,7 @@ func TestBlockedComputeMatchesRowComputeBitwise(t *testing.T) {
 				var first *Result
 				for _, bs := range blockSizes {
 					sim := cluster.New(cluster.Default())
-					res, err := Run(sim, st, &plan, Options{Seed: 7, Workers: 1, BlockSize: bs})
+					res, err := runBlocked(sim, st, &plan, Options{Seed: 7, Workers: 1}, bs)
 					if err != nil {
 						t.Fatalf("%s: block=%d: %v", label, bs, err)
 					}

@@ -55,14 +55,6 @@ type Options struct {
 	// documented on gd.Computer when Workers != 1.
 	Workers int
 
-	// BlockSize is the row-block width the batched compute path hands to
-	// gd.BatchComputer implementations (see DESIGN.md §8). 0 (the default)
-	// means 512. The value trades cache residency against dispatch
-	// amortization and affects speed only: block kernels are bit-identical
-	// to the per-row path for every block size, so results never depend on
-	// it (the block property test sweeps it).
-	BlockSize int
-
 	// FastMath opts the run into the tolerance-bounded fast kernel tier:
 	// the batched compute path dispatches to the multi-accumulator margin
 	// kernels and fused gradient accumulation (gradients.FastGradient),
@@ -169,7 +161,7 @@ type executor struct {
 	// computers do), resolved once per run; nil keeps the per-row path, which
 	// calls randomized instead of Compute when the Computer takes per-shard
 	// randomness. blockSize is the row-block width of the blocked path
-	// (Options.BlockSize, default 512).
+	// (blockSize in partition.go; tests sweep other widths).
 	batch      gd.BatchComputer
 	randomized gd.RandomizedComputer
 	blockSize  int

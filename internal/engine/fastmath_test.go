@@ -120,13 +120,13 @@ func testFastMathWithinEpsilon(t *testing.T) {
 			for _, bs := range blockSizes {
 				for _, workers := range workerCounts {
 					label := fmt.Sprintf("%v/%s/block=%d/workers=%d", task, layout, bs, workers)
-					opts := Options{Seed: 7, Workers: workers, BlockSize: bs}
-					exact, err := Run(cluster.New(cluster.Default()), st, &plan, opts)
+					opts := Options{Seed: 7, Workers: workers}
+					exact, err := runBlocked(cluster.New(cluster.Default()), st, &plan, opts, bs)
 					if err != nil {
 						t.Fatalf("%s: exact: %v", label, err)
 					}
 					opts.FastMath = true
-					fast, err := Run(cluster.New(cluster.Default()), st, &plan, opts)
+					fast, err := runBlocked(cluster.New(cluster.Default()), st, &plan, opts, bs)
 					if err != nil {
 						t.Fatalf("%s: fast: %v", label, err)
 					}

@@ -23,15 +23,15 @@ const shardUnitTarget = 4096
 // worker-count independent too.
 const batchChunkTarget = 1024
 
-// defaultBlockSize is the row-block width of the batched compute path when
-// Options.BlockSize is unset: spans are carved into runs of this many rows
-// and each run is one gd.BatchComputer.ComputeBlock call. 512 rows keeps a
+// blockSize is the row-block width of the batched compute path: spans are
+// carved into runs of this many rows and each run is one
+// gd.BatchComputer.ComputeBlock call. 512 rows keeps a
 // block's margins (4 KB) and a paper-scale dense block (512×50 features,
 // 200 KB) L2-resident while amortizing the per-call dispatch to noise; block
 // boundaries derive from span boundaries alone, so — like shards — they
 // never depend on the worker count, and the kernels are bit-identical to the
 // per-row path for every width anyway.
-const defaultBlockSize = data.DefaultBlockSize
+const blockSize = data.DefaultBlockSize
 
 // span is a half-open range of positions [lo, hi) processed as one pool task.
 type span struct{ lo, hi int }

@@ -149,10 +149,6 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 		start:    sim.Now(),
 		copyPrev: true,
 	}
-	blockSize := opts.BlockSize
-	if blockSize <= 0 {
-		blockSize = defaultBlockSize
-	}
 	t.ex = executor{
 		sim: sim, store: store, plan: plan, ctx: ctx,
 		seed:      seed,

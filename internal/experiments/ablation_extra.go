@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"ml4all/internal/cluster"
 	"ml4all/internal/estimator"
 	"ml4all/internal/gd"
+	"ml4all/internal/planner"
 )
 
 // The extra ablations DESIGN.md calls out beyond the paper's own figures:
@@ -13,13 +15,15 @@ import (
 // effect of the hybrid operator-placement rule.
 
 // AblationSpeculation sweeps the estimator's sample size and time budget on
-// covtype/BGD and reports how the estimate for T(0.001) moves — the
-// Section 5 knobs (defaults 0.05/1min; Section 8 uses 0.1/10s).
+// covtype and reports how the estimate for T(0.001) moves — the Section 5
+// knobs (defaults 0.05/1min; Section 8 uses 0.1/10s) — for each algorithm's
+// speculated plan: the first plan of planner.Space with that algorithm, the
+// one planner.Choose speculates.
 func AblationSpeculation(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	r := &Report{ID: "ablation-speculation",
-		Title:  "Iterations-estimator sensitivity (covtype, BGD, target eps 0.001)",
-		Header: []string{"sample", "budget(s)", "points fit", "fitted a", "est T(.001)", "spec time(s)"}}
+		Title:  "Iterations-estimator sensitivity (covtype, target eps 0.001)",
+		Header: []string{"algo", "sample", "budget(s)", "points fit", "fitted a", "est T(.001)", "spec time(s)"}}
 
 	ds, err := cfg.Dataset("covtype")
 	if err != nil {
@@ -29,39 +33,35 @@ func AblationSpeculation(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := ParamsFor(ds, 0.001, 1000)
-	plan := gd.NewBGD(p)
-
 	samples := []int{250, 500, 1000, 2000}
 	budgets := []cluster.Seconds{2, 10, 60}
 	if cfg.Quick {
 		samples = []int{500, 1000}
 		budgets = []cluster.Seconds{2, 10}
 	}
-	var estimates []int
-	for _, m := range samples {
-		for _, b := range budgets {
-			est, err := estimator.Speculate(plan, st, estimator.Config{
-				SampleSize: m, SpecTolerance: 0.1, TimeBudget: b, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
+	seen := map[gd.Algo]bool{}
+	for _, plan := range planner.Space(ParamsFor(ds, 0.001, 1000)) {
+		if seen[plan.Algorithm] {
+			continue
+		}
+		seen[plan.Algorithm] = true
+		var estimates []int
+		for _, m := range samples {
+			for _, b := range budgets {
+				est, err := estimator.Speculate(plan, st, estimator.Config{
+					SampleSize: m, SpecTolerance: 0.1, TimeBudget: b, Seed: cfg.Seed,
+				})
+				if err != nil {
+					return nil, err
+				}
+				t := est.Iterations(0.001)
+				estimates = append(estimates, t)
+				r.Add(plan.Name(), m, float64(b), len(est.Sequence), est.A, t, est.SpecTime)
 			}
-			t := est.Iterations(0.001)
-			estimates = append(estimates, t)
-			r.Add(m, float64(b), len(est.Sequence), est.A, t, est.SpecTime)
 		}
+		lo, hi := slices.Min(estimates), slices.Max(estimates)
+		r.Note("%s estimate spread across settings: %d..%d (%.1fx)", plan.Name(), lo, hi, float64(hi)/float64(lo))
 	}
-	min, max := estimates[0], estimates[0]
-	for _, e := range estimates {
-		if e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	r.Note("estimate spread across settings: %d..%d (%.1fx)", min, max, float64(max)/float64(min))
 	return r, nil
 }
 

@@ -45,16 +45,6 @@ type Config struct {
 	// serial). Results and simulated times are identical for every value;
 	// only the wall-clock the harness reports changes.
 	Workers int
-	// Adaptive executes the optimizer's chosen plan with mid-flight
-	// re-optimization wherever an experiment trains through the optimizer
-	// (currently fig8's chosen-plan leg; the dedicated `adaptive`
-	// experiment always adapts).
-	Adaptive bool
-	// FastMath runs every engine execution on the opt-in fast kernel tier
-	// (engine.Options.FastMath): results shift within the tier's tolerance
-	// and wall-clock drops; simulated times are charged at the calibrated
-	// fast-tier rate.
-	FastMath bool
 }
 
 func (c Config) withDefaults() Config {

@@ -150,8 +150,8 @@ func TestEveryRunnerEndToEnd(t *testing.T) {
 		}
 	}
 	slices.Sort(swept)
-	want := []string{"adult@1024/seed=1/fast=false", "covtype@1024/seed=1/fast=false",
-		"rcv1@1024/seed=1/fast=false", "svm1@1024/seed=1/fast=false"}
+	want := []string{"adult@1024/seed=1", "covtype@1024/seed=1",
+		"rcv1@1024/seed=1", "svm1@1024/seed=1"}
 	if !slices.Equal(swept, want) {
 		t.Errorf("sweeps computed = %v, want one per quick dataset %v", swept, want)
 	}

@@ -49,26 +49,8 @@ func Fig8(cfg Config) (*Report, error) {
 			}
 		}
 
-		// Optimizer + chosen plan on one clock. With cfg.Adaptive the
-		// chosen plan additionally re-optimizes mid-flight, which is this
-		// figure's own run.
+		// Optimizer + chosen plan on one clock.
 		specEnd, total, planName := sw.specEnd, sw.total, sw.dec.Best.Plan.Name()
-		if cfg.Adaptive {
-			st, err := cfg.store(ds)
-			if err != nil {
-				return nil, err
-			}
-			sim := cfg.sim()
-			ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: cfg.estimatorFor()},
-				cfg.engineOpts(0), planner.AdaptiveConfig{})
-			if err != nil {
-				return nil, err
-			}
-			// Result.Time covers training only, so this recovers the same
-			// post-optimization clock point the static branch records.
-			total = sim.Now()
-			specEnd, planName = total-ar.Result.Time, ar.Result.PlanName
-		}
 
 		// "Near-best": within 2x of the exhaustive minimum including the
 		// optimization overhead.

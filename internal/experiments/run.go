@@ -23,7 +23,7 @@ func (c Config) sim() *cluster.Sim {
 // engineOpts returns the engine options every experiment run uses: the
 // config's seed (plus an optional per-run offset) and its worker-pool size.
 func (c Config) engineOpts(seedOffset int64) engine.Options {
-	return engine.Options{Seed: c.Seed + seedOffset, Workers: c.Workers, FastMath: c.FastMath}
+	return engine.Options{Seed: c.Seed + seedOffset, Workers: c.Workers}
 }
 
 // baselineOpts returns the baseline-runner options every experiment uses:

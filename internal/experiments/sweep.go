@@ -32,11 +32,11 @@ var (
 )
 
 // sweep returns the named dataset's sweep, memoized per process like the
-// dataset itself, plus the two other things a result depends on: the seed
-// and the kernel tier. Workers is not in the key — it never changes a result.
+// dataset itself, plus the other thing a result depends on: the seed.
+// Workers is not in the key — it never changes a result.
 func (c Config) sweep(name string) (*sweep, error) {
 	c = c.withDefaults()
-	key := fmt.Sprintf("%s@%d/seed=%d/fast=%t", name, c.Scale, c.Seed, c.FastMath)
+	key := fmt.Sprintf("%s@%d/seed=%d", name, c.Scale, c.Seed)
 	sweepMu.Lock()
 	defer sweepMu.Unlock()
 	if s, ok := sweepCache[key]; ok {

@@ -304,3 +304,28 @@ persist Q2 on out.model;`)
 		t.Fatalf("Position.String = %q", want[1].String())
 	}
 }
+
+// FuzzParseScript feeds the parser arbitrary text: it must never panic, and
+// every error it returns is a *SyntaxError positioned at line 1 or later —
+// the serving layer maps exactly that type to a 400 pointing into the script.
+func FuzzParseScript(f *testing.F) {
+	for _, s := range []string{
+		"Q2 = run classification on in.txt:2, in.txt:4-20 having time 1h30m0s, epsilon 0.01, max iter 1000;",
+		"Q3 = run classification on input_data.txt\n\tusing algorithm SGD, convergence cnvg(), step 1, sampler my_sampler();",
+		"run classification on train.txt having epsilon 0.01, adaptive, fastmath;",
+		"persist Q1 on m.txt;\nr = predict on t.txt with m.txt;",
+		"# comment only\n", "run classification on a.txt:9-4;", "run x on \"unterminated",
+		"run x on a.txt having epsilon 1e999999;", "run x on a.txt:99999999999999999999;", "\x00\xff;",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, err := Parse(src)
+		if err == nil {
+			return
+		}
+		if se, ok := err.(*SyntaxError); !ok || se.Line < 1 {
+			t.Fatalf("Parse(%q) = %v (%T), want a *SyntaxError at line >= 1", src, err, err)
+		}
+	})
+}

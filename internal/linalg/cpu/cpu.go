@@ -5,17 +5,10 @@
 // build still dispatches AVX2+FMA assembly when the silicon has it, instead
 // of needing the compile-time GOAMD64=v3 arrangement CI used before.
 //
-// Two escape hatches bypass the assembly entirely, in layers:
-//
-//   - the `noasm` build tag compiles the detection (and every linalg .s
-//     file) out, so Features reports nothing and the pure-Go fast loops are
-//     the whole fast tier;
-//   - the ML4ALL_NOSIMD environment variable (any non-empty value) leaves
-//     the assembly compiled in but reports the machine as featureless, for
-//     disabling a suspect kernel in the field without rebuilding.
+// The `noasm` build tag compiles the detection (and every linalg .s file)
+// out, so Features reports nothing and the pure-Go fast loops are the whole
+// fast tier — as they are on every architecture other than amd64.
 package cpu
-
-import "os"
 
 // Features describes the vector ISA extensions the running CPU supports, as
 // far as the linalg kernel backend cares.
@@ -26,32 +19,14 @@ type Features struct {
 	// in CPUID.
 	AVX2 bool
 	FMA  bool
-
-	// NEON (AdvSIMD) enables the arm64 kernel backend. It is part of the
-	// ARMv8-A baseline, so on arm64 builds it is always true unless the
-	// noasm tag or the env override turned detection off.
-	NEON bool
 }
 
 // Detected reports the features of the running CPU. It is set once at init
 // and never written afterwards, so reads need no synchronization.
-var Detected Features
-
-// envDisabled records that ML4ALL_NOSIMD suppressed a detection that would
-// otherwise have succeeded — surfaced by Summary so BENCH artifacts stay
-// honest about why a capable machine ran portable loops.
-var envDisabled bool
-
-func init() {
-	if os.Getenv("ML4ALL_NOSIMD") != "" {
-		envDisabled = detect() != (Features{})
-		return
-	}
-	Detected = detect()
-}
+var Detected = detect()
 
 // Summary renders the detection result as a short, stable string for bench
-// artifacts and /metrics, e.g. "avx2,fma", "neon", or "none (ML4ALL_NOSIMD)".
+// artifacts and /metrics, e.g. "avx2,fma", "fma" or "none".
 func (f Features) Summary() string {
 	s := ""
 	add := func(name string, on bool) {
@@ -65,12 +40,8 @@ func (f Features) Summary() string {
 	}
 	add("avx2", f.AVX2)
 	add("fma", f.FMA)
-	add("neon", f.NEON)
 	if s == "" {
 		s = "none"
-		if envDisabled {
-			s += " (ML4ALL_NOSIMD)"
-		}
 	}
 	return s
 }

@@ -100,12 +100,12 @@ func sparseDotFast(idx []int32, vals []float64, w Vector) float64 {
 
 // SparseDotFast is the exported fast-tier SparseDot. Indices must be sorted
 // ascending (the SortDedup normalization every arena row satisfies). Rows
-// with enough in-range entries dispatch to the gather kernel on backends
-// that have one; the trim below re-establishes the kernel's in-bounds
+// with enough in-range entries dispatch to the gather kernel when the SIMD
+// backend is on; the trim below re-establishes the kernel's in-bounds
 // contract, and a (contract-violating) negative leading index falls through
 // to the Go loop, which panics the same way the exact tier would.
 func SparseDotFast(idx []int32, vals []float64, w Vector) float64 {
-	if simdOn && haveSparseSIMD {
+	if simdOn {
 		d := int32(len(w))
 		n := len(idx)
 		for n > 0 && idx[n-1] >= d {
@@ -217,8 +217,8 @@ func ExpFast(x float64) float64 {
 	return p * math.Float64frombits(uint64(ki+1023)<<52)
 }
 
-// ExpFastVec fills dst[i] = ExpFast(src[i]) for every element. On backends
-// with a vector exp kernel (amd64/AVX2) four lanes evaluate at once, with
+// ExpFastVec fills dst[i] = ExpFast(src[i]) for every element. With the
+// SIMD backend on (amd64/AVX2) four lanes evaluate at once, with
 // the remainder handled by the scalar ExpFast; elsewhere it is exactly the
 // scalar loop. The two paths honor the same accuracy contract as ExpFast
 // (they differ only in FMA contraction and round-to-nearest-even vs
@@ -229,7 +229,7 @@ func ExpFastVec(dst, src []float64) {
 		panic(fmt.Sprintf("linalg: ExpFastVec dimension mismatch %d vs %d", len(dst), len(src)))
 	}
 	i := 0
-	if simdOn && haveExpVecSIMD && len(src) >= 4 {
+	if simdOn && len(src) >= 4 {
 		n := len(src) &^ 3
 		expVecSIMD(dst[:n], src[:n])
 		i = n

@@ -9,12 +9,6 @@ import "ml4all/internal/linalg/cpu"
 // kernels themselves receive bare pointers plus validated lengths.
 
 const (
-	simdBackendName = BackendSIMDAVX2
-
-	// The amd64 backend covers all five fast primitives.
-	haveSparseSIMD = true
-	haveExpVecSIMD = true
-
 	// Dispatch thresholds: below these the asm call transition costs more
 	// than the vector win over the Go fast loops (measured on AVX2 hardware;
 	// the block-granular kernels — margins, accum, exp — amortize the call

@@ -4,10 +4,9 @@
 
 // AVX2+FMA kernels of the SIMD backend beneath the fast-math tier. Every
 // function here is the assembly twin of a pure-Go fast kernel in fast.go;
-// dispatch (runtime CPU detection, the ML4ALL_NOSIMD override, per-call
-// size thresholds) lives in simd_amd64.go, and the Go loops remain both the
-// portable fallback and the correctness oracle the equivalence tests compare
-// against. Calling convention is ABI0 with bare pointers + lengths — the Go
+// dispatch (runtime CPU detection, per-call size thresholds) lives in
+// simd_amd64.go, and the Go loops remain both the portable fallback and the
+// correctness oracle the equivalence tests compare against. Calling convention is ABI0 with bare pointers + lengths — the Go
 // wrappers own every bounds/emptiness check, the assembly assumes validated
 // arguments. All kernels are NOSPLIT leaves, end in VZEROUPPER, and clobber
 // no callee-saved state.

@@ -1,4 +1,4 @@
-//go:build noasm || !(amd64 || arm64)
+//go:build noasm || !amd64
 
 package linalg
 
@@ -8,11 +8,6 @@ package linalg
 // a future edit breaks the simdOn gate.
 
 const (
-	simdBackendName = BackendFastGo
-
-	haveSparseSIMD = false
-	haveExpVecSIMD = false
-
 	dotSIMDMinLen    = 1 << 30
 	sparseSIMDMinNNZ = 1 << 30
 )

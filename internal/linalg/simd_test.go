@@ -14,7 +14,7 @@ import (
 // terms, which stays meaningful under heavy cancellation.
 //
 // All tests skip when the build or machine has no SIMD backend (noasm tag,
-// non-AVX2 amd64 hardware, ML4ALL_NOSIMD), so the suite is green everywhere
+// non-amd64 ports, non-AVX2 amd64 hardware), so the suite is green everywhere
 // while still failing loudly on any machine where a kernel misbehaves.
 
 // simdKernelEps bounds |kernel - exact| / Σ|terms|. The fast tier
@@ -319,7 +319,7 @@ func TestSIMDBackendReporting(t *testing.T) {
 	defer SetSIMD(prev)
 	if SIMDAvailable() {
 		SetSIMD(true)
-		if got := FastBackend(); got != "fast-simd-avx2" && got != "fast-simd-neon" {
+		if got := FastBackend(); got != BackendSIMDAVX2 {
 			t.Fatalf("FastBackend() = %q with SIMD on", got)
 		}
 	}

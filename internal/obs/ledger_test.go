@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -203,4 +205,55 @@ func TestWeightsHash(t *testing.T) {
 	if a == WeightsHash([]float64{1, 2, 3.0000000000000004}) {
 		t.Fatal("hash ignores a 1-ulp weight change")
 	}
+}
+
+// FuzzOpenLedger feeds OpenLedger arbitrary file content — what a crash, a
+// foreign binary or a hand edit can leave on disk. Opening never errors or
+// panics and accounts for every non-blank line as a record or a skip; one
+// Append then rewrites the file, so a reopen holds the same records plus the
+// new one and skips nothing.
+func FuzzOpenLedger(f *testing.F) {
+	rec := testRecords(1)[0]
+	rec.Schema = SchemaVersion
+	good, err := json.Marshal(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		string(good) + "\n", string(good) + "\n{\"schema\":1,\"plan\":\"BG", "\n \r\n\t\n", "",
+		`{"schema":2}`, "null\n[1,2]\n\"job\"", `{"schema":1,"curve":[{"iter":1,"err":1e999}]}`,
+		"{\"schema\":1,\"phases\":{},\"curve\":[],\"job_id\":\"\xff\"}\r\n" + string(good),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, content []byte) {
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLedger(fault.OS, path)
+		if err != nil {
+			t.Fatalf("OpenLedger: %v", err)
+		}
+		nonBlank := 0
+		for _, line := range bytes.Split(content, []byte("\n")) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				nonBlank++
+			}
+		}
+		before := l.Records()
+		if len(before)+l.Skipped() != nonBlank {
+			t.Fatalf("%d records + %d skipped, file has %d non-blank lines", len(before), l.Skipped(), nonBlank)
+		}
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenLedger(fault.OS, path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if want := append(before, rec); again.Skipped() != 0 || !reflect.DeepEqual(again.Records(), want) {
+			t.Fatalf("reopen holds %+v (%d skipped), want %+v", again.Records(), again.Skipped(), want)
+		}
+	})
 }

@@ -22,58 +22,36 @@ import (
 // subsequence stays monotone, the fit barely moves).
 const maxCurvePoints = 4096
 
-// IterRecord is one observed iteration: the engine's event plus the wall
-// time since the previous event. The Ring diffs the wall clock itself so
-// the trainer's hot path never reads a clock when no observer is set.
-type IterRecord struct {
-	engine.IterEvent
-	WallNanos int64
-}
-
-// Ring is a fixed-capacity iteration-telemetry buffer implementing
-// engine.Observer. It retains the most recent events verbatim and, across
-// the whole run (including evicted events), accumulates the observed
-// monotone T(ε) curve and total wall time. All methods are safe for
-// concurrent use; ObserveIter is only ever called from the single driver
-// goroutine of a run, readers may be anyone.
+// Ring is the iteration-telemetry observer implementing engine.Observer: it
+// accumulates, across the whole run, the observed monotone T(ε) curve
+// (bounded by maxCurvePoints) and the total wall time — what the ledger
+// record and the live ETA read. All methods are safe for concurrent use;
+// ObserveIter is only ever called from the single driver goroutine of a
+// run, readers may be anyone.
 type Ring struct {
 	mu    sync.Mutex
-	buf   []IterRecord
-	next  int // write index once buf is full
-	count int // total events observed, may exceed len(buf)
 	last  time.Time
 	wall  time.Duration
 	curve []estimator.Point
 	best  float64
 }
 
-// NewRing returns a Ring retaining the last capacity events (<=0 means
-// 1024).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Ring{buf: make([]IterRecord, 0, capacity), best: math.Inf(1)}
+// NewRing returns an empty Ring. Its argument is ignored: it remains only
+// so existing callers keep compiling.
+func NewRing(_ int) *Ring {
+	return &Ring{best: math.Inf(1)}
 }
 
-// ObserveIter implements engine.Observer.
+// ObserveIter implements engine.Observer. The Ring diffs the wall clock
+// itself so the trainer's hot path never reads a clock when no observer is
+// set.
 func (r *Ring) ObserveIter(ev engine.IterEvent) {
 	now := time.Now()
 	r.mu.Lock()
-	var wall int64
 	if !r.last.IsZero() {
-		wall = now.Sub(r.last).Nanoseconds()
+		r.wall += now.Sub(r.last)
 	}
 	r.last = now
-	r.wall += time.Duration(wall)
-	rec := IterRecord{IterEvent: ev, WallNanos: wall}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next] = rec
-		r.next = (r.next + 1) % len(r.buf)
-	}
-	r.count++
 	r.extendCurve(ev.Iter, ev.Delta)
 	r.mu.Unlock()
 }
@@ -98,9 +76,8 @@ func (r *Ring) extendCurve(iter int, d float64) {
 
 // RestoreCurve rebuilds the curve from a resumed run's delta history
 // (deltas[i] is iteration i+1's), so a run reopened from a checkpoint
-// accumulates the curve an uninterrupted run would. The retained events,
-// the count and the wall clock are left alone: they describe only what this
-// ring observed.
+// accumulates the curve an uninterrupted run would. The wall clock is left
+// alone: it describes only what this ring observed.
 func (r *Ring) RestoreCurve(deltas []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -110,19 +87,6 @@ func (r *Ring) RestoreCurve(deltas []float64) {
 	}
 }
 
-// Events returns the retained events in chronological order (a copy).
-func (r *Ring) Events() []IterRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]IterRecord, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) && r.next > 0 {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
-	}
-	return append(out, r.buf...)
-}
-
 // Curve returns the observed monotone T(ε) sequence accumulated over the
 // whole run (a copy) — the empirical counterpart of the estimator's
 // speculative sequence, fit-ready for FitInverse.
@@ -130,13 +94,6 @@ func (r *Ring) Curve() []estimator.Point {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]estimator.Point(nil), r.curve...)
-}
-
-// Count returns how many iterations have been observed in total.
-func (r *Ring) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
 }
 
 // WallSeconds returns the cumulative wall time between observed iterations.

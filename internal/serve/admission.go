@@ -6,30 +6,20 @@ import (
 	"time"
 )
 
-// AdmissionConfig bounds how much prediction work a server accepts at once.
-// The limit is expressed in rows (the unit the kernels price in), not
+// Admission control bounds how much prediction work a predictor accepts at
+// once. The limit is expressed in rows (the unit the kernels price in), not
 // requests, so a thousand one-row calls and one thousand-row call count the
-// same. When a request would push the in-flight total past the limit, the
-// server refuses it with 429 and a Retry-After derived from the observed
-// service rate — shedding load at the door instead of queueing unboundedly
-// and timing every caller out.
-type AdmissionConfig struct {
-	// MaxInFlightRows is the hard cap on rows admitted but not yet answered.
-	// 0 means 4096; negative means unlimited (admission still tracks the
-	// gauge but never rejects).
-	MaxInFlightRows int
-	// TargetLatency is the queueing-delay budget. Once the service rate is
-	// known, the effective limit tightens to rate·TargetLatency — the deepest
-	// backlog that still drains within the budget (Little's law). 0 means
-	// 50ms.
-	TargetLatency time.Duration
-	// Disabled turns rejection off entirely.
-	Disabled bool
-}
-
+// same. When a request would push the in-flight total past the limit, it is
+// refused with 429 and a Retry-After derived from the observed service rate
+// — shedding load at the door instead of queueing unboundedly and timing
+// every caller out.
 const (
-	defaultMaxInFlightRows = 4096
-	defaultTargetLatency   = 50 * time.Millisecond
+	// maxInFlightRows is the hard cap on rows admitted but not yet answered.
+	maxInFlightRows = 4096
+	// targetLatency is the queueing-delay budget. Once the service rate is
+	// known, the effective limit tightens to rate·targetLatency — the
+	// deepest backlog that still drains within the budget (Little's law).
+	targetLatency = 50 * time.Millisecond
 
 	// rateAlpha is the EWMA weight of each new service-rate sample. Samples
 	// arrive per kernel pass, so the estimate tracks tens of passes — fast
@@ -41,20 +31,13 @@ const (
 // admitter implements the admission decision. All state is atomic: admit sits
 // on the predict hot path ahead of any locking.
 type admitter struct {
-	cfg      AdmissionConfig
 	inFlight *atomic.Int64  // rows admitted, response not yet built
 	rejected *atomic.Uint64 // requests refused
 	rateBits atomic.Uint64  // EWMA service rate, rows/sec, as float64 bits
 }
 
-func newAdmitter(cfg AdmissionConfig, counters *Counters) *admitter {
-	if cfg.MaxInFlightRows == 0 {
-		cfg.MaxInFlightRows = defaultMaxInFlightRows
-	}
-	if cfg.TargetLatency == 0 {
-		cfg.TargetLatency = defaultTargetLatency
-	}
-	a := &admitter{cfg: cfg}
+func newAdmitter(counters *Counters) *admitter {
+	a := &admitter{}
 	if counters != nil {
 		// Share the counters' gauges so /metrics reports admission state
 		// without a second set of atomics on the hot path.
@@ -66,11 +49,6 @@ func newAdmitter(cfg AdmissionConfig, counters *Counters) *admitter {
 	}
 	return a
 }
-
-// timed reports whether kernel passes should be timed. The rate estimate only
-// feeds admission decisions (limit tightening, Retry-After), so with admission
-// disabled the scoring paths skip their two clock reads per pass.
-func (a *admitter) timed() bool { return !a.cfg.Disabled }
 
 // rate returns the current service-rate estimate in rows/sec (0 until the
 // first pass completes).
@@ -100,19 +78,14 @@ func (a *admitter) observeRate(rows int, d time.Duration) {
 }
 
 // limit returns the effective in-flight row budget: the hard cap, tightened
-// to rate·TargetLatency once a service rate is known (negative cap =
-// unlimited).
+// to rate·targetLatency once a service rate is known.
 func (a *admitter) limit() int64 {
-	hard := int64(a.cfg.MaxInFlightRows)
-	if hard < 0 {
-		hard = math.MaxInt64
-	}
 	if r := a.rate(); r > 0 {
-		if l := int64(r * a.cfg.TargetLatency.Seconds()); l >= 1 && l < hard {
+		if l := int64(r * targetLatency.Seconds()); l >= 1 && l < maxInFlightRows {
 			return l
 		}
 	}
-	return hard
+	return maxInFlightRows
 }
 
 // admit reserves n rows of the in-flight budget. ok=false means the request
@@ -122,7 +95,7 @@ func (a *admitter) limit() int64 {
 // whole budget — so the limit can never wedge all traffic out.
 func (a *admitter) admit(n int) (retryAfter time.Duration, ok bool) {
 	cur := a.inFlight.Add(int64(n))
-	if a.cfg.Disabled || cur == int64(n) {
+	if cur == int64(n) {
 		return 0, true
 	}
 	limit := a.limit()

@@ -19,7 +19,7 @@ import (
 // releases the reservation and checks a follow-up call scores normally.
 func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	c := newCounters()
-	p := NewPredictor(AdmissionConfig{MaxInFlightRows: 8}, c)
+	p := NewPredictor(c)
 	mv := predictModel()
 
 	sixRows := func(base float64) *PredictRequest {
@@ -30,11 +30,12 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 		return &PredictRequest{Instances: ins}
 	}
 
-	if _, ok := p.adm.admit(6); !ok {
+	const reserved = maxInFlightRows - 2
+	if _, ok := p.adm.admit(reserved); !ok {
 		t.Fatal("idle admitter refused the reservation")
 	}
 	resp := AcquirePredictResponse()
-	err := p.Predict(context.Background(), mv, sixRows(100), resp) // 6+6 > 8: refused
+	err := p.Predict(context.Background(), mv, sixRows(100), resp) // 6 more rows than the cap leaves: refused
 	resp.Release()
 	var he *httpError
 	if err == nil {
@@ -50,7 +51,7 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 
-	p.adm.done(6)
+	p.adm.done(reserved)
 	req := sixRows(1)
 	want, err := predict(mv, req)
 	if err != nil {
@@ -72,14 +73,14 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 // be admitted when the server is idle — the limit can never wedge traffic
 // out entirely.
 func TestAdmitterIdleAlwaysAdmits(t *testing.T) {
-	a := newAdmitter(AdmissionConfig{MaxInFlightRows: 4}, nil)
-	if _, ok := a.admit(100); !ok {
+	a := newAdmitter(nil)
+	if _, ok := a.admit(maxInFlightRows + 100); !ok {
 		t.Fatal("idle admitter refused the first request")
 	}
 	if _, ok := a.admit(1); ok {
 		t.Fatal("saturated admitter accepted more work")
 	}
-	a.done(100)
+	a.done(maxInFlightRows + 100)
 	if _, ok := a.admit(1); !ok {
 		t.Fatal("drained admitter refused a small request")
 	}
@@ -87,21 +88,21 @@ func TestAdmitterIdleAlwaysAdmits(t *testing.T) {
 }
 
 // TestAdmitterLatencyDerivedLimit: once a service rate is observed, the
-// effective limit tightens to rate·TargetLatency below the hard cap.
+// effective limit tightens to rate·targetLatency below the hard cap.
 func TestAdmitterLatencyDerivedLimit(t *testing.T) {
-	a := newAdmitter(AdmissionConfig{MaxInFlightRows: 1 << 20, TargetLatency: 10 * time.Millisecond}, nil)
-	a.observeRate(1000, time.Second) // 1000 rows/s -> limit 10 rows
-	if got := a.limit(); got != 10 {
-		t.Fatalf("limit = %d, want 10", got)
+	a := newAdmitter(nil)
+	a.observeRate(1000, time.Second) // 1000 rows/s -> limit 50 rows
+	if got := a.limit(); got != 50 {
+		t.Fatalf("limit = %d, want 50", got)
 	}
 	if _, ok := a.admit(5); !ok {
 		t.Fatal("under-limit request refused")
 	}
 	retry, ok := a.admit(2000)
 	if ok {
-		t.Fatal("admitted 2000 rows against a 10-row limit")
+		t.Fatal("admitted 2000 rows against a 50-row limit")
 	}
-	// Backlog of ~1995 rows over the limit at 1000 rows/s needs ~2s.
+	// Backlog of ~1955 rows over the limit at 1000 rows/s needs ~2s.
 	if retry < time.Second || retry > 10*time.Second {
 		t.Fatalf("retryAfter = %v, want ~2s", retry)
 	}

@@ -43,7 +43,7 @@ func benchRequest(rows, d int) *PredictRequest {
 // pooled parse, admission, one kernel pass, pooled response. Must stay at 0
 // allocs/op — every pool has warmed before the timer starts.
 func BenchmarkServePredict(b *testing.B) {
-	p := NewPredictor(AdmissionConfig{}, newCounters())
+	p := NewPredictor(newCounters())
 	mv := benchModel(128)
 	req := benchRequest(8, 128)
 	for i := 0; i < 16; i++ { // warm every pool class the path touches

@@ -518,3 +518,23 @@ func TestManifestTempsSwept(t *testing.T) {
 	}
 	waitState(t, j.Status, JobCompleted, 60*time.Second)
 }
+
+// FuzzCheckpointFrame feeds the checkpoint-frame decoder arbitrary bytes —
+// what recovery reads back from disk: it must never panic, any frame it
+// accepts re-encodes to the same bytes, and any payload survives framing.
+func FuzzCheckpointFrame(f *testing.F) {
+	good := encodeCheckpointFrame([]byte("gob-encoded TrainState"))
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 0x01
+	for _, s := range [][]byte{good, encodeCheckpointFrame(nil), good[:len(good)-3], flipped, good[:12], ckptMagic} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if p, err := decodeCheckpointFrame(raw); err == nil && !bytes.Equal(encodeCheckpointFrame(p), raw) {
+			t.Fatalf("accepted frame %q re-encodes to %q", raw, encodeCheckpointFrame(p))
+		}
+		if p, err := decodeCheckpointFrame(encodeCheckpointFrame(raw)); err != nil || !bytes.Equal(p, raw) {
+			t.Fatalf("payload %q framed decodes to %q, %v", raw, p, err)
+		}
+	})
+}

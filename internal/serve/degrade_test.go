@@ -7,10 +7,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -21,7 +23,7 @@ import (
 // TestPredictExpiredContextRejectedUpfront pins the entry check: a context
 // already expired at the call returns 503 before any parsing or admission.
 func TestPredictExpiredContextRejectedUpfront(t *testing.T) {
-	p := NewPredictor(AdmissionConfig{Disabled: true}, nil)
+	p := NewPredictor(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	resp := AcquirePredictResponse()
@@ -170,7 +172,7 @@ func TestSubmitShedsWhileRecovering(t *testing.T) {
 		manager:   mgr,
 		registry:  reg,
 		counters:  counters,
-		predictor: NewPredictor(AdmissionConfig{Disabled: true}, counters),
+		predictor: NewPredictor(counters),
 		maxBody:   defaultMaxBodyBytes,
 		started:   time.Now(),
 	}
@@ -211,6 +213,60 @@ func TestSubmitShedsWhileRecovering(t *testing.T) {
 	var st JobStatus
 	if code := postJSON(t, ts.URL+"/v1/jobs", map[string]string{"script": script}, &st); code != http.StatusOK {
 		t.Fatalf("submit after recovery returned %d", code)
+	}
+}
+
+// TestSubmitQueueFullReturns503: a full job queue is the server's capacity,
+// not the client's mistake — the refused submit is a 503 with Retry-After,
+// like the recovering gate's, and leaves no job behind in the listing or on
+// disk for the retry to pile onto.
+func TestSubmitQueueFullReturns503(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	dir := t.TempDir()
+	srv, err := New(Config{Dir: dir, Pool: 1, QueueDepth: 1, System: servingSystem(), CheckpointEvery: -1,
+		stepHook: func(string, int) { <-release }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	defer once.Do(func() { close(release) })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := map[string]string{"script": crashScript(t, "queue-full-train", 31)}
+	var st JobStatus
+	if code := postJSON(t, ts.URL+"/v1/jobs", body, &st); code != http.StatusOK {
+		t.Fatalf("first submit returned %d", code)
+	}
+	running, _ := srv.Manager().Job(st.ID)
+	waitState(t, running.Status, JobRunning, 30*time.Second) // held in its first step
+	if code := postJSON(t, ts.URL+"/v1/jobs", body, &st); code != http.StatusOK {
+		t.Fatalf("second submit (fills the queue) returned %d", code)
+	}
+	jobsOnDisk := func() int {
+		entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	listed, onDisk := len(srv.Manager().List()), jobsOnDisk()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit to a full queue returned %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n, d := len(srv.Manager().List()), jobsOnDisk(); n != listed || d != onDisk {
+		t.Fatalf("refused submit left a job behind: %d listed, %d in the jobs dir; want %d, %d", n, d, listed, onDisk)
 	}
 }
 

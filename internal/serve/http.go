@@ -132,10 +132,6 @@ type submitRequest struct {
 	// publishes under (default: the script's assigned query name, else the
 	// job id).
 	Model string `json:"model,omitempty"`
-	// FastMath opts the job into the fast kernel tier without editing the
-	// script (equivalent to `having fastmath` in the statement). The tier
-	// is recorded in the job manifest, so restarts resume on it.
-	FastMath bool `json:"fastmath,omitempty"`
 }
 
 func (s *Server) handleSubmit(r *http.Request) (any, error) {
@@ -154,7 +150,7 @@ func (s *Server) handleSubmit(r *http.Request) (any, error) {
 	if req.Script == "" {
 		return nil, errStatus(http.StatusBadRequest, "script is required")
 	}
-	j, err := s.manager.SubmitJob(req.Script, req.Model, SubmitOptions{FastMath: req.FastMath})
+	j, err := s.manager.SubmitJob(req.Script, req.Model, SubmitOptions{})
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -408,10 +404,15 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 }
 
 // badRequest maps a domain error to 400 unless it already carries a status.
+// A full job queue is the server's capacity, not the client's mistake: 503
+// with Retry-After, like the recovering gate.
 func badRequest(err error) error {
 	var he *httpError
 	if errors.As(err, &he) {
 		return err
+	}
+	if errors.Is(err, errQueueFull) {
+		return &httpError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: time.Second}
 	}
 	var se *lang.SyntaxError
 	if errors.As(err, &se) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,20 +52,16 @@ var errCancelled = errors.New("job cancelled")
 // down; the runner checkpoints and requeues the job instead of failing it.
 var errShutdown = errors.New("manager shutting down")
 
+// errQueueFull refuses a submission or resume the job queue has no room
+// for: server capacity, not a client error (HTTP 503 + Retry-After).
+var errQueueFull = errors.New("serve: job queue full")
+
 // Job is one submitted training job. All mutable fields are guarded by mu;
 // the embedded TrainJob is owned by exactly one runner goroutine at a time.
 type Job struct {
 	ID     string
 	Script string
 	Model  string // registry name the result publishes under
-
-	// FastMath records the submission's kernel-tier opt-in
-	// (ml4all.JobOptions.FastMath). Persisted in the manifest so a job
-	// resumed after a restart reopens on the tier it trained on — resuming
-	// an exact-tier checkpoint under fast kernels (or vice versa) would
-	// break the resume-is-bit-identical guarantee. The statement-level
-	// `having fastmath` knob travels inside Script and needs no field.
-	FastMath bool
 
 	mu        sync.Mutex
 	stmt      *lang.Run
@@ -117,16 +114,19 @@ type JobStatus struct {
 // manifest is the per-job record persisted next to the checkpoint, enough to
 // reconstruct the job after a restart.
 type manifest struct {
-	ID       string   `json:"id"`
-	Script   string   `json:"script"`
-	Model    string   `json:"model"`
-	FastMath bool     `json:"fastmath,omitempty"`
-	State    JobState `json:"state"`
-	Plan     string   `json:"plan,omitempty"`
+	ID     string   `json:"id"`
+	Script string   `json:"script"`
+	Model  string   `json:"model"`
+	State  JobState `json:"state"`
+	Plan   string   `json:"plan,omitempty"`
 	// Iteration is the progress at the last persist, so a job reloaded after
 	// a restart — a settled one especially — still reports how far it ran.
 	Iteration int    `json:"iteration,omitempty"`
 	Error     string `json:"error,omitempty"`
+	// FastMath is only ever read: an older manifest may carry a
+	// per-submission fast-tier opt-in here, and loadJobs fails such a
+	// non-terminal job unless its script says `having fastmath`.
+	FastMath bool `json:"fastmath,omitempty"`
 }
 
 // ManagerConfig sizes the job manager.
@@ -141,11 +141,6 @@ type ManagerConfig struct {
 	// while a job runs. 0 means 2s; negative disables interval checkpoints
 	// (shutdown and pause still checkpoint).
 	CheckpointEvery time.Duration
-	// RetainCheckpoints is how many durable checkpoints to keep per job;
-	// older ones are pruned after each write. Recovery scans them newest to
-	// oldest, so extra retained frames are what corruption falls back to.
-	// 0 means 3.
-	RetainCheckpoints int
 	// Fault, when non-nil, injects deterministic faults into every
 	// checkpoint/manifest filesystem operation (crash tests, chaos drills).
 	Fault *fault.Injector
@@ -169,9 +164,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 2 * time.Second
-	}
-	if c.RetainCheckpoints <= 0 {
-		c.RetainCheckpoints = 3
 	}
 	if c.Counters == nil {
 		c.Counters = newCounters()
@@ -344,13 +336,17 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 			return nil, fmt.Errorf("serve: job %s script no longer parses: %w", id, err)
 		}
 		j := &Job{
-			ID: mf.ID, Script: mf.Script, Model: mf.Model, FastMath: mf.FastMath,
+			ID: mf.ID, Script: mf.Script, Model: mf.Model,
 			stmt: stmt, state: mf.State, errMsg: mf.Error, planName: mf.Plan,
 			iteration: mf.Iteration,
 			cancelled: make(chan struct{}),
 		}
 		m.attachObs(j)
-		if j.state.terminal() {
+		if mf.FastMath && !stmt.FastMath && !j.state.terminal() {
+			// Its checkpoints are fast-tier state; resuming them on the
+			// statement's exact tier would break bit-identical resume.
+			m.settle(j, JobFailed, errors.New("serve: job was submitted with the removed fastmath option; resubmit its script with `having fastmath`"))
+		} else if j.state.terminal() {
 			// The stream of a job that settled in a previous process is
 			// born closed: subscribers get the final state and EOF.
 			j.events.Close(string(j.state))
@@ -386,14 +382,9 @@ func parseJobScript(script string) (*lang.Run, error) {
 	return q, nil
 }
 
-// SubmitOptions carry the per-job execution knobs of a submission beyond the
-// script itself.
-type SubmitOptions struct {
-	// FastMath opts the job into the fast kernel tier
-	// (ml4all.JobOptions.FastMath) without editing the statement; the
-	// statement-level `having fastmath` knob is the in-script equivalent.
-	FastMath bool
-}
+// SubmitOptions carries no field: everything a job runs under, its kernel
+// tier included (`having fastmath`), is in its script.
+type SubmitOptions struct{}
 
 // Submit queues a new training job. model names the registry entry the
 // trained model publishes under; empty means the statement's assigned query
@@ -402,8 +393,8 @@ func (m *Manager) Submit(script, model string) (*Job, error) {
 	return m.SubmitJob(script, model, SubmitOptions{})
 }
 
-// SubmitJob is Submit with execution options.
-func (m *Manager) SubmitJob(script, model string, opts SubmitOptions) (*Job, error) {
+// SubmitJob is Submit under the (empty) SubmitOptions.
+func (m *Manager) SubmitJob(script, model string, _ SubmitOptions) (*Job, error) {
 	q, err := parseJobScript(script)
 	if err != nil {
 		return nil, err
@@ -428,7 +419,7 @@ func (m *Manager) SubmitJob(script, model string, opts SubmitOptions) (*Job, err
 		model = id
 	}
 	j := &Job{
-		ID: id, Script: script, Model: model, FastMath: opts.FastMath,
+		ID: id, Script: script, Model: model,
 		stmt: q, state: JobQueued,
 		cancelled: make(chan struct{}),
 	}
@@ -451,11 +442,32 @@ func (m *Manager) SubmitJob(script, model string, opts SubmitOptions) (*Job, err
 	}
 	select {
 	case m.queue <- j:
+		return j, nil
 	default:
-		m.settle(j, JobFailed, fmt.Errorf("job queue full (%d pending)", m.cfg.QueueDepth))
-		return nil, fmt.Errorf("serve: job queue full (%d pending)", m.cfg.QueueDepth)
 	}
-	return j, nil
+	err = fmt.Errorf("%w (%d pending)", errQueueFull, m.cfg.QueueDepth)
+	m.withdraw(j, err)
+	return nil, err
+}
+
+// withdraw undoes a submission the full queue refused: the job leaves the
+// listing and the disk, so a client retrying on Retry-After leaves nothing
+// behind. Should its manifest not come off disk, the job is settled failed
+// instead, so a restart cannot bring it back as queued.
+func (m *Manager) withdraw(j *Job, err error) {
+	dir := m.jobDir(j.ID)
+	if m.mfFS.Remove(filepath.Join(dir, "manifest.json")) != nil {
+		m.settle(j, JobFailed, err)
+		return
+	}
+	m.mfFS.Remove(dir)
+	m.mu.Lock()
+	delete(m.jobs, j.ID)
+	if i := slices.Index(m.order, j.ID); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+	m.mu.Unlock()
+	j.events.Close(string(JobFailed))
 }
 
 // Job returns a job by id.
@@ -564,7 +576,7 @@ func (m *Manager) Resume(id string) error {
 		j.mu.Lock()
 		j.state = JobPaused
 		j.mu.Unlock()
-		return fmt.Errorf("serve: job queue full")
+		return errQueueFull
 	}
 }
 
@@ -584,7 +596,7 @@ func (j *Job) Status() JobStatus {
 // concurrently, and rename's atomicity makes last-writer-wins safe.
 func (m *Manager) persist(j *Job) error {
 	j.mu.Lock()
-	mf := manifest{ID: j.ID, Script: j.Script, Model: j.Model, FastMath: j.FastMath, State: j.state, Plan: j.planName, Iteration: j.iteration, Error: j.errMsg}
+	mf := manifest{ID: j.ID, Script: j.Script, Model: j.Model, State: j.state, Plan: j.planName, Iteration: j.iteration, Error: j.errMsg}
 	j.mu.Unlock()
 	raw, err := json.MarshalIndent(mf, "", "  ")
 	if err != nil {
@@ -617,11 +629,16 @@ func (m *Manager) writeCheckpoint(j *Job, tj *ml4all.TrainJob) error {
 	return nil
 }
 
+// retainCheckpoints is how many durable checkpoints a job keeps; older ones
+// are pruned after each write. Recovery scans them newest to oldest, so the
+// extra retained frames are what corruption falls back to.
+const retainCheckpoints = 3
+
 // pruneCheckpoints drops checkpoints beyond the retention window, oldest
 // first. Best-effort: a failed remove leaves an extra frame, never loses one.
 func (m *Manager) pruneCheckpoints(dir string) {
 	names := listCheckpoints(m.ckptFS, dir)
-	for i := m.cfg.RetainCheckpoints; i < len(names); i++ {
+	for i := retainCheckpoints; i < len(names); i++ {
 		m.ckptFS.Remove(filepath.Join(dir, names[i]))
 	}
 }
@@ -689,7 +706,7 @@ func (m *Manager) interruptHook(j *Job) func() error {
 // job opens fresh. Catalog access and planning run under sysMu; the trainer
 // is job-local.
 func (m *Manager) openJob(j *Job) error {
-	opts := ml4all.JobOptions{Interrupt: m.interruptHook(j), FastMath: j.FastMath, Observer: j.ring, Trace: j.trace}
+	opts := ml4all.JobOptions{Interrupt: m.interruptHook(j), Observer: j.ring, Trace: j.trace}
 	m.sysMu.Lock()
 	defer m.sysMu.Unlock()
 	dir := m.jobDir(j.ID)
@@ -917,9 +934,6 @@ func (m *Manager) complete(j *Job) {
 func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, prog ml4all.JobProgress) obs.Record {
 	ds := tj.Dataset()
 	st := ds.Stats()
-	j.mu.Lock()
-	fast := j.FastMath || j.stmt.FastMath
-	j.mu.Unlock()
 	rec := obs.Record{
 		Kind:  "job",
 		JobID: j.ID,
@@ -934,7 +948,7 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 			Density:     st.Density,
 		},
 		Plan:        prog.PlanName,
-		FastMath:    fast,
+		FastMath:    j.stmt.FastMath,
 		Backend:     linalg.FastBackend(),
 		WeightsHash: obs.WeightsHash(model.Weights),
 		Iterations:  prog.Iteration,

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -322,51 +323,45 @@ func TestManagerCancelBeatsPendingPause(t *testing.T) {
 	}
 }
 
-// TestManagerFastMathPersistsAcrossRestart pins the manifest round-trip of
-// the kernel-tier opt-in: a job submitted with SubmitOptions{FastMath: true}
-// must come back on the fast tier after a manager restart — a resume that
-// silently dropped to the exact tier would break the checkpoint's
-// bit-identical-resume contract mid-run.
+// TestManagerFastMathPersistsAcrossRestart: a job's training tier comes from
+// its script alone. A `having fastmath` job stopped mid-flight resumes on the
+// fast tier — it finishes on the uninterrupted fast run's weights, bit for
+// bit — and its ledger record says fastmath. The submit body has no tier
+// field, and a job whose older manifest carries the removed per-submission
+// opt-in without the knob is settled failed with the fix, never resumed on
+// the exact tier.
 func TestManagerFastMathPersistsAcrossRestart(t *testing.T) {
-	trainPath, _ := writeDataset(t, synth.Spec{
-		Name: "fastmath-train", Task: data.TaskSVM,
-		N: 800, D: 16, Density: 0.5, Noise: 0.1, Margin: 1, Seed: 13,
-	})
-	script := fmt.Sprintf("run svm on %s having epsilon 0.001, max iter 60;", trainPath)
+	script := staticRestartScript(t)
+	fast := strings.Replace(script, "max iter 1200;", "max iter 1200, fastmath;", 1)
+	if _, _, ledger := resumesAcrossRestart(t, servingSystem, fast, staticMidFlight); len(ledger) != 1 || !ledger[0].FastMath {
+		t.Fatalf("ledger %+v, want one record on the fast tier", ledger)
+	}
+
+	_, ts := obsServer(t, t.TempDir())
+	if code := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"script": script, "fastmath": true}, nil); code != http.StatusBadRequest {
+		t.Fatalf("submit carrying fastmath returned %d, want 400", code)
+	}
 
 	dir := t.TempDir()
-	mgr1, _ := testManager(t, ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond})
-	fast, err := mgr1.SubmitJob(script, "fast-model", SubmitOptions{FastMath: true})
+	jobDir := filepath.Join(dir, "jobs", "job-0000")
+	raw, err := json.Marshal(map[string]any{"id": "job-0000", "script": script, "model": "m", "fastmath": true, "state": "running"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := mgr1.Submit(script, "exact-model")
-	if err != nil {
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, fast.Status, JobCompleted, 60*time.Second)
-	waitState(t, exact.Status, JobCompleted, 60*time.Second)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := mgr1.Shutdown(ctx); err != nil {
+	if err := os.WriteFile(filepath.Join(jobDir, "manifest.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	mgr2, _ := testManager(t, ManagerConfig{Dir: dir, Pool: 1})
-	defer mgr2.Shutdown(context.Background())
-	reloaded, ok := mgr2.Job(fast.ID)
+	mgr, _ := testManager(t, ManagerConfig{Dir: dir, Pool: 1})
+	defer mgr.Shutdown(context.Background())
+	j, ok := mgr.Job("job-0000")
 	if !ok {
-		t.Fatalf("fast job %s lost across restart", fast.ID)
+		t.Fatal("job with an older manifest lost")
 	}
-	if !reloaded.FastMath {
-		t.Fatal("fastmath opt-in dropped from the reloaded manifest")
-	}
-	reloaded, ok = mgr2.Job(exact.ID)
-	if !ok {
-		t.Fatalf("exact job %s lost across restart", exact.ID)
-	}
-	if reloaded.FastMath {
-		t.Fatal("exact job reloaded with fastmath set")
+	if st := j.Status(); st.State != JobFailed || !strings.Contains(st.Error, "having fastmath") || st.Iteration != 0 || mgr.Recovering() {
+		t.Fatalf("older fastmath manifest loaded as %+v (recovering %v), want failed naming `having fastmath`", st, mgr.Recovering())
 	}
 }
 

@@ -58,10 +58,9 @@ type Predictor struct {
 	adm      *admitter
 }
 
-// NewPredictor builds a pipeline with the given admission settings (zero
-// value takes defaults; see AdmissionConfig). counters may be nil for
-// standalone use.
-func NewPredictor(ac AdmissionConfig, counters *Counters) *Predictor {
+// NewPredictor builds a pipeline behind admission control (admission.go).
+// counters may be nil for standalone use.
+func NewPredictor(counters *Counters) *Predictor {
 	p := &Predictor{counters: counters}
 	if counters != nil {
 		// Resolved once so the per-pass observation is lock-free atomics —
@@ -69,7 +68,7 @@ func NewPredictor(ac AdmissionConfig, counters *Counters) *Predictor {
 		// scoring hot path at zero allocations (zerotax_test.go pins it).
 		p.phase = counters.phase("predict-batch")
 	}
-	p.adm = newAdmitter(ac, counters)
+	p.adm = newAdmitter(counters)
 	return p
 }
 
@@ -110,25 +109,16 @@ func (p *Predictor) scoreDirect(mv *ModelVersion, fast bool, mat *data.Matrix, r
 	m := mv.Model
 	n := mat.NumRows()
 	scores := floatPool.get(n)
-	var start time.Time
-	admTimed := p.adm.timed()
-	timed := admTimed || p.phase != nil
-	if timed {
-		start = time.Now()
-	}
+	start := time.Now()
 	if fast {
 		metrics.ScoresIntoFast(m.Weights, mat, scores)
 	} else {
 		metrics.ScoresInto(m.Weights, mat, scores)
 	}
-	if timed {
-		d := time.Since(start)
-		if admTimed {
-			p.adm.observeRate(n, d)
-		}
-		if p.phase != nil {
-			p.phase.observe(d, false)
-		}
+	d := time.Since(start)
+	p.adm.observeRate(n, d)
+	if p.phase != nil {
+		p.phase.observe(d, false)
 	}
 	labels := floatPool.get(n)
 	for i, s := range scores {
@@ -263,9 +253,9 @@ func appendPadded(b *data.MatrixBuilder, vals []float64, d, i int) error {
 	return b.AppendDensePadded(0, vals)
 }
 
-// standalonePredictor scores compat-path calls: direct scoring, no
-// admission, no counters.
-var standalonePredictor = NewPredictor(AdmissionConfig{Disabled: true}, nil)
+// standalonePredictor scores compat-path calls: no counters, admitted like
+// any other caller (an idle admitter always admits).
+var standalonePredictor = NewPredictor(nil)
 
 // predict scores one request against one registry model through the blocked
 // margin kernels, returning raw scores and predicted labels — the standalone

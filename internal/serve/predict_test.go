@@ -215,7 +215,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 func TestConcurrentPredictMatchesDirectBitwise(t *testing.T) {
 	models := []*ModelVersion{predictModel(), regressionModel()}
 	const goroutines, iters = 8, 25
-	p := NewPredictor(AdmissionConfig{Disabled: true}, newCounters())
+	p := NewPredictor(newCounters())
+	// Seed a realistic service rate, so one slow first pass cannot tighten
+	// the admission limit below the handful of rows eight callers hold.
+	p.adm.observeRate(maxInFlightRows, time.Millisecond)
 	got := make([][]*PredictResponse, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup

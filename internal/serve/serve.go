@@ -55,15 +55,9 @@ type Config struct {
 	// on (cluster config, estimator settings, worker pool). Nil means
 	// ml4all.NewSystem().
 	System *ml4all.System
-	// Admission bounds in-flight prediction rows (zero value: enabled with
-	// defaults; set Disabled to admit everything).
-	Admission AdmissionConfig
 	// MaxBodyBytes caps request bodies; an overrun returns 413. 0 means
 	// 8 MiB; negative disables the cap.
 	MaxBodyBytes int64
-	// RetainCheckpoints is how many checkpoint generations each running job
-	// keeps on disk. 0 means 3.
-	RetainCheckpoints int
 	// Fault, when non-nil, injects deterministic faults at the durability
 	// seams (testing). Nil consults the ML4ALL_FAULT environment variable
 	// (see fault.ParsePlan); unset means no injection.
@@ -119,14 +113,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	mgr, err := NewManager(ManagerConfig{
-		Dir:               cfg.Dir,
-		Pool:              cfg.Pool,
-		QueueDepth:        cfg.QueueDepth,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		RetainCheckpoints: cfg.RetainCheckpoints,
-		Fault:             inj,
-		Counters:          counters,
-		stepHook:          cfg.stepHook,
+		Dir:             cfg.Dir,
+		Pool:            cfg.Pool,
+		QueueDepth:      cfg.QueueDepth,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Fault:           inj,
+		Counters:        counters,
+		stepHook:        cfg.stepHook,
 	}, sys, reg)
 	if err != nil {
 		return nil, err
@@ -140,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 		manager:   mgr,
 		registry:  reg,
 		counters:  counters,
-		predictor: NewPredictor(cfg.Admission, counters),
+		predictor: NewPredictor(counters),
 		maxBody:   maxBody,
 		started:   time.Now(),
 	}, nil

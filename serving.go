@@ -32,14 +32,6 @@ type JobOptions struct {
 	// context's Err here so in-flight jobs cancel between iterations.
 	Interrupt func() error
 
-	// FastMath opts the job into the tolerance-bounded fast kernel tier
-	// (engine.Options.FastMath). The job's effective tier is the OR of this
-	// option and the statement's `having fastmath` knob — and must be
-	// identical at OpenJob and ResumeJob time for a resumed run to be
-	// meaningful, which is why the serving layer persists it in the job
-	// manifest next to the script.
-	FastMath bool
-
 	// Observer, when non-nil, receives per-iteration telemetry
 	// (engine.Options.Observer). nil keeps the engine's zero-overhead path;
 	// observed and unobserved runs are bit-identical.
@@ -173,7 +165,7 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: jobFastMath(q, jo)}
+	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: q.FastMath}
 	optimize := -1
 	if jo.Trace != nil {
 		optimize = jo.Trace.Start("optimize", -1)
@@ -194,17 +186,11 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	return j, dec, nil
 }
 
-// jobFastMath resolves a job's effective kernel tier: the statement's
-// `having fastmath` knob or the job option — either one opts in. Costing
-// (costJob) and execution (jobEngineOptions) both consult it, so the
-// optimizer prices the tier the trainer will run.
-func jobFastMath(q *lang.Run, jo JobOptions) bool {
-	return q.FastMath || jo.FastMath
-}
-
-// jobEngineOptions maps system settings plus job options onto the engine's.
+// jobEngineOptions maps system settings, the statement's kernel tier (its
+// `having fastmath` knob, which costJob priced) and job options onto the
+// engine's.
 func (s *System) jobEngineOptions(q *lang.Run, jo JobOptions) engine.Options {
-	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: jobFastMath(q, jo), Interrupt: jo.Interrupt, Observer: jo.Observer}
+	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: q.FastMath, Interrupt: jo.Interrupt, Observer: jo.Observer}
 }
 
 // Step executes exactly one plan iteration: engine.Trainer.Step, or the

@@ -78,7 +78,7 @@ func TestPredictAllocatesNothing(t *testing.T) {
 	for i := range req.Rows {
 		req.Rows[i] = fmt.Sprintf("%d:%g %d:%g %d:%g", i%d+1, 0.25+float64(i), (i+7)%d+1, -1.5, (i+29)%d+1, float64(i%5))
 	}
-	p := serve.NewPredictor(serve.AdmissionConfig{}, nil)
+	p := serve.NewPredictor(nil)
 	predict := func() {
 		resp := serve.AcquirePredictResponse()
 		if err := p.Predict(context.Background(), mv, req, resp); err != nil {
