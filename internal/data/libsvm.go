@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ml4all/internal/linalg"
 )
@@ -226,18 +229,19 @@ func (f Format) ParseLine(line string) (Row, bool, error) {
 // the read with bufio.ErrTooLong.
 const MaxRecordBytes = 1 << 24
 
-// textBlockBytes is the size the reader cuts its input into. One buffer for
+// textBlockBytes is the size ReadMatrix cuts its input into. One buffer for
 // the whole file reads as fast but is a single allocation the size of the
 // file, which the concurrent collector overshoots on; blocks keep the peak
-// resident size at the sum of the live bytes.
+// resident size at the sum of the live bytes, and they are the unit the
+// parse fans out over.
 const textBlockBytes = 1 << 20
 
-// readTextBlocks reads r to its end as strings of about textBlockBytes, each
+// readTextBlocks reads r to its end as strings of about blockBytes, each
 // ending on a record boundary (a newline, or the end of the input); a record
 // longer than a block gets a block grown to hold it.
-func readTextBlocks(r io.Reader) ([]string, error) {
+func readTextBlocks(r io.Reader, blockBytes int) ([]string, error) {
 	var blocks []string
-	buf := make([]byte, textBlockBytes)
+	buf := make([]byte, blockBytes)
 	n := 0 // buf[:n] is text read but not yet cut into a block
 	for {
 		got, err := io.ReadFull(r, buf[n:])
@@ -253,7 +257,7 @@ func readTextBlocks(r io.Reader) ([]string, error) {
 				if len(buf) >= MaxRecordBytes {
 					return nil, bufio.ErrTooLong
 				}
-				buf = append(buf, make([]byte, len(buf))...)
+				buf = append(buf, make([]byte, min(len(buf), MaxRecordBytes-len(buf)))...)
 				continue
 			}
 		}
@@ -264,8 +268,8 @@ func readTextBlocks(r io.Reader) ([]string, error) {
 			return blocks, nil
 		}
 		n = copy(buf, buf[cut:n])
-		if n < textBlockBytes {
-			buf = buf[:textBlockBytes]
+		if n < blockBytes {
+			buf = buf[:blockBytes]
 		}
 	}
 }
@@ -280,7 +284,7 @@ type matrixParser struct {
 	text      []string
 	idx       []int32
 	vals      []float64
-	lineNo    int
+	lineNo    int // lines seen, blank and comment lines included
 }
 
 // newBuilder sizes the arena from the hints; stride is the feature count of
@@ -293,7 +297,8 @@ func (p *matrixParser) newBuilder(stride int) *MatrixBuilder {
 }
 
 // record parses one input line (blank and comment lines count as lines but
-// add no row).
+// add no row). Its error is bare: the caller places it with lineError, since
+// a block's parser numbers only the block's own lines.
 func (p *matrixParser) record(line string) error {
 	p.lineNo++
 	rec := strings.TrimSpace(line)
@@ -317,10 +322,24 @@ func (p *matrixParser) record(line string) error {
 		}
 		p.text = append(p.text, rec)
 	}
-	if err != nil {
-		return fmt.Errorf("data: line %d: %w", p.lineNo, err)
+	return err
+}
+
+// parse feeds every line of text to record, stopping at the first error.
+func (p *matrixParser) parse(text string) error {
+	for len(text) > 0 {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if err := p.record(line); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// lineError places a record's error at its 1-based line in the input.
+func lineError(line int, err error) error {
+	return fmt.Errorf("data: line %d: %w", line, err)
 }
 
 // matrix finalizes the arena; with no record seen it is an empty matrix of
@@ -335,9 +354,11 @@ func (p *matrixParser) matrix() *Matrix {
 }
 
 // ParseMatrix parses every record of lines under format f straight into a
-// columnar arena, in one pass: each line is parsed into reused scratch and
-// appended — no intermediate per-row allocation. The matrix keeps the trimmed
-// lines (sharing the callers' strings), which FromMatrix adopts as Raw.
+// columnar arena, in one serial pass: each line is parsed into reused scratch
+// and appended — no intermediate per-row allocation. The matrix keeps the
+// trimmed lines (sharing the callers' strings), which FromMatrix adopts as
+// Raw. It is the serial reference the parallel ReadMatrix is held to, bit for
+// bit; only tests call it.
 //
 // CSV input must be rectangular: the first record fixes the dense stride and
 // a line with a different column count fails the parse (a ragged dataset
@@ -349,42 +370,138 @@ func ParseMatrix(lines []string, f Format) (*Matrix, error) {
 	p := matrixParser{f: f, rows: len(lines)}
 	for _, line := range lines {
 		if err := p.record(line); err != nil {
-			return nil, err
+			return nil, lineError(p.lineNo, err)
 		}
 	}
 	return p.matrix(), nil
 }
 
-// ReadMatrix parses every record in r using format f into a columnar arena.
-// The input is read once, into newline-aligned text blocks; the arena is
-// sized from their newline (and, for LIBSVM, colon) counts, and the records
-// the matrix keeps are substrings of the blocks — the text is neither copied
-// per line nor rendered back later (see FromMatrix).
+// ReadMatrix parses every record in r using format f into a columnar arena:
+// the matrix ParseMatrix gives for r's lines, bit for bit. The input is read
+// once, into newline-aligned text blocks, which are parsed on
+// min(GOMAXPROCS, blocks) goroutines, each block into an arena of its own
+// sized from its newline (and, for LIBSVM, colon) counts; the block arenas
+// are then joined in file order into one exact-sized arena. The records the
+// matrix keeps are substrings of the blocks — the text is neither copied per
+// line nor rendered back later (see FromMatrix).
+//
+// The fan-out keeps the serial parse's answers: the file's first CSV record
+// fixes the dense stride before any block is parsed, and when several blocks
+// fail, the lowest block's error is returned, at its line in the file.
 func ReadMatrix(r io.Reader, f Format) (*Matrix, error) {
+	return readMatrix(r, f, textBlockBytes)
+}
+
+// readMatrix is ReadMatrix over blocks of about blockBytes.
+func readMatrix(r io.Reader, f Format, blockBytes int) (*Matrix, error) {
 	if f != FormatLIBSVM && f != FormatCSV {
 		return nil, fmt.Errorf("data: unknown format %v", f)
 	}
-	blocks, err := readTextBlocks(r)
+	blocks, err := readTextBlocks(r, blockBytes)
 	if err != nil {
 		return nil, err
 	}
-	p := matrixParser{f: f, rows: 1} // the last record need not end in a newline
-	for _, b := range blocks {
-		p.rows += strings.Count(b, "\n")
-		if f == FormatLIBSVM {
-			p.nnz += strings.Count(b, ":")
+	stride := 0
+	if f == FormatCSV {
+		if stride, err = csvStride(blocks); err != nil {
+			return nil, err
 		}
 	}
+	parts, err := parseBlocks(blocks, f, stride)
+	if err != nil {
+		return nil, err
+	}
+	// Join in file order into one arena of exactly the kept rows' size.
+	whole := matrixParser{f: f}
+	for i := range parts {
+		whole.rows += len(parts[i].text)
+		whole.nnz += len(parts[i].b.m.values)
+	}
+	if whole.rows == 0 {
+		return whole.matrix(), nil
+	}
+	whole.b = whole.newBuilder(stride)
+	whole.text = make([]string, 0, whole.rows)
+	for i := range parts {
+		if err := whole.b.AppendRows(parts[i].b.Build()); err != nil {
+			return nil, err
+		}
+		whole.text = append(whole.text, parts[i].text...)
+		parts[i] = matrixParser{} // the block's arena is garbage from here
+	}
+	return whole.matrix(), nil
+}
+
+// parseBlocks parses every block on min(GOMAXPROCS, blocks) goroutines, each
+// into an arena of its own sized from the block's newline (and, for LIBSVM,
+// colon) counts, and returns the parsers in file order. When blocks fail, the
+// error is the lowest failing block's, at its line in the file.
+func parseBlocks(blocks []string, f Format, stride int) ([]matrixParser, error) {
+	// Workers claim blocks in file order, so when a block fails every block
+	// before it has been claimed, and a claimed block is always parsed to its
+	// end: stopping after a failure skips only blocks after a failed one.
+	parts := make([]matrixParser, len(blocks))
+	errs := make([]error, len(blocks))
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(blocks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var idx []int32 // scratch, handed from block to block
+			var vals []float64
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(blocks) {
+					return
+				}
+				p := &parts[i]
+				*p = matrixParser{f: f, rows: strings.Count(blocks[i], "\n") + 1, idx: idx, vals: vals}
+				if f == FormatLIBSVM {
+					p.nnz = strings.Count(blocks[i], ":")
+				}
+				p.b = p.newBuilder(stride)
+				p.text = make([]string, 0, p.rows)
+				if errs[i] = p.parse(blocks[i]); errs[i] != nil {
+					stop.Store(true)
+				}
+				idx, vals, p.idx, p.vals = p.idx, p.vals, nil, nil
+			}
+		}()
+	}
+	wg.Wait()
+
+	line := 0 // lines in the blocks before parts[i]
+	for i := range parts {
+		if errs[i] != nil {
+			return nil, lineError(line+parts[i].lineNo, errs[i])
+		}
+		line += parts[i].lineNo
+	}
+	return parts, nil
+}
+
+// csvStride returns the feature count of the first record in blocks (0 when
+// there is none). A first record that fails to parse is the file's first
+// error, so it is returned at its line.
+func csvStride(blocks []string) (int, error) {
+	line := 0
 	for _, b := range blocks {
 		for len(b) > 0 {
-			var line string
-			line, b, _ = strings.Cut(b, "\n")
-			if err := p.record(line); err != nil {
-				return nil, err
+			var rec string
+			rec, b, _ = strings.Cut(b, "\n")
+			line++
+			_, vals, ok, err := parseCSVInto(rec, 0, nil)
+			if err != nil {
+				return 0, lineError(line, err)
+			}
+			if ok {
+				return len(vals), nil
 			}
 		}
 	}
-	return p.matrix(), nil
+	return 0, nil
 }
 
 // WriteMatrix writes every row of m to w in LIBSVM text form, one record per

@@ -1,6 +1,10 @@
 package planner
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -213,3 +217,98 @@ type countingRing struct {
 }
 
 func (r *countingRing) ObserveIter(ev engine.IterEvent) { r.iters++; r.Ring.ObserveIter(ev) }
+
+// FuzzControllerRestore feeds Controller.Restore arbitrary bytes, as a
+// checkpoint read back from disk may hold: it must never panic; a state it
+// accepts must come back unchanged through Encode and Restore; and the
+// controller must then step the run without panicking.
+func FuzzControllerRestore(f *testing.F) {
+	st := adaptiveStore(f, 2000)
+	p := gd.Params{Task: st.Dataset.Task, Format: st.Dataset.Format, Lambda: 0.01, Tolerance: 1e-9, MaxIter: 400}
+	dec, err := Choose(cluster.New(cluster.Default()), st, p, Options{Estimator: estimator.Config{SampleSize: 300, SpecTolerance: 0.1, TimeBudget: 5, Seed: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := AdaptiveConfig{Every: 10}
+
+	// A run 60 iterations in, checkpointed with its controller's state; every
+	// input is restored onto a fresh resume of it.
+	sim := cluster.New(cluster.Default())
+	plan := dec.Best.Plan
+	tr, err := engine.NewTrainer(sim, st, &plan, engine.Options{Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctl := NewController(sim, st, p, dec, false, cfg)
+	for tr.Iteration() < 60 {
+		if tr, err = ctl.Step(tr); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if tr.Done() {
+		f.Fatal("the fixture run finished before its checkpoint")
+	}
+	ckpt, err := tr.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	resume := func(t testing.TB) (*engine.Trainer, *Controller) {
+		sim := cluster.New(cluster.Default())
+		plan := *tr.Plan()
+		rt, err := engine.Resume(sim, st, &plan, engine.Options{}, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, NewController(sim, st, p, dec, false, cfg)
+	}
+
+	seed := func(s ControllerState) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	own, err := ctl.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if rt, c := resume(f); c.Restore(own, rt) != nil {
+		f.Fatal("the run's own controller state does not restore")
+	}
+	f.Add(own)
+	f.Add([]byte{})
+	f.Add([]byte("not a gob stream"))
+	f.Add(seed(ControllerState{SegStart: 61}))
+	f.Add(seed(ControllerState{SegStart: -1}))
+	f.Add(seed(ControllerState{SegStart: 60, ObservedA: map[gd.Algo]float64{gd.BGD: math.NaN(), gd.SGD: math.Inf(1), gd.MGD: -1}}))
+	f.Add(seed(ControllerState{Disqualified: map[gd.Algo]bool{gd.BGD: true, gd.SGD: true, gd.MGD: true}, SegStart: 20}))
+	f.Add(seed(ControllerState{History: History{{Plan: plan.Name(), To: "no-such-plan"}}}))
+	switched := History{{Iter: 10, Plan: plan.Name(), To: plan.Name(), Action: "switch"}, {Iter: 20, Plan: plan.Name(), To: plan.Name(), Action: "switch"}, {Iter: 30, Plan: plan.Name(), To: plan.Name(), Action: "switch"}}
+	f.Add(seed(ControllerState{History: switched, SegStart: 30}))
+
+	f.Fuzz(func(t *testing.T, policy []byte) {
+		rt, c := resume(t)
+		if c.Restore(policy, rt) != nil {
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatalf("accepted state does not encode: %v", err)
+		}
+		_, again := resume(t)
+		if err := again.Restore(enc, rt); err != nil {
+			t.Fatalf("re-encoded state rejected: %v", err)
+		}
+		// %#v prints maps in key order and NaN as NaN, so equal text is an
+		// unchanged state.
+		if a, b := fmt.Sprintf("%#v", c.ControllerState), fmt.Sprintf("%#v", again.ControllerState); a != b {
+			t.Fatalf("state changed through Encode and Restore:\n%s\n%s", a, b)
+		}
+		for i := 0; i < 30 && !rt.Done(); i++ {
+			if rt, err = c.Step(rt); err != nil {
+				return
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -98,6 +99,13 @@ func (p *Predictor) Predict(ctx context.Context, mv *ModelVersion, req *PredictR
 	}
 	p.scoreDirect(mv, req.FastMath, mat, resp)
 	p.adm.done(n)
+	for i, s := range resp.Scores {
+		// JSON has no NaN or infinity: such a score would leave a 200 with
+		// no body, so the row is refused instead.
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("serve: row %d scores %v, which a JSON answer cannot carry", i+1, s)
+		}
+	}
 	if p.counters != nil {
 		p.counters.observePredict(n)
 	}

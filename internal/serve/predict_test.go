@@ -10,8 +10,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +23,7 @@ import (
 	"ml4all"
 	"ml4all/internal/data"
 	"ml4all/internal/linalg"
+	"ml4all/internal/metrics"
 )
 
 func predictModel() *ModelVersion {
@@ -304,4 +308,67 @@ func TestServerShutdownDrainsPredictTraffic(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPredictBody posts arbitrary bodies to the predict route: the answer is
+// a 200 carrying exactly the scores Model.ScoreMatrix (or, for a fastmath
+// request, the fast kernel) gives for the request's rows, or a 4xx — never a
+// 5xx, never a panic.
+func FuzzPredictBody(f *testing.F) {
+	srv, err := New(Config{Dir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Shutdown(context.Background()) })
+	mv, err := srv.Registry().Publish("m", predictModel().Model)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	f.Add(`{"rows":["1:1 3:2","1 2:4 4:8","4:1"]}`)
+	f.Add(`{"rows":["1,0,2,0","0,4,0,8"],"fastmath":true}`)
+	f.Add(`{"instances":[[1,0,2],[0,4,0,8]]}`)
+	f.Add(`{"rows":["9:1"]}`)
+	f.Add(`{"rows":["1:1","  "]}`)
+	f.Add(`{"rows":["1:1"],"instances":[[1]]}`)
+	f.Add(`{"instances":[[1,2,3,4,5]]}`)
+	f.Add(`{"rows":["1:one"]}`)
+	f.Add(`{"unknown":1}`)
+	f.Add(`{"instances":[[1e400]]}`)
+	f.Add(`{}`)
+	f.Add(`null`)
+	f.Add(``)
+
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/m/predict", strings.NewReader(body)))
+		if rec.Code >= 400 && rec.Code < 500 {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		var got PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("body %q: 200 with an undecodable answer %q: %v", body, rec.Body, err)
+		}
+		var req PredictRequest
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("body %q was answered 200 but does not decode: %v", body, err)
+		}
+		mat, err := buildRequestMatrix(data.NewMatrixBuilder(0, 0), &req, len(mv.Model.Weights))
+		if err != nil {
+			t.Fatalf("body %q was answered 200 but its rows do not parse: %v", body, err)
+		}
+		want, err := mv.Model.ScoreMatrix(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.FastMath {
+			metrics.ScoresIntoFast(mv.Model.Weights, mat, want)
+		}
+		sameBits(t, fmt.Sprintf("body %q: scores", body), got.Scores, want)
+	})
 }

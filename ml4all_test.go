@@ -218,6 +218,22 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
+// TestExecEmptyFileNamesTheFile: a data file with no record fails at its own
+// name, not at the speculation sample drawn from it.
+func TestExecEmptyFileNamesTheFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, text := range map[string]string{"empty.csv": "", "comments.txt": "# header\n\n# nothing else\n"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := testSystem().Exec(`m = run logistic on ` + path + ` having epsilon 0.01;`)
+		if want := "ml4all: " + path + ": no records"; err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestSaveLoadModelRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.txt")

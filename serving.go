@@ -156,6 +156,11 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	if ds.N() == 0 {
+		// Caught here, the error names the file; later it would name the
+		// speculation sample the optimizer drew from it.
+		return nil, nil, fmt.Errorf("ml4all: %s: no records", q.Sources[0].Path)
+	}
 	p, err := bindParams(q, ds)
 	if err != nil {
 		return nil, nil, err
