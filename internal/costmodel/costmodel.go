@@ -135,24 +135,21 @@ func (m *Model) parsePerUnit() cluster.Seconds {
 	return cluster.Seconds(m.Stats.AvgUnitBytes)*m.Cfg.ParseByteSec + m.Cfg.UnitOverheadSec
 }
 
-// computePerUnit prices one Compute invocation on one unit. Batch-capable
-// Computers (gd.BatchComputer — all stock plans) pay the per-unit dispatch
-// overhead at the measured post-batching fraction, mirroring exactly what
-// the simulator charges them through Sim.CostCompute; per-row Computer UDFs
-// pay the full overhead. See cluster.ComputeUnitOverheadFrac for the
-// measured constant table.
-func (m *Model) computePerUnit(ops float64, batched, fast bool) cluster.Seconds {
+// computePerUnit prices one Compute invocation on one unit at the plan's
+// kernel tier, mirroring what the simulator charges: RowTier pays the full
+// per-unit dispatch overhead (Sim.CostCPU), BlockTier the measured
+// post-batching fraction of it (Sim.CostCompute; see
+// cluster.ComputeUnitOverheadFrac for the measured constant table), and
+// FastTier that plus the executing backend's fast-kernel throughput (SIMD
+// when dispatch is live, portable fast-go otherwise; Sim.CostComputeFast).
+func (m *Model) computePerUnit(ops float64, tier gd.Tier) cluster.Seconds {
 	overhead := m.Cfg.UnitOverheadSec
 	flop := m.Cfg.FlopSec
-	if batched {
+	if tier != gd.RowTier {
 		overhead *= cluster.ComputeUnitOverheadFrac
-		if fast {
-			// The fast tier only exists on the blocked path; per-row
-			// compute stays exact, so only batched pricing discounts. The
-			// fraction is the executing backend's (SIMD when dispatch is
-			// live, portable fast-go otherwise), same as the simulator.
-			flop *= cluster.Seconds(cluster.ActiveFastMathFlopFrac())
-		}
+	}
+	if tier == gd.FastTier {
+		flop *= cluster.Seconds(cluster.ActiveFastMathFlopFrac())
 	}
 	return cluster.Seconds(ops)*flop + overhead
 }
@@ -184,14 +181,8 @@ func (m *Model) PlanCost(plan gd.Plan, T int) cluster.Seconds {
 func (m *Model) Breakdown(plan gd.Plan) Breakdown {
 	ops := plan.Computer.Ops(int(math.Round(m.Stats.AvgNNZ)))
 	accDim := plan.Computer.AccDim(m.Stats.NumFeatures)
-	// The tier the engine resolves for this plan (gd.KernelTier), and not
-	// randomized — the same eligibility the engine's cost charging applies
-	// (randomized computers run per row for their RNG stream).
+	// The tier the engine resolves and bills this plan at.
 	tier := gd.KernelTier(plan.Computer, m.FastMath)
-	if _, randomized := plan.Computer.(gd.RandomizedComputer); randomized {
-		tier = gd.RowTier
-	}
-	batched, fast := tier != gd.RowTier, tier == gd.FastTier
 	d := float64(m.Stats.NumFeatures)
 
 	br := Breakdown{Plan: plan.Name(), JobInit: m.Cfg.JobInitSec}
@@ -209,14 +200,14 @@ func (m *Model) Breakdown(plan gd.Plan) Breakdown {
 	switch {
 	case plan.Sampling == gd.NoSampling:
 		// BGD (Eq. 7): full scan + compute per iteration, then the reduce.
-		perUnit := m.computePerUnit(ops, batched, fast)
+		perUnit := m.computePerUnit(ops, tier)
 		if plan.Transform == gd.Lazy {
 			perUnit += m.parsePerUnit() // off the Figure 5 space, but priced honestly
 		}
 		iter = m.CIO(true) + m.CCPU(perUnit)
 		iter += m.CNT(int64(m.Cfg.Executors()*accDim)*8, 1)
 	default:
-		iter = m.sampleCost(plan) + m.batchCost(plan, ops, accDim, batched, fast)
+		iter = m.sampleCost(plan) + m.batchCost(plan, ops, accDim, tier)
 	}
 	iter += driver
 
@@ -259,11 +250,11 @@ func (m *Model) sampleCost(plan gd.Plan) cluster.Seconds {
 
 // batchCost prices transform (if lazy) + compute + aggregation for a sampled
 // batch, honoring the Appendix D placement rule.
-func (m *Model) batchCost(plan gd.Plan, ops float64, accDim int, batched, fast bool) cluster.Seconds {
+func (m *Model) batchCost(plan gd.Plan, ops float64, accDim int, tier gd.Tier) cluster.Seconds {
 	b := float64(plan.BatchSize)
 	batchBytes := int64(b * m.Stats.AvgUnitBytes)
 	var c cluster.Seconds
-	perUnit := m.computePerUnit(ops, batched, fast)
+	perUnit := m.computePerUnit(ops, tier)
 	if plan.Transform == gd.Lazy {
 		perUnit += m.parsePerUnit()
 	}

@@ -20,12 +20,14 @@ import (
 // blocked gd.BatchComputer path must be bit-identical to the per-row path:
 // same weights, iterations, deltas, simulated time and accounting. The
 // per-row reference is produced by stripping the BatchComputer capability
-// from the stock Computer, which flips the engine to its row-at-a-time loop.
+// from the stock Computer, which the engine then runs through gd.Batched's
+// row adapter: one Compute call per row.
 
 // rowOnly wraps a Computer so that ONLY the Computer method set is exposed:
-// the engine's BatchComputer type assertion fails and the per-row path runs.
-// This is also exactly what a custom non-batch Computer UDF looks like to
-// the engine, so the sweep doubles as the fallback-transparency test.
+// the engine's BatchComputer type assertion fails, gd.Batched wraps it, and
+// every block makes one Compute call per row. This is also exactly what a
+// custom non-batch Computer UDF looks like to the engine, so the sweep
+// doubles as the fallback-transparency test.
 type rowOnly struct{ gd.Computer }
 
 // sameNumerics asserts bitwise equality of everything the block kernels can
@@ -93,8 +95,10 @@ func TestCustomGradientPlanStaysPerRowBilled(t *testing.T) {
 	rowPlan := plan
 	rowPlan.Computer = rowOnly{plan.Computer}
 	base := runWorkers(t, st, rowPlan, 1)
-	got := runWorkers(t, st, plan, 1)
-	sameResult(t, "custom-gradient/BGD", base, got, 1)
+	for _, workers := range []int{1, 2, 8} {
+		sameResult(t, "custom-gradient/BGD", base, runWorkers(t, st, plan, workers), workers)
+		sameResult(t, "row-only/BGD", base, runWorkers(t, st, rowPlan, workers), workers)
+	}
 }
 
 // runBlocked is Run with the executor's row-block width set to bs instead of
@@ -144,6 +148,12 @@ func TestBlockedComputeMatchesRowComputeBitwise(t *testing.T) {
 				rowPlan := plan
 				rowPlan.Computer = rowOnly{plan.Computer}
 				base := runWorkers(t, st, rowPlan, 1)
+				// The per-row Computer runs on the pool like any other:
+				// every worker count gives the same bits, time and
+				// accounting included.
+				for _, workers := range []int{2, 8} {
+					sameResult(t, label+"/per-row", base, runWorkers(t, st, rowPlan, workers), workers)
+				}
 
 				var first *Result
 				for _, bs := range blockSizes {

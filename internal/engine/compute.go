@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"ml4all/internal/cluster"
@@ -98,13 +97,14 @@ func (ex *executor) eagerTransform() {
 	}
 }
 
-// opsSumRange accumulates the Computer's per-unit op estimate over units
-// [lo, hi) in index order — the quantity the driver charges a compute task
-// with. On a dense arena every row has the same stored-value count, so the
-// per-row Ops interface call is hoisted to one evaluation per range (the
-// blocked analogue of the kernel dispatch); the float accumulation stays one
-// add per row, keeping the sum bit-identical to the naive per-row loop.
-func (ex *executor) opsSumRange(lo, hi int) float64 {
+// opsSum accumulates the Computer's per-unit op estimate over positions
+// [lo, hi) in order, each mapped to a unit by idx (nil means the position is
+// the unit) — the quantity the driver charges a compute task with. On a
+// dense arena every row has the same stored-value count, so the per-row Ops
+// interface call is hoisted to one evaluation per range; the float
+// accumulation stays one add per row, keeping the sum bit-identical to the
+// naive per-row loop.
+func (ex *executor) opsSum(lo, hi int, idx []int) float64 {
 	var ops float64
 	m := ex.mat
 	if m.IsDense() {
@@ -114,40 +114,26 @@ func (ex *executor) opsSumRange(lo, hi int) float64 {
 		}
 		return ops
 	}
-	for i := lo; i < hi; i++ {
-		ops += ex.plan.Computer.Ops(m.RowNNZ(i))
-	}
-	return ops
-}
-
-// opsSumIdx is opsSumRange over an explicit unit-index list (sampled
-// batches), with the same dense hoist and the same add-per-row order.
-func (ex *executor) opsSumIdx(idx []int) float64 {
-	var ops float64
-	m := ex.mat
-	if m.IsDense() {
-		per := ex.plan.Computer.Ops(m.Stride())
-		for range idx {
-			ops += per
+	for pos := lo; pos < hi; pos++ {
+		i := pos
+		if idx != nil {
+			i = idx[pos]
 		}
-		return ops
-	}
-	for _, i := range idx {
 		ops += ex.plan.Computer.Ops(m.RowNNZ(i))
 	}
 	return ops
 }
 
-// costComputeCPU charges one compute task's CPU cost: the per-block
+// costComputeCPU charges one compute task's CPU cost at the run's kernel
+// tier: the full per-row overhead (Sim.CostCPU) for RowTier, the per-block
 // amortized unit overhead (Sim.CostCompute, see the calibration table at
-// cluster.ComputeUnitOverheadFrac) when the run executes blocked, the full
-// per-row overhead (Sim.CostCPU) otherwise — the same ex.batch test
-// computeSpan dispatches on.
+// cluster.ComputeUnitOverheadFrac) for BlockTier, and the fast kernels'
+// throughput for FastTier.
 func (ex *executor) costComputeCPU(units int, ops float64) cluster.Seconds {
-	switch {
-	case ex.batch == nil:
+	switch ex.tier {
+	case gd.RowTier:
 		return ex.sim.CostCPU(units, ops)
-	case ex.fast:
+	case gd.FastTier:
 		return ex.sim.CostComputeFast(units, ops)
 	default:
 		return ex.sim.CostCompute(units, ops)
@@ -192,39 +178,24 @@ func (ex *executor) passPartials(acc linalg.Vector, nspans int) []linalg.Vector 
 	return partials
 }
 
-// computePass is the shared heart of both compute paths: it runs the plan's
-// Computer over len(spans) pool tasks, each position mapped to a dataset unit
-// by idx (nil means identity — position IS the unit index), each task
-// accumulating into its own slice of the accumulator arena, and folds the
-// partials into acc — which must be zero on entry — with an ordered tree
-// reduction (a single span accumulates into acc itself). The context guard
+// computePass runs the plan's Computer over len(spans) pool tasks, each
+// position mapped to a dataset unit by idx (nil means identity — position IS
+// the unit index), each task accumulating into its own slice of the
+// accumulator arena, and folds the partials into acc — which must be zero on
+// entry — with an ordered tree reduction (a single span accumulates into acc
+// itself). The pass state lives in executor fields and the task function is
+// made once per trainer, so a pass allocates nothing. The context guard
 // enforces the gd.Computer contract around the whole pass.
 func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int) error {
 	if len(spans) == 0 {
 		return nil
 	}
-	ctx := ex.ctx
-	guard := ctx.Guard()
+	guard := ex.ctx.Guard()
 	partials := ex.passPartials(acc, len(spans))
-
-	var err error
-	if ex.workers <= 1 || len(spans) == 1 {
-		// Serial fast path: same spans, same partials, same reduction — no
-		// task closure, no pool. Panic isolation still applies: a UDF blowing
-		// up here must fail the run, not the process, same as on the pool.
-		for task := 0; task < len(spans); task++ {
-			if err = ex.safeComputeSpan(task, spans, partials, idx); err != nil {
-				break
-			}
-		}
-	} else {
-		err = ex.runTasks(len(spans), func(task int) error {
-			ex.computeSpan(task, spans, partials, idx)
-			return nil
-		})
-	}
+	ex.passSpans, ex.passIdx = spans, idx
+	err := ex.runTasks(len(spans), ex.computeFn)
 	if err == nil {
-		err = guard.Check(ctx)
+		err = guard.Check(ex.ctx)
 	}
 	if err == nil && len(partials) > 1 {
 		acc.Add(linalg.ReduceTree(partials))
@@ -232,49 +203,24 @@ func (ex *executor) computePass(acc linalg.Vector, spans []span, idx []int) erro
 	return err
 }
 
-// computeSpan executes one compute-pass task: the plan's Computer over every
-// position of spans[task], accumulating into partials[task]. With a
-// batch-capable Computer the span is carved into fixed-size row blocks
-// (ex.blockSize, boundaries derived from the span alone — never from
-// workers) and executed one devirtualized ComputeBlock call per block; the
-// per-row loop below is for randomized computers and non-batch Computer UDFs,
-// and produces bit-identical accumulators (the BatchComputer contract the
-// block property test pins).
-func (ex *executor) computeSpan(task int, spans []span, partials []linalg.Vector, idx []int) {
-	ctx, mat := ex.ctx, ex.mat
-	part := partials[task]
-	sp := spans[task]
-	if bc := ex.batch; bc != nil {
-		for lo := sp.lo; lo < sp.hi; lo += ex.blockSize {
-			hi := lo + ex.blockSize
-			if hi > sp.hi {
-				hi = sp.hi
-			}
-			var blk data.Block
-			if idx == nil {
-				blk = mat.Block(lo, hi)
-			} else {
-				blk = mat.GatherBlock(idx[lo:hi])
-			}
-			bc.ComputeBlock(blk, ctx, part)
-		}
-		return
-	}
-	var rng *rand.Rand
-	if ex.randomized != nil {
-		rng = ex.shardRNG(ctx.Iter, task)
-	}
-	for pos := sp.lo; pos < sp.hi; pos++ {
-		i := pos
-		if idx != nil {
-			i = idx[pos]
-		}
-		if ex.randomized != nil {
-			ex.randomized.ComputeRand(mat.Row(i), ctx, part, rng)
+// computeSpan is one compute-pass task: the span passSpans[task] carved into
+// fixed-size row blocks (ex.blockSize, boundaries derived from the span
+// alone — never from workers), one ComputeBlock call per block into
+// partials[task]. A Computer without block kernels arrives wrapped by
+// gd.Batched and makes one Compute call per row, in row order.
+func (ex *executor) computeSpan(task int) error {
+	sp, part := ex.passSpans[task], ex.partials[task]
+	for lo := sp.lo; lo < sp.hi; lo += ex.blockSize {
+		hi := min(lo+ex.blockSize, sp.hi)
+		var blk data.Block
+		if ex.passIdx == nil {
+			blk = ex.mat.Block(lo, hi)
 		} else {
-			ex.plan.Computer.Compute(mat.Row(i), ctx, part)
+			blk = ex.mat.GatherBlock(ex.passIdx[lo:hi])
 		}
+		ex.batch.ComputeBlock(blk, ex.ctx, part)
 	}
+	return nil
 }
 
 // iteration runs Sample (optional) + Transform (if lazy) + Compute for one
@@ -295,26 +241,18 @@ func (ex *executor) iteration() (linalg.Vector, error) {
 	}
 	ex.accZero = false
 
-	fullBatch := plan.Sampling == gd.NoSampling
-	if plan.Algorithm == gd.SVRG && plan.UpdateFrequency > 0 && ctx.Iter%plan.UpdateFrequency == 1 {
-		fullBatch = true // SVRG snapshot iteration sweeps everything
-	}
-
-	if fullBatch {
+	if plan.FullPass(ctx.Iter) {
 		ctx.BatchSize = ctx.NumPoints
 		return acc, ex.computeFull(acc)
 	}
 
-	ctx.BatchSize = plan.BatchSize
 	idx, err := ex.sampler.Draw(ex.senv, plan.BatchSize)
 	if err != nil {
 		return nil, err
 	}
-	if plan.Algorithm != gd.SVRG {
-		// Bernoulli returns a binomially-distributed count; Update takes
-		// the mean over what was actually drawn.
-		ctx.BatchSize = len(idx)
-	}
+	// Bernoulli returns a binomially-distributed count; Update takes the
+	// mean over what was actually drawn.
+	ctx.BatchSize = len(idx)
 	return acc, ex.computeBatch(idx, acc)
 }
 
@@ -353,7 +291,7 @@ func (ex *executor) computeFull(acc linalg.Vector) error {
 			}
 		}
 		if cacheOps {
-			ex.opsByPart[pi] = ex.opsSumRange(p.Lo, p.Hi)
+			ex.opsByPart[pi] = ex.opsSum(p.Lo, p.Hi, nil)
 		}
 		c += ex.costComputeCPU(p.Units(), ex.opsByPart[pi])
 		costs = append(costs, c)
@@ -399,7 +337,7 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 				cpu += ex.parseCost(i)
 			}
 		}
-		cpu += ex.costComputeCPU(len(idx), ex.opsSumIdx(idx))
+		cpu += ex.costComputeCPU(len(idx), ex.opsSum(0, len(idx), idx))
 		ex.sim.RunLocal(cpu)
 		return nil
 	}
@@ -422,13 +360,14 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 	sort.Ints(order)
 	costs := ex.costBuf[:0]
 	for _, pid := range order {
+		units := byPart[pid]
 		var c cluster.Seconds
 		if lazy {
-			for _, i := range byPart[pid] {
+			for _, i := range units {
 				c += ex.parseCost(i)
 			}
 		}
-		c += ex.costComputeCPU(len(byPart[pid]), ex.opsSumIdx(byPart[pid]))
+		c += ex.costComputeCPU(len(units), ex.opsSum(0, len(units), units))
 		costs = append(costs, c)
 	}
 	ex.costBuf = costs

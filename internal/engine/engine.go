@@ -157,20 +157,14 @@ type executor struct {
 	workers int
 	shards  []storage.Shard
 
-	// batch is the plan's Computer when the run executes blocked (all stock
-	// computers do), resolved once per run; nil keeps the per-row path, which
-	// calls randomized instead of Compute when the Computer takes per-shard
-	// randomness. blockSize is the row-block width of the blocked path
-	// (blockSize in partition.go; tests sweep other widths).
-	batch      gd.BatchComputer
-	randomized gd.RandomizedComputer
-	blockSize  int
-
-	// fast is set when the blocked path will actually dispatch the
-	// fast-math kernel tier (gd.KernelTier resolved gd.FastTier); the cost loop
-	// then charges Sim.CostComputeFast for blocked passes, keeping
-	// execution and billing on the same tier.
-	fast bool
+	// batch is the plan's Computer as gd.Batched returns it, so every pass
+	// makes one ComputeBlock call per row block; blockSize is the block width
+	// (blockSize in partition.go; tests sweep other widths). tier is
+	// gd.KernelTier's answer for the plan's Computer, resolved once per run
+	// and the only input to compute billing (costComputeCPU).
+	batch     gd.BatchComputer
+	tier      gd.Tier
+	blockSize int
 
 	sampler sampling.Sampler
 	senv    *sampling.Env
@@ -197,6 +191,14 @@ type executor struct {
 	fullSpans []span
 	spanBuf   []span
 	costBuf   []cluster.Seconds
+
+	// The compute pass in flight, read by its tasks: the spans and the unit
+	// index of each position (nil: the position is the unit); the partials
+	// are ex.partials. computeFn is computeSpan bound once per trainer, so a
+	// pass makes no closure.
+	passSpans []span
+	passIdx   []int
+	computeFn func(task int) error
 
 	// Worker-pool scaffolding reused across parallel passes (see runTasks).
 	errBuf        []error

@@ -255,6 +255,37 @@ func TestSVRGRunsAndConverges(t *testing.T) {
 	}
 }
 
+// TestSVRGUpdateFrequencyOneIsBGD: with m = 1 every SVRG iteration is a
+// snapshot, so the engine must sweep the whole dataset each time, and the
+// run is BGD's bit for bit: same weights and deltas, n units read per
+// iteration.
+func TestSVRGUpdateFrequencyOneIsBGD(t *testing.T) {
+	ds := smallDataset(t, 400)
+	st := buildStore(t, ds, 4<<10)
+	p := testParams(ds)
+	p.MaxIter = 10
+	run := func(plan gd.Plan) (*Result, []IterEvent) {
+		obs := &recordingObserver{}
+		res, err := Run(cluster.New(noJitterCfg()), st, &plan, Options{Seed: 4, Observer: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, obs.events
+	}
+	bgd, bgdEvents := run(gd.NewBGD(p))
+	svrg, svrgEvents := run(gd.NewSVRG(p, 1))
+	sameNumerics(t, "SVRG m=1", bgd, svrg)
+	n := int64(ds.N())
+	for i, ev := range svrgEvents {
+		if ev.Units != bgdEvents[i].Units {
+			t.Fatalf("iteration %d: %d units read so far, BGD %d", i+1, ev.Units, bgdEvents[i].Units)
+		}
+		if i > 0 && ev.Units-svrgEvents[i-1].Units < n {
+			t.Fatalf("iteration %d read %d units, want at least n = %d", i+1, ev.Units-svrgEvents[i-1].Units, n)
+		}
+	}
+}
+
 func TestLineSearchImprovesObjectiveMonotonically(t *testing.T) {
 	ds := smallDataset(t, 200)
 	st := buildStore(t, ds, 4<<10)

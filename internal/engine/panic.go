@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime/debug"
-
-	"ml4all/internal/linalg"
 )
 
 // PanicError is a panic recovered inside the shard executor, converted into
@@ -28,8 +26,8 @@ func (e *PanicError) Error() string {
 
 // safeCall runs fn(i), converting a panic into a *PanicError. It is the
 // isolation boundary between user-defined operator code and the executor:
-// both the serial task loop and every pool worker route task execution
-// through it.
+// runTasks routes every task through it, on its serial loop and on every pool
+// worker alike.
 func safeCall(fn func(task int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -37,17 +35,4 @@ func safeCall(fn func(task int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// safeComputeSpan is computeSpan behind the same recovery boundary, for
-// computePass's inline serial fast path (which skips runTasks and would
-// otherwise let a UDF panic unwind through the driver).
-func (ex *executor) safeComputeSpan(task int, spans []span, partials []linalg.Vector, idx []int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Op: fmt.Sprintf("task %d", task), Value: r, Stack: debug.Stack()}
-		}
-	}()
-	ex.computeSpan(task, spans, partials, idx)
-	return nil
 }

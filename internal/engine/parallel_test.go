@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,44 +140,6 @@ func TestParallelTransformSurfacesDeterministicError(t *testing.T) {
 		if !strings.Contains(err.Error(), "unit 137") {
 			t.Fatalf("workers=%d: error lost the failing unit: %v", workers, err)
 		}
-	}
-}
-
-// noisyComputer exercises the RandomizedComputer extension: gradient plus
-// rng-driven perturbation. Streams are split per (iteration, shard), so the
-// result must not depend on the worker count.
-type noisyComputer struct {
-	inner gd.Computer
-}
-
-func (c noisyComputer) Compute(u data.Row, ctx *gd.Context, acc linalg.Vector) {
-	c.inner.Compute(u, ctx, acc)
-}
-func (c noisyComputer) AccDim(d int) int    { return c.inner.AccDim(d) }
-func (c noisyComputer) Ops(nnz int) float64 { return c.inner.Ops(nnz) }
-func (c noisyComputer) ComputeRand(u data.Row, ctx *gd.Context, acc linalg.Vector, rng *rand.Rand) {
-	c.inner.Compute(u, ctx, acc)
-	acc[0] += 1e-6 * rng.NormFloat64()
-}
-
-func TestRandomizedComputerWorkerCountInvariant(t *testing.T) {
-	ds := taskDataset(t, data.TaskLogisticRegression, 500)
-	st := buildStore(t, ds, 2<<10)
-	p := gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 1e-4, MaxIter: 15, Lambda: 0.05, BatchSize: 16}
-	mk := func() gd.Plan {
-		plan := gd.NewBGD(p)
-		plan.Computer = noisyComputer{inner: plan.Computer}
-		return plan
-	}
-	base := runWorkers(t, st, mk(), 1)
-	for _, workers := range []int{2, 8} {
-		got := runWorkers(t, st, mk(), workers)
-		sameResult(t, "randomized", base, got, workers)
-	}
-	// The noise must actually have flowed through the RNG path.
-	plain := runWorkers(t, st, gd.NewBGD(p), 1)
-	if base.Weights.Equal(plain.Weights, 0) {
-		t.Fatal("ComputeRand was never called: noisy run identical to plain run")
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math/rand"
-
 	"ml4all/internal/data"
 	"ml4all/internal/storage"
 )
@@ -123,27 +121,6 @@ func (ex *executor) runTasks(n int, fn func(task int) error) error {
 	ex.taskWG.Wait()
 	ex.taskFn = nil
 	return firstError(errs)
-}
-
-// splitSeed derives an independent RNG seed from the run seed and a task key
-// using a splitmix64-style finalizer, so per-shard streams are decorrelated
-// without sharing any state with the driver's sampling RNG.
-func splitSeed(seed int64, key uint64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(key+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
-// shardRNG returns the deterministic RNG for one shard of one compute pass.
-// The stream is keyed by (run seed, iteration, shard) — never by worker — so
-// a RandomizedComputer sees the same randomness for a given data unit no
-// matter how many workers execute the pass or which worker picks the shard
-// up.
-func (ex *executor) shardRNG(iter, shard int) *rand.Rand {
-	key := uint64(iter)<<32 | uint64(uint32(shard))
-	return rand.New(rand.NewSource(splitSeed(ex.seed, key)))
 }
 
 // firstError returns the error of the lowest-numbered task, matching what a

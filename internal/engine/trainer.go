@@ -140,7 +140,7 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 	ctx.MaxIter = plan.MaxIter
 	ctx.BatchSize = plan.BatchSize
 	ctx.FastMath = opts.FastMath
-	if plan.Algorithm == gd.BGD || plan.Algorithm == gd.LineSearchBGD {
+	if plan.Sampling == gd.NoSampling {
 		ctx.BatchSize = n
 	}
 
@@ -160,16 +160,11 @@ func newTrainerShell(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts
 	if t.ex.stockTransformer() {
 		t.ex.mat = ds.Mat
 	}
-	// Resolve the compute tier once. Custom Computer UDFs, stock computers
-	// wrapping a custom Gradient without block kernels (gd.RowTier) and
-	// randomized computers (their noise is drawn per row) leave batch nil:
-	// the span loop stays row-at-a-time and cost charging stays at the full
-	// per-row overhead, keeping execution and billing consistent.
-	t.ex.randomized, _ = plan.Computer.(gd.RandomizedComputer)
-	if tier := gd.KernelTier(plan.Computer, opts.FastMath); tier != gd.RowTier && t.ex.randomized == nil {
-		t.ex.batch = plan.Computer.(gd.BatchComputer)
-		t.ex.fast = tier == gd.FastTier
-	}
+	// Resolve the compute tier once: gd.KernelTier alone decides how a pass
+	// is billed, and gd.Batched gives every Computer the one block loop.
+	t.ex.tier = gd.KernelTier(plan.Computer, opts.FastMath)
+	t.ex.batch = gd.Batched(plan.Computer)
+	t.ex.computeFn = t.ex.computeSpan
 	// Same for the fused driver step.
 	if fu, ok := plan.Updater.(gd.FusedUpdater); ok {
 		if nc, ok := plan.Converger.(gd.NormConverger); ok {

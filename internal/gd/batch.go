@@ -13,8 +13,8 @@ import (
 // contiguous row blocks and makes ONE ComputeBlock call per block instead of
 // one Compute call per row — devirtualizing the per-row interface dispatch
 // and letting the loss kernels run fused, cache-blocked loops over the
-// columnar arena. Computers that do not implement it (custom UDFs) keep the
-// per-row path transparently.
+// columnar arena. A Computer that does not implement it (a custom UDF) runs
+// through the same block loop wrapped by Batched, one Compute call per row.
 //
 // Contract: ComputeBlock must accumulate into acc exactly what Len() calls
 // of Compute on the block's rows — in block row order — would, bit for bit.
@@ -46,8 +46,8 @@ const (
 
 // KernelTier resolves the tier c's compute pass runs at, given whether the
 // run asked for fast math. The engine and the cost model both ask here, once
-// per run, so execution and billing cannot disagree: a stock computer is
-// only as capable as the Gradient it wraps.
+// per run, and add nothing to the answer, so execution and billing cannot
+// disagree: a stock computer is only as capable as the Gradient it wraps.
 func KernelTier(c Computer, fastMath bool) Tier {
 	if _, ok := c.(BatchComputer); !ok {
 		return RowTier
@@ -109,14 +109,32 @@ func blockKernels(g gradients.Gradient, fastMath bool) (addGrad func(linalg.Vect
 	return nil, nil, RowTier
 }
 
-// computeRowByRow is the shared fallback for gradients without block
-// kernels: the exact per-row loop the engine's non-batched path runs. The
-// engine never reaches it (KernelTier keeps such plans on the per-row path,
-// where cost charging matches); it guards direct ComputeBlock callers.
+// computeRowByRow is the block loop of RowTier computers: one Compute call
+// per row of the block, in row order. It serves Batched's adapter and the
+// stock computers over a Gradient without block kernels.
 func computeRowByRow(c Computer, rows data.Block, ctx *Context, acc linalg.Vector) {
 	for j, n := 0, rows.Len(); j < n; j++ {
 		c.Compute(rows.Row(j), ctx, acc)
 	}
+}
+
+// Batched returns c as a BatchComputer: c itself when it has a ComputeBlock,
+// else a row adapter whose ComputeBlock calls Compute once per row of the
+// block, in row order. The engine runs every Computer through it, so there
+// is one compute loop; billing stays KernelTier's answer for c itself.
+func Batched(c Computer) BatchComputer {
+	if bc, ok := c.(BatchComputer); ok {
+		return bc
+	}
+	return rowComputer{c}
+}
+
+// rowComputer is Batched's adapter for a Computer without block kernels.
+type rowComputer struct{ Computer }
+
+// ComputeBlock implements BatchComputer one row at a time.
+func (c rowComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
+	computeRowByRow(c.Computer, rows, ctx, acc)
 }
 
 // ComputeBlock implements BatchComputer: one fused gradient kernel call per

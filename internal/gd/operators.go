@@ -2,7 +2,6 @@ package gd
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ml4all/internal/data"
 	"ml4all/internal/gradients"
@@ -55,8 +54,7 @@ type Stager interface {
 //     context guard after every pass and fails the run on a violation);
 //   - write only to acc — no shared mutable state, no fields mutated by
 //     Compute;
-//   - be deterministic given (u, ctx): randomness belongs in
-//     RandomizedComputer, which receives an engine-managed RNG.
+//   - be deterministic given (u, ctx).
 //
 // The stock Computers (GradientComputer, SVRGComputer, LineSearchComputer)
 // all satisfy this: they read ctx.Weights and context vectors set before the
@@ -65,19 +63,6 @@ type Computer interface {
 	Compute(u data.Row, ctx *Context, acc linalg.Vector)
 	AccDim(d int) int
 	Ops(nnz int) float64
-}
-
-// RandomizedComputer is an optional extension for stochastic compute UDFs
-// (dropout-style corruption, randomized smoothing, ...). When a plan's
-// Computer implements it, the engine calls ComputeRand instead of Compute and
-// supplies a deterministic RNG split from the run seed per (iteration, shard)
-// — never per worker — so the stream a data unit sees does not depend on the
-// worker count or on scheduling, keeping runs bit-identical for any Workers
-// setting. The contract of Computer applies unchanged; rng is the only
-// allowed source of randomness.
-type RandomizedComputer interface {
-	Computer
-	ComputeRand(u data.Row, ctx *Context, acc linalg.Vector, rng *rand.Rand)
 }
 
 // Updater is operator (4), Update(UC) -> UU: it folds the aggregated

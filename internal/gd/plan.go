@@ -159,6 +159,13 @@ func (p Plan) Name() string {
 	return fmt.Sprintf("%s-%s-%s", p.Algorithm, p.Transform, p.Sampling)
 }
 
+// FullPass reports whether (1-based) iteration iter computes over every
+// unit instead of a drawn sample: always for a plan without a Sample
+// operator, and on SVRG's snapshot iterations.
+func (p Plan) FullPass(iter int) bool {
+	return p.Sampling == NoSampling || p.Algorithm == SVRG && svrgFullIteration(iter, p.UpdateFrequency)
+}
+
 // Validate reports the first structural problem with the plan.
 func (p Plan) Validate() error {
 	switch {

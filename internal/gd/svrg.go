@@ -23,7 +23,8 @@ const (
 )
 
 // svrgFullIteration reports whether (1-based) iteration t is a full-batch
-// snapshot iteration: (t mod m) - 1 == 0 in the paper's Algorithm 2.
+// snapshot iteration: (t mod m) - 1 == 0 in the paper's Algorithm 2. The
+// engine asks through Plan.FullPass, so operators and engine agree.
 func svrgFullIteration(t, m int) bool { return t%m == 1 || m == 1 }
 
 // SVRGComputer is the Appendix C Compute (Listing 8): on snapshot iterations

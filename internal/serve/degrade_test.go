@@ -14,10 +14,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ml4all/internal/data"
+	"ml4all/internal/synth"
 )
 
 // TestPredictExpiredContextRejectedUpfront pins the entry check: a context
@@ -286,4 +290,69 @@ func TestHTTPServerHardenedEdges(t *testing.T) {
 	if hs.Handler == nil || hs.Addr != ":0" {
 		t.Fatal("HTTPServer not wired to the service handler")
 	}
+}
+
+// FuzzSubmitBody posts arbitrary bodies to the submit route of a one-runner
+// server with a two-slot queue. The answer is a 200 carrying a JobStatus
+// whose job is in the listing, a 400 or 413 carrying {"error": …}, or a 503
+// with Retry-After (the queue is full) — never another status, never a
+// bodyless response, never a panic.
+func FuzzSubmitBody(f *testing.F) {
+	spec := synth.Spec{Name: "fuzz-submit", Task: data.TaskLogisticRegression, N: 200, D: 5, Density: 1, Noise: 0.1, Margin: 1, Seed: 3}
+	train := filepath.Join(f.TempDir(), "train.txt")
+	if err := os.WriteFile(train, []byte(strings.Join(synth.MustGenerate(spec).Raw, "\n")+"\n"), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	srv, err := New(Config{Dir: f.TempDir(), Pool: 1, QueueDepth: 2, System: servingSystem(), CheckpointEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	script := fmt.Sprintf("m = run logistic on %s having epsilon 0.01, max iter 20;", train)
+	for _, body := range []string{
+		fmt.Sprintf(`{"script":%q}`, script),
+		fmt.Sprintf(`{"script":%q,"model":"other.v2"}`, script),
+		fmt.Sprintf(`{"script":%q,"model":"../escape"}`, script),
+		fmt.Sprintf(`{"script":%q}`, script+script),
+		fmt.Sprintf(`{"script":%q,"fastmath":true}`, script),
+		`{"script":"m = run logistic on missing.txt;"}`,
+		`{"script":"m = run"}`,
+		`{"script":""}`,
+		`{"script":1}`,
+		`{}`,
+		`null`,
+		``,
+		`{"script":"x`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if rec.Body.Len() == 0 {
+			t.Fatalf("body %q: status %d with no body", body, rec.Code)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+			var st JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.ID == "" {
+				t.Fatalf("body %q: 200 without a job status: %q (%v)", body, rec.Body, err)
+			}
+			if !slices.ContainsFunc(srv.Manager().List(), func(j JobStatus) bool { return j.ID == st.ID }) {
+				t.Fatalf("body %q: accepted job %s is not listed", body, st.ID)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			var out map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["error"] == "" {
+				t.Fatalf("body %q: %d without an error message: %q", body, rec.Code, rec.Body)
+			}
+		case http.StatusServiceUnavailable:
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("body %q: 503 without Retry-After", body)
+			}
+		default:
+			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+	})
 }

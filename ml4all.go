@@ -488,7 +488,7 @@ var modelCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // torn or bit-flipped file instead of serving it.
 func EncodeModel(m *Model) []byte {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# ml4all model %s task=%s plan=%s iterations=%d converged=%t traintime=%.17g\n",
+	fmt.Fprintf(&buf, modelHeader+"%s task=%s plan=%s iterations=%d converged=%t traintime=%.17g\n",
 		m.Name, m.Task, m.PlanName, m.Iterations, m.Converged, float64(m.TrainTime))
 	for _, v := range m.Weights {
 		fmt.Fprintf(&buf, "%.17g\n", v)
@@ -497,7 +497,10 @@ func EncodeModel(m *Model) []byte {
 	return buf.Bytes()
 }
 
-const modelCRCPrefix = "# crc32c="
+const (
+	modelHeader    = "# ml4all model "
+	modelCRCPrefix = "# crc32c="
+)
 
 // SaveModel persists a model as a small text file (see EncodeModel) through
 // the durable-write protocol: a crash or a failed write leaves the file that
@@ -520,7 +523,8 @@ func LoadModel(path string) (*Model, error) {
 // its error messages (LoadModel passes the path; the registry, the version
 // name). The checksum trailer must be present and match: a file without one
 // was cut before its last line, a mismatch means it was torn or corrupted,
-// and neither may be served.
+// and neither may be served. The first line must be the "# ml4all model"
+// header and must name the task, which decides how the weights score.
 func DecodeModel(raw []byte, name string) (*Model, error) {
 	i := bytes.LastIndex(raw, []byte(modelCRCPrefix))
 	if i < 0 || (i > 0 && raw[i-1] != '\n') {
@@ -537,15 +541,22 @@ func DecodeModel(raw []byte, name string) (*Model, error) {
 	raw = raw[:i]
 	path := name
 	m := &Model{Name: name}
+	header, hasTask := false, false
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			for _, field := range strings.Fields(line) {
+		if !header {
+			fields, ok := strings.CutPrefix(line, modelHeader)
+			if !ok {
+				return nil, fmt.Errorf("ml4all: model file %s does not start with the model header", path)
+			}
+			header = true
+			for _, field := range strings.Fields(fields) {
 				if v, ok := strings.CutPrefix(field, "task="); ok {
+					hasTask = true
 					switch v {
 					case data.TaskSVM.String():
 						m.Task = data.TaskSVM
@@ -591,10 +602,13 @@ func DecodeModel(raw []byte, name string) (*Model, error) {
 		m.Weights = append(m.Weights, v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ml4all: model file %s: %w", path, err)
 	}
 	if len(m.Weights) == 0 {
 		return nil, fmt.Errorf("ml4all: model file %s holds no weights", path)
+	}
+	if !hasTask {
+		return nil, fmt.Errorf("ml4all: model file %s names no task", path)
 	}
 	return m, nil
 }

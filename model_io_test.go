@@ -152,6 +152,12 @@ func TestLoadModelCorruptFiles(t *testing.T) {
 		{"bad-converged", "# ml4all model x converged=perhaps\n1\n", "bad converged"},
 		{"bad-traintime", "# ml4all model x traintime=soon\n1\n", "bad traintime"},
 		{"unknown-task", "# ml4all model x task=KMeans\n1\n", "unknown task"},
+		// The task decides how the weights score: a file must name it in
+		// its header, never fall back to the zero-value task.
+		{"no-header", "0.5\n-1.25\n", "does not start with"},
+		{"no-task", "# ml4all model x plan=BGD iterations=3\n0.5\n", "names no task"},
+		{"task-outside-header", "# note task=SVM\n0.5\n", "does not start with"},
+		{"header-after-weights", "0.5\n# ml4all model x task=SVM\n", "does not start with"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,6 +216,7 @@ func FuzzDecodeModel(f *testing.F) {
 		full[:len(full)/2], // truncated mid-file
 		flipped,            // one flipped byte: checksum mismatch
 		full[:bytes.LastIndex(full, []byte(modelCRCPrefix))], // no trailer
+		[]byte(sealed("0.5\n-1.25\n")),                       // no header, so no task
 	)
 	for _, s := range seeds {
 		f.Add(s)
