@@ -212,3 +212,77 @@ func TestObjectiveMatrixMatchesObjective(t *testing.T) {
 		}
 	}
 }
+
+// TestSIMDHingeActiveRunsBitwise drives the dense exact accumulate's run
+// split — hinge hands DenseAccum the runs of active rows between inactive
+// ones — through all-active, all-inactive, alternating and uneven-run
+// blocks, with the SIMD backend on and off. Every inactive row carries a
+// +Inf feature, so one that touched the accumulator would show as NaN. The
+// exact block must equal per-row AddGradient bit for bit, and the fast
+// block must stay within the tier epsilon of it.
+func TestSIMDHingeActiveRunsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const n, d = 23, 13
+	patterns := map[string]func(j int) bool{
+		"all active":  func(int) bool { return true },
+		"none active": func(int) bool { return false },
+		"alternating": func(j int) bool { return j%2 == 0 },
+		"uneven runs": func(j int) bool { return j%7 < 5 },
+	}
+	w := make(linalg.Vector, d)
+	for i := range w {
+		w[i] = 0.1
+	}
+	for name, active := range patterns {
+		for _, dense := range []bool{true, false} {
+			var b *data.MatrixBuilder
+			if dense {
+				b = data.NewDenseMatrixBuilder(n, d)
+			} else {
+				b = data.NewMatrixBuilder(n, n*d)
+			}
+			idx := make([]int32, d)
+			x := make([]float64, d)
+			for j := 0; j < n; j++ {
+				for i := range x {
+					idx[i] = int32(i)
+					if active(j) {
+						x[i] = 0.1 * rng.NormFloat64() // |y·m| ≪ 1
+					} else {
+						x[i] = 1 + rng.Float64() // y·m > 1
+					}
+				}
+				if !active(j) {
+					x[j%d] = math.Inf(1)
+				}
+				var err error
+				if dense {
+					err = b.AppendDense(1, x)
+				} else {
+					err = b.AppendSparse(1, idx, x)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			blk := b.Build().Block(0, n)
+			for _, simd := range []bool{true, false} {
+				prev := linalg.SetSIMD(simd)
+				tag := fmt.Sprintf("%s dense=%v simd=%v", name, dense, linalg.SIMDEnabled())
+				checkBlockMatchesRows(t, rng, Hinge{}, w, blk, tag)
+
+				margins := make([]float64, n)
+				exact := make(linalg.Vector, d)
+				fast := make(linalg.Vector, d)
+				Hinge{}.AddGradientBlock(w, blk, margins, exact)
+				Hinge{}.AddGradientBlockFast(w, blk, margins, fast)
+				linalg.SetSIMD(prev)
+				for i := range exact {
+					if diff := fastRelDiff(exact[i], fast[i]); !(diff <= fastKernelEps) {
+						t.Fatalf("%s: fast grad[%d] %g, exact %g", tag, i, fast[i], exact[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -118,10 +118,9 @@ func TestFastKernelsHugeMargins(t *testing.T) {
 	}
 }
 
-// TestFastKernelsAllInactiveHinge pins the zero-coefficient block: a hinge
-// block where every row satisfies the margin produces an all-zero coefficient
-// buffer, and the fused accumulate must leave the gradient bitwise untouched
-// (0·x terms cannot perturb it — x is finite by construction).
+// TestFastKernelsAllInactiveHinge pins the all-inactive block: a hinge block
+// where every row satisfies the margin has no active row, so the fast
+// accumulate must leave the gradient bitwise untouched.
 func TestFastKernelsAllInactiveHinge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const d = 8
@@ -151,6 +150,57 @@ func TestFastKernelsAllInactiveHinge(t *testing.T) {
 	for i := range grad {
 		if math.Float64bits(grad[i]) != math.Float64bits(before[i]) {
 			t.Fatalf("grad[%d] perturbed by all-inactive block: %g != %g", i, grad[i], before[i])
+		}
+	}
+}
+
+// TestFastHingeInactiveRowsNeverTouchAccumulator: an inactive hinge row
+// contributes nothing on the fast tier either — not a 0·x term, which a
+// non-finite feature turns into NaN. The block's middle row has y = +1,
+// x₁ = +Inf and w₁ > 0, so y·m = +Inf and the row is inactive; the fast
+// gradient must stay finite and within the tier epsilon of the exact one,
+// on the dense kernel and the CSR one.
+func TestFastHingeInactiveRowsNeverTouchAccumulator(t *testing.T) {
+	w := linalg.Vector{0.5, 0.25, 0.125}
+	rows := []struct {
+		y float64
+		x []float64
+	}{
+		{1, []float64{0.5, 0.5, -1}},
+		{1, []float64{0, math.Inf(1), 1}},
+		{-1, []float64{-0.25, 0.5, 1}},
+	}
+	for _, dense := range []bool{true, false} {
+		var b *data.MatrixBuilder
+		if dense {
+			b = data.NewDenseMatrixBuilder(len(rows), len(w))
+		} else {
+			b = data.NewMatrixBuilder(len(rows), len(rows)*len(w))
+		}
+		for _, r := range rows {
+			var err error
+			if dense {
+				err = b.AppendDense(r.y, r.x)
+			} else {
+				err = b.AppendSparse(r.y, []int32{0, 1, 2}, r.x)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		blk := b.Build().Block(0, len(rows))
+		margins := make([]float64, blk.Len())
+		exact := make(linalg.Vector, len(w))
+		fast := make(linalg.Vector, len(w))
+		Hinge{}.AddGradientBlock(w, blk, margins, exact)
+		Hinge{}.AddGradientBlockFast(w, blk, margins, fast)
+		if !exact.IsFinite() {
+			t.Fatalf("dense=%v: exact gradient %v is not finite", dense, exact)
+		}
+		for i := range exact {
+			if diff := fastRelDiff(exact[i], fast[i]); !(diff <= fastKernelEps) {
+				t.Fatalf("dense=%v: fast gradient %v, exact %v", dense, fast, exact)
+			}
 		}
 	}
 }

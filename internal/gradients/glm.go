@@ -11,7 +11,7 @@ import (
 // per tier:
 //
 //	per row      margin → coeff → axpy
-//	exact block  margins → coeffs IN PLACE → accumulate in row order
+//	exact block  margins → coeffs IN PLACE → DenseAccum / sparse axpy
 //	fast block   fast margins → coeffs IN PLACE → DenseAccumFast / sparse axpy
 //
 // Exact is bit-exact by construction: every margin is an independent
@@ -35,10 +35,11 @@ type loss interface {
 	coeffs(y, m []float64)
 	values(y, m []float64)
 	// skipsInactive reports that coeff marks a row outside the loss's
-	// active set with NaN and that such a row contributes nothing — not
-	// even a 0·x term, which resets a −0 accumulator slot and turns a
-	// non-finite feature into NaN. Only hinge has an active set; the others
-	// run their axpy whatever the coefficient, zero and NaN included.
+	// active set with NaN and that such a row never touches the
+	// accumulator, on either tier — not even as a 0·x term, which resets a
+	// −0 accumulator slot and turns a non-finite feature into NaN. Only
+	// hinge has an active set; the others run their axpy whatever the
+	// coefficient, zero and NaN included.
 	skipsInactive() bool
 }
 
@@ -83,7 +84,7 @@ func (g glm[L]) AddGradientBlock(w linalg.Vector, rows data.Block, margins []flo
 	margins = margins[:rows.Len()]
 	rows.MarginsInto(w, margins)
 	l.coeffs(labels, margins)
-	accumulate(rows, margins, grad, l.skipsInactive())
+	accumulate(rows, margins, grad, l.skipsInactive(), false)
 }
 
 // LossBlock implements BlockGradient. It adds one row at a time into the
@@ -123,21 +124,7 @@ func (g glm[L]) AddGradientBlockFast(w linalg.Vector, rows data.Block, margins [
 	} else {
 		l.coeffs(labels, margins)
 	}
-	if l.skipsInactive() {
-		// The fused accumulate has no row to skip; an inactive row rides
-		// through it as a 0·x term.
-		for j, c := range margins {
-			if c != c {
-				margins[j] = 0
-			}
-		}
-	}
-	if vals, stride, ok := rows.DenseRows(); ok {
-		linalg.DenseAccumFast(grad, vals, stride, margins)
-		return
-	}
-	// Sparse rows touch disjoint slots: nothing to fuse, the exact accumulate.
-	accumulate(rows, margins, grad, false)
+	accumulate(rows, margins, grad, l.skipsInactive(), true)
 }
 
 // LossBlockFast implements FastGradient: two independent partial sums.
@@ -169,14 +156,27 @@ func (g glm[L]) LossBlockFast(w linalg.Vector, rows data.Block, margins []float6
 
 // accumulate folds coeffs[j]·row_j into grad in row order over a contiguous
 // block's geometry, strided dense or CSR. With skipNaN, rows whose
-// coefficient is NaN are left out (see loss.skipsInactive).
-func accumulate(rows data.Block, coeffs []float64, grad linalg.Vector, skipNaN bool) {
+// coefficient is NaN are left out (see loss.skipsInactive): the dense
+// kernel takes the runs of rows between them. fast picks DenseAccumFast
+// for the dense kernel; sparse rows touch disjoint slots, so there is
+// nothing to fuse and both tiers share the CSR axpy.
+func accumulate(rows data.Block, coeffs []float64, grad linalg.Vector, skipNaN, fast bool) {
 	if vals, stride, ok := rows.DenseRows(); ok {
-		for j, c := range coeffs {
-			if c != c && skipNaN {
+		if !skipNaN {
+			denseAccum(grad, vals, stride, coeffs, fast)
+			return
+		}
+		for lo := 0; lo < len(coeffs); {
+			if c := coeffs[lo]; c != c {
+				lo++
 				continue
 			}
-			grad.AddScaled(c, vals[j*stride:(j+1)*stride])
+			hi := lo + 1
+			for hi < len(coeffs) && coeffs[hi] == coeffs[hi] {
+				hi++
+			}
+			denseAccum(grad, vals[lo*stride:], stride, coeffs[lo:hi], fast)
+			lo = hi
 		}
 		return
 	}
@@ -187,5 +187,13 @@ func accumulate(rows data.Block, coeffs []float64, grad linalg.Vector, skipNaN b
 		}
 		lo, hi := offs[j], offs[j+1]
 		linalg.SparseAddScaledInto(grad, c, idx[lo:hi], vals[lo:hi])
+	}
+}
+
+func denseAccum(grad linalg.Vector, vals []float64, stride int, coeffs []float64, fast bool) {
+	if fast {
+		linalg.DenseAccumFast(grad, vals, stride, coeffs)
+	} else {
+		linalg.DenseAccum(grad, vals, stride, coeffs)
 	}
 }

@@ -50,9 +50,7 @@ func benchAccum(b *testing.B, fast bool) {
 		if fast {
 			DenseAccumFast(grad, vals, d, coeffs)
 		} else {
-			for j := 0; j < rows; j++ {
-				grad.AddScaled(coeffs[j], vals[j*d:(j+1)*d])
-			}
+			DenseAccum(grad, vals, d, coeffs)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")

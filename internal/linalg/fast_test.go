@@ -132,7 +132,7 @@ func TestCSRMarginsFastZeroRows(t *testing.T) {
 
 // TestDenseAccumFastMatches checks the fused four-row axpy against a per-row
 // AddScaled sequence over every tail geometry mod 4, with zero coefficients
-// interleaved (inactive hinge rows ride through as 0·x terms).
+// interleaved (an exactly-fit least-squares row still runs its axpy).
 func TestDenseAccumFastMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 9, 13} {
@@ -141,7 +141,7 @@ func TestDenseAccumFastMatches(t *testing.T) {
 			coeffs := make([]float64, rows)
 			for j := range coeffs {
 				if j%3 == 0 {
-					coeffs[j] = 0 // inactive row
+					coeffs[j] = 0
 				} else {
 					coeffs[j] = r.NormFloat64()
 				}

@@ -56,14 +56,25 @@ func SparseDot(idx []int32, vals []float64, w Vector) float64 {
 }
 
 // SparseAddScaledInto adds alpha * (idx, vals) into dst in place, ignoring
-// indices beyond dst's dimension. Indices must be sorted ascending.
+// indices beyond dst's dimension. Indices must be sorted ascending, so the
+// out-of-range ones are a tail: it is trimmed once, from the last index
+// (one test for a row that fits), instead of testing every index against
+// the bound. The ×4 unroll stores in index order, as the plain loop does.
 func SparseAddScaledInto(dst Vector, alpha float64, idx []int32, vals []float64) {
-	d := int32(len(dst))
-	for k, i := range idx {
-		if i >= d {
-			break
-		}
-		dst[i] += alpha * vals[k]
+	n := len(idx)
+	for n > 0 && int(idx[n-1]) >= len(dst) {
+		n--
+	}
+	idx, vals = idx[:n], vals[:n]
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		dst[idx[k]] += alpha * vals[k]
+		dst[idx[k+1]] += alpha * vals[k+1]
+		dst[idx[k+2]] += alpha * vals[k+2]
+		dst[idx[k+3]] += alpha * vals[k+3]
+	}
+	for ; k < n; k++ {
+		dst[idx[k]] += alpha * vals[k]
 	}
 }
 

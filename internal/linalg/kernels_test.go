@@ -114,3 +114,44 @@ func TestEmptySparse(t *testing.T) {
 		t.Fatal("empty sparse dot != 0")
 	}
 }
+
+// TestSparseAddScaledIntoMatchesPlainLoop holds the trimmed, unrolled CSR
+// accumulate to the plain loop that tests the bound on every index, bit for
+// bit, over lengths around the ×4 unroll and rows whose tail (or whole
+// index list) lies past dst.
+func TestSparseAddScaledIntoMatchesPlainLoop(t *testing.T) {
+	plain := func(dst Vector, alpha float64, idx []int32, vals []float64) {
+		for k, i := range idx {
+			if int(i) >= len(dst) {
+				break
+			}
+			dst[i] += alpha * vals[k]
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	const d = 40
+	for nnz := 0; nnz <= 13; nnz++ {
+		for trial := 0; trial < 20; trial++ {
+			idx := make([]int32, nnz)
+			next := int32(trial % 3 * 12) // some rows start near or past d
+			for k := range idx {
+				next += int32(1 + rng.Intn(5))
+				idx[k] = next
+			}
+			vals := make([]float64, nnz)
+			fillMixed(rng, vals)
+			alpha := rng.NormFloat64()
+			want := make(Vector, d)
+			fillMixed(rng, want)
+			want[1] = math.Copysign(0, -1)
+			got := want.Clone()
+			plain(want, alpha, idx, vals)
+			SparseAddScaledInto(got, alpha, idx, vals)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("nnz=%d trial=%d: dst[%d] %v, plain loop %v", nnz, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

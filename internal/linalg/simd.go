@@ -5,13 +5,17 @@ import "ml4all/internal/linalg/cpu"
 // SIMD backend dispatch. The fast tier has two interchangeable
 // implementations: the portable Go loops in fast.go (always compiled, always
 // the correctness oracle) and, on capable amd64 hardware, hand-written
-// AVX2+FMA kernels (simd_amd64.s). Selection happens once at init from
-// runtime CPU detection — a stock GOAMD64=v1 binary dispatches the assembly
-// when the silicon has it — and the exact tier is untouched either way. The
-// noasm build tag compiles the assembly out entirely, and every other
+// AVX2+FMA kernels (simd_amd64.s). The exact tier's dense margins and
+// accumulate have AVX2 twins under the same gate: no-FMA kernels that keep
+// the Go loops' order of adds per row and per gradient slot, a multiply then
+// an add at each step. gc does not contract `s += a*b` on amd64 at any
+// GOAMD64 level, so the Go loops round the same way and the twins return
+// their bits. Selection happens once at init from runtime CPU detection — a
+// stock GOAMD64=v1 binary dispatches the assembly when the silicon has it.
+// The noasm build tag compiles the assembly out entirely, and every other
 // architecture runs the portable loops.
 
-// simdOn gates every fast-tier dispatch to the kernel backend. It is
+// simdOn gates every dispatch to the kernel backend, both tiers'. It is
 // computed once at init and only written afterwards by SetSIMD, a test and
 // bench hook.
 var simdOn = simdAvailable()
@@ -28,7 +32,7 @@ const (
 // report false).
 func SIMDAvailable() bool { return simdAvailable() }
 
-// SIMDEnabled reports whether fast-tier calls currently dispatch to the
+// SIMDEnabled reports whether kernel calls currently dispatch to the
 // assembly backend.
 func SIMDEnabled() bool { return simdOn }
 

@@ -4,7 +4,8 @@ package linalg
 
 import "ml4all/internal/linalg/cpu"
 
-// amd64 kernel backend: AVX2+FMA assembly in simd_amd64.s. The wrappers here
+// amd64 kernel backend: AVX2 assembly in simd_amd64.s, FMA-contracted for
+// the fast tier and multiply-then-add for the exact tier. The wrappers here
 // own every slice-emptiness and dimension check the assembly assumes — the
 // kernels themselves receive bare pointers plus validated lengths.
 
@@ -29,6 +30,12 @@ func denseMarginsAVX2(vals *float64, stride int, w *float64, out *float64, rows 
 func denseAccumAVX2(grad *float64, d int, vals *float64, coeffs *float64, rows int)
 
 //go:noescape
+func denseMarginsExactAVX2(vals *float64, stride int, w *float64, out *float64, rows int)
+
+//go:noescape
+func denseAccumExactAVX2(grad *float64, d int, vals *float64, coeffs *float64, rows int)
+
+//go:noescape
 func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64
 
 //go:noescape
@@ -49,6 +56,19 @@ func denseMarginsSIMD(vals []float64, stride int, w Vector, out []float64) {
 // rows in vals.
 func denseAccumSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
 	denseAccumAVX2(&grad[0], stride, &vals[0], &coeffs[0], len(coeffs))
+}
+
+// denseMarginsExactSIMD is the exact DenseMargins over whole groups of four
+// rows. Caller guarantees stride == len(w) > 0, len(out) a positive multiple
+// of 4, and that vals holds len(out) full rows.
+func denseMarginsExactSIMD(vals []float64, stride int, w Vector, out []float64) {
+	denseMarginsExactAVX2(&vals[0], stride, &w[0], &out[0], len(out))
+}
+
+// denseAccumExactSIMD is the exact DenseAccum. Same contract as
+// denseAccumSIMD.
+func denseAccumExactSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
+	denseAccumExactAVX2(&grad[0], stride, &vals[0], &coeffs[0], len(coeffs))
 }
 
 // sparseDotSIMD gathers w[idx[k]]·vals[k]. Caller guarantees the index tail

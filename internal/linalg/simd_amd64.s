@@ -2,12 +2,18 @@
 
 #include "textflag.h"
 
-// AVX2+FMA kernels of the SIMD backend beneath the fast-math tier. Every
-// function here is the assembly twin of a pure-Go fast kernel in fast.go;
-// dispatch (runtime CPU detection, per-call size thresholds) lives in
-// simd_amd64.go, and the Go loops remain both the portable fallback and the
-// correctness oracle the equivalence tests compare against. Calling convention is ABI0 with bare pointers + lengths — the Go
-// wrappers own every bounds/emptiness check, the assembly assumes validated
+// AVX2 kernels of the SIMD backend, for both kernel tiers. The fast-tier
+// kernels (AVX2+FMA) are the assembly twins of the pure-Go fast kernels in
+// fast.go: reassociated, FMA-contracted, tolerance-bounded. The exact-tier
+// kernels (denseMarginsExactAVX2, denseAccumExactAVX2) are the twins of the
+// exact Go loops in block.go and compute the same bits: each lane is one
+// row's (or one gradient slot's) single running sum in index order, every
+// step a multiply then an add — they contain no FMA opcode, and a test
+// holds them to that. Dispatch (runtime CPU detection, per-call size
+// thresholds) lives in simd_amd64.go, and the Go loops remain both the
+// portable fallback and the oracle the equivalence tests compare against.
+// Calling convention is ABI0 with bare pointers + lengths — the Go wrappers
+// own every bounds/emptiness check, the assembly assumes validated
 // arguments. All kernels are NOSPLIT leaves, end in VZEROUPPER, and clobber
 // no callee-saved state.
 
@@ -151,117 +157,235 @@ dm_done:
 	VZEROUPPER
 	RET
 
+// func denseMarginsExactAVX2(vals *float64, stride int, w *float64, out *float64, rows int)
+//
+// The exact tier's margins, rows as lanes: Y0 carries four rows' running
+// sums, one per lane. Each step loads a 4x4 tile (four rows, four columns),
+// transposes it so a register holds one column across the four rows,
+// broadcasts that column's w, and adds the product into the sums — a
+// multiply then an add, never an FMA, column by column in index order.
+// Every lane is thus the single-accumulator loop of dotContig, bit for bit.
+// Columns past the last multiple of four are gathered one at a time into a
+// lane-per-row register. rows must be a positive multiple of 4 and
+// stride > 0 (wrapper-enforced).
+TEXT ·denseMarginsExactAVX2(SB), NOSPLIT, $0-40
+	MOVQ vals+0(FP), SI
+	MOVQ stride+8(FP), R8
+	MOVQ w+16(FP), DI
+	MOVQ out+24(FP), R9
+	MOVQ rows+32(FP), R10
+	SHRQ $2, R10             // row groups
+	MOVQ R8, R11
+	SHLQ $3, R11             // stride in bytes
+dx_group:
+	MOVQ SI, R12             // rows 0 and 1 at (R12), (R12)(R11*1)
+	LEAQ (SI)(R11*2), R13    // rows 2 and 3 at (R13), (R13)(R11*1)
+	MOVQ DI, BX              // w
+	VXORPD Y0, Y0, Y0
+	MOVQ R8, AX
+	SHRQ $2, AX
+	JZ   dx_tail
+dx_loop4:
+	VMOVUPD (R12), Y1        // a0 a1 a2 a3
+	VMOVUPD (R12)(R11*1), Y2 // b0 b1 b2 b3
+	VMOVUPD (R13), Y3        // c0 c1 c2 c3
+	VMOVUPD (R13)(R11*1), Y4 // d0 d1 d2 d3
+	VUNPCKLPD Y2, Y1, Y5     // a0 b0 a2 b2
+	VUNPCKHPD Y2, Y1, Y6     // a1 b1 a3 b3
+	VUNPCKLPD Y4, Y3, Y7     // c0 d0 c2 d2
+	VUNPCKHPD Y4, Y3, Y8     // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y7, Y5, Y1 // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y8, Y6, Y2 // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y7, Y5, Y3 // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y8, Y6, Y4 // a3 b3 c3 d3
+	VBROADCASTSD (BX), Y9
+	VBROADCASTSD 8(BX), Y10
+	VBROADCASTSD 16(BX), Y11
+	VBROADCASTSD 24(BX), Y12
+	VMULPD Y9, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	VMULPD Y10, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VMULPD Y11, Y3, Y3
+	VADDPD Y3, Y0, Y0
+	VMULPD Y12, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, BX
+	DECQ AX
+	JNZ  dx_loop4
+dx_tail:
+	MOVQ R8, AX
+	ANDQ $3, AX
+	JZ   dx_store
+dx_loop1:
+	VMOVSD (R12), X1
+	VMOVHPD (R12)(R11*1), X1, X1 // a b
+	VMOVSD (R13), X2
+	VMOVHPD (R13)(R11*1), X2, X2 // c d
+	VINSERTF128 $1, X2, Y1, Y1   // a b c d
+	VBROADCASTSD (BX), Y9
+	VMULPD Y9, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, BX
+	DECQ AX
+	JNZ  dx_loop1
+dx_store:
+	VMOVUPD Y0, (R9)
+	ADDQ $32, R9
+	LEAQ (SI)(R11*4), SI     // next four rows
+	DECQ R10
+	JNZ  dx_group
+	VZEROUPPER
+	RET
+
+// Multiply-add steps of the accumulate body below: acc += c·x. The fast
+// tier contracts them into one FMA (one rounding); the exact tier rounds
+// the product and then the sum, which is what the Go loop `v[i] += a*w[i]`
+// compiles to on amd64 at every GOAMD64 level — so a lane computes the
+// scalar loop's bits. The exact steps clobber x, which the body never reads
+// again.
+#define FMA_PD(c, x, acc) VFMADD231PD c, x, acc
+#define FMA_SD(c, x, acc) VFMADD231SD c, x, acc
+#define MULADD_PD(c, x, acc) VMULPD c, x, x; VADDPD x, acc, acc
+#define MULADD_SD(c, x, acc) VMULSD c, x, x; VADDSD x, acc, acc
+
+// DENSE_ACCUM is the body of both block accumulates,
+// grad[i] += sum_j coeffs[j]*vals[j*d+i]: four rows fused per gradient walk
+// (each grad element loaded and stored once per four rows, the four terms
+// added in row order), remaining rows one at a time. The coefficient
+// broadcasts hoist out of the element loop. MADDPD/MADDSD name the
+// multiply-add step. Expects DI = grad, CX = d, SI = vals, BX = coeffs,
+// R10 = rows.
+#define DENSE_ACCUM(MADDPD, MADDSD) \
+	MOVQ CX, R11; \
+	SHLQ $3, R11; \
+da_quad: \
+	CMPQ R10, $4; \
+	JLT  da_rows; \
+	VBROADCASTSD (BX), Y12; \
+	VBROADCASTSD 8(BX), Y13; \
+	VBROADCASTSD 16(BX), Y14; \
+	VBROADCASTSD 24(BX), Y15; \
+	MOVQ SI, R12; \
+	LEAQ (SI)(R11*1), R13; \
+	LEAQ (R13)(R11*1), R14; \
+	LEAQ (R14)(R11*1), R15; \
+	MOVQ DI, DX; \
+	MOVQ CX, AX; \
+	SHRQ $2, AX; \
+	JZ   da_quad_tail; \
+da_quad4: \
+	VMOVUPD (DX), Y0; \
+	VMOVUPD (R12), Y1; \
+	MADDPD(Y12, Y1, Y0); \
+	VMOVUPD (R13), Y2; \
+	MADDPD(Y13, Y2, Y0); \
+	VMOVUPD (R14), Y3; \
+	MADDPD(Y14, Y3, Y0); \
+	VMOVUPD (R15), Y4; \
+	MADDPD(Y15, Y4, Y0); \
+	VMOVUPD Y0, (DX); \
+	ADDQ $32, DX; \
+	ADDQ $32, R12; \
+	ADDQ $32, R13; \
+	ADDQ $32, R14; \
+	ADDQ $32, R15; \
+	DECQ AX; \
+	JNZ  da_quad4; \
+da_quad_tail: \
+	MOVQ CX, AX; \
+	ANDQ $3, AX; \
+	JZ   da_quad_next; \
+da_quad1: \
+	VMOVSD (DX), X0; \
+	VMOVSD (R12), X1; \
+	MADDSD(X12, X1, X0); \
+	VMOVSD (R13), X2; \
+	MADDSD(X13, X2, X0); \
+	VMOVSD (R14), X3; \
+	MADDSD(X14, X3, X0); \
+	VMOVSD (R15), X4; \
+	MADDSD(X15, X4, X0); \
+	VMOVSD X0, (DX); \
+	ADDQ $8, DX; \
+	ADDQ $8, R12; \
+	ADDQ $8, R13; \
+	ADDQ $8, R14; \
+	ADDQ $8, R15; \
+	DECQ AX; \
+	JNZ  da_quad1; \
+da_quad_next: \
+	LEAQ (SI)(R11*4), SI; \
+	ADDQ $32, BX; \
+	SUBQ $4, R10; \
+	JMP  da_quad; \
+da_rows: \
+	TESTQ R10, R10; \
+	JZ   da_done; \
+	VBROADCASTSD (BX), Y12; \
+	MOVQ DI, DX; \
+	MOVQ SI, R12; \
+	MOVQ CX, AX; \
+	SHRQ $2, AX; \
+	JZ   da_row_tail; \
+da_row4: \
+	VMOVUPD (DX), Y0; \
+	VMOVUPD (R12), Y1; \
+	MADDPD(Y12, Y1, Y0); \
+	VMOVUPD Y0, (DX); \
+	ADDQ $32, DX; \
+	ADDQ $32, R12; \
+	DECQ AX; \
+	JNZ  da_row4; \
+da_row_tail: \
+	MOVQ CX, AX; \
+	ANDQ $3, AX; \
+	JZ   da_row_next; \
+da_row1: \
+	VMOVSD (DX), X0; \
+	VMOVSD (R12), X1; \
+	MADDSD(X12, X1, X0); \
+	VMOVSD X0, (DX); \
+	ADDQ $8, DX; \
+	ADDQ $8, R12; \
+	DECQ AX; \
+	JNZ  da_row1; \
+da_row_next: \
+	ADDQ R11, SI; \
+	ADDQ $8, BX; \
+	DECQ R10; \
+	JNZ  da_rows; \
+da_done: \
+	VZEROUPPER
+
 // func denseAccumAVX2(grad *float64, d int, vals *float64, coeffs *float64, rows int)
 //
-// grad[i] += sum_j coeffs[j]*vals[j*d+i], four rows fused per gradient walk
-// (each grad element loaded and stored once per four rows), remaining rows
-// one at a time. The coefficient broadcasts hoist out of the element loop.
+// The fast tier's accumulate: DENSE_ACCUM with FMA steps.
 TEXT ·denseAccumAVX2(SB), NOSPLIT, $0-40
 	MOVQ grad+0(FP), DI
 	MOVQ d+8(FP), CX
 	MOVQ vals+16(FP), SI
 	MOVQ coeffs+24(FP), BX
 	MOVQ rows+32(FP), R10
-	MOVQ CX, R11
-	SHLQ $3, R11             // d in bytes
-da_quad:
-	CMPQ R10, $4
-	JLT  da_rows
-	VBROADCASTSD (BX), Y12
-	VBROADCASTSD 8(BX), Y13
-	VBROADCASTSD 16(BX), Y14
-	VBROADCASTSD 24(BX), Y15
-	MOVQ SI, R12
-	LEAQ (SI)(R11*1), R13
-	LEAQ (R13)(R11*1), R14
-	LEAQ (R14)(R11*1), R15
-	MOVQ DI, DX              // moving grad pointer
-	MOVQ CX, AX
-	SHRQ $2, AX
-	JZ   da_quad_tail
-da_quad4:
-	VMOVUPD (DX), Y0
-	VMOVUPD (R12), Y1
-	VFMADD231PD Y12, Y1, Y0
-	VMOVUPD (R13), Y2
-	VFMADD231PD Y13, Y2, Y0
-	VMOVUPD (R14), Y3
-	VFMADD231PD Y14, Y3, Y0
-	VMOVUPD (R15), Y4
-	VFMADD231PD Y15, Y4, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ $32, DX
-	ADDQ $32, R12
-	ADDQ $32, R13
-	ADDQ $32, R14
-	ADDQ $32, R15
-	DECQ AX
-	JNZ  da_quad4
-da_quad_tail:
-	MOVQ CX, AX
-	ANDQ $3, AX
-	JZ   da_quad_next
-da_quad1:
-	VMOVSD (DX), X0
-	VMOVSD (R12), X1
-	VFMADD231SD X12, X1, X0
-	VMOVSD (R13), X2
-	VFMADD231SD X13, X2, X0
-	VMOVSD (R14), X3
-	VFMADD231SD X14, X3, X0
-	VMOVSD (R15), X4
-	VFMADD231SD X15, X4, X0
-	VMOVSD X0, (DX)
-	ADDQ $8, DX
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, R14
-	ADDQ $8, R15
-	DECQ AX
-	JNZ  da_quad1
-da_quad_next:
-	LEAQ (SI)(R11*4), SI     // vals += 4 rows
-	ADDQ $32, BX
-	SUBQ $4, R10
-	JMP  da_quad
-da_rows:
-	TESTQ R10, R10
-	JZ   da_done
-	VBROADCASTSD (BX), Y12
-	MOVQ DI, DX
-	MOVQ SI, R12
-	MOVQ CX, AX
-	SHRQ $2, AX
-	JZ   da_row_tail
-da_row4:
-	VMOVUPD (DX), Y0
-	VMOVUPD (R12), Y1
-	VFMADD231PD Y12, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ $32, DX
-	ADDQ $32, R12
-	DECQ AX
-	JNZ  da_row4
-da_row_tail:
-	MOVQ CX, AX
-	ANDQ $3, AX
-	JZ   da_row_next
-da_row1:
-	VMOVSD (DX), X0
-	VMOVSD (R12), X1
-	VFMADD231SD X12, X1, X0
-	VMOVSD X0, (DX)
-	ADDQ $8, DX
-	ADDQ $8, R12
-	DECQ AX
-	JNZ  da_row1
-da_row_next:
-	ADDQ R11, SI
-	ADDQ $8, BX
-	DECQ R10
-	JNZ  da_rows
-da_done:
-	VZEROUPPER
+	DENSE_ACCUM(FMA_PD, FMA_SD)
+	RET
+
+// func denseAccumExactAVX2(grad *float64, d int, vals *float64, coeffs *float64, rows int)
+//
+// The exact tier's accumulate: DENSE_ACCUM with a multiply then an add. A
+// grad slot receives its rows' terms in row order, one rounding per product
+// and per sum, so the result is bitwise that of one AddScaled per row.
+TEXT ·denseAccumExactAVX2(SB), NOSPLIT, $0-40
+	MOVQ grad+0(FP), DI
+	MOVQ d+8(FP), CX
+	MOVQ vals+16(FP), SI
+	MOVQ coeffs+24(FP), BX
+	MOVQ rows+32(FP), R10
+	DENSE_ACCUM(MULADD_PD, MULADD_SD)
 	RET
 
 // func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64

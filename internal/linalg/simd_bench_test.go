@@ -12,7 +12,8 @@ import (
 //
 //	go test -bench 'Exact$|Fast$|SIMD$|FastGo$' -benchtime=2s ./internal/linalg/
 //
-// exact -> fast-go -> fast-simd, the full kernel ladder.
+// exact -> fast-go -> fast-simd, the full kernel ladder; the ExactSIMD rows
+// are the exact tier's bit-identical assembly twins.
 
 func requireSIMDBench(b *testing.B) func() {
 	b.Helper()
@@ -32,7 +33,7 @@ func BenchmarkDot50SIMD(b *testing.B) {
 	}
 }
 
-func benchDenseMargins(b *testing.B, simd bool) {
+func benchDenseMargins(b *testing.B, simd bool, margins func([]float64, int, Vector, []float64)) {
 	const rows, d = 512, 50
 	r := rand.New(rand.NewSource(9))
 	vals := randVec(r, rows*d)
@@ -45,15 +46,20 @@ func benchDenseMargins(b *testing.B, simd bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DenseMarginsFast(vals, d, w, out)
+		margins(vals, d, w, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
-func BenchmarkDenseMargins512x50FastGo(b *testing.B) { benchDenseMargins(b, false) }
-func BenchmarkDenseMargins512x50SIMD(b *testing.B)   { benchDenseMargins(b, true) }
+func BenchmarkDenseMargins512x50Exact(b *testing.B)     { benchDenseMargins(b, false, DenseMargins) }
+func BenchmarkDenseMargins512x50ExactSIMD(b *testing.B) { benchDenseMargins(b, true, DenseMargins) }
+func BenchmarkDenseMargins512x50FastGo(b *testing.B)    { benchDenseMargins(b, false, DenseMarginsFast) }
+func BenchmarkDenseMargins512x50SIMD(b *testing.B)      { benchDenseMargins(b, true, DenseMarginsFast) }
 
-func BenchmarkDenseAccum512x50SIMD(b *testing.B) {
+func BenchmarkDenseAccum512x50ExactSIMD(b *testing.B) { benchAccumSIMD(b, DenseAccum) }
+func BenchmarkDenseAccum512x50SIMD(b *testing.B)      { benchAccumSIMD(b, DenseAccumFast) }
+
+func benchAccumSIMD(b *testing.B, accum func(Vector, []float64, int, []float64)) {
 	const rows, d = 512, 50
 	r := rand.New(rand.NewSource(8))
 	vals := randVec(r, rows*d)
@@ -62,7 +68,7 @@ func BenchmarkDenseAccum512x50SIMD(b *testing.B) {
 	defer requireSIMDBench(b)()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DenseAccumFast(grad, vals, d, coeffs)
+		accum(grad, vals, d, coeffs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

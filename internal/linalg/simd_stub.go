@@ -24,6 +24,14 @@ func denseAccumSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
 	panic("linalg: SIMD kernel called in noasm build")
 }
 
+func denseMarginsExactSIMD(vals []float64, stride int, w Vector, out []float64) {
+	panic("linalg: SIMD kernel called in noasm build")
+}
+
+func denseAccumExactSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
+	panic("linalg: SIMD kernel called in noasm build")
+}
+
 func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
 	panic("linalg: SIMD kernel called in noasm build")
 }

@@ -3,6 +3,9 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -11,7 +14,8 @@ import (
 // same inputs. The fast tier's contract is tolerance-based (reassociation
 // and FMA contraction change rounding), so agreement is checked against the
 // exact result with an error budget normalized by the sum of absolute
-// terms, which stays meaningful under heavy cancellation.
+// terms, which stays meaningful under heavy cancellation. The exact tier's
+// assembly twins are held to the Go loops bit for bit (sameBits).
 //
 // All tests skip when the build or machine has no SIMD backend (noasm tag,
 // non-amd64 ports, non-AVX2 amd64 hardware), so the suite is green everywhere
@@ -312,6 +316,155 @@ func TestSIMDExpVecAliasAndRemainder(t *testing.T) {
 	}
 }
 
+// sameBits is bitwise equality, except that any NaN equals any NaN: which of
+// two NaN operands lends its payload to a sum or product depends on operand
+// order, which no contract pins.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// fillSpecial is fillMixed plus, at rate 1/rate, the values a rounding
+// difference would show on: ±0, ±Inf, NaN and subnormals of both signs.
+func fillSpecial(rng *rand.Rand, dst []float64, rate int) {
+	fillMixed(rng, dst)
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, 2.2250738585072e-308, -1e-310}
+	for i := range dst {
+		if rng.Intn(rate) == 0 {
+			dst[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// exactGoRef runs the exact block kernels with the SIMD backend off: the Go
+// loops, the oracle their assembly twins must match bit for bit.
+func exactGoRef(vals []float64, d int, w Vector, coeffs []float64, base Vector) (margins []float64, grad Vector) {
+	defer SetSIMD(SetSIMD(false))
+	margins = make([]float64, len(coeffs))
+	DenseMargins(vals, d, w, margins)
+	grad = append(Vector(nil), base...)
+	DenseAccum(grad, vals, d, coeffs)
+	return margins, grad
+}
+
+// accumBase is a nonzero accumulator with −0 slots: a kernel that skipped
+// a +0 term, or added one where the loop does not, would show there.
+func accumBase(rng *rand.Rand, d int) Vector {
+	base := make(Vector, d)
+	fillMixed(rng, base)
+	for i := 0; i < d; i += 3 {
+		base[i] = math.Copysign(0, -1)
+	}
+	return base
+}
+
+// TestSIMDExactKernelsBitwise holds the exact tier's dispatched DenseMargins
+// and DenseAccum to the Go loops bit for bit, over widths on both sides of
+// every 4-column and 4-row tail, row counts 0–9 and a full 512-row block,
+// and values from plain normals to ±0, ±Inf, NaN and subnormals.
+func TestSIMDExactKernelsBitwise(t *testing.T) {
+	defer requireSIMD(t)()
+	rng := rand.New(rand.NewSource(13))
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28, 100, 128, 2000}
+	rowCounts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 512}
+	for _, d := range widths {
+		for _, rows := range rowCounts {
+			for _, rate := range []int{1 << 30, 64, 4} {
+				vals := make([]float64, rows*d)
+				w := make(Vector, d)
+				coeffs := make([]float64, rows)
+				fillSpecial(rng, vals, rate)
+				fillSpecial(rng, w, rate)
+				fillSpecial(rng, coeffs, rate)
+				base := accumBase(rng, d)
+				wantM, wantG := exactGoRef(vals, d, w, coeffs, base)
+
+				SetSIMD(true)
+				gotM := make([]float64, rows)
+				DenseMargins(vals, d, w, gotM)
+				gotG := append(Vector(nil), base...)
+				DenseAccum(gotG, vals, d, coeffs)
+				for j := range wantM {
+					if !sameBits(gotM[j], wantM[j]) {
+						t.Fatalf("d=%d rows=%d rate=%d: margin[%d] %v (%#x), Go loop %v (%#x)", d, rows, rate,
+							j, gotM[j], math.Float64bits(gotM[j]), wantM[j], math.Float64bits(wantM[j]))
+					}
+				}
+				for i := range wantG {
+					if !sameBits(gotG[i], wantG[i]) {
+						t.Fatalf("d=%d rows=%d rate=%d: grad[%d] %v (%#x), Go loop %v (%#x)", d, rows, rate,
+							i, gotG[i], math.Float64bits(gotG[i]), wantG[i], math.Float64bits(wantG[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// exactKernels names the TEXT symbols of simd_amd64.s that serve the exact
+// tier.
+var exactKernels = []string{"denseMarginsExactAVX2", "denseAccumExactAVX2"}
+
+// TestSIMDExactKernelsHaveNoFMA reads simd_amd64.s and fails if an exact
+// kernel's TEXT body — with every macro it names expanded, transitively —
+// contains a fused multiply-add, whose single rounding would break the
+// bitwise contract. It also pins the rest of the kernels' shape: NOSPLIT
+// leaves (no CALL) that end in VZEROUPPER.
+func TestSIMDExactKernelsHaveNoFMA(t *testing.T) {
+	src, err := os.ReadFile("simd_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(src), "\\\n", " ") // join macro continuation lines
+	macros := map[string]string{}
+	for _, m := range regexp.MustCompile(`(?m)^#define\s+(\w+)(.*)$`).FindAllStringSubmatch(text, -1) {
+		macros[m[1]] += m[2] + "\n"
+	}
+	ident := regexp.MustCompile(`\w+`)
+	expand := func(body string) string {
+		seen := map[string]bool{}
+		out := body
+		for work := []string{body}; len(work) > 0; {
+			next := work[0]
+			work = work[1:]
+			for _, name := range ident.FindAllString(next, -1) {
+				if def, ok := macros[name]; ok && !seen[name] {
+					seen[name] = true
+					out += def
+					work = append(work, def)
+				}
+			}
+		}
+		return out
+	}
+	fma := regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)\w*`)
+	nextDecl := regexp.MustCompile(`(?m)^(TEXT|#define|DATA|GLOBL)\b`)
+	for _, name := range exactKernels {
+		head := regexp.MustCompile(`(?m)^TEXT ·` + name + `\(SB\),(.*)$`).FindStringSubmatchIndex(text)
+		if head == nil {
+			t.Fatalf("no TEXT ·%s in simd_amd64.s", name)
+		}
+		if !strings.Contains(text[head[2]:head[3]], "NOSPLIT") {
+			t.Errorf("%s is not NOSPLIT", name)
+		}
+		body := text[head[1]:]
+		if end := nextDecl.FindStringIndex(body); end != nil {
+			body = body[:end[0]]
+		}
+		full := expand(body)
+		if op := fma.FindString(full); op != "" {
+			t.Errorf("%s contains %s: an exact kernel must multiply, then add", name, op)
+		}
+		if strings.Contains(full, "CALL") {
+			t.Errorf("%s is not a leaf", name)
+		}
+		lastRet := strings.LastIndex(full[:len(body)], "RET")
+		if lastRet < 0 || !strings.Contains(expand(body[:lastRet]), "VZEROUPPER") {
+			t.Errorf("%s does not end in VZEROUPPER", name)
+		}
+	}
+}
+
 // TestSIMDBackendReporting pins the dispatch bookkeeping: names, the SetSIMD
 // hook, and that FastBackend degrades to fast-go when forced off.
 func TestSIMDBackendReporting(t *testing.T) {
@@ -338,14 +491,18 @@ func TestSIMDBackendReporting(t *testing.T) {
 // FuzzKernelEquivalence drives all three implementations of dot, margins,
 // accum and sparse dot from fuzzer-chosen shapes and a value pool that
 // includes denormals, infinities and NaN, asserting tolerance-equivalence
-// (or matching non-finite class) everywhere. Widths and offsets wrap into
-// 1..67 and 0..3, the ranges where every asm tail path lives.
+// (or matching non-finite class) everywhere. Two kinds hold the exact
+// tier's margins and accumulate to their Go loops bit for bit instead.
+// Widths and offsets wrap into 1..67 and 0..3, the ranges where every asm
+// tail path lives.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(17), uint8(1), uint8(1))
 	f.Add(int64(3), uint8(64), uint8(3), uint8(2))
 	f.Add(int64(4), uint8(1), uint8(0), uint8(3))
 	f.Add(int64(5), uint8(33), uint8(2), uint8(4))
+	f.Add(int64(6), uint8(6), uint8(5), uint8(5))
+	f.Add(int64(7), uint8(9), uint8(6), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, offRaw, kind uint8) {
 		if !SIMDAvailable() {
 			t.Skip("no SIMD backend")
@@ -382,7 +539,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
-		switch kind % 5 {
+		switch kind % 7 {
 		case 0: // dot
 			a := make(Vector, n+off)
 			b := make(Vector, n+off)
@@ -469,6 +626,34 @@ func FuzzKernelEquivalence(f *testing.F) {
 			for i := range src {
 				if !check(got[i], want[i], 2e-8, math.Max(math.Abs(want[i]), 1)) {
 					t.Fatalf("exp(%g): vec %g scalar %g", src[i], got[i], want[i])
+				}
+			}
+		case 5, 6: // exact margins, exact accumulate: bit for bit
+			rows := int(offRaw) % 10
+			vals := make([]float64, rows*n)
+			w := make(Vector, n)
+			coeffs := make([]float64, rows)
+			fill(vals)
+			fill(w)
+			fill(coeffs)
+			base := accumBase(rng, n)
+			wantM, wantG := exactGoRef(vals, n, w, coeffs, base)
+			SetSIMD(true)
+			if kind%7 == 5 {
+				got := make([]float64, rows)
+				DenseMargins(vals, n, w, got)
+				for j := range got {
+					if !sameBits(got[j], wantM[j]) {
+						t.Fatalf("exact margins row %d: simd %v Go %v", j, got[j], wantM[j])
+					}
+				}
+				return
+			}
+			got := append(Vector(nil), base...)
+			DenseAccum(got, vals, n, coeffs)
+			for i := range got {
+				if !sameBits(got[i], wantG[i]) {
+					t.Fatalf("exact accum elem %d: simd %v Go %v", i, got[i], wantG[i])
 				}
 			}
 		}
