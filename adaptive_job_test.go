@@ -220,7 +220,7 @@ func TestFailedSwitchKeepsTheTrainer(t *testing.T) {
 	}
 	// The same space under the wrong input format: every successor's eager
 	// Transform fails on the first record.
-	p, err := bindParams(q, adaptiveData())
+	p, _, err := bindParams(q, adaptiveData())
 	if err != nil {
 		t.Fatal(err)
 	}

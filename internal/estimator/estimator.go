@@ -61,10 +61,12 @@ type Estimate struct {
 	A        float64         // fitted coefficient of T(ε) = a/ε
 	Sequence []Point         // monotone error sequence observed on the sample
 	SpecTime cluster.Seconds // simulated time the speculation run took
-	// Exact, when >= 0, records that the sample run itself already reached
-	// the requested tolerance after this many iterations, so Iterations
-	// reports observation instead of extrapolation.
-	Exact int
+	// Exact, when >= 0, records that the sample run converged after this
+	// many iterations, on a last delta of FinalDelta: Iterations then
+	// reports that observation instead of extrapolating for every
+	// tolerance the run reached.
+	Exact      int
+	FinalDelta float64
 	// Weights and Diverged are the speculation run's final model and whether
 	// it left the finite range, for callers that score what the run learned.
 	Weights  linalg.Vector
@@ -76,10 +78,11 @@ func (e Estimate) Iterations(eps float64) int {
 	if eps <= 0 {
 		return math.MaxInt32
 	}
-	if e.Exact >= 0 {
-		if len(e.Sequence) > 0 && e.Sequence[len(e.Sequence)-1].Err <= eps {
-			return e.Exact
-		}
+	if e.Exact >= 0 && e.FinalDelta <= eps {
+		// The run's own final delta, not the last Sequence point:
+		// MonotoneSequence drops a zero delta (hinge SGD's last step can
+		// move nothing), which would leave a stale point behind.
+		return e.Exact
 	}
 	t := e.A / eps
 	if t < 1 {
@@ -201,7 +204,7 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 		return est, nil
 	}
 	if res.Converged {
-		est.Exact = res.Iterations
+		est.Exact, est.FinalDelta = res.Iterations, res.FinalDelta
 	}
 	a, err := FitInverse(est.Sequence)
 	if err != nil {

@@ -106,7 +106,7 @@ func TestEstimateIterations(t *testing.T) {
 	}
 	// Exact observation short-circuits extrapolation when the sample run
 	// already reached the requested tolerance.
-	e = Estimate{A: 1e9, Exact: 42, Sequence: []Point{{42, 0.005}}}
+	e = Estimate{A: 1e9, Exact: 42, FinalDelta: 0.005, Sequence: []Point{{42, 0.005}}}
 	if got := e.Iterations(0.01); got != 42 {
 		t.Fatalf("exact short-circuit = %d, want 42", got)
 	}
@@ -173,5 +173,41 @@ func TestClassifyRate(t *testing.T) {
 	}
 	if got := ClassifyRate(nil); got != RateUnknown {
 		t.Errorf("empty sequence = %v, want unknown", got)
+	}
+}
+
+// TestExactOnZeroFinalDelta: a separable hinge SGD speculation converges on a
+// step that moves nothing, a delta of exactly 0, which MonotoneSequence does
+// not record. The run reached every tolerance > 0, so every ε > 0 must
+// report the observed iteration count rather than extrapolate from the
+// stale last Sequence point.
+func TestExactOnZeroFinalDelta(t *testing.T) {
+	spec, err := synth.ByName("svm1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.N = 3000 // keep the test fast; the sample is 1000 rows either way
+	ds := synth.MustGenerate(spec)
+	st, err := storage.Build(ds, storage.DefaultLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gd.Params{Task: ds.Task, Format: ds.Format, Tolerance: 0.001, MaxIter: 1000}
+	est, err := Speculate(gd.NewSGD(p, gd.Lazy, gd.ShuffledPartition), st,
+		Config{SampleSize: 1000, SpecTolerance: 0.1, TimeBudget: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Exact < 0 || len(est.Sequence) == 0 {
+		t.Fatalf("speculation did not converge: exact %d, %d points", est.Exact, len(est.Sequence))
+	}
+	last := est.Sequence[len(est.Sequence)-1]
+	if last.Err <= 0.1 {
+		t.Fatalf("last recorded error %g reached εs; the run did not end on an unrecorded zero delta", last.Err)
+	}
+	for _, eps := range []float64{last.Err, 0.1, 1e-3, 1e-9, math.SmallestNonzeroFloat64} {
+		if got := est.Iterations(eps); got != est.Exact {
+			t.Errorf("Iterations(%g) = %d, want the observed %d", eps, got, est.Exact)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func speculateGathered(t *testing.T, plan gd.Plan, store *storage.Store, cfg est
 		return est
 	}
 	if res.Converged {
-		est.Exact = res.Iterations
+		est.Exact, est.FinalDelta = res.Iterations, res.FinalDelta
 	}
 	if est.A, err = estimator.FitInverse(est.Sequence); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func speculateGathered(t *testing.T, plan gd.Plan, store *storage.Store, cfg est
 
 func sameEstimate(a, b estimator.Estimate) bool {
 	return a.Algo == b.Algo && math.Float64bits(a.A) == math.Float64bits(b.A) && a.Exact == b.Exact &&
-		a.SpecTime == b.SpecTime && reflect.DeepEqual(a.Sequence, b.Sequence)
+		a.FinalDelta == b.FinalDelta && a.SpecTime == b.SpecTime && reflect.DeepEqual(a.Sequence, b.Sequence)
 }
 
 // sameRun compares what the speculation run ended with: whether it diverged,

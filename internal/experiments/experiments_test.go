@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"ml4all/internal/baselines"
 	"ml4all/internal/cluster"
+	"ml4all/internal/engine"
 	"ml4all/internal/synth"
 )
 
@@ -154,5 +158,25 @@ func TestEveryRunnerEndToEnd(t *testing.T) {
 		"rcv1@1024/seed=1", "svm1@1024/seed=1"}
 	if !slices.Equal(swept, want) {
 		t.Errorf("sweeps computed = %v, want one per quick dataset %v", swept, want)
+	}
+}
+
+// TestBaselineCellFailsOnUnexpectedError: out of memory is a result the
+// comparison figures print as "OOM"; any other baseline error must fail the
+// experiment instead of turning into a cell.
+func TestBaselineCellFailsOnUnexpectedError(t *testing.T) {
+	oom := func() (*baselines.Result, error) {
+		return nil, fmt.Errorf("systemml on svm3: %w", baselines.ErrOutOfMemory)
+	}
+	if c, err := runBaselineCell(oom); err != nil || c.String() != "OOM" {
+		t.Fatalf("OOM baseline: cell %q, err %v; want an OOM cell", c, err)
+	}
+	boom := errors.New("baseline exploded")
+	if _, err := runBaselineCell(func() (*baselines.Result, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing baseline: err %v, want %v", err, boom)
+	}
+	c, err := runBaselineCell(func() (*baselines.Result, error) { return &baselines.Result{Result: &engine.Result{Time: 12.34}}, nil })
+	if err != nil || c.String() != "12.3" {
+		t.Fatalf("measured baseline: cell %q, err %v; want 12.3", c, err)
 	}
 }

@@ -36,10 +36,13 @@ func Fig10(cfg Config) (*Report, error) {
 		}
 		p := ParamsFor(ds, 0.001, 1000)
 
-		ml := runBaselineCell(func() (*baselines.Result, error) {
+		ml, err := runBaselineCell(func() (*baselines.Result, error) {
 			return baselines.RunMLlib(ClusterFor(cfg.Scale), ds, p, gd.SGD,
 				baselines.DefaultMLlib(), cfg.baselineOpts(cfg.Seed))
 		})
+		if err != nil {
+			return err
+		}
 
 		st, err := cfg.store(ds)
 		if err != nil {

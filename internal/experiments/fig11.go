@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ml4all/internal/baselines"
 	"ml4all/internal/engine"
 	"ml4all/internal/gd"
@@ -72,10 +70,13 @@ func Fig11(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			bis := runBaselineCell(func() (*baselines.Result, error) {
+			bis, err := runBaselineCell(func() (*baselines.Result, error) {
 				return baselines.RunBismarck(ClusterFor(cfg.Scale), ds, p, c.algo,
 					BismarckFor(cfg.Scale), cfg.baselineOpts(cfg.Seed))
 			})
+			if err != nil {
+				return nil, err
+			}
 			if !bis.ok {
 				bismarckFailures = append(bismarckFailures, name+"/"+c.label)
 			}
@@ -89,6 +90,5 @@ func Fig11(cfg Config) (*Report, error) {
 	}
 	r.Note("max ML4all overhead vs hand-coded: %.1f%% (jitter-level)", maxOverhead*100)
 	r.Note("bismarck failures: %v (paper: rcv1/BGD, rcv1/MGD(10k), svm1/BGD)", bismarckFailures)
-	_ = fmt.Sprint()
 	return r, nil
 }

@@ -38,14 +38,20 @@ func Fig9(cfg Config) (*Report, error) {
 			}
 			p := sweepParams(ds)
 
-			mllib := runBaselineCell(func() (*baselines.Result, error) {
+			mllib, err := runBaselineCell(func() (*baselines.Result, error) {
 				return baselines.RunMLlib(ClusterFor(cfg.Scale), ds, p, algo,
 					baselines.DefaultMLlib(), cfg.baselineOpts(cfg.Seed))
 			})
-			sysml := runBaselineCell(func() (*baselines.Result, error) {
+			if err != nil {
+				return nil, err
+			}
+			sysml, err := runBaselineCell(func() (*baselines.Result, error) {
 				return baselines.RunSystemML(ClusterFor(cfg.Scale), ds, p, algo,
 					SystemMLFor(cfg.Scale), cfg.baselineOpts(cfg.Seed))
 			})
+			if err != nil {
+				return nil, err
+			}
 
 			sw, err := cfg.sweep(name)
 			if err != nil {
@@ -67,31 +73,30 @@ func Fig9(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// baselineCell is one baseline measurement or its failure.
+// baselineCell is one baseline measurement, or (ok false) the out-of-memory
+// failure the paper reports in its place.
 type baselineCell struct {
-	ok  bool
-	t   cluster.Seconds
-	err error
+	ok bool
+	t  cluster.Seconds
 }
 
-func runBaselineCell(f func() (*baselines.Result, error)) baselineCell {
+// runBaselineCell runs one baseline. Running out of memory is a result the
+// paper annotates; any other error fails the experiment.
+func runBaselineCell(f func() (*baselines.Result, error)) (baselineCell, error) {
 	res, err := f()
-	if err != nil {
-		if errors.Is(err, baselines.ErrOutOfMemory) {
-			return baselineCell{err: err}
-		}
-		return baselineCell{err: err}
+	if errors.Is(err, baselines.ErrOutOfMemory) {
+		return baselineCell{}, nil
 	}
-	return baselineCell{ok: true, t: res.Time}
+	if err != nil {
+		return baselineCell{}, err
+	}
+	return baselineCell{ok: true, t: res.Time}, nil
 }
 
 // String renders the cell the way the paper annotates failures.
 func (c baselineCell) String() string {
 	if !c.ok {
-		if errors.Is(c.err, baselines.ErrOutOfMemory) {
-			return "OOM"
-		}
-		return "fail"
+		return "OOM"
 	}
 	return fmt.Sprintf("%.1f", float64(c.t))
 }

@@ -53,11 +53,11 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 
 	p.adm.done(reserved)
 	req := sixRows(1)
-	want, err := predict(mv, req)
-	if err != nil {
+	want := AcquirePredictResponse()
+	defer want.Release()
+	if err := NewPredictor(nil).Predict(context.Background(), mv, req, want); err != nil {
 		t.Fatal(err)
 	}
-	defer want.Release()
 	got := AcquirePredictResponse()
 	defer got.Release()
 	if err := p.Predict(context.Background(), mv, req, got); err != nil {

@@ -137,19 +137,20 @@ func TestCrashpointSweep(t *testing.T) {
 // non-nil, delays phase 1's kill until the job's status satisfies it.
 func sweepPoint(t *testing.T, point string, system func() *ml4all.System, script string, refModel *ml4all.Model, arm func(JobStatus) bool) {
 	dir := t.TempDir()
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
 
 	// Phase 1: kill mid-run. The step hook throttles iterations so
 	// the job is reliably mid-flight when the fault arms.
 	inj1 := fault.New()
-	reg1, err := OpenRegistryWith(filepath.Join(dir, "models"), inj1, nil)
+	reg1, err := OpenRegistry(filepath.Join(dir, "models"), inj1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg1 := cfg
 	cfg1.Fault = inj1
+	cfg1.System = system()
 	cfg1.stepHook = func(string, int) { time.Sleep(100 * time.Microsecond) }
-	mgr1, err := NewManager(cfg1, system(), reg1)
+	mgr1, err := NewManager(cfg1, reg1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +173,11 @@ func sweepPoint(t *testing.T, point string, system func() *ml4all.System, script
 	// manager is a legitimate simulated death.
 	inj2 := fault.New()
 	inj2.Arm(fault.Crash(point))
-	if reg2, err := OpenRegistryWith(filepath.Join(dir, "models"), inj2, nil); err == nil {
+	if reg2, err := OpenRegistry(filepath.Join(dir, "models"), inj2, nil); err == nil {
 		cfg2 := cfg
 		cfg2.Fault = inj2
-		if mgr2, err := NewManager(cfg2, system(), reg2); err == nil {
+		cfg2.System = system()
+		if mgr2, err := NewManager(cfg2, reg2, nil); err == nil {
 			waitCrashOrSettle(mgr2, inj2, 30*time.Second)
 			stopManager(mgr2)
 		} else if !errors.Is(err, fault.ErrCrash) {
@@ -186,11 +188,12 @@ func sweepPoint(t *testing.T, point string, system func() *ml4all.System, script
 	}
 
 	// Phase 3: clean restart — recovery must finish the job.
-	reg3, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg3, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr3, err := NewManager(cfg, system(), reg3)
+	cfg.System = system()
+	mgr3, err := NewManager(cfg, reg3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +221,13 @@ func sweepPoint(t *testing.T, point string, system func() *ml4all.System, script
 // checkpoint frames on disk. Returns the job id.
 func runToCheckpointedStop(t *testing.T, dir, script string) string {
 	t.Helper()
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}
 	cfg.stepHook = func(string, int) { time.Sleep(200 * time.Microsecond) }
-	mgr, err := NewManager(cfg, servingSystem(), reg)
+	mgr, err := NewManager(cfg, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +279,11 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	}
 
 	counters := newCounters()
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, Counters: counters}, servingSystem(), reg)
+	mgr, err := NewManager(Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}, reg, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +328,11 @@ func TestCorruptNewestCheckpointTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}, servingSystem(), reg)
+	mgr, err := NewManager(Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +373,7 @@ func TestCorruptModelVersionFallsBack(t *testing.T) {
 
 func corruptModelVersionFallsBack(t *testing.T, corrupt func([]byte) []byte) {
 	dir := t.TempDir()
-	reg, err := OpenRegistry(dir)
+	reg, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +396,7 @@ func corruptModelVersionFallsBack(t *testing.T, corrupt func([]byte) []byte) {
 	}
 
 	counters := newCounters()
-	reg2, err := OpenRegistryWith(dir, nil, counters)
+	reg2, err := OpenRegistry(dir, nil, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +422,7 @@ func corruptModelVersionFallsBack(t *testing.T, corrupt func([]byte) []byte) {
 	if mv3.Version != 3 {
 		t.Fatalf("publish after entombment got v%d, want v3", mv3.Version)
 	}
-	reg3, err := OpenRegistry(dir)
+	reg3, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,18 +438,18 @@ func corruptModelVersionFallsBack(t *testing.T, corrupt func([]byte) []byte) {
 func TestJobPanicFailsJobNotProcess(t *testing.T) {
 	script := crashScript(t, "panic-train", 24)
 	dir := t.TempDir()
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counters := newCounters()
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: -1, Counters: counters}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: -1, System: servingSystem()}
 	cfg.stepHook = func(id string, iter int) {
 		if id == "job-0000" && iter == 5 {
 			panic("operator exploded at iteration 5")
 		}
 	}
-	mgr, err := NewManager(cfg, servingSystem(), reg)
+	mgr, err := NewManager(cfg, reg, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,11 +503,11 @@ func TestManifestTempsSwept(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}, servingSystem(), reg)
+	mgr, err := NewManager(Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

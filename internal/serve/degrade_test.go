@@ -123,13 +123,13 @@ func TestSubmitShedsWhileRecovering(t *testing.T) {
 	// Interrupt a manager holding two jobs on a one-slot pool: job A
 	// mid-flight with checkpoints, job B still queued. Both are resumable,
 	// so the restarted manager recovers with a backlog.
-	reg1, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg1, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1 := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+	cfg1 := Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}
 	cfg1.stepHook = func(string, int) { time.Sleep(200 * time.Microsecond) }
-	mgr1, err := NewManager(cfg1, servingSystem(), reg1)
+	mgr1, err := NewManager(cfg1, reg1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,32 +154,18 @@ func TestSubmitShedsWhileRecovering(t *testing.T) {
 
 	// Restart with the first replayed step gated: job A reopens (one of two
 	// replays done) and then blocks, holding the manager in Recovering for
-	// as long as the probe needs. The Server is assembled in-package because
-	// the gate hook is test-only.
-	reg, err := OpenRegistry(filepath.Join(dir, "models"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// as long as the probe needs.
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	defer unblock()
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond, System: servingSystem()}
 	cfg.stepHook = func(string, int) { <-release }
-	mgr, err := NewManager(cfg, servingSystem(), reg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := newCounters()
-	srv := &Server{
-		cfg:       Config{Dir: dir, Pool: 1},
-		manager:   mgr,
-		registry:  reg,
-		counters:  counters,
-		predictor: NewPredictor(counters),
-		maxBody:   defaultMaxBodyBytes,
-		started:   time.Now(),
-	}
+	mgr := srv.Manager()
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -360,7 +360,7 @@ func staticMidFlight(st JobStatus) bool { return st.Iteration >= 25 }
 // the resume iteration.
 func TestResumedJobRecordsTheUninterruptedCurve(t *testing.T) {
 	script := staticRestartScript(t)
-	mgr, _ := testManager(t, ManagerConfig{Pool: 1, CheckpointEvery: -1})
+	mgr, _ := testManager(t, Config{Pool: 1, CheckpointEvery: -1})
 	defer mgr.Shutdown(context.Background())
 	j, err := mgr.Submit(script, "")
 	if err != nil {
@@ -401,16 +401,17 @@ func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script str
 	}
 
 	dir := t.TempDir()
-	reg1, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg1, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: time.Millisecond}
 	// Throttle the first manager's iterations so the job is reliably
 	// mid-flight when the shutdown lands; the resumed manager runs unthrottled.
 	throttled := cfg
+	throttled.System = system()
 	throttled.stepHook = func(string, int) { time.Sleep(200 * time.Microsecond) }
-	mgr1, err := NewManager(throttled, system(), reg1)
+	mgr1, err := NewManager(throttled, reg1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,11 +448,12 @@ func resumesAcrossRestart(t *testing.T, system func() *ml4all.System, script str
 	}
 
 	// A fresh manager on the same directory resumes and finishes the job.
-	reg2, err := OpenRegistry(filepath.Join(dir, "models"))
+	reg2, err := OpenRegistry(filepath.Join(dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2, err := NewManager(cfg, system(), reg2)
+	cfg.System = system()
+	mgr2, err := NewManager(cfg, reg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ type handler func(r *http.Request) (any, error)
 // wrap instruments a route with the counters and centralizes encoding. The
 // route's stats record is resolved once here, so the per-request observation
 // is lock-free; responses encode into a pooled buffer (one Write to the
-// connection, no per-request encoder garbage), and pooled payloads
-// (releasable) are recycled after encoding.
+// connection, no per-request encoder garbage), and a pooled
+// *PredictResponse payload is released after encoding.
 //
 // wrap is also the service's outermost robustness boundary: request bodies
 // are capped (decodeJSON maps an overrun to 413), and a panic anywhere in
@@ -50,8 +50,8 @@ func (s *Server) wrap(route string, h handler) http.HandlerFunc {
 	rs := s.counters.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if s.maxBody > 0 && r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		payload, err := func() (out any, err error) {
 			defer func() {
@@ -83,8 +83,8 @@ func (s *Server) wrap(route string, h handler) http.HandlerFunc {
 		buf := bufPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		json.NewEncoder(buf).Encode(payload)
-		if rel, ok := payload.(releasable); ok {
-			rel.release()
+		if resp, ok := payload.(*PredictResponse); ok {
+			resp.Release()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if retryAfter > 0 {

@@ -129,48 +129,6 @@ type manifest struct {
 	FastMath bool `json:"fastmath,omitempty"`
 }
 
-// ManagerConfig sizes the job manager.
-type ManagerConfig struct {
-	// Dir is the state root; jobs live under Dir/jobs/<id>/.
-	Dir string
-	// Pool is the number of jobs training concurrently. 0 means 2.
-	Pool int
-	// QueueDepth bounds the submission queue. 0 means 256.
-	QueueDepth int
-	// CheckpointEvery is the wall-clock interval between checkpoint writes
-	// while a job runs. 0 means 2s; negative disables interval checkpoints
-	// (shutdown and pause still checkpoint).
-	CheckpointEvery time.Duration
-	// Fault, when non-nil, injects deterministic faults into every
-	// checkpoint/manifest filesystem operation (crash tests, chaos drills).
-	Fault *fault.Injector
-	// Counters receives durability observations (checkpoints
-	// written/verified/discarded, recovered panics). nil means a private set
-	// nobody reads.
-	Counters *Counters
-
-	// stepHook, when non-nil, runs after every successful Step of every
-	// job. Test-only: the shutdown/restart tests throttle iterations with
-	// it so "mid-flight" is a state they can reliably hit.
-	stepHook func(jobID string, iteration int)
-}
-
-func (c ManagerConfig) withDefaults() ManagerConfig {
-	if c.Pool <= 0 {
-		c.Pool = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 2 * time.Second
-	}
-	if c.Counters == nil {
-		c.Counters = newCounters()
-	}
-	return c
-}
-
 // Manager accepts declarative training jobs and runs them on a bounded pool
 // of resumable trainers: each runner drives its job one Step at a time, so
 // jobs are cancellable between iterations (the engine's Interrupt hook),
@@ -178,8 +136,9 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 // and checkpoint are on disk — resumable after a process restart,
 // bit-identically to a run that was never stopped.
 type Manager struct {
-	cfg ManagerConfig
-	reg *Registry
+	cfg      Config // defaults applied
+	reg      *Registry
+	counters *Counters // durability observations: checkpoints, panics, ledger
 
 	// ckptFS/mfFS are the fault-injectable filesystem seams every checkpoint
 	// and manifest write goes through; with no injector they are the raw OS.
@@ -195,10 +154,8 @@ type Manager struct {
 	// replayed; the HTTP layer sheds submissions while it is non-zero.
 	recovering atomic.Int64
 
-	// sys is the shared System; sysMu serializes catalog access (dataset
-	// loading, planning) — job Steps run outside the lock on job-local
-	// state only.
-	sys   *ml4all.System
+	// sysMu serializes access to cfg.System's catalog (dataset loading,
+	// planning) — job Steps run outside the lock on job-local state only.
 	sysMu sync.Mutex
 
 	mu     sync.Mutex
@@ -214,15 +171,21 @@ type Manager struct {
 
 // NewManager opens (creating if needed) a manager rooted at cfg.Dir, reloads
 // every job found there — re-queuing non-terminal ones from their latest
-// checkpoint — and starts the runner pool.
-func NewManager(cfg ManagerConfig, sys *ml4all.System, reg *Registry) (*Manager, error) {
+// checkpoint — and starts the runner pool. It reads Dir, Pool, QueueDepth,
+// CheckpointEvery, System and Fault from cfg. counters receives durability
+// observations (checkpoints written/verified/discarded, recovered panics,
+// ledger appends); nil means a private set nobody reads.
+func NewManager(cfg Config, reg *Registry, counters *Counters) (*Manager, error) {
 	cfg = cfg.withDefaults()
+	if counters == nil {
+		counters = newCounters()
+	}
 	m := &Manager{
 		cfg:      cfg,
 		reg:      reg,
+		counters: counters,
 		ckptFS:   fault.NewFS(cfg.Fault, "ckpt"),
 		mfFS:     fault.NewFS(cfg.Fault, "manifest"),
-		sys:      sys,
 		jobs:     map[string]*Job{},
 		shutdown: make(chan struct{}),
 	}
@@ -277,7 +240,7 @@ func (m *Manager) Ledger() *obs.Ledger { return m.ledger }
 func (m *Manager) attachObs(j *Job) {
 	j.ring = obs.NewRing(0)
 	j.trace = obs.NewTrace()
-	j.trace.OnEnd(func(name string, d time.Duration) { m.cfg.Counters.phase(name).observe(d, false) })
+	j.trace.OnEnd(func(name string, d time.Duration) { m.counters.phase(name).observe(d, false) })
 	j.events = obs.NewEventLog(0)
 }
 
@@ -368,16 +331,13 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 // errors carry source positions (lang.SyntaxError), so submission failures
 // point into the submitted text.
 func parseJobScript(script string) (*lang.Run, error) {
-	stmts, err := lang.Parse(script)
+	st, err := lang.ParseOne(script)
 	if err != nil {
 		return nil, err
 	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("serve: a job is exactly one statement, got %d", len(stmts))
-	}
-	q, ok := stmts[0].(*lang.Run)
+	q, ok := st.(*lang.Run)
 	if !ok {
-		return nil, fmt.Errorf("serve: a job must be a run statement, got %s", stmts[0])
+		return nil, fmt.Errorf("serve: a job must be a run statement, got %s", st)
 	}
 	return q, nil
 }
@@ -624,7 +584,7 @@ func (m *Manager) writeCheckpoint(j *Job, tj *ml4all.TrainJob) error {
 	if err := fault.WriteDurable(m.ckptFS, path, encodeCheckpointFrame(state)); err != nil {
 		return fmt.Errorf("serve: job %s checkpoint: %w", j.ID, err)
 	}
-	m.cfg.Counters.ckptWritten.Add(1)
+	m.counters.ckptWritten.Add(1)
 	m.pruneCheckpoints(dir)
 	return nil
 }
@@ -722,20 +682,20 @@ func (m *Manager) openJob(j *Job) error {
 				j.trace.End(rec)
 				return err // simulated process death: stop, don't burn frames
 			}
-			m.cfg.Counters.ckptCorrupt.Add(1)
+			m.counters.ckptCorrupt.Add(1)
 			continue
 		}
 		state, err := decodeCheckpointFrame(raw)
 		if err != nil {
-			m.cfg.Counters.ckptCorrupt.Add(1)
+			m.counters.ckptCorrupt.Add(1)
 			continue
 		}
-		tj, err := m.sys.ResumeJob(j.stmt, state, opts)
+		tj, err := m.cfg.System.ResumeJob(j.stmt, state, opts)
 		if err != nil {
-			m.cfg.Counters.ckptCorrupt.Add(1)
+			m.counters.ckptCorrupt.Add(1)
 			continue
 		}
-		m.cfg.Counters.ckptVerified.Add(1)
+		m.counters.ckptVerified.Add(1)
 		// The ring is fresh after a restart: give it the curve up to the
 		// checkpoint, so the ledger and the live ETA see the whole run.
 		j.ring.RestoreCurve(tj.Deltas())
@@ -746,7 +706,7 @@ func (m *Manager) openJob(j *Job) error {
 		return nil
 	}
 	j.trace.End(rec)
-	tj, err := m.sys.OpenJob(j.stmt, opts)
+	tj, err := m.cfg.System.OpenJob(j.stmt, opts)
 	if err != nil {
 		return err
 	}
@@ -765,7 +725,7 @@ func (m *Manager) openJob(j *Job) error {
 func (m *Manager) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.cfg.Counters.recoveredPanics.Add(1)
+			m.counters.recoveredPanics.Add(1)
 			m.settle(j, JobFailed, fmt.Errorf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack()))
 		}
 	}()
@@ -914,9 +874,9 @@ func (m *Manager) complete(j *Job) {
 	j.mu.Unlock()
 	if m.ledger != nil {
 		if err := m.ledger.Append(m.runRecord(j, tj, model, prog)); err != nil {
-			m.cfg.Counters.ledgerErrors.Add(1)
+			m.counters.ledgerErrors.Add(1)
 		} else {
-			m.cfg.Counters.ledgerRecords.Add(1)
+			m.counters.ledgerRecords.Add(1)
 		}
 	}
 	dir := m.jobDir(j.ID) // terminal jobs don't resume: drop every checkpoint

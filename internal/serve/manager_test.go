@@ -25,16 +25,17 @@ import (
 	"ml4all/internal/synth"
 )
 
-func testManager(t *testing.T, cfg ManagerConfig) (*Manager, *Registry) {
+func testManager(t *testing.T, cfg Config) (*Manager, *Registry) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	reg, err := OpenRegistry(filepath.Join(cfg.Dir, "models"))
+	cfg.System = servingSystem()
+	reg, err := OpenRegistry(filepath.Join(cfg.Dir, "models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(cfg, servingSystem(), reg)
+	mgr, err := NewManager(cfg, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestManagerConcurrentSubmitCancelShutdown(t *testing.T) {
 	})
 	script := fmt.Sprintf("run svm on %s having epsilon 0.001, max iter 60;", trainPath)
 
-	mgr, reg := testManager(t, ManagerConfig{
+	mgr, reg := testManager(t, Config{
 		Pool:            3,
 		CheckpointEvery: time.Millisecond, // exercise checkpoint writes under load
 	})
@@ -170,7 +171,7 @@ func TestManagerPauseResume(t *testing.T) {
 	script := fmt.Sprintf("run logistic on %s having epsilon 0.0000000000000000001, max iter 800;", trainPath)
 
 	dir := t.TempDir()
-	cfg := ManagerConfig{Dir: dir, Pool: 1, CheckpointEvery: -1}
+	cfg := Config{Dir: dir, Pool: 1, CheckpointEvery: -1}
 	cfg.stepHook = func(string, int) { time.Sleep(100 * time.Microsecond) }
 	mgr, _ := testManager(t, cfg)
 	defer mgr.Shutdown(context.Background())
@@ -219,7 +220,7 @@ func TestManagerCancelQueuedAndRunning(t *testing.T) {
 	})
 	script := fmt.Sprintf("run logistic on %s having epsilon 0.0000000000000000001, max iter 800;", trainPath)
 
-	cfg := ManagerConfig{Pool: 1, CheckpointEvery: -1}
+	cfg := Config{Pool: 1, CheckpointEvery: -1}
 	cfg.stepHook = func(string, int) { time.Sleep(100 * time.Microsecond) }
 	mgr, _ := testManager(t, cfg)
 	defer mgr.Shutdown(context.Background())
@@ -252,7 +253,7 @@ func TestManagerCancelQueuedAndRunning(t *testing.T) {
 // TestManagerFailedSubmissionIsActionable pins the satellite contract: a job
 // whose statement cannot bind fails with the statement's source position.
 func TestManagerFailedSubmissionIsActionable(t *testing.T) {
-	mgr, _ := testManager(t, ManagerConfig{Pool: 1})
+	mgr, _ := testManager(t, Config{Pool: 1})
 	defer mgr.Shutdown(context.Background())
 
 	// Parse errors surface synchronously, with position.
@@ -295,7 +296,7 @@ func TestManagerCancelBeatsPendingPause(t *testing.T) {
 	gated := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	cfg := ManagerConfig{Pool: 1, CheckpointEvery: -1}
+	cfg := Config{Pool: 1, CheckpointEvery: -1}
 	cfg.stepHook = func(_ string, iter int) {
 		if iter == 5 {
 			once.Do(func() { close(gated) })
@@ -354,7 +355,7 @@ func TestManagerFastMathPersistsAcrossRestart(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jobDir, "manifest.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mgr, _ := testManager(t, ManagerConfig{Dir: dir, Pool: 1})
+	mgr, _ := testManager(t, Config{Dir: dir, Pool: 1})
 	defer mgr.Shutdown(context.Background())
 	j, ok := mgr.Job("job-0000")
 	if !ok {

@@ -124,10 +124,3 @@ func (r *PredictResponse) Release() {
 	*r = PredictResponse{}
 	responsePool.Put(r)
 }
-
-// release implements the releasable hook the HTTP wrapper invokes after
-// encoding a payload it no longer owns.
-func (r *PredictResponse) release() { r.Release() }
-
-// releasable marks payloads the HTTP layer returns to a pool after encoding.
-type releasable interface{ release() }

@@ -260,19 +260,3 @@ func appendPadded(b *data.MatrixBuilder, vals []float64, d, i int) error {
 	}
 	return b.AppendDensePadded(0, vals)
 }
-
-// standalonePredictor scores compat-path calls: no counters, admitted like
-// any other caller (an idle admitter always admits).
-var standalonePredictor = NewPredictor(nil)
-
-// predict scores one request against one registry model through the blocked
-// margin kernels, returning raw scores and predicted labels — the standalone
-// form of Predictor.Predict (tests and embedders call it without a Server).
-func predict(mv *ModelVersion, req *PredictRequest) (*PredictResponse, error) {
-	resp := AcquirePredictResponse()
-	if err := standalonePredictor.Predict(context.Background(), mv, req, resp); err != nil {
-		resp.Release()
-		return nil, err
-	}
-	return resp, nil
-}

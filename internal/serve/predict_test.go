@@ -59,8 +59,8 @@ func TestPredictFormsAgree(t *testing.T) {
 		"csv":       {Rows: dense},
 		"instances": {Instances: instances},
 	} {
-		resp, err := predict(mv, req)
-		if err != nil {
+		resp := new(PredictResponse)
+		if err := NewPredictor(nil).Predict(context.Background(), mv, req, resp); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if resp.Model != "m" || resp.Version != 3 || resp.Task != "SVM" || resp.N != 3 {
@@ -84,8 +84,8 @@ func TestPredictFormsAgree(t *testing.T) {
 func TestPredictRegressionReturnsRawScores(t *testing.T) {
 	mv := predictModel()
 	mv.Model.Task = data.TaskLinearRegression
-	resp, err := predict(mv, &PredictRequest{Instances: [][]float64{{1, 1, 1, 1}}})
-	if err != nil {
+	resp := new(PredictResponse)
+	if err := NewPredictor(nil).Predict(context.Background(), mv, &PredictRequest{Instances: [][]float64{{1, 1, 1, 1}}}, resp); err != nil {
 		t.Fatal(err)
 	}
 	want := 0.5 - 1.25 + 2 + 0.125
@@ -112,7 +112,7 @@ func TestPredictRejectsBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := predict(mv, tc.req)
+			err := NewPredictor(nil).Predict(context.Background(), mv, tc.req, new(PredictResponse))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
@@ -139,8 +139,8 @@ func TestPredictMatchesPerRowDot(t *testing.T) {
 		}
 		rows[i] = strings.Join(fields, " ")
 	}
-	resp, err := predict(mv, &PredictRequest{Rows: rows})
-	if err != nil {
+	resp := new(PredictResponse)
+	if err := NewPredictor(nil).Predict(context.Background(), mv, &PredictRequest{Rows: rows}, resp); err != nil {
 		t.Fatal(err)
 	}
 	// Reference: parse each row independently, normalize it the way the
@@ -247,8 +247,8 @@ func TestConcurrentPredictMatchesDirectBitwise(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
 		for i, resp := range got[g] {
-			want, err := predict(models[(g+i)%len(models)], mixedReq(g, i))
-			if err != nil {
+			want := new(PredictResponse)
+			if err := NewPredictor(nil).Predict(context.Background(), models[(g+i)%len(models)], mixedReq(g, i), want); err != nil {
 				t.Fatalf("single caller g%d i%d: %v", g, i, err)
 			}
 			what := fmt.Sprintf("g%d i%d", g, i)

@@ -88,18 +88,14 @@ func validName(name string) error {
 
 // OpenRegistry opens (creating if needed) a registry rooted at dir and loads
 // every model version found there, so published models survive restarts.
-func OpenRegistry(dir string) (*Registry, error) {
-	return OpenRegistryWith(dir, nil, nil)
-}
-
-// OpenRegistryWith is OpenRegistry with a fault injector on the filesystem
-// seam (nil: the raw OS) and counters for corruption-fallback observations
-// (nil: counted privately). Startup is where the crash-recovery work happens:
-// stranded ".tmp-*" files from mid-publish crashes are removed, and any
-// version that no longer loads — torn file, checksum mismatch — is entombed
-// as ".corrupt-v*" (burning its number) so the previous good version serves
-// as latest instead of the whole registry failing to open.
-func OpenRegistryWith(dir string, inj *fault.Injector, counters *Counters) (*Registry, error) {
+// inj, when non-nil, injects faults on the filesystem seam (nil: the raw
+// OS); counters receives corruption-fallback observations (nil: counted
+// privately). Startup is where the crash-recovery work happens: stranded
+// ".tmp-*" files from mid-publish crashes are removed, and any version that
+// no longer loads — torn file, checksum mismatch — is entombed as
+// ".corrupt-v*" (burning its number) so the previous good version serves as
+// latest instead of the whole registry failing to open.
+func OpenRegistry(dir string, inj *fault.Injector, counters *Counters) (*Registry, error) {
 	if counters == nil {
 		counters = newCounters()
 	}

@@ -19,7 +19,7 @@ func testModel(task data.TaskKind, w ...float64) *ml4all.Model {
 
 func TestRegistryPublishGetDelete(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := OpenRegistry(dir)
+	reg, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRegistryPublishGetDelete(t *testing.T) {
 
 func TestRegistryReload(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := OpenRegistry(dir)
+	reg, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRegistryReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg2, err := OpenRegistry(dir)
+	reg2, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRegistryReload(t *testing.T) {
 	if err := reg2.Delete("m", 2); err != nil {
 		t.Fatal(err)
 	}
-	reg3, err := OpenRegistry(dir)
+	reg3, err := OpenRegistry(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRegistryReload(t *testing.T) {
 }
 
 func TestRegistryRejectsBadNames(t *testing.T) {
-	reg, err := OpenRegistry(t.TempDir())
+	reg, err := OpenRegistry(t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

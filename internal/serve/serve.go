@@ -39,17 +39,19 @@ import (
 	"ml4all/internal/fault"
 )
 
-// Config sizes a Server.
+// Config sizes a Server and its job manager (New and NewManager both take
+// it). A zero field takes the default its comment states.
 type Config struct {
 	// Dir is the state root: the model registry lives under Dir/models,
-	// job manifests and checkpoints under Dir/jobs.
+	// job manifests and checkpoints under Dir/jobs/<id>/.
 	Dir string
 	// Pool is the number of training jobs running concurrently. 0 means 2.
 	Pool int
 	// QueueDepth bounds the submission queue. 0 means 256.
 	QueueDepth int
-	// CheckpointEvery is the interval between job checkpoint writes.
-	// 0 means 2s; negative disables interval checkpoints.
+	// CheckpointEvery is the wall-clock interval between checkpoint writes
+	// while a job runs. 0 means 2s; negative disables interval checkpoints
+	// (shutdown and pause still checkpoint).
 	CheckpointEvery time.Duration
 	// System, when non-nil, is the configured System jobs plan and train
 	// on (cluster config, estimator settings, worker pool). Nil means
@@ -58,19 +60,45 @@ type Config struct {
 	// MaxBodyBytes caps request bodies; an overrun returns 413. 0 means
 	// 8 MiB; negative disables the cap.
 	MaxBodyBytes int64
-	// Fault, when non-nil, injects deterministic faults at the durability
-	// seams (testing). Nil consults the ML4ALL_FAULT environment variable
-	// (see fault.ParsePlan); unset means no injection.
+	// Fault, when non-nil, injects deterministic faults into every
+	// checkpoint, manifest, ledger and registry filesystem operation (crash
+	// tests, chaos drills). Nil in New consults the ML4ALL_FAULT environment
+	// variable (see fault.ParsePlan), and unset means no injection; nil in
+	// NewManager means no injection.
 	Fault *fault.Injector
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiles expose process internals, so production deployments should
 	// only turn this on behind trusted ingress.
 	EnablePprof bool
 
-	// stepHook, when non-nil, runs after every training iteration
-	// (testing: lets HTTP-level tests slow jobs down to pin race-prone
-	// orderings). Forwarded to ManagerConfig.stepHook.
-	stepHook func(jobID string, iter int)
+	// stepHook, when non-nil, runs after every successful Step of every
+	// job. Test-only: the shutdown/restart tests throttle iterations with
+	// it so "mid-flight" is a state they can reliably hit.
+	stepHook func(jobID string, iteration int)
+}
+
+// defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is 0:
+// 8 MiB holds a ~500-row dense predict batch with room to spare while
+// bounding what one connection can make the decoder buffer.
+const defaultMaxBodyBytes = 8 << 20
+
+func (c Config) withDefaults() Config {
+	if c.Pool <= 0 {
+		c.Pool = 2
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 256
+	}
+	if c.CheckpointEvery == 0 {
+		c.CheckpointEvery = 2 * time.Second
+	}
+	if c.System == nil {
+		c.System = ml4all.NewSystem()
+	}
+	if c.MaxBodyBytes == 0 {
+		c.MaxBodyBytes = defaultMaxBodyBytes
+	}
+	return c
 }
 
 // Server wires the job manager, the model registry and the prediction
@@ -81,14 +109,8 @@ type Server struct {
 	registry  *Registry
 	counters  *Counters
 	predictor *Predictor
-	maxBody   int64
 	started   time.Time
 }
-
-// defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is 0:
-// 8 MiB holds a ~500-row dense predict batch with room to spare while
-// bounding what one connection can make the decoder buffer.
-const defaultMaxBodyBytes = 8 << 20
 
 // New opens the server's state directory (resuming any interrupted jobs and
 // reloading every published model) and starts the training pool.
@@ -96,37 +118,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")
 	}
-	sys := cfg.System
-	if sys == nil {
-		sys = ml4all.NewSystem()
-	}
-	inj := cfg.Fault
-	if inj == nil {
+	cfg = cfg.withDefaults()
+	if cfg.Fault == nil {
 		var err error
-		if inj, err = fault.FromSpec(os.Getenv("ML4ALL_FAULT")); err != nil {
+		if cfg.Fault, err = fault.FromSpec(os.Getenv("ML4ALL_FAULT")); err != nil {
 			return nil, fmt.Errorf("serve: ML4ALL_FAULT: %w", err)
 		}
 	}
 	counters := newCounters()
-	reg, err := OpenRegistryWith(filepath.Join(cfg.Dir, "models"), inj, counters)
+	reg, err := OpenRegistry(filepath.Join(cfg.Dir, "models"), cfg.Fault, counters)
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := NewManager(ManagerConfig{
-		Dir:             cfg.Dir,
-		Pool:            cfg.Pool,
-		QueueDepth:      cfg.QueueDepth,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Fault:           inj,
-		Counters:        counters,
-		stepHook:        cfg.stepHook,
-	}, sys, reg)
+	mgr, err := NewManager(cfg, reg, counters)
 	if err != nil {
 		return nil, err
-	}
-	maxBody := cfg.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = defaultMaxBodyBytes
 	}
 	return &Server{
 		cfg:       cfg,
@@ -134,7 +140,6 @@ func New(cfg Config) (*Server, error) {
 		registry:  reg,
 		counters:  counters,
 		predictor: NewPredictor(counters),
-		maxBody:   maxBody,
 		started:   time.Now(),
 	}, nil
 }

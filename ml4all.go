@@ -382,9 +382,34 @@ func taskKind(q *lang.Run, fallback data.TaskKind) data.TaskKind {
 	}
 }
 
-// bindParams translates the parsed statement into gd.Params.
-func bindParams(q *lang.Run, ds *data.Dataset) (Params, error) {
+// bindParams translates the parsed statement into gd.Params and its using
+// directives into the pin applyUsing matches plans on. Unknown names fail
+// here, before the optimizer speculates anything.
+func bindParams(q *lang.Run, ds *data.Dataset) (Params, pin, error) {
 	p := Params{Task: ds.Task, Format: ds.Format}
+	var pn pin
+	switch strings.ToUpper(q.Algorithm) {
+	case "":
+	case "BGD":
+		pn.algo, pn.hasAlgo = gd.BGD, true
+	case "SGD":
+		pn.algo, pn.hasAlgo = gd.SGD, true
+	case "MGD":
+		pn.algo, pn.hasAlgo = gd.MGD, true
+	default:
+		return p, pn, fmt.Errorf("ml4all: unknown algorithm %q (accepted: BGD, SGD, MGD)", q.Algorithm)
+	}
+	switch strings.ToLower(q.Sampler) {
+	case "", "my_sampler":
+	case "bernoulli":
+		pn.sampling, pn.hasSampling = gd.Bernoulli, true
+	case "random", "random-partition":
+		pn.sampling, pn.hasSampling = gd.RandomPartition, true
+	case "shuffle", "shuffled-partition":
+		pn.sampling, pn.hasSampling = gd.ShuffledPartition, true
+	default:
+		return p, pn, fmt.Errorf("ml4all: unknown sampler %q (accepted: bernoulli, random, random-partition, shuffle, shuffled-partition, my_sampler)", q.Sampler)
+	}
 	switch strings.ToLower(q.Task) {
 	case "classification":
 		p.Task = ds.Task
@@ -403,7 +428,7 @@ func bindParams(q *lang.Run, ds *data.Dataset) (Params, error) {
 		p.Task = data.TaskLinearRegression
 		p.Gradient = gradients.LeastSquares{}
 	default:
-		return p, fmt.Errorf("ml4all: unknown task or gradient function %q", q.Task)
+		return p, pn, fmt.Errorf("ml4all: unknown task or gradient function %q", q.Task)
 	}
 	if q.Epsilon > 0 {
 		p.Tolerance = q.Epsilon
@@ -421,37 +446,27 @@ func bindParams(q *lang.Run, ds *data.Dataset) (Params, error) {
 	case "l2":
 		p.Converger = gd.L2Converger{}
 	default:
-		return p, fmt.Errorf("ml4all: unknown convergence function %q", q.Convergence)
+		return p, pn, fmt.Errorf("ml4all: unknown convergence function %q", q.Convergence)
 	}
-	return p, nil
+	return p, pn, nil
 }
 
-// applyUsing narrows the optimizer's decision by the statement's using
-// directives (algorithm, sampler): the optimizer still picks the cheapest
-// plan inside the narrowed space, which is how Section 8.4 uses ML4all to
-// pick the best physical plan for a fixed algorithm.
-func applyUsing(dec *Decision, q *lang.Run) (planner.Choice, error) {
-	wantAlgo := strings.ToUpper(q.Algorithm)
-	wantSampler := strings.ToLower(q.Sampler)
-	matches := func(c planner.Choice) bool {
-		if wantAlgo != "" && c.Plan.Algorithm.String() != wantAlgo {
-			return false
-		}
-		switch wantSampler {
-		case "", "my_sampler":
-			return true
-		case "bernoulli":
-			return c.Plan.Sampling == gd.Bernoulli
-		case "random", "random-partition":
-			return c.Plan.Sampling == gd.RandomPartition
-		case "shuffle", "shuffled-partition":
-			return c.Plan.Sampling == gd.ShuffledPartition
-		default:
-			return false
-		}
-	}
+// pin is a statement's using directives (algorithm, sampler) as the plan
+// fields they fix; a dimension whose has-flag is false is left open.
+type pin struct {
+	algo        gd.Algo
+	hasAlgo     bool
+	sampling    gd.SamplingKind
+	hasSampling bool
+}
+
+// applyUsing narrows the optimizer's decision by the statement's pin: the
+// optimizer still picks the cheapest plan inside the narrowed space, which
+// is how Section 8.4 uses ML4all to pick the best physical plan for a fixed
+// algorithm.
+func applyUsing(dec *Decision, q *lang.Run, pn pin) (planner.Choice, error) {
 	for _, c := range dec.Ranked {
-		if matches(c) {
+		if (!pn.hasAlgo || c.Plan.Algorithm == pn.algo) && (!pn.hasSampling || c.Plan.Sampling == pn.sampling) {
 			return c, nil
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"ml4all/internal/data"
 	"ml4all/internal/lang"
+	"ml4all/internal/obs"
 	"ml4all/internal/synth"
 )
 
@@ -188,6 +189,33 @@ func TestExecUsingClausePinsAlgorithm(t *testing.T) {
 	}
 	if got := outs[0].Model.PlanName; !strings.Contains(got, "bernoulli") {
 		t.Fatalf("plan = %q, want a bernoulli plan", got)
+	}
+}
+
+// TestUnknownUsingNameFailsBeforeSpeculation: a misspelt algorithm or sampler
+// is refused with the accepted names before the optimizer speculates
+// anything, not after all three algorithms ran.
+func TestUnknownUsingNameFailsBeforeSpeculation(t *testing.T) {
+	sys := testSystem()
+	sys.RegisterDataset("d", testDataset(t, "covtype", 1500))
+	for _, tc := range []struct{ using, accepted string }{
+		{"algorithm XGD", "BGD, SGD, MGD"},
+		{"algorithm MGD, sampler shufle()", "shuffle"},
+	} {
+		q, err := lang.ParseOne(`run logistic() on d having max iter 50 using ` + tc.using + `;`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace()
+		_, err = sys.OpenJob(q.(*lang.Run), JobOptions{Trace: tr})
+		if err == nil || !strings.Contains(err.Error(), tc.accepted) {
+			t.Fatalf("using %s: err = %v, want one listing %q", tc.using, err, tc.accepted)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "speculate" {
+				t.Fatalf("using %s: the optimizer speculated before the name was checked", tc.using)
+			}
+		}
 	}
 }
 

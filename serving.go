@@ -77,11 +77,11 @@ type JobProgress struct {
 // directives, gated by any time constraint) and returns a TrainJob positioned
 // before its first iteration.
 func (s *System) OpenJob(q *lang.Run, jo JobOptions) (*TrainJob, error) {
-	j, dec, err := s.costJob(q, jo)
+	j, pn, err := s.costJob(q, jo)
 	if err != nil {
 		return nil, err
 	}
-	choice, err := applyUsing(dec, q)
+	choice, err := applyUsing(j.dec, q, pn)
 	if err != nil {
 		return nil, err
 	}
@@ -115,16 +115,16 @@ func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob,
 	if err != nil {
 		return nil, err
 	}
-	j, dec, err := s.costJob(q, jo)
+	j, _, err := s.costJob(q, jo)
 	if err != nil {
 		return nil, err
 	}
 	const changed = "script or configuration changed since the checkpoint"
-	i := slices.IndexFunc(dec.Ranked, func(c planner.Choice) bool { return c.Plan.Name() == st.PlanName })
+	i := slices.IndexFunc(j.dec.Ranked, func(c planner.Choice) bool { return c.Plan.Name() == st.PlanName })
 	if i < 0 {
 		return nil, fmt.Errorf("ml4all: checkpoint plan %s not in the statement's plan space — %s", st.PlanName, changed)
 	}
-	plan := dec.Ranked[i].Plan
+	plan := j.dec.Ranked[i].Plan
 	j.trainer, err = engine.Resume(j.sim, j.store, &plan, s.jobEngineOptions(q, jo), st)
 	if err != nil {
 		return nil, err
@@ -141,34 +141,34 @@ func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob,
 }
 
 // costJob performs the shared front half of OpenJob and ResumeJob: resolve
-// the data source, bind parameters, lay out the store, and run the cost-based
-// optimizer on a fresh simulated timeline. An adaptive statement's controller
+// the data source, bind parameters and the using pin, lay out the store, and
+// run the cost-based optimizer on a fresh simulated timeline. An adaptive statement's controller
 // owns plan selection for the whole run, so using directives that pin the
 // plan and time constraints (a gate on one static estimate) are rejected.
-func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, error) {
+func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, pin, error) {
 	if len(q.Sources) == 0 {
-		return nil, nil, fmt.Errorf("ml4all: run without a data source")
+		return nil, pin{}, fmt.Errorf("ml4all: run without a data source")
 	}
 	if q.Adaptive && (q.Algorithm != "" || q.Sampler != "" || q.Time > 0) {
-		return nil, nil, fmt.Errorf("ml4all: adaptive cannot be combined with using algorithm/sampler or a time constraint — the controller picks plans at runtime")
+		return nil, pin{}, fmt.Errorf("ml4all: adaptive cannot be combined with using algorithm/sampler or a time constraint — the controller picks plans at runtime")
 	}
 	ds, err := s.resolveSource(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, pin{}, err
 	}
 	if ds.N() == 0 {
 		// Caught here, the error names the file; later it would name the
 		// speculation sample the optimizer drew from it.
-		return nil, nil, fmt.Errorf("ml4all: %s: no records", q.Sources[0].Path)
+		return nil, pin{}, fmt.Errorf("ml4all: %s: no records", q.Sources[0].Path)
 	}
-	p, err := bindParams(q, ds)
+	p, pn, err := bindParams(q, ds)
 	if err != nil {
-		return nil, nil, err
+		return nil, pin{}, err
 	}
 	sim := cluster.New(s.Cluster)
 	stn, err := storage.Build(ds, s.Layout)
 	if err != nil {
-		return nil, nil, err
+		return nil, pin{}, err
 	}
 	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: q.FastMath}
 	optimize := -1
@@ -182,13 +182,13 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, *Decision, erro
 	dec, err := planner.Choose(sim, stn, p, popts)
 	jo.Trace.End(optimize)
 	if err != nil {
-		return nil, nil, err
+		return nil, pin{}, err
 	}
 	j := &TrainJob{stmt: q, ds: ds, sim: sim, store: stn, dec: dec}
 	if q.Adaptive {
 		j.ctl = planner.NewController(sim, stn, p, dec, popts.FastMath, AdaptiveConfig{})
 	}
-	return j, dec, nil
+	return j, pn, nil
 }
 
 // jobEngineOptions maps system settings, the statement's kernel tier (its
