@@ -232,7 +232,7 @@ func TestFailedSwitchKeepsTheTrainer(t *testing.T) {
 	if err == nil {
 		t.Fatal("the switch succeeded under the wrong input format")
 	}
-	if prog := j.Progress(); prog.Iteration != adaptiveSwitch || prog.Done {
-		t.Fatalf("after the failed switch (%v): %+v", err, prog)
+	if j.Iteration() != adaptiveSwitch || j.Done() {
+		t.Fatalf("after the failed switch (%v): iteration %d, done %v", err, j.Iteration(), j.Done())
 	}
 }

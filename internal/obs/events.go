@@ -29,9 +29,11 @@ type Event struct {
 // every change. Close appends a terminal state event and ends the stream;
 // subsequent Appends are dropped and Wait never blocks again.
 type EventLog struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// events is a fixed ring of the last cap events: it grows to cap, then
+	// each push overwrites the oldest, events[head].
 	events []Event
-	first  int // Seq of events[0]
+	head   int
 	seq    int
 	closed bool
 	wake   chan struct{}
@@ -85,26 +87,28 @@ func (l *EventLog) push(ev Event) {
 	ev.Seq = l.seq
 	l.seq++
 	ev.TsMillis = time.Now().UnixMilli()
-	l.events = append(l.events, ev)
-	if len(l.events) > l.cap {
-		drop := len(l.events) - l.cap
-		l.events = append(l.events[:0:0], l.events[drop:]...)
-		l.first += drop
+	if len(l.events) < l.cap {
+		l.events = append(l.events, ev)
+	} else {
+		l.events[l.head] = ev
+		l.head = (l.head + 1) % l.cap
 	}
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
 
-// since returns a copy of the retained events with Seq > after.
+// since returns a copy of the retained events with Seq > after, in Seq
+// order.
 func (l *EventLog) since(after int) []Event {
-	idx := after + 1 - l.first
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(l.events) {
+	n := len(l.events)
+	skip := max(after+1-(l.seq-n), 0) // l.seq-n is the oldest retained Seq
+	if skip >= n {
 		return nil
 	}
-	return append([]Event(nil), l.events[idx:]...)
+	out := make([]Event, 0, n-skip)
+	start := (l.head + skip) % n
+	out = append(out, l.events[start:min(start+n-skip, n)]...)
+	return append(out, l.events[:n-skip-len(out)]...)
 }
 
 // Closed reports whether the stream has been sealed (a nil log is closed).

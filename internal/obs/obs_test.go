@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 	"ml4all/internal/estimator"
 )
 
-func TestRingRecordsAndCurve(t *testing.T) {
+func TestFoldCurveKeepsImprovements(t *testing.T) {
 	r := NewRing(0)
 	deltas := []float64{0.5, 0.8, 0.25, 0.25, 0.125, 0.0625}
 	for i, d := range deltas {
@@ -18,7 +19,7 @@ func TestRingRecordsAndCurve(t *testing.T) {
 	}
 	// The curve keeps only strict improvements: 0.8 (regression) and the
 	// repeated 0.25 must drop out, what remains must be strictly decreasing.
-	curve := r.Curve()
+	curve := FoldCurve(nil, deltas, 0)
 	want := []estimator.Point{{Iter: 1, Err: 0.5}, {Iter: 3, Err: 0.25}, {Iter: 5, Err: 0.125}, {Iter: 6, Err: 0.0625}}
 	if len(curve) != len(want) {
 		t.Fatalf("curve has %d points, want %d: %v", len(curve), len(want), curve)
@@ -33,27 +34,24 @@ func TestRingRecordsAndCurve(t *testing.T) {
 	}
 }
 
-func TestRingIgnoresNonPositiveDeltasInCurve(t *testing.T) {
-	r := NewRing(0)
-	for i, d := range []float64{math.Inf(1), 0, -1, math.NaN(), 0.5} {
-		r.ObserveIter(engine.IterEvent{Iter: i + 1, Delta: d})
-	}
-	curve := r.Curve()
+func TestFoldCurveIgnoresNonPositiveDeltas(t *testing.T) {
+	curve := FoldCurve(nil, []float64{math.Inf(1), 0, -1, math.NaN(), 0.5}, 0)
 	if len(curve) != 1 || curve[0].Err != 0.5 {
 		t.Fatalf("curve = %v, want the single finite positive delta", curve)
 	}
 }
 
-// TestRingWraparound: a curve that outgrows maxCurvePoints is thinned, not
+// TestFoldCurveThinning: a curve that outgrows maxCurvePoints is thinned, not
 // truncated — it stays within the bound, strictly monotone, and still spans
-// the run from its first point to its latest improvement.
-func TestRingWraparound(t *testing.T) {
-	r := NewRing(0)
+// the run from its first point to its latest improvement. Folded in pieces
+// of any size, the same deltas give the same curve point for point.
+func TestFoldCurveThinning(t *testing.T) {
 	const n = 2*maxCurvePoints + 1
-	for i := 1; i <= n; i++ {
-		r.ObserveIter(engine.IterEvent{Iter: i, Delta: 1 / float64(i)})
+	deltas := make([]float64, n)
+	for i := range deltas {
+		deltas[i] = 1 / float64(i+1)
 	}
-	curve := r.Curve()
+	curve := FoldCurve(nil, deltas, 0)
 	if len(curve) < 2 || len(curve) > maxCurvePoints {
 		t.Fatalf("curve has %d points, want 2..%d", len(curve), maxCurvePoints)
 	}
@@ -63,6 +61,15 @@ func TestRingWraparound(t *testing.T) {
 	for i := 1; i < len(curve); i++ {
 		if curve[i].Iter <= curve[i-1].Iter || curve[i].Err >= curve[i-1].Err {
 			t.Fatalf("thinned curve not monotone at %d: %v then %v", i, curve[i-1], curve[i])
+		}
+	}
+	for _, piece := range []int{1, 7, maxCurvePoints} {
+		var pieced []estimator.Point
+		for done := 0; done < n; done += piece {
+			pieced = FoldCurve(pieced, deltas[:min(done+piece, n)], done)
+		}
+		if !slices.Equal(pieced, curve) {
+			t.Fatalf("folded %d deltas at a time: %d points, want the one-pass curve's %d", piece, len(pieced), len(curve))
 		}
 	}
 }
@@ -222,6 +229,33 @@ func TestEventLogRetention(t *testing.T) {
 	}
 	if evs[0].Seq != 6 || evs[3].Seq != 9 {
 		t.Fatalf("retained window = Seq %d..%d, want 6..9", evs[0].Seq, evs[3].Seq)
+	}
+}
+
+// TestEventLogFullAppendAllocatesOnlyTheWake: once a log holds capacity
+// events, Append overwrites the oldest in place — the one allocation left is
+// the fresh wake channel — and a replay across the ring's seam still comes
+// back in Seq order.
+func TestEventLogFullAppendAllocatesOnlyTheWake(t *testing.T) {
+	l := NewEventLog(0)
+	for i := 0; i < 1024; i++ {
+		l.Append(Event{Type: "progress", Iter: i})
+	}
+	if allocs := testing.AllocsPerRun(200, func() { l.Append(Event{Type: "progress", Iter: 1}) }); allocs > 1 {
+		t.Fatalf("Append on a full log allocates %v times, want at most 1", allocs)
+	}
+	seq := 1024 + 201 // AllocsPerRun makes one warm-up call besides its runs
+	evs, _, _ := l.Wait(context.Background(), seq-11)
+	if len(evs) != 10 || evs[0].Seq != seq-10 || evs[9].Seq != seq-1 {
+		t.Fatalf("replay after Seq %d = %d events, Seq %d..%d", seq-11, len(evs), evs[0].Seq, evs[len(evs)-1].Seq)
+	}
+	if evs, _, _ = l.Wait(context.Background(), -1); len(evs) != 1024 || evs[0].Seq != seq-1024 {
+		t.Fatalf("full replay = %d events from Seq %d, want 1024 from %d", len(evs), evs[0].Seq, seq-1024)
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("replay out of order at %d: Seq %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		}
 	}
 }
 

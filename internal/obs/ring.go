@@ -1,11 +1,11 @@
-// Package obs is the observability layer: iteration telemetry (Ring),
-// tracing spans (Trace), live job event streams (EventLog), the persistent
-// run ledger (Ledger) and build metadata (Build). It is zero-dependency by
-// design — standard library plus the engine/estimator/fault internals it
-// observes — and every type is safe for the access pattern its producer
-// uses. The contract with the hot paths: a nil observer costs the engine one
-// branch per iteration and the serving predict path zero allocations (the
-// root package's zerotax_test.go pins both).
+// Package obs is the observability layer: iteration telemetry (Ring and the
+// observed curve), tracing spans (Trace), live job event streams (EventLog),
+// the persistent run ledger (Ledger) and build metadata (Build). It is
+// zero-dependency by design — standard library plus the engine/estimator/fault
+// internals it observes — and every type is safe for the access pattern its
+// producer uses. The contract with the hot paths: a nil observer costs the
+// engine one branch per iteration and the serving predict path zero
+// allocations (the root package's zerotax_test.go pins both).
 package obs
 
 import (
@@ -23,77 +23,32 @@ import (
 const maxCurvePoints = 4096
 
 // Ring is the iteration-telemetry observer implementing engine.Observer: it
-// accumulates, across the whole run, the observed monotone T(ε) curve
-// (bounded by maxCurvePoints) and the total wall time — what the ledger
-// record and the live ETA read. All methods are safe for concurrent use;
-// ObserveIter is only ever called from the single driver goroutine of a
-// run, readers may be anyone.
+// accumulates the wall time between the iterations it observes — what the
+// ledger record's wall_seconds reads. The run's convergence curve is not
+// kept here: the trainer's own deltas are that record (see FoldCurve). All
+// methods are safe for concurrent use; ObserveIter is only ever called from
+// the single driver goroutine of a run, readers may be anyone.
 type Ring struct {
-	mu    sync.Mutex
-	last  time.Time
-	wall  time.Duration
-	curve []estimator.Point
-	best  float64
+	mu   sync.Mutex
+	last time.Time
+	wall time.Duration
 }
 
 // NewRing returns an empty Ring. Its argument is ignored: it remains only
 // so existing callers keep compiling.
-func NewRing(_ int) *Ring {
-	return &Ring{best: math.Inf(1)}
-}
+func NewRing(_ int) *Ring { return &Ring{} }
 
 // ObserveIter implements engine.Observer. The Ring diffs the wall clock
 // itself so the trainer's hot path never reads a clock when no observer is
 // set.
-func (r *Ring) ObserveIter(ev engine.IterEvent) {
+func (r *Ring) ObserveIter(engine.IterEvent) {
 	now := time.Now()
 	r.mu.Lock()
 	if !r.last.IsZero() {
 		r.wall += now.Sub(r.last)
 	}
 	r.last = now
-	r.extendCurve(ev.Iter, ev.Delta)
 	r.mu.Unlock()
-}
-
-// extendCurve adds iteration iter's delta d to the monotone curve when it
-// improves on the best so far. The caller holds mu.
-func (r *Ring) extendCurve(iter int, d float64) {
-	if d < r.best && d > 0 && !math.IsInf(d, 0) {
-		r.best = d
-		r.curve = append(r.curve, estimator.Point{Iter: iter, Err: d})
-		if len(r.curve) > maxCurvePoints {
-			kept := r.curve[:0]
-			for i, p := range r.curve {
-				if i%2 == 0 || i == len(r.curve)-1 {
-					kept = append(kept, p)
-				}
-			}
-			r.curve = kept
-		}
-	}
-}
-
-// RestoreCurve rebuilds the curve from a resumed run's delta history
-// (deltas[i] is iteration i+1's), so a run reopened from a checkpoint
-// accumulates the curve an uninterrupted run would. The wall clock is left
-// alone: it describes only what this ring observed.
-func (r *Ring) RestoreCurve(deltas []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.curve, r.best = nil, math.Inf(1)
-	for i, d := range deltas {
-		r.extendCurve(i+1, d)
-	}
-}
-
-// Curve returns the observed monotone T(ε) sequence accumulated over the
-// whole run (a copy) — the empirical counterpart of the estimator's
-// speculative sequence, fit-ready for FitInverse.
-func (r *Ring) Curve() []estimator.Point {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]estimator.Point(nil), r.curve...)
 }
 
 // WallSeconds returns the cumulative wall time between observed iterations.
@@ -101,6 +56,42 @@ func (r *Ring) WallSeconds() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.wall.Seconds()
+}
+
+// FoldCurve extends curve, the observed monotone T(ε) curve of deltas[:done],
+// with deltas[done:] and returns it; deltas[i] is iteration i+1's
+// convergence delta, as engine.Trainer.Deltas holds them. A delta joins the
+// curve when it improves on the best so far (the rule
+// estimator.MonotoneSequence applies); past maxCurvePoints, every other
+// interior point is dropped as each improvement arrives. The fold is
+// incremental — folding a run's deltas in any number of pieces yields the
+// curve of folding them at once — so a caller may feed it only what is new,
+// and a run resumed from a checkpoint gets its whole curve from its restored
+// delta history. The result is the empirical counterpart of the estimator's
+// speculative sequence, fit-ready for FitInverse.
+func FoldCurve(curve []estimator.Point, deltas []float64, done int) []estimator.Point {
+	best := math.Inf(1)
+	if len(curve) > 0 {
+		best = curve[len(curve)-1].Err
+	}
+	for i := done; i < len(deltas); i++ {
+		d := deltas[i]
+		if !(d < best && d > 0 && !math.IsInf(d, 0)) { // NaN never improves
+			continue
+		}
+		best = d
+		curve = append(curve, estimator.Point{Iter: i + 1, Err: d})
+		if len(curve) > maxCurvePoints {
+			kept := curve[:0]
+			for k, p := range curve {
+				if k%2 == 0 || k == len(curve)-1 {
+					kept = append(kept, p)
+				}
+			}
+			curve = kept
+		}
+	}
+	return curve
 }
 
 // CurveETA fits T(ε) = a/ε to an observed curve and projects the remaining

@@ -144,9 +144,10 @@ func TestAdaptiveRescuesMisestimatedPlan(t *testing.T) {
 // TestAdaptiveRefitTelemetry re-runs the rescue scenario with the observer
 // attached and pins the PR-10 telemetry: every check leaves a structured
 // RefitEvent the decision log is a view of, the switch is recorded with its
-// costed alternatives, and the iteration ring accumulates the observed
-// monotone T(ε) curve across the switch. (The ledger record a served adaptive
-// job condenses this into is pinned in internal/serve.)
+// costed alternatives, the iteration ring observes every iteration, and the
+// run's deltas fold into the observed monotone T(ε) curve across the switch.
+// (The ledger record a served adaptive job condenses this into is pinned in
+// internal/serve.)
 func TestAdaptiveRefitTelemetry(t *testing.T) {
 	st := adaptiveStore(t, 19531)
 	p := gd.Params{Task: st.Dataset.Task, Format: st.Dataset.Format, Lambda: 0.01, Tolerance: 2e-4, MaxIter: 4000}
@@ -195,11 +196,11 @@ func TestAdaptiveRefitTelemetry(t *testing.T) {
 		t.Fatalf("plan chain %q does not start %q", ar.Result.PlanName, want)
 	}
 
-	// --- the ring observed the whole run ---
+	// --- the ring observed the whole run; its deltas fold into the curve ---
 	if ring.iters != len(ar.Result.Deltas) {
 		t.Fatalf("ring observed %d iterations, run executed %d", ring.iters, len(ar.Result.Deltas))
 	}
-	curve := ring.Curve()
+	curve := obs.FoldCurve(nil, ar.Result.Deltas, 0)
 	if len(curve) == 0 {
 		t.Fatal("observed T(ε) curve is empty")
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ml4all"
+	"ml4all/internal/estimator"
 	"ml4all/internal/fault"
 	"ml4all/internal/lang"
 	"ml4all/internal/linalg"
@@ -63,23 +64,17 @@ type Job struct {
 	Script string
 	Model  string // registry name the result publishes under
 
-	mu        sync.Mutex
-	stmt      *lang.Run
-	state     JobState
-	errMsg    string
-	planName  string
-	iteration int
-	finalErr  float64 // last convergence delta observed
-	converged bool
-	published int // registry version, 0 until published
+	mu     sync.Mutex
+	stmt   *lang.Run
+	status JobStatus // the job's record: what Status returns, what persist writes
 
 	job       *ml4all.TrainJob // live trainer; nil until opened / after restart
 	cancelled chan struct{}
 	pause     bool
 
 	// Observability surfaces, attached once at submission/reload and
-	// immutable thereafter (no lock needed to read the pointers):
-	// iteration telemetry, the span timeline, and the live event stream.
+	// immutable thereafter (no lock needed to read the pointers): the
+	// wall-clock observer, the span timeline, and the live event stream.
 	ring   *obs.Ring
 	trace  *obs.Trace
 	events *obs.EventLog
@@ -98,7 +93,8 @@ func (j *Job) Trace() *obs.Trace { return j.trace }
 // source).
 func (j *Job) Events() *obs.EventLog { return j.events }
 
-// JobStatus is the externally visible snapshot of a job.
+// JobStatus is a job's record: the externally visible snapshot, and — with
+// the script — the manifest that restores the job after a restart.
 type JobStatus struct {
 	ID        string   `json:"id"`
 	Model     string   `json:"model"`
@@ -111,18 +107,12 @@ type JobStatus struct {
 	Error     string   `json:"error,omitempty"`
 }
 
-// manifest is the per-job record persisted next to the checkpoint, enough to
-// reconstruct the job after a restart.
+// manifest is the per-job record persisted next to the checkpoint: the
+// job's whole status as of the last persist plus its script, enough to
+// reconstruct the job — a settled one with its outcome — after a restart.
 type manifest struct {
-	ID     string   `json:"id"`
-	Script string   `json:"script"`
-	Model  string   `json:"model"`
-	State  JobState `json:"state"`
-	Plan   string   `json:"plan,omitempty"`
-	// Iteration is the progress at the last persist, so a job reloaded after
-	// a restart — a settled one especially — still reports how far it ran.
-	Iteration int    `json:"iteration,omitempty"`
-	Error     string `json:"error,omitempty"`
+	JobStatus
+	Script string `json:"script"`
 	// FastMath is only ever read: an older manifest may carry a
 	// per-submission fast-tier opt-in here, and loadJobs fails such a
 	// non-terminal job unless its script says `having fastmath`.
@@ -234,8 +224,8 @@ func (m *Manager) jobDir(id string) string { return filepath.Join(m.jobsDir(), i
 // Ledger returns the manager's persistent run history.
 func (m *Manager) Ledger() *obs.Ledger { return m.ledger }
 
-// attachObs wires a job's observability surfaces: the iteration-telemetry
-// ring, a span trace whose closed spans feed the per-phase histograms, and
+// attachObs wires a job's observability surfaces: the wall-clock ring, a
+// span trace whose closed spans feed the per-phase histograms, and
 // the live event stream.
 func (m *Manager) attachObs(j *Job) {
 	j.ring = obs.NewRing(0)
@@ -300,27 +290,26 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 		}
 		j := &Job{
 			ID: mf.ID, Script: mf.Script, Model: mf.Model,
-			stmt: stmt, state: mf.State, errMsg: mf.Error, planName: mf.Plan,
-			iteration: mf.Iteration,
+			stmt: stmt, status: mf.JobStatus,
 			cancelled: make(chan struct{}),
 		}
 		m.attachObs(j)
-		if mf.FastMath && !stmt.FastMath && !j.state.terminal() {
+		if mf.FastMath && !stmt.FastMath && !j.status.State.terminal() {
 			// Its checkpoints are fast-tier state; resuming them on the
 			// statement's exact tier would break bit-identical resume.
 			m.settle(j, JobFailed, errors.New("serve: job was submitted with the removed fastmath option; resubmit its script with `having fastmath`"))
-		} else if j.state.terminal() {
+		} else if j.status.State.terminal() {
 			// The stream of a job that settled in a previous process is
 			// born closed: subscribers get the final state and EOF.
-			j.events.Close(string(j.state))
+			j.events.Close(string(j.status.State))
 		}
 		if n, err := strconv.Atoi(strings.TrimPrefix(id, "job-")); err == nil && n >= m.nextID {
 			m.nextID = n + 1
 		}
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
-		if j.state == JobRunning || j.state == JobQueued {
-			j.state = JobQueued
+		if j.status.State == JobRunning || j.status.State == JobQueued {
+			j.status.State = JobQueued
 			resumable = append(resumable, j)
 		}
 	}
@@ -380,7 +369,7 @@ func (m *Manager) SubmitJob(script, model string, _ SubmitOptions) (*Job, error)
 	}
 	j := &Job{
 		ID: id, Script: script, Model: model,
-		stmt: q, state: JobQueued,
+		stmt: q, status: JobStatus{ID: id, Model: model, State: JobQueued},
 		cancelled: make(chan struct{}),
 	}
 	m.attachObs(j)
@@ -469,8 +458,8 @@ func (m *Manager) Cancel(id string) error {
 		return fmt.Errorf("serve: job %q not found", id)
 	}
 	j.mu.Lock()
-	if j.state.terminal() {
-		state := j.state
+	if j.status.State.terminal() {
+		state := j.status.State
 		j.mu.Unlock()
 		return fmt.Errorf("serve: job %s is already %s", id, state)
 	}
@@ -486,9 +475,9 @@ func (m *Manager) Cancel(id string) error {
 	// here, claiming it under the lock that found it idle so no runner picks
 	// it up meanwhile. A running job's runner settles it on the next
 	// iteration edge.
-	idle := j.state == JobQueued || j.state == JobPaused
+	idle := j.status.State == JobQueued || j.status.State == JobPaused
 	if idle {
-		j.state = JobCancelled
+		j.status.State = JobCancelled
 	}
 	j.mu.Unlock()
 	if idle {
@@ -506,8 +495,8 @@ func (m *Manager) Pause(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobRunning {
-		return fmt.Errorf("serve: job %s is %s, only running jobs pause", id, j.state)
+	if j.status.State != JobRunning {
+		return fmt.Errorf("serve: job %s is %s, only running jobs pause", id, j.status.State)
 	}
 	j.pause = true
 	return nil
@@ -520,13 +509,13 @@ func (m *Manager) Resume(id string) error {
 		return fmt.Errorf("serve: job %q not found", id)
 	}
 	j.mu.Lock()
-	if j.state != JobPaused {
-		state := j.state
+	if j.status.State != JobPaused {
+		state := j.status.State
 		j.mu.Unlock()
 		return fmt.Errorf("serve: job %s is %s, only paused jobs resume", id, state)
 	}
 	j.pause = false
-	j.state = JobQueued
+	j.status.State = JobQueued
 	j.mu.Unlock()
 	select {
 	case m.queue <- j:
@@ -534,7 +523,7 @@ func (m *Manager) Resume(id string) error {
 		return nil
 	default:
 		j.mu.Lock()
-		j.state = JobPaused
+		j.status.State = JobPaused
 		j.mu.Unlock()
 		return errQueueFull
 	}
@@ -544,11 +533,7 @@ func (m *Manager) Resume(id string) error {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobStatus{
-		ID: j.ID, Model: j.Model, State: j.state, Plan: j.planName,
-		Iteration: j.iteration, Delta: j.finalErr, Converged: j.converged,
-		Version: j.published, Error: j.errMsg,
-	}
+	return j.status
 }
 
 // persist writes the job's manifest atomically and durably. Unique temp
@@ -556,7 +541,7 @@ func (j *Job) Status() JobStatus {
 // concurrently, and rename's atomicity makes last-writer-wins safe.
 func (m *Manager) persist(j *Job) error {
 	j.mu.Lock()
-	mf := manifest{ID: j.ID, Script: j.Script, Model: j.Model, State: j.state, Plan: j.planName, Iteration: j.iteration, Error: j.errMsg}
+	mf := manifest{JobStatus: j.status, Script: j.Script}
 	j.mu.Unlock()
 	raw, err := json.MarshalIndent(mf, "", "  ")
 	if err != nil {
@@ -696,9 +681,6 @@ func (m *Manager) openJob(j *Job) error {
 			continue
 		}
 		m.counters.ckptVerified.Add(1)
-		// The ring is fresh after a restart: give it the curve up to the
-		// checkpoint, so the ledger and the live ETA see the whole run.
-		j.ring.RestoreCurve(tj.Deltas())
 		j.mu.Lock()
 		j.job = tj
 		j.mu.Unlock()
@@ -730,15 +712,14 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}()
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while queued
+	if j.status.State != JobQueued { // cancelled while queued
 		j.mu.Unlock()
 		m.replayDone(j)
 		return
 	}
 	needOpen := j.job == nil
-	j.state = JobRunning
+	j.status.State = JobRunning
 	j.mu.Unlock()
-	m.persist(j)
 
 	if needOpen {
 		err := m.openJob(j)
@@ -753,10 +734,12 @@ func (m *Manager) runJob(j *Job) {
 	}
 	j.mu.Lock()
 	tj := j.job
-	j.planName = tj.PlanName()
-	j.iteration = tj.Iteration()
+	j.status.Plan = tj.PlanName()
+	j.status.Iteration = tj.Iteration()
 	j.mu.Unlock()
-	m.persist(j) // record the chosen plan
+	// One write records the start and the chosen plan: loadJobs re-queues a
+	// queued job exactly as it does a running one.
+	m.persist(j)
 	j.events.Append(obs.Event{Type: "state", State: string(JobRunning), Plan: tj.PlanName(), Iter: tj.Iteration()})
 
 	// The train span covers the whole stepping loop; the deferred End
@@ -766,6 +749,10 @@ func (m *Manager) runJob(j *Job) {
 	train := j.trace.Start("train", -1)
 	defer j.trace.End(train)
 
+	// The run's observed T(ε) curve, folded from the trainer's deltas one
+	// iteration at a time; a job reopened from a checkpoint or a pause
+	// starts from its whole delta history.
+	curve := obs.FoldCurve(nil, tj.Deltas(), 0)
 	// etaA/etaRem cache the convergence projection between re-fits: the
 	// observed curve is re-fitted every 8 iterations, not every event.
 	etaA, etaRem := 0.0, -1.0
@@ -793,7 +780,7 @@ func (m *Manager) runJob(j *Job) {
 
 		err := tj.Step()
 		j.mu.Lock()
-		j.iteration = tj.Iteration()
+		j.status.Iteration = tj.Iteration()
 		j.mu.Unlock()
 		if err == nil && m.cfg.stepHook != nil {
 			m.cfg.stepHook(j.ID, tj.Iteration())
@@ -811,23 +798,20 @@ func (m *Manager) runJob(j *Job) {
 			}
 			return
 		}
-		iter := tj.Iteration()
+		iter, ds := tj.Iteration(), tj.Deltas() // a Step appends one delta
+		curve = obs.FoldCurve(curve, ds, len(ds)-1)
 		if iter%8 == 1 {
-			etaA, etaRem = obs.CurveETA(j.ring.Curve(), tj.Tolerance())
-		}
-		var delta float64
-		if ds := tj.Deltas(); len(ds) > 0 {
-			delta = ds[len(ds)-1]
+			etaA, etaRem = obs.CurveETA(curve, tj.Tolerance())
 		}
 		j.events.Append(obs.Event{
-			Type: "progress", Iter: iter, Delta: obs.Finite(delta),
+			Type: "progress", Iter: iter, Delta: obs.Finite(ds[len(ds)-1]),
 			FittedA: obs.Finite(etaA), EtaIters: etaRem,
 		})
 		if ctl != nil && ctl.SegStart == iter {
 			// The controller just switched plans (its newest history entry):
 			// listings and the manifest follow, the stream carries the event.
 			j.mu.Lock()
-			j.planName = tj.PlanName()
+			j.status.Plan = tj.PlanName()
 			j.mu.Unlock()
 			m.persist(j)
 			j.events.Append(obs.Event{Type: "switch", Plan: tj.PlanName(), Iter: iter,
@@ -843,7 +827,7 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}
 	j.trace.End(train)
-	m.complete(j)
+	m.complete(j, tj, curve)
 }
 
 // complete publishes the finished model, appends the run's ledger record
@@ -851,13 +835,10 @@ func (m *Manager) runJob(j *Job) {
 // the metrics, never fails the job — history degrades, training does not.
 // A trainer that ended diverged has no model to publish: its weights are
 // NaN/Inf, so the job fails and the registry keeps serving what it had.
-func (m *Manager) complete(j *Job) {
-	j.mu.Lock()
-	tj := j.job
-	j.mu.Unlock()
-	prog := tj.Progress()
-	if prog.Diverged {
-		m.settle(j, JobFailed, fmt.Errorf("diverged at iteration %d: non-finite weights", prog.Iteration))
+func (m *Manager) complete(j *Job, tj *ml4all.TrainJob, curve []estimator.Point) {
+	res := tj.Result()
+	if res.Diverged {
+		m.settle(j, JobFailed, fmt.Errorf("diverged at iteration %d: non-finite weights", res.Iterations))
 		return
 	}
 	model := tj.Model()
@@ -867,13 +848,13 @@ func (m *Manager) complete(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	j.iteration = prog.Iteration
-	j.finalErr = prog.FinalDelta
-	j.converged = prog.Converged
-	j.published = mv.Version
+	j.status.Iteration = res.Iterations
+	j.status.Delta = res.FinalDelta
+	j.status.Converged = res.Converged
+	j.status.Version = mv.Version
 	j.mu.Unlock()
 	if m.ledger != nil {
-		if err := m.ledger.Append(m.runRecord(j, tj, model, prog)); err != nil {
+		if err := m.ledger.Append(m.runRecord(j, tj, res, curve)); err != nil {
 			m.counters.ledgerErrors.Add(1)
 		} else {
 			m.counters.ledgerRecords.Add(1)
@@ -891,7 +872,7 @@ func (m *Manager) complete(j *Job) {
 // adaptive job's controller), the kernel tier and backend it executed on, the
 // trained weights' fingerprint, the observed T(ε) curve, and where the time
 // went (simulated training clock, observed wall time, per-phase span totals).
-func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, prog ml4all.JobProgress) obs.Record {
+func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, res *ml4all.Result, curve []estimator.Point) obs.Record {
 	ds := tj.Dataset()
 	st := ds.Stats()
 	rec := obs.Record{
@@ -907,21 +888,19 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 			Bytes:       st.Bytes,
 			Density:     st.Density,
 		},
-		Plan:        prog.PlanName,
+		Plan:        res.PlanName,
 		FastMath:    j.stmt.FastMath,
 		Backend:     linalg.FastBackend(),
-		WeightsHash: obs.WeightsHash(model.Weights),
-		Iterations:  prog.Iteration,
-		Converged:   prog.Converged,
-		FinalDelta:  obs.Finite(prog.FinalDelta),
-		SimSeconds:  obs.Finite(float64(prog.TrainTime)),
+		WeightsHash: obs.WeightsHash(res.Weights),
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+		FinalDelta:  obs.Finite(res.FinalDelta),
+		SimSeconds:  obs.Finite(float64(res.Time)),
+		WallSeconds: j.ring.WallSeconds(),
 		Phases:      j.trace.Totals(),
 	}
-	if j.ring != nil {
-		for _, p := range j.ring.Curve() {
-			rec.Curve = append(rec.Curve, obs.CurvePoint{Iter: p.Iter, Err: p.Err})
-		}
-		rec.WallSeconds = j.ring.WallSeconds()
+	for _, p := range curve {
+		rec.Curve = append(rec.Curve, obs.CurvePoint{Iter: p.Iter, Err: p.Err})
 	}
 	if ctl := tj.Controller(); ctl != nil {
 		rec.Plans = ctl.Plans()
@@ -944,9 +923,9 @@ func (m *Manager) runRecord(j *Job, tj *ml4all.TrainJob, model *ml4all.Model, pr
 // recovering gauge drained.
 func (m *Manager) settle(j *Job, state JobState, err error) {
 	j.mu.Lock()
-	j.state = state
+	j.status.State = state
 	if err != nil {
-		j.errMsg = err.Error()
+		j.status.Error = err.Error()
 	}
 	j.job = nil
 	j.mu.Unlock()
@@ -963,7 +942,7 @@ func (m *Manager) park(j *Job, tj *ml4all.TrainJob, state JobState) {
 		return
 	}
 	j.mu.Lock()
-	j.state = state
+	j.status.State = state
 	j.mu.Unlock()
 	j.events.Append(obs.Event{Type: "state", State: string(state), Iter: tj.Iteration()})
 	m.persist(j)

@@ -250,6 +250,40 @@ func TestManagerCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestSettledJobStatusSurvivesRestart: a completed job's status — its
+// outcome included: delta, converged, the published version — reads the
+// same from a fresh manager on the same directory as it did before the
+// restart.
+func TestSettledJobStatusSurvivesRestart(t *testing.T) {
+	trainPath, _ := writeDataset(t, synth.Spec{
+		Name: "settled-train", Task: data.TaskSVM,
+		N: 800, D: 16, Density: 0.5, Noise: 0.1, Margin: 1, Seed: 9,
+	})
+	dir := t.TempDir()
+	mgr, _ := testManager(t, Config{Dir: dir, Pool: 1})
+	j, err := mgr.Submit(fmt.Sprintf("run svm on %s having epsilon 0.001, max iter 60;", trainPath), "settled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := waitState(t, j.Status, JobCompleted, 30*time.Second)
+	if before.Version == 0 || before.Iteration == 0 || !before.Converged {
+		t.Fatalf("completed job reports no outcome: %+v", before)
+	}
+	if err := mgr.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr2, _ := testManager(t, Config{Dir: dir, Pool: 1})
+	defer mgr2.Shutdown(context.Background())
+	j2, ok := mgr2.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s lost across the restart", j.ID)
+	}
+	if after := j2.Status(); after != before {
+		t.Fatalf("status after the restart %+v, before %+v", after, before)
+	}
+}
+
 // TestManagerFailedSubmissionIsActionable pins the satellite contract: a job
 // whose statement cannot bind fails with the statement's source position.
 func TestManagerFailedSubmissionIsActionable(t *testing.T) {

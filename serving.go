@@ -61,17 +61,6 @@ type TrainJob struct {
 	ctl     *planner.Controller // nil: static, the optimizer's plan runs to the end
 }
 
-// JobProgress is a point-in-time view of a job's training state.
-type JobProgress struct {
-	PlanName   string
-	Iteration  int
-	FinalDelta float64
-	Done       bool
-	Converged  bool
-	Diverged   bool
-	TrainTime  Seconds // simulated clock, speculation included
-}
-
 // OpenJob binds a parsed run statement to the system's catalogs, runs the
 // cost-based optimizer over the eleven-plan space (narrowed by any using
 // directives, gated by any time constraint) and returns a TrainJob positioned
@@ -256,33 +245,30 @@ func (j *TrainJob) Checkpoint() ([]byte, error) {
 	return st.Encode()
 }
 
-// Progress returns a point-in-time view of the job.
-func (j *TrainJob) Progress() JobProgress {
-	res := j.trainer.Finish()
-	return JobProgress{
-		PlanName:   j.PlanName(),
-		Iteration:  res.Iterations,
-		FinalDelta: res.FinalDelta,
-		Done:       j.trainer.Done(),
-		Converged:  res.Converged,
-		Diverged:   res.Diverged,
-		TrainTime:  j.sim.Now(),
-	}
+// Result returns the job's outcome as of the current state: the trainer's
+// Result (weights, iterations, stop reason, delta history), with PlanName the
+// job's plan chain and Time the job's full simulated clock, speculation
+// overhead included, as Train counts it. Deltas is the trainer's live
+// history: callers must not modify it.
+func (j *TrainJob) Result() *Result {
+	res := *j.trainer.Finish()
+	res.PlanName = j.PlanName()
+	res.Time = j.sim.Now()
+	return &res
 }
 
-// Model assembles the trained model as of the current state. Name is the
-// statement's assigned query name, possibly empty — callers (runQuery, the
-// model registry) apply their own naming. TrainTime is the job's full
-// simulated clock, speculation overhead included, matching Train.
+// Model assembles the trained model as of the current state, from Result.
+// Name is the statement's assigned query name, possibly empty — callers
+// (runQuery, the model registry) apply their own naming.
 func (j *TrainJob) Model() *Model {
-	res := j.trainer.Finish()
+	res := j.Result()
 	return &Model{
 		Name:       j.stmt.Result,
 		Task:       j.ds.Task,
 		Weights:    res.Weights,
-		PlanName:   j.PlanName(),
+		PlanName:   res.PlanName,
 		Iterations: res.Iterations,
-		TrainTime:  j.sim.Now(),
+		TrainTime:  res.Time,
 		Converged:  res.Converged,
 	}
 }
