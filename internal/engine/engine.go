@@ -19,7 +19,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -67,15 +66,6 @@ type Options struct {
 	// (cluster.FastMathFlopFrac) so plan costing tracks the real speedup.
 	FastMath bool
 
-	// Interrupt, when non-nil, is polled at the top of every Step, before
-	// the iteration mutates any state. A non-nil return aborts that Step
-	// with a wrapped ErrInterrupted; the trainer itself stays consistent —
-	// it can be checkpointed, resumed, or stepped again (if the interrupt
-	// condition clears), and a resumed run is bit-identical to one that was
-	// never interrupted. The serving layer wires a context's Err here so
-	// in-flight training jobs are cancellable between iterations.
-	Interrupt func() error
-
 	// Observer, when non-nil, receives one IterEvent after every completed
 	// Step, carrying the iteration's convergence delta and the simulator's
 	// absolute clock and op accounting at that point. The hook runs on the
@@ -105,11 +95,6 @@ type IterEvent struct {
 	SimSeconds float64 // simulated clock after the iteration
 	Units      int64   // cumulative data units processed (Acct.UnitsSeen)
 }
-
-// ErrInterrupted is wrapped into the error Step returns when
-// Options.Interrupt fires, alongside the cause the hook returned; callers
-// distinguish cancellation from genuine step failures with errors.Is.
-var ErrInterrupted = errors.New("engine: step interrupted")
 
 // Result reports one plan execution.
 type Result struct {

@@ -227,13 +227,6 @@ func (t *Trainer) Step() error {
 	if t.done {
 		return fmt.Errorf("engine: Step on a finished trainer (plan %s)", t.plan.Name())
 	}
-	if t.opts.Interrupt != nil {
-		if err := t.opts.Interrupt(); err != nil {
-			// Nothing has mutated yet: the trainer is exactly as it was
-			// after the previous Step, so checkpoint/resume stays sound.
-			return fmt.Errorf("%w before iteration %d: %w", ErrInterrupted, t.ex.ctx.Iter+1, err)
-		}
-	}
 	sim, plan, ctx, res := t.sim, t.plan, t.ex.ctx, t.res
 
 	ctx.Iter++

@@ -10,6 +10,7 @@ import (
 	"ml4all/internal/estimator"
 	"ml4all/internal/gd"
 	"ml4all/internal/planner"
+	"ml4all/internal/storage"
 	"ml4all/internal/synth"
 )
 
@@ -76,8 +77,7 @@ func Adaptive(cfg Config) (*Report, error) {
 	// tight: less speculation data means worse extrapolation at tight
 	// tolerances (the Figure 6 effect the scenario is built on).
 	sim := cfg.sim()
-	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: adaptiveEstimator(cfg)},
-		cfg.engineOpts(0), planner.AdaptiveConfig{Every: 50})
+	ar, err := runAdaptive(sim, st, p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -109,6 +109,38 @@ func Adaptive(cfg Config) (*Report, error) {
 			float64(total), float64(minStatic), float64(minStatic)/float64(total))
 	}
 	return r, nil
+}
+
+// adaptiveRun is the adaptive run's outcome: the result over every executed
+// plan (PlanName chains them), the decision it started from and the
+// controller's history.
+type adaptiveRun struct {
+	Result   *engine.Result
+	Decision *planner.Decision
+	Refits   planner.History
+}
+
+// runAdaptive optimizes on sim, then trains the chosen plan with the
+// controller checking every 50 iterations, on the same clock.
+func runAdaptive(sim *cluster.Sim, st *storage.Store, p gd.Params, cfg Config) (*adaptiveRun, error) {
+	dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: adaptiveEstimator(cfg)})
+	if err != nil {
+		return nil, err
+	}
+	ctl := planner.NewController(sim, st, p, dec, false, planner.AdaptiveConfig{Every: 50})
+	plan := dec.Best.Plan
+	tr, err := engine.NewTrainer(sim, st, &plan, cfg.engineOpts(0))
+	if err != nil {
+		return nil, err
+	}
+	for !tr.Done() {
+		if tr, err = ctl.Step(tr); err != nil {
+			return nil, err
+		}
+	}
+	res := tr.Finish()
+	res.PlanName = ctl.PlanName()
+	return &adaptiveRun{Result: res, Decision: dec, Refits: ctl.History}, nil
 }
 
 // adaptiveScenario builds the skewed-speculation workload: a noisy,

@@ -5,7 +5,6 @@ import (
 
 	"ml4all/internal/engine"
 	"ml4all/internal/gd"
-	"ml4all/internal/planner"
 )
 
 // TestAdaptiveBeatsBestStaticFullScale pins the headline acceptance
@@ -39,8 +38,7 @@ func TestAdaptiveBeatsBestStaticFullScale(t *testing.T) {
 	}
 
 	sim := cfg.sim()
-	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: adaptiveEstimator(cfg)},
-		cfg.engineOpts(0), planner.AdaptiveConfig{Every: 50})
+	ar, err := runAdaptive(sim, st, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -70,6 +71,33 @@ func TestFoldCurveThinning(t *testing.T) {
 		}
 		if !slices.Equal(pieced, curve) {
 			t.Fatalf("folded %d deltas at a time: %d points, want the one-pass curve's %d", piece, len(pieced), len(curve))
+		}
+	}
+}
+
+// TestFoldCurveIsMonotoneSequence: below the thinning bound the observed
+// curve is the estimator's monotone sequence point for point — one
+// improvement rule — over streams with zeros, NaN, ±Inf, negatives and
+// repeats.
+func TestFoldCurveIsMonotoneSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -1}
+	for trial := 0; trial < 200; trial++ {
+		// Fewer deltas than maxCurvePoints, so fewer improvements too.
+		d := make([]float64, rng.Intn(maxCurvePoints))
+		for i := range d {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				d[i] = specials[rng.Intn(len(specials))]
+			case r < 5 && i > 0:
+				d[i] = d[i-1]
+			default:
+				d[i] = rng.Float64() / float64(i+1)
+			}
+		}
+		want := estimator.MonotoneSequence(d)
+		if got := FoldCurve(nil, d, 0); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d deltas): FoldCurve has %d points, MonotoneSequence %d", trial, len(d), len(got), len(want))
 		}
 	}
 }

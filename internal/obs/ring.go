@@ -60,27 +60,26 @@ func (r *Ring) WallSeconds() float64 {
 
 // FoldCurve extends curve, the observed monotone T(ε) curve of deltas[:done],
 // with deltas[done:] and returns it; deltas[i] is iteration i+1's
-// convergence delta, as engine.Trainer.Deltas holds them. A delta joins the
-// curve when it improves on the best so far (the rule
-// estimator.MonotoneSequence applies); past maxCurvePoints, every other
-// interior point is dropped as each improvement arrives. The fold is
-// incremental — folding a run's deltas in any number of pieces yields the
-// curve of folding them at once — so a caller may feed it only what is new,
-// and a run resumed from a checkpoint gets its whole curve from its restored
-// delta history. The result is the empirical counterpart of the estimator's
-// speculative sequence, fit-ready for FitInverse.
+// convergence delta, as engine.Trainer.Deltas holds them. The new points are
+// estimator.MonotoneSequence's over deltas[done:] that improve on the curve's
+// last error, so FoldCurve(nil, d, 0) is MonotoneSequence(d) until
+// maxCurvePoints; past it, every other interior point is dropped as each
+// improvement arrives. The fold is incremental — folding a run's deltas in
+// any number of pieces yields the curve of folding them at once — so a
+// caller may feed it only what is new, and a run resumed from a checkpoint
+// gets its whole curve from its restored delta history. The result is the
+// empirical counterpart of the estimator's speculative sequence, fit-ready
+// for FitInverse.
 func FoldCurve(curve []estimator.Point, deltas []float64, done int) []estimator.Point {
 	best := math.Inf(1)
 	if len(curve) > 0 {
 		best = curve[len(curve)-1].Err
 	}
-	for i := done; i < len(deltas); i++ {
-		d := deltas[i]
-		if !(d < best && d > 0 && !math.IsInf(d, 0)) { // NaN never improves
-			continue
+	for _, p := range estimator.MonotoneSequence(deltas[done:]) {
+		if p.Err >= best {
+			continue // an improvement within the piece, not on the curve
 		}
-		best = d
-		curve = append(curve, estimator.Point{Iter: i + 1, Err: d})
+		curve = append(curve, estimator.Point{Iter: p.Iter + done, Err: p.Err})
 		if len(curve) > maxCurvePoints {
 			kept := curve[:0]
 			for k, p := range curve {

@@ -391,38 +391,3 @@ func (c *Controller) check(tr *engine.Trainer) (*engine.Trainer, error) {
 	}
 	return succ, nil
 }
-
-// AdaptiveResult is the outcome of an adaptive training run: the engine
-// result over all executed plans (Time excludes the initial speculation, like
-// engine.Run; PlanName chains the plans, e.g. "MGD-lazy-shuffle→BGD"), the
-// up-front optimizer decision it started from, and the controller's history.
-type AdaptiveResult struct {
-	Result   *engine.Result
-	Decision *Decision
-	Refits   History
-}
-
-// RunAdaptive optimizes, then trains with mid-flight re-optimization: what
-// engine.Run is over Trainer.Step, over Controller.Step, starting on the
-// optimizer's chosen plan. Speculation time is on sim's clock, exactly as
-// Choose charges it; Result.Time covers training only.
-func RunAdaptive(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options, eopts engine.Options, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	dec, err := Choose(sim, store, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	ctl := NewController(sim, store, p, dec, eopts.FastMath, cfg)
-	plan := dec.Best.Plan
-	tr, err := engine.NewTrainer(sim, store, &plan, eopts)
-	if err != nil {
-		return nil, err
-	}
-	for !tr.Done() {
-		if tr, err = ctl.Step(tr); err != nil {
-			return nil, err
-		}
-	}
-	res := tr.Finish()
-	res.PlanName = ctl.PlanName()
-	return &AdaptiveResult{Result: res, Decision: dec, Refits: ctl.History}, nil
-}

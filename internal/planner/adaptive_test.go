@@ -34,6 +34,38 @@ func adaptiveStore(t testing.TB, n int) *storage.Store {
 	return st
 }
 
+// adaptiveRun is one adaptive run's outcome: the result over all executed
+// plans (Time is training only, like engine.Run), the decision it started
+// from and the controller's history.
+type adaptiveRun struct {
+	Result   *engine.Result
+	Decision *Decision
+	Refits   History
+}
+
+// runAdaptive optimizes, then trains on the chosen plan with the controller
+// stepping it: Choose → NewController → NewTrainer → Step until Done.
+func runAdaptive(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options, eopts engine.Options, cfg AdaptiveConfig) (*adaptiveRun, error) {
+	dec, err := Choose(sim, store, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	ctl := NewController(sim, store, p, dec, eopts.FastMath, cfg)
+	plan := dec.Best.Plan
+	tr, err := engine.NewTrainer(sim, store, &plan, eopts)
+	if err != nil {
+		return nil, err
+	}
+	for !tr.Done() {
+		if tr, err = ctl.Step(tr); err != nil {
+			return nil, err
+		}
+	}
+	res := tr.Finish()
+	res.PlanName = ctl.PlanName()
+	return &adaptiveRun{Result: res, Decision: dec, Refits: ctl.History}, nil
+}
+
 // TestAdaptiveNoChecksMatchesStatic pins the "adaptation disabled ⇒ the
 // refactor is invisible" criterion at the controller level: with the check
 // period beyond MaxIter the controller never fires, and the run must be
@@ -45,7 +77,7 @@ func TestAdaptiveNoChecksMatchesStatic(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		sim := cluster.New(cluster.Default())
-		ar, err := RunAdaptive(sim, st, p, Options{Estimator: est},
+		ar, err := runAdaptive(sim, st, p, Options{Estimator: est},
 			engine.Options{Seed: 3, Workers: workers}, AdaptiveConfig{Every: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +133,7 @@ func TestAdaptiveRescuesMisestimatedPlan(t *testing.T) {
 	est := estimator.Config{SampleSize: 1000, SpecTolerance: 0.1, TimeBudget: 3, Seed: 1}
 
 	sim := cluster.New(cluster.Default())
-	ar, err := RunAdaptive(sim, st, p, Options{Estimator: est}, engine.Options{Seed: 1}, AdaptiveConfig{Every: 50})
+	ar, err := runAdaptive(sim, st, p, Options{Estimator: est}, engine.Options{Seed: 1}, AdaptiveConfig{Every: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +187,7 @@ func TestAdaptiveRefitTelemetry(t *testing.T) {
 
 	ring := &countingRing{Ring: obs.NewRing(0)}
 	sim := cluster.New(cluster.Default())
-	ar, err := RunAdaptive(sim, st, p, Options{Estimator: est},
+	ar, err := runAdaptive(sim, st, p, Options{Estimator: est},
 		engine.Options{Seed: 1, Observer: ring}, AdaptiveConfig{Every: 50})
 	if err != nil {
 		t.Fatal(err)

@@ -45,14 +45,6 @@ func (s JobState) terminal() bool {
 	return s == JobCompleted || s == JobFailed || s == JobCancelled
 }
 
-// errCancelled is what the interrupt hook returns for a cancelled job; the
-// engine wraps it in engine.ErrInterrupted.
-var errCancelled = errors.New("job cancelled")
-
-// errShutdown is what the interrupt hook returns while the manager shuts
-// down; the runner checkpoints and requeues the job instead of failing it.
-var errShutdown = errors.New("manager shutting down")
-
 // errQueueFull refuses a submission or resume the job queue has no room
 // for: server capacity, not a client error (HTTP 503 + Retry-After).
 var errQueueFull = errors.New("serve: job queue full")
@@ -121,8 +113,8 @@ type manifest struct {
 
 // Manager accepts declarative training jobs and runs them on a bounded pool
 // of resumable trainers: each runner drives its job one Step at a time, so
-// jobs are cancellable between iterations (the engine's Interrupt hook),
-// pausable, checkpointed to disk on an interval, and — because the manifest
+// jobs are cancellable, pausable and stoppable at every iteration edge,
+// checkpointed to disk on an interval, and — because the manifest
 // and checkpoint are on disk — resumable after a process restart,
 // bit-identically to a run that was never stopped.
 type Manager struct {
@@ -450,8 +442,8 @@ func (m *Manager) StateCounts() map[JobState]int {
 	return counts
 }
 
-// Cancel stops a job. Queued jobs cancel immediately; running jobs are
-// interrupted between iterations through the engine's Interrupt hook.
+// Cancel stops a job. Queued jobs cancel immediately; a running job's runner
+// settles it at its next iteration edge.
 func (m *Manager) Cancel(id string) error {
 	j, ok := m.Job(id)
 	if !ok {
@@ -614,7 +606,10 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 }
 
 // runner is one pool worker: it claims queued jobs and drives each to a
-// terminal state, a pause, or a shutdown checkpoint.
+// terminal state, a pause, or a shutdown checkpoint. When a queued job and
+// the shutdown are ready together, select may hand it the job: after a
+// shutdown it leaves the job as it found it — queued, unopened, its manifest
+// saying queued — for the next manager on the directory.
 func (m *Manager) runner() {
 	defer m.wg.Done()
 	for {
@@ -622,24 +617,21 @@ func (m *Manager) runner() {
 		case <-m.shutdown:
 			return
 		case j := <-m.queue:
+			if m.closing() {
+				return
+			}
 			m.runJob(j)
 		}
 	}
 }
 
-// interruptHook builds the engine Interrupt callback for a job: it fires on
-// job cancellation and on manager shutdown, making Step return before the
-// iteration mutates anything.
-func (m *Manager) interruptHook(j *Job) func() error {
-	return func() error {
-		select {
-		case <-j.cancelled:
-			return errCancelled
-		case <-m.shutdown:
-			return errShutdown
-		default:
-			return nil
-		}
+// closing reports whether Shutdown has begun.
+func (m *Manager) closing() bool {
+	select {
+	case <-m.shutdown:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -651,7 +643,7 @@ func (m *Manager) interruptHook(j *Job) func() error {
 // job opens fresh. Catalog access and planning run under sysMu; the trainer
 // is job-local.
 func (m *Manager) openJob(j *Job) error {
-	opts := ml4all.JobOptions{Interrupt: m.interruptHook(j), Observer: j.ring, Trace: j.trace}
+	opts := ml4all.JobOptions{Observer: j.ring, Trace: j.trace}
 	m.sysMu.Lock()
 	defer m.sysMu.Unlock()
 	dir := m.jobDir(j.ID)
@@ -761,9 +753,10 @@ func (m *Manager) runJob(j *Job) {
 
 	lastCkpt := time.Now()
 	for !tj.Done() {
-		// Cancellation is observed at iteration edges too (not only through
-		// the engine hook), and strictly before the pause flag — a cancel
-		// racing a pending pause must win, not strand the job in paused.
+		// The iteration edge: cancel, then pause, then shutdown. A cancel
+		// racing a pending pause must win, not strand the job in paused; a
+		// job stopped by shutdown is left re-queueable, and a new manager on
+		// this directory resumes it bit-identically.
 		select {
 		case <-j.cancelled:
 			m.settle(j, JobCancelled, nil)
@@ -777,6 +770,10 @@ func (m *Manager) runJob(j *Job) {
 			m.park(j, tj, JobPaused)
 			return
 		}
+		if m.closing() {
+			m.park(j, tj, JobQueued)
+			return
+		}
 
 		err := tj.Step()
 		j.mu.Lock()
@@ -786,16 +783,7 @@ func (m *Manager) runJob(j *Job) {
 			m.cfg.stepHook(j.ID, tj.Iteration())
 		}
 		if err != nil {
-			switch {
-			case errors.Is(err, errShutdown):
-				// Leave the job re-queueable: a new manager on this directory
-				// resumes it bit-identically.
-				m.park(j, tj, JobQueued)
-			case errors.Is(err, errCancelled):
-				m.settle(j, JobCancelled, nil)
-			default:
-				m.settle(j, JobFailed, err)
-			}
+			m.settle(j, JobFailed, err)
 			return
 		}
 		iter, ds := tj.Iteration(), tj.Deltas() // a Step appends one delta

@@ -484,3 +484,53 @@ func TestServedAdaptiveJobRecordsItsSwitch(t *testing.T) {
 		t.Fatalf("switch event %+v between %+v and %+v", sw, evs[at-1], evs[at+1])
 	}
 }
+
+// TestShutdownLeavesQueuedJobUnopened: when a runner finds a queued job and
+// the shutdown ready at once, it must leave the job as it found it — queued,
+// never optimized, no checkpoint — for the next manager on the directory.
+// Go's select picks either ready case, so each round would catch a runner
+// that claims the job with probability one half.
+func TestShutdownLeavesQueuedJobUnopened(t *testing.T) {
+	script := crashScript(t, "shutdown-queued", 41)
+	for round := 0; round < 10; round++ {
+		release, held := make(chan struct{}), make(chan struct{}, 1)
+		cfg := Config{Pool: 1, CheckpointEvery: -1}
+		cfg.stepHook = func(string, int) {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		mgr, _ := testManager(t, cfg)
+		a, err := mgr.Submit(script, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-held // job a is mid-run on the pool's only runner
+		b, err := mgr.Submit(script, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := make(chan struct{})
+		go func() { stopManager(mgr); close(stopped) }()
+		<-mgr.shutdown
+		close(release)
+		<-stopped
+
+		if st := a.Status(); st.State != JobQueued || st.Iteration == 0 {
+			t.Fatalf("round %d: the held job ended %s at iteration %d, want queued mid-run", round, st.State, st.Iteration)
+		}
+		if st := b.Status(); st.State != JobQueued || st.Plan != "" {
+			t.Fatalf("round %d: the queued job ended %s on plan %q, want queued and unopened", round, st.State, st.Plan)
+		}
+		if ckpts := listCheckpoints(mgr.ckptFS, mgr.jobDir(b.ID)); len(ckpts) > 0 {
+			t.Fatalf("round %d: the queued job has checkpoints %v", round, ckpts)
+		}
+		for _, sp := range b.Trace().Spans() {
+			if sp.Name == "optimize" {
+				t.Fatalf("round %d: the queued job was optimized after shutdown", round)
+			}
+		}
+	}
+}

@@ -272,10 +272,14 @@ func (r *Registry) Delete(name string, version int) error {
 		return nil
 	}
 	if version == 0 {
-		for _, mv := range vs {
-			if err := entomb(mv); err != nil {
+		// Each version leaves memory as its rename lands, so a failure part
+		// way keeps serving exactly what a restart would load.
+		for len(vs) > 0 {
+			if err := entomb(vs[0]); err != nil {
+				r.models[name] = vs
 				return err
 			}
+			vs = vs[1:]
 		}
 		delete(r.models, name)
 		return nil

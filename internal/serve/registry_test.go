@@ -3,10 +3,12 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ml4all"
 	"ml4all/internal/data"
+	"ml4all/internal/fault"
 	"ml4all/internal/linalg"
 )
 
@@ -153,6 +155,48 @@ func TestRegistryReload(t *testing.T) {
 	}
 	if v.Version != 3 {
 		t.Fatalf("publish after reload got version %d, want 3", v.Version)
+	}
+}
+
+// TestRegistryDeleteFailureKeepsMemoryWithDisk: a whole-model Delete whose
+// second tombstone rename fails has already entombed v1 on disk; memory must
+// drop it too, so Get serves exactly what a restart would load.
+func TestRegistryDeleteFailureKeepsMemoryWithDisk(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := OpenRegistry(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{1, 2} {
+		if _, err := reg.Publish("m", testModel(data.TaskSVM, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A fresh injector counts from zero: the open renames nothing, so hit 1
+	// is Delete's second tombstone rename.
+	faulty, err := OpenRegistry(dir, fault.New(fault.Fault{Point: "registry.rename", Kind: fault.KindErr, After: 1}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faulty.Delete("m", 0); err == nil {
+		t.Fatal("Delete succeeded through an injected rename error")
+	}
+	reloaded, err := OpenRegistry(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := func(r *Registry) []int {
+		var vs []int
+		for _, mv := range r.Versions("m") {
+			vs = append(vs, mv.Version)
+		}
+		return vs
+	}
+	if mem, disk := versions(faulty), versions(reloaded); !slices.Equal(mem, disk) {
+		t.Fatalf("after the failed Delete memory holds %v, disk %v", mem, disk)
+	}
+	if _, ok := faulty.Get("m", 1); ok {
+		t.Fatal("m@1 still served after its tombstone landed")
 	}
 }
 

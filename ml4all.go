@@ -61,9 +61,17 @@ type (
 	Seconds = cluster.Seconds
 	// AdaptiveConfig tunes mid-flight re-optimization (TrainAdaptive).
 	AdaptiveConfig = planner.AdaptiveConfig
-	// AdaptiveResult is an adaptive training run's outcome.
-	AdaptiveResult = planner.AdaptiveResult
 )
+
+// AdaptiveResult is an adaptive training run's outcome: the engine result
+// over all executed plans (PlanName chains them, e.g. "MGD-lazy-shuffle→BGD";
+// Time includes the speculation overhead, like Train), the up-front optimizer
+// decision it started from, and the controller's history.
+type AdaptiveResult struct {
+	Result   *Result
+	Decision *Decision
+	Refits   planner.History
+}
 
 // System is a configured ML4all instance: cluster + storage layout +
 // estimator settings + catalogs.
@@ -174,12 +182,11 @@ func sniffFormat(r io.Reader) (data.Format, error) {
 // eleven-plan space) and returns its decision. The returned decision's
 // SpecTime is the simulated optimization overhead.
 func (s *System) Optimize(ds *data.Dataset, p Params) (*Decision, error) {
-	sim := cluster.New(s.Cluster)
-	st, err := storage.Build(ds, s.Layout)
+	j, err := s.open(ds, p, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig()})
+	return j.dec, nil
 }
 
 // estimatorConfig returns the estimator settings with the system's worker
@@ -200,7 +207,13 @@ func (s *System) Execute(ds *data.Dataset, plan Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers})
+	return engine.Run(sim, st, &plan, s.engineOptions(false, nil))
+}
+
+// engineOptions maps the system's settings, a kernel tier and an optional
+// observer onto the engine's.
+func (s *System) engineOptions(fastMath bool, o engine.Observer) engine.Options {
+	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: fastMath, Observer: o}
 }
 
 // Train optimizes and executes in one timeline: the returned result's Time
@@ -208,22 +221,11 @@ func (s *System) Execute(ds *data.Dataset, plan Plan) (*Result, error) {
 // accounts for it. The store is laid out once and shared by optimization and
 // execution — same dataset, same layout, one Build.
 func (s *System) Train(ds *data.Dataset, p Params) (*Result, *Decision, error) {
-	sim := cluster.New(s.Cluster)
-	st, err := storage.Build(ds, s.Layout)
+	j, err := s.train(ds, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	dec, err := planner.Choose(sim, st, p, planner.Options{Estimator: s.estimatorConfig()})
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := dec.Best.Plan
-	res, err := engine.Run(sim, st, &plan, engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers})
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Time = sim.Now() // optimization + training on one clock
-	return res, dec, nil
+	return j.Result(), j.dec, nil
 }
 
 // TrainAdaptive is Train with mid-flight re-optimization: the optimizer's
@@ -235,18 +237,25 @@ func (s *System) Train(ds *data.Dataset, p Params) (*Result, *Decision, error) {
 // The returned Result.Time includes the speculation overhead, like Train. An
 // `adaptive` run statement is the same controller as a resumable TrainJob.
 func (s *System) TrainAdaptive(ds *data.Dataset, p Params, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	sim := cluster.New(s.Cluster)
-	st, err := storage.Build(ds, s.Layout)
+	j, err := s.train(ds, p, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	ar, err := planner.RunAdaptive(sim, st, p, planner.Options{Estimator: s.estimatorConfig()},
-		engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers}, cfg)
+	return &AdaptiveResult{Result: j.Result(), Decision: j.dec, Refits: j.ctl.History}, nil
+}
+
+// train opens a job on ds — adaptive when cfg is non-nil — starts it on the
+// optimizer's best plan and steps it to Done, as runQuery does a statement.
+func (s *System) train(ds *data.Dataset, p Params, cfg *AdaptiveConfig) (*TrainJob, error) {
+	j, err := s.open(ds, p, false, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	ar.Result.Time = sim.Now() // optimization + training on one clock
-	return ar, nil
+	plan := j.dec.Best.Plan
+	if j.trainer, err = engine.NewTrainer(j.sim, j.store, &plan, s.engineOptions(false, nil)); err != nil {
+		return nil, err
+	}
+	return j, j.run()
 }
 
 // Evaluate scores a model on a test dataset.
@@ -319,13 +328,11 @@ func (s *System) execStmt(st lang.Stmt) (Output, error) {
 // same path — same plan choice, same weights, same simulated clock.
 func (s *System) runQuery(q *lang.Run) (*Model, *Decision, error) {
 	j, err := s.OpenJob(q, JobOptions{})
+	if err == nil {
+		err = j.run()
+	}
 	if err != nil {
 		return nil, nil, err
-	}
-	for !j.Done() {
-		if err := j.Step(); err != nil {
-			return nil, nil, err
-		}
 	}
 	m := j.Model()
 	if m.Name == "" {

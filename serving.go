@@ -25,13 +25,6 @@ import (
 
 // JobOptions tune how an opened TrainJob executes.
 type JobOptions struct {
-	// Interrupt, when non-nil, is polled at the top of every Step
-	// (engine.Options.Interrupt): a non-nil return aborts that Step with an
-	// error wrapping engine.ErrInterrupted and the returned cause, leaving
-	// the job checkpointable and resumable. The serving layer wires a
-	// context's Err here so in-flight jobs cancel between iterations.
-	Interrupt func() error
-
 	// Observer, when non-nil, receives per-iteration telemetry
 	// (engine.Options.Observer). nil keeps the engine's zero-overhead path;
 	// observed and unobserved runs are bit-identical.
@@ -52,7 +45,7 @@ type JobOptions struct {
 // `adaptive` statement's job also holds the re-optimization controller, which
 // may replace the trainer (and so the plan) between two Steps.
 type TrainJob struct {
-	stmt    *lang.Run
+	name    string // the statement's assigned query name, possibly empty
 	ds      *data.Dataset
 	sim     *cluster.Sim
 	store   *storage.Store
@@ -82,7 +75,7 @@ func (s *System) OpenJob(q *lang.Run, jo JobOptions) (*TrainJob, error) {
 				q.Time, choice.Plan.Name(), float64(choice.Cost))
 		}
 	}
-	j.trainer, err = engine.NewTrainer(j.sim, j.store, &choice.Plan, s.jobEngineOptions(q, jo))
+	j.trainer, err = engine.NewTrainer(j.sim, j.store, &choice.Plan, s.engineOptions(q.FastMath, jo.Observer))
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +107,7 @@ func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob,
 		return nil, fmt.Errorf("ml4all: checkpoint plan %s not in the statement's plan space — %s", st.PlanName, changed)
 	}
 	plan := j.dec.Ranked[i].Plan
-	j.trainer, err = engine.Resume(j.sim, j.store, &plan, s.jobEngineOptions(q, jo), st)
+	j.trainer, err = engine.Resume(j.sim, j.store, &plan, s.engineOptions(q.FastMath, jo.Observer), st)
 	if err != nil {
 		return nil, err
 	}
@@ -130,10 +123,10 @@ func (s *System) ResumeJob(q *lang.Run, state []byte, jo JobOptions) (*TrainJob,
 }
 
 // costJob performs the shared front half of OpenJob and ResumeJob: resolve
-// the data source, bind parameters and the using pin, lay out the store, and
-// run the cost-based optimizer on a fresh simulated timeline. An adaptive statement's controller
-// owns plan selection for the whole run, so using directives that pin the
-// plan and time constraints (a gate on one static estimate) are rejected.
+// the data source, bind parameters and the using pin, and open the job on
+// them. An adaptive statement's controller owns plan selection for the whole
+// run, so using directives that pin the plan and time constraints (a gate on
+// one static estimate) are rejected.
 func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, pin, error) {
 	if len(q.Sources) == 0 {
 		return nil, pin{}, fmt.Errorf("ml4all: run without a data source")
@@ -154,37 +147,49 @@ func (s *System) costJob(q *lang.Run, jo JobOptions) (*TrainJob, pin, error) {
 	if err != nil {
 		return nil, pin{}, err
 	}
-	sim := cluster.New(s.Cluster)
-	stn, err := storage.Build(ds, s.Layout)
-	if err != nil {
-		return nil, pin{}, err
-	}
-	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: q.FastMath}
-	optimize := -1
-	if jo.Trace != nil {
-		optimize = jo.Trace.Start("optimize", -1)
-		popts.Span = func(name string) func() {
-			id := jo.Trace.Start(name, optimize)
-			return func() { jo.Trace.End(id) }
-		}
-	}
-	dec, err := planner.Choose(sim, stn, p, popts)
-	jo.Trace.End(optimize)
-	if err != nil {
-		return nil, pin{}, err
-	}
-	j := &TrainJob{stmt: q, ds: ds, sim: sim, store: stn, dec: dec}
+	var adaptive *AdaptiveConfig
 	if q.Adaptive {
-		j.ctl = planner.NewController(sim, stn, p, dec, popts.FastMath, AdaptiveConfig{})
+		adaptive = &AdaptiveConfig{}
 	}
+	j, err := s.open(ds, p, q.FastMath, adaptive, jo.Trace)
+	if err != nil {
+		return nil, pin{}, err
+	}
+	j.name = q.Result
 	return j, pn, nil
 }
 
-// jobEngineOptions maps system settings, the statement's kernel tier (its
-// `having fastmath` knob, which costJob priced) and job options onto the
-// engine's.
-func (s *System) jobEngineOptions(q *lang.Run, jo JobOptions) engine.Options {
-	return engine.Options{Seed: s.Cluster.Seed, Workers: s.Workers, FastMath: q.FastMath, Interrupt: jo.Interrupt, Observer: jo.Observer}
+// open lays ds out and runs the cost-based optimizer on a fresh simulated
+// timeline: the front half of every optimize-then-train path (Optimize,
+// Train, TrainAdaptive, OpenJob, ResumeJob). fastMath prices the plans at the
+// fast kernel tier; a non-nil adaptive attaches the re-optimization
+// controller; a non-nil trace records an "optimize" span with one
+// "speculate" child per speculated algorithm. The job has no trainer yet.
+func (s *System) open(ds *data.Dataset, p Params, fastMath bool, adaptive *AdaptiveConfig, trace *obs.Trace) (*TrainJob, error) {
+	sim := cluster.New(s.Cluster)
+	st, err := storage.Build(ds, s.Layout)
+	if err != nil {
+		return nil, err
+	}
+	popts := planner.Options{Estimator: s.estimatorConfig(), FastMath: fastMath}
+	optimize := -1
+	if trace != nil {
+		optimize = trace.Start("optimize", -1)
+		popts.Span = func(name string) func() {
+			id := trace.Start(name, optimize)
+			return func() { trace.End(id) }
+		}
+	}
+	dec, err := planner.Choose(sim, st, p, popts)
+	trace.End(optimize)
+	if err != nil {
+		return nil, err
+	}
+	j := &TrainJob{ds: ds, sim: sim, store: st, dec: dec}
+	if adaptive != nil {
+		j.ctl = planner.NewController(sim, st, p, dec, fastMath, *adaptive)
+	}
+	return j, nil
 }
 
 // Step executes exactly one plan iteration: engine.Trainer.Step, or the
@@ -195,6 +200,16 @@ func (j *TrainJob) Step() (err error) {
 	}
 	j.trainer, err = j.ctl.Step(j.trainer)
 	return err
+}
+
+// run steps the job until Done.
+func (j *TrainJob) run() error {
+	for !j.Done() {
+		if err := j.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Done reports whether the run has terminated.
@@ -263,7 +278,7 @@ func (j *TrainJob) Result() *Result {
 func (j *TrainJob) Model() *Model {
 	res := j.Result()
 	return &Model{
-		Name:       j.stmt.Result,
+		Name:       j.name,
 		Task:       j.ds.Task,
 		Weights:    res.Weights,
 		PlanName:   res.PlanName,
