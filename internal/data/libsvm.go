@@ -278,22 +278,22 @@ func readTextBlocks(r io.Reader, blockBytes int) ([]string, error) {
 // record is trimmed, parsed once into reused scratch and appended to the
 // arena, and the trimmed text is kept beside the row it became.
 type matrixParser struct {
-	f         Format
-	rows, nnz int // capacity hints for the arena; zero is fine
-	b         *MatrixBuilder
-	text      []string
-	idx       []int32
-	vals      []float64
-	lineNo    int // lines seen, blank and comment lines included
+	f      Format
+	rows   int // capacity hint for a builder of its own; zero is fine
+	b      *MatrixBuilder
+	text   []string
+	idx    []int32
+	vals   []float64
+	lineNo int // lines seen, blank and comment lines included
 }
 
-// newBuilder sizes the arena from the hints; stride is the feature count of
-// the first CSV record, which fixes the dense layout.
+// newBuilder sizes the arena from the rows hint; stride is the feature count
+// of the first CSV record, which fixes the dense layout.
 func (p *matrixParser) newBuilder(stride int) *MatrixBuilder {
 	if p.f == FormatCSV {
 		return NewDenseMatrixBuilder(p.rows, stride)
 	}
-	return NewMatrixBuilder(p.rows, p.nnz)
+	return NewMatrixBuilder(p.rows, 0)
 }
 
 // record parses one input line (blank and comment lines count as lines but
@@ -379,11 +379,11 @@ func ParseMatrix(lines []string, f Format) (*Matrix, error) {
 // ReadMatrix parses every record in r using format f into a columnar arena:
 // the matrix ParseMatrix gives for r's lines, bit for bit. The input is read
 // once, into newline-aligned text blocks, which are parsed on
-// min(GOMAXPROCS, blocks) goroutines, each block into an arena of its own
-// sized from its newline (and, for LIBSVM, colon) counts; the block arenas
-// are then joined in file order into one exact-sized arena. The records the
-// matrix keeps are substrings of the blocks — the text is neither copied per
-// line nor rendered back later (see FromMatrix).
+// min(GOMAXPROCS, blocks) goroutines straight into one arena: each block
+// gets a range of it sized from the block's line (and, for LIBSVM, colon)
+// count, so no block's rows are ever copied from one arena into another. The
+// records the matrix keeps are substrings of the blocks — the text is neither
+// copied per line nor rendered back later (see FromMatrix).
 //
 // The fan-out keeps the serial parse's answers: the file's first CSV record
 // fixes the dense stride before any block is parsed, and when several blocks
@@ -391,6 +391,10 @@ func ParseMatrix(lines []string, f Format) (*Matrix, error) {
 func ReadMatrix(r io.Reader, f Format) (*Matrix, error) {
 	return readMatrix(r, f, textBlockBytes)
 }
+
+// arenaPos is a position in the arena ReadMatrix parses into: a row and a
+// value (for sparse data also an index) slot.
+type arenaPos struct{ rows, vals int }
 
 // readMatrix is ReadMatrix over blocks of about blockBytes.
 func readMatrix(r io.Reader, f Format, blockBytes int) (*Matrix, error) {
@@ -407,36 +411,118 @@ func readMatrix(r io.Reader, f Format, blockBytes int) (*Matrix, error) {
 			return nil, err
 		}
 	}
-	parts, err := parseBlocks(blocks, f, stride)
+	// Bound each block's rows and values: a record is a line, and a LIBSVM
+	// feature holds a colon. bounds[i] is where block i's range of the arena
+	// starts; the bounds are exact on a file of records only, without
+	// duplicate LIBSVM indices.
+	bounds := make([]arenaPos, len(blocks)+1)
+	for i, b := range blocks {
+		rows := strings.Count(b, "\n")
+		if b[len(b)-1] != '\n' { // blocks are never empty
+			rows++
+		}
+		vals := stride * rows
+		if f == FormatLIBSVM {
+			vals = strings.Count(b, ":")
+		}
+		bounds[i+1] = arenaPos{bounds[i].rows + rows, bounds[i].vals + vals}
+	}
+	a := newArena(f, stride, bounds[len(blocks)])
+	parts, err := parseBlocks(blocks, f, a, bounds)
 	if err != nil {
 		return nil, err
 	}
-	// Join in file order into one arena of exactly the kept rows' size.
-	whole := matrixParser{f: f}
-	for i := range parts {
-		whole.rows += len(parts[i].text)
-		whole.nnz += len(parts[i].b.m.values)
+	if a.closeUp(parts, bounds); a.n == 0 {
+		return (&matrixParser{f: f}).matrix(), nil
 	}
-	if whole.rows == 0 {
-		return whole.matrix(), nil
-	}
-	whole.b = whole.newBuilder(stride)
-	whole.text = make([]string, 0, whole.rows)
-	for i := range parts {
-		if err := whole.b.AppendRows(parts[i].b.Build()); err != nil {
-			return nil, err
-		}
-		whole.text = append(whole.text, parts[i].text...)
-		parts[i] = matrixParser{} // the block's arena is garbage from here
-	}
-	return whole.matrix(), nil
+	return a, nil
 }
 
-// parseBlocks parses every block on min(GOMAXPROCS, blocks) goroutines, each
-// into an arena of its own sized from the block's newline (and, for LIBSVM,
-// colon) counts, and returns the parsers in file order. When blocks fail, the
-// error is the lowest failing block's, at its line in the file.
-func parseBlocks(blocks []string, f Format, stride int) ([]matrixParser, error) {
+// newArena allocates a matrix of the given size whose slices are all full
+// length, for parseBlocks to fill range by range.
+func newArena(f Format, stride int, size arenaPos) *Matrix {
+	a := &Matrix{
+		dense: f == FormatCSV, stride: stride,
+		labels: make([]float64, size.rows),
+		values: make([]float64, size.vals),
+		text:   make([]string, size.rows),
+	}
+	if !a.dense {
+		a.offsets = make([]int64, size.rows+1)
+		a.indices = make([]int32, size.vals)
+	}
+	return a
+}
+
+// blockParser returns a parser that appends into a's range [lo, hi): each of
+// its slices holds the arena up to lo and is capped at hi, so the builder
+// appends exactly as if the blocks before had filled their ranges, and its
+// CSR offsets come out absolute. It never reads below lo, and its offsets
+// start one slot after lo's, so no two blocks write the same slot.
+func blockParser(a *Matrix, f Format, lo, hi arenaPos) matrixParser {
+	b := &MatrixBuilder{dense: a.dense, set: true}
+	b.m = Matrix{dense: a.dense, stride: a.stride,
+		labels: a.labels[:lo.rows:hi.rows], values: a.values[:lo.vals:hi.vals]}
+	if !a.dense {
+		b.m.indices = a.indices[:lo.vals:hi.vals]
+		b.m.offsets = a.offsets[: lo.rows+1 : hi.rows+1]
+	}
+	return matrixParser{f: f, b: b, text: a.text[:lo.rows:hi.rows]}
+}
+
+// used returns the position p's parse reached in the arena, and panics if an
+// append outgrew the block's bound, which would have moved it off the arena.
+func (p *matrixParser) used(hi arenaPos) arenaPos {
+	m := &p.b.m
+	if cap(m.labels) != hi.rows || cap(p.text) != hi.rows || cap(m.values) != hi.vals ||
+		(!m.dense && (cap(m.indices) != hi.vals || cap(m.offsets) != hi.rows+1)) {
+		panic("data: a block outgrew its bound in the arena")
+	}
+	return arenaPos{len(m.labels), len(m.values)}
+}
+
+// closeUp moves every block's rows down onto the end of the block before's,
+// in file order, so the arena holds them without gaps, and sizes it to what
+// the parse kept. A block falls short of its bound on blank and comment
+// lines and on duplicate LIBSVM indices; on a file without these no block
+// moves.
+func (a *Matrix) closeUp(parts []matrixParser, bounds []arenaPos) {
+	var at arenaPos // where the next block's rows belong
+	for i := range parts {
+		lo, end := bounds[i], parts[i].used(bounds[i+1])
+		rows, vals := end.rows-lo.rows, end.vals-lo.vals
+		if at.vals != lo.vals {
+			copy(a.values[at.vals:], a.values[lo.vals:end.vals])
+			if !a.dense {
+				copy(a.indices[at.vals:], a.indices[lo.vals:end.vals])
+				shift := int64(lo.vals - at.vals)
+				for r := lo.rows + 1; r <= end.rows; r++ {
+					a.offsets[r] -= shift
+				}
+			}
+		}
+		if at.rows != lo.rows {
+			copy(a.labels[at.rows:], a.labels[lo.rows:end.rows])
+			copy(a.text[at.rows:], a.text[lo.rows:end.rows])
+			if !a.dense {
+				copy(a.offsets[at.rows+1:], a.offsets[lo.rows+1:end.rows+1])
+			}
+		}
+		at.rows += rows
+		at.vals += vals
+	}
+	a.n = at.rows
+	a.labels, a.text, a.values = a.labels[:at.rows], a.text[:at.rows], a.values[:at.vals]
+	if !a.dense {
+		a.offsets, a.indices = a.offsets[:at.rows+1], a.indices[:at.vals]
+	}
+}
+
+// parseBlocks parses every block on min(GOMAXPROCS, blocks) goroutines, block
+// i into a's range [bounds[i], bounds[i+1]), and returns the parsers in file
+// order. When blocks fail, the error is the lowest failing block's, at its
+// line in the file.
+func parseBlocks(blocks []string, f Format, a *Matrix, bounds []arenaPos) ([]matrixParser, error) {
 	// Workers claim blocks in file order, so when a block fails every block
 	// before it has been claimed, and a claimed block is always parsed to its
 	// end: stopping after a failure skips only blocks after a failed one.
@@ -457,12 +543,8 @@ func parseBlocks(blocks []string, f Format, stride int) ([]matrixParser, error) 
 					return
 				}
 				p := &parts[i]
-				*p = matrixParser{f: f, rows: strings.Count(blocks[i], "\n") + 1, idx: idx, vals: vals}
-				if f == FormatLIBSVM {
-					p.nnz = strings.Count(blocks[i], ":")
-				}
-				p.b = p.newBuilder(stride)
-				p.text = make([]string, 0, p.rows)
+				*p = blockParser(a, f, bounds[i], bounds[i+1])
+				p.idx, p.vals = idx, vals
 				if errs[i] = p.parse(blocks[i]); errs[i] != nil {
 					stop.Store(true)
 				}

@@ -180,8 +180,15 @@ func (m *Matrix) NNZ() int {
 }
 
 // MaxIndex returns the largest feature index present in the view, or -1 when
-// no row stores a feature.
+// no row stores a feature. A dense row stores every feature, so a dense
+// view answers from its stride without reading a row.
 func (m *Matrix) MaxIndex() int {
+	if m.dense {
+		if m.n == 0 {
+			return -1
+		}
+		return m.stride - 1
+	}
 	max := -1
 	for i := 0; i < m.n; i++ {
 		if mi := m.Row(i).MaxIndex(); mi > max {

@@ -339,3 +339,35 @@ func TestBuilderResetReuse(t *testing.T) {
 		b.Reset()
 	}
 }
+
+// TestMaxIndexIsTheRowWalk: a dense view answers MaxIndex from its stride;
+// the answer is the largest MaxIndex of its rows, as walking them gives, on
+// dense and sparse arenas, empty ones and gathered views.
+func TestMaxIndexIsTheRowWalk(t *testing.T) {
+	walk := func(m *Matrix) int {
+		hi := -1
+		for i := 0; i < m.NumRows(); i++ {
+			hi = max(hi, m.Row(i).MaxIndex())
+		}
+		return hi
+	}
+	r := rand.New(rand.NewSource(5))
+	views := map[string]*Matrix{
+		"empty dense":  NewDenseMatrixBuilder(0, 7).Build(),
+		"empty sparse": NewMatrixBuilder(0, 0).Build(),
+		"no features":  datasetOf(t, "t", TaskSVM, []Row{NewDenseRow(1, nil), NewDenseRow(0, nil)}).Mat,
+	}
+	for _, sparse := range []bool{false, true} {
+		m := datasetOf(t, "t", TaskSVM, randomRows(t, r, 60, 12, sparse)).Mat
+		name := map[bool]string{false: "dense", true: "sparse"}[sparse]
+		views[name] = m
+		views[name+" gathered"] = m.Gather([]int{7, 3, 3, 59})
+		views[name+" gathered empty"] = m.Gather(nil)
+		views[name+" slice"] = m.Slice(10, 20)
+	}
+	for name, m := range views {
+		if got, want := m.MaxIndex(), walk(m); got != want {
+			t.Errorf("%s: MaxIndex %d, row walk %d", name, got, want)
+		}
+	}
+}

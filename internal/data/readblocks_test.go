@@ -5,8 +5,10 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // ReadMatrix parses its text blocks in parallel and joins them in file order;
@@ -70,6 +72,9 @@ func FuzzReadMatrix(f *testing.F) {
 	f.Add("1,2,3\n1,2,3\n1,2\n1,2,3,4\n", uint8(0), true)
 	f.Add("\n\n# only comments\n\n", uint8(9), true)
 	f.Add("1,"+strings.Repeat("0.125,", 60)+"1\n2,3\n", uint8(200), true)
+	for i, c := range slackCases() {
+		f.Add(c.text, uint8(17*i), c.f == FormatCSV)
+	}
 	f.Fuzz(func(t *testing.T, text string, size uint8, csv bool) {
 		format := FormatLIBSVM
 		if csv {
@@ -148,5 +153,110 @@ func TestReadMatrixAcrossBlocks(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// slackCases are inputs on which ReadMatrix's per-block bounds (a row per
+// line, a value per LIBSVM colon or per CSV column) overshoot what the parse
+// keeps, so blocks land short of their bounds and must be closed up.
+func slackCases() []struct {
+	name string
+	text string
+	f    Format
+} {
+	svm := func(i int) string { return fmt.Sprintf("%d %d:0.%d %d:%d.5", i%3-1, i%7+1, i, i%5+9, i) }
+	csv := func(i int) string { return fmt.Sprintf("%d,%d.25,-%d,0.%d", i%2, i, i%9, i) }
+	join := func(n int, line func(int) string, sep string, every int, extra string) string {
+		var b strings.Builder
+		for i := range n {
+			b.WriteString(line(i) + sep)
+			if every > 0 && i%every == every-1 {
+				b.WriteString(extra)
+			}
+		}
+		return b.String()
+	}
+	return []struct {
+		name string
+		text string
+		f    Format
+	}{
+		{"LIBSVM blank lines", join(60, svm, "\n", 4, "\n  \n"), FormatLIBSVM},
+		{"CSV blank lines", join(60, csv, "\n", 3, "\n\t\n"), FormatCSV},
+		{"LIBSVM comments holding colons", join(60, svm, "\n", 5, "# at 12:30: a:b:c\n"), FormatLIBSVM},
+		{"CSV comments holding colons", join(60, csv, "\n", 5, "# 1:2,3:4\n"), FormatCSV},
+		{"duplicate LIBSVM indices", join(60, func(i int) string { return svm(i) + fmt.Sprintf(" %d:1 %d:2", i%7+1, i%7+1) }, "\n", 0, ""), FormatLIBSVM},
+		{"LIBSVM CRLF", join(60, svm, "\r\n", 0, ""), FormatLIBSVM},
+		{"CSV CRLF", join(60, csv, "\r\n", 0, ""), FormatCSV},
+		{"LIBSVM no final newline", strings.TrimSuffix(join(60, svm, "\n", 0, ""), "\n"), FormatLIBSVM},
+		{"CSV no final newline", strings.TrimSuffix(join(60, csv, "\n", 0, ""), "\n"), FormatCSV},
+		{"all at once", strings.TrimSuffix(join(60, func(i int) string { return svm(i) + " 2:1 2:1" }, "\r\n", 3, "\n# x:y\n\n"), "\r\n"), FormatLIBSVM},
+	}
+}
+
+// TestReadMatrixClosesUpSlack: wherever blocks fall short of their bounds in
+// the one arena, the rows are moved up against each other, and the matrix is
+// ParseMatrix's bit for bit, at any block size and core count.
+func TestReadMatrixClosesUpSlack(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range slackCases() {
+			for blockBytes := 16; blockBytes <= 256; blockBytes += 15 {
+				if err := checkBlocks(t, c.text, c.f, blockBytes); err != nil {
+					t.Fatalf("GOMAXPROCS %d, %s at %d-byte blocks: %v", procs, c.name, blockBytes, err)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	// Every case leaves slack: its arena bound holds more rows or values than
+	// the parse keeps (CRLF and a missing final newline leave none, but move
+	// the line and record ends the bounds are counted from).
+	for _, c := range slackCases() {
+		m, err := ParseMatrix(strings.Split(c.text, "\n"), c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, vals := strings.Count(c.text, "\n"), strings.Count(c.text, ":")
+		if !strings.HasSuffix(c.text, "\n") {
+			rows++
+		}
+		if c.f == FormatCSV {
+			vals = rows * m.stride
+		}
+		slack := rows > m.NumRows() || vals > m.NNZ()
+		edge := strings.Contains(c.text, "\r") || !strings.HasSuffix(c.text, "\n")
+		if !slack && !edge {
+			t.Fatalf("%s: no slack: %d rows and %d values bound, %d and %d kept", c.name, rows, vals, m.NumRows(), m.NNZ())
+		}
+	}
+}
+
+// TestReadMatrixAllocatesOneArena: reading a dense CSV allocates the text it
+// reads and one arena, not a second arena the blocks' rows are joined into.
+func TestReadMatrixAllocatesOneArena(t *testing.T) {
+	const rows, stride = 40000, 48
+	var b strings.Builder
+	for i := range rows {
+		b.WriteString(strconv.Itoa(i % 2))
+		for j := range stride {
+			b.WriteString("," + strconv.Itoa((i+j)%10))
+		}
+		b.WriteByte('\n')
+	}
+	text := b.String()
+	// The arena: labels, values and each row's record header.
+	arena := rows * (8 + 8*stride + int(unsafe.Sizeof("")))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := ReadMatrix(strings.NewReader(text), FormatCSV)
+	runtime.ReadMemStats(&after)
+	if err != nil || m.NumRows() != rows {
+		t.Fatalf("read %v rows, err %v", m, err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(len(text)) + uint64(1.2*float64(arena)); alloc > limit {
+		t.Fatalf("reading %.1f MB of CSV into a %.1f MB arena allocated %.1f MB, over text + 1.2 × arena = %.1f MB",
+			float64(len(text))/1e6, float64(arena)/1e6, float64(alloc)/1e6, float64(limit)/1e6)
 	}
 }

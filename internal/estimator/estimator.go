@@ -10,6 +10,9 @@ package estimator
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ml4all/internal/cluster"
 	"ml4all/internal/engine"
@@ -24,11 +27,13 @@ type Config struct {
 	SpecTolerance float64         // εs; paper default 0.05 (0.1 in Section 8)
 	TimeBudget    cluster.Seconds // B; paper default 1 min (10 s in Section 8)
 	Seed          int64
-	// Workers sizes the engine's worker pool for speculation runs (0 =
-	// GOMAXPROCS, 1 = serial). It never changes the estimate — speculation
-	// is worker-count invariant like any engine run — but callers pinning
-	// Workers: 1 for stateful UDFs must pin it here too, which the public
-	// System does automatically.
+	// Workers sizes speculation's parallelism (0 = GOMAXPROCS, 1 = serial).
+	// SpeculateAll runs up to Workers plans at once, each engine at Workers
+	// 1; at Workers 1 the plans run one after another on the caller's
+	// goroutine. It never changes an estimate — speculation is worker-count
+	// invariant like any engine run — but callers pinning Workers: 1 for
+	// stateful UDFs must pin it here too, which the public System does
+	// automatically.
 	Workers int
 }
 
@@ -158,10 +163,33 @@ func MonotoneSequence(deltas []float64) []Point {
 // Speculate runs Algorithm 1 for one plan: sample the dataset, run the plan
 // on the sample on a local single-core simulator until εs or the budget, fit
 // the curve. The simulated time the speculation consumed is returned inside
-// the Estimate so the optimizer can charge it to the main clock.
+// the Estimate so the optimizer can charge it to the main clock. It is
+// SpeculateAll's one-plan call.
 func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error) {
+	ests, errs := SpeculateAll([]gd.Plan{plan}, store, cfg, nil)
+	return ests[0], errs[0]
+}
+
+// SpeculateAll runs Algorithm 1 for every plan over one shared sample D′,
+// built once, and returns each plan's estimate and error in plans' order.
+// The plans run on min(cfg.Workers, plans) goroutines (cfg.Workers 0 counts
+// as GOMAXPROCS), each plan's engine at Workers 1, since a tiny
+// one-partition D′ keeps one core busy per plan; with one goroutine the
+// plans run one after another at cfg.Workers, on the caller's goroutine.
+// Either way each estimate is the one the plan alone gets, bit for bit: the
+// runs share nothing but the read-only sample. span, when non-nil, is called
+// as span("speculate") when a plan's run starts and its result when the run
+// ends; concurrent runs' spans overlap.
+func SpeculateAll(plans []gd.Plan, store *storage.Store, cfg Config, span func(name string) func()) ([]Estimate, []error) {
+	if len(plans) == 0 {
+		return nil, nil
+	}
 	cfg = cfg.withDefaults()
-	est := Estimate{Algo: plan.Algorithm, Exact: -1}
+	ests := make([]Estimate, len(plans))
+	errs := make([]error, len(plans))
+	for i, plan := range plans {
+		ests[i] = Estimate{Algo: plan.Algorithm, Exact: -1}
+	}
 
 	sample := store.Dataset.Sample(cfg.SampleSize, cfg.Seed)
 	// Sample is a gathered view of the parent's arena; packing the (tiny) D'
@@ -174,9 +202,50 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 	layout.PartitionBytes = 1 << 62
 	sampleStore, err := storage.Build(sample, layout)
 	if err != nil {
-		return est, err
+		for i := range errs {
+			errs[i] = err
+		}
+		return ests, errs
 	}
 
+	run := func(i int) {
+		if span != nil {
+			defer span("speculate")()
+		}
+		errs[i] = speculateOn(&ests[i], plans[i], sampleStore, cfg)
+	}
+	pool := cfg.Workers
+	if pool <= 0 {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	if pool = min(pool, len(plans)); pool == 1 {
+		for i := range plans {
+			run(i)
+		}
+		return ests, errs
+	}
+	// Each worker claims the next plan in order and runs it to its end, so
+	// no more runs are under way than there are workers. run reads cfg: from
+	// here every plan's engine runs at Workers 1.
+	cfg.Workers = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range pool {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return ests, errs
+}
+
+// speculateOn runs plan on the sample store until εs or the budget and fills
+// est from the run.
+func speculateOn(est *Estimate, plan gd.Plan, sampleStore *storage.Store, cfg Config) error {
 	specPlan := plan
 	specPlan.Tolerance = cfg.SpecTolerance
 	specPlan.MaxIter = 1 << 20 // the budget, not the cap, ends speculation
@@ -192,7 +261,7 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 		Workers:    cfg.Workers,
 	})
 	if err != nil {
-		return est, err
+		return err
 	}
 	est.SpecTime = res.Time
 	est.Weights, est.Diverged = res.Weights, res.Diverged
@@ -201,15 +270,15 @@ func Speculate(plan gd.Plan, store *storage.Store, cfg Config) (Estimate, error)
 		// Nothing improved: assume the worst and let the plan's MaxIter
 		// bound the cost estimate.
 		est.A = math.Inf(1)
-		return est, nil
+		return nil
 	}
 	if res.Converged {
 		est.Exact, est.FinalDelta = res.Iterations, res.FinalDelta
 	}
 	a, err := FitInverse(est.Sequence)
 	if err != nil {
-		return est, err
+		return err
 	}
 	est.A = a
-	return est, nil
+	return nil
 }

@@ -143,3 +143,41 @@ func TestSpeculatePackedSampleBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestSpeculateIsSpeculateAll: speculating plans together over one sample,
+// concurrently or one after another, gives each plan the estimate it gets
+// speculated alone, bit for bit, in the order the plans were given.
+func TestSpeculateIsSpeculateAll(t *testing.T) {
+	for _, shape := range []synth.Spec{
+		{Name: "dense", N: 1500, D: 20, Density: 1},
+		{Name: "sparse", N: 1500, D: 200, Density: 0.05},
+	} {
+		shape.Task, shape.Noise, shape.Margin, shape.Seed = data.TaskLogisticRegression, 0.1, 1, 6
+		ds, err := synth.Generate(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := storage.Build(ds, storage.DefaultLayout())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := gd.Params{Task: shape.Task, Format: ds.Format, Tolerance: 1e-3, MaxIter: 500}
+		// Both MGD plans and a repeat of BGD: plans of one algorithm run side by
+		// side as well.
+		space := planner.Space(p)
+		plans := []gd.Plan{space[6], space[0], space[1], space[9], space[0]}
+		for _, workers := range []int{1, 2, 8} {
+			cfg := estimator.Config{SampleSize: 300, TimeBudget: 2, Seed: 5, Workers: workers}
+			ests, errs := estimator.SpeculateAll(plans, store, cfg, nil)
+			for i, plan := range plans {
+				alone, err := estimator.Speculate(plan, store, cfg)
+				if err != nil || errs[i] != nil {
+					t.Fatalf("%s Workers %d %s: alone %v, together %v", shape.Name, workers, plan.Name(), err, errs[i])
+				}
+				if !sameEstimate(ests[i], alone) || !sameRun(ests[i], alone) {
+					t.Fatalf("%s Workers %d, plan %d (%s): together %+v, alone %+v", shape.Name, workers, i, plan.Name(), ests[i], alone)
+				}
+			}
+		}
+	}
+}

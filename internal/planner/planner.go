@@ -7,6 +7,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ml4all/internal/cluster"
@@ -73,8 +74,11 @@ type Options struct {
 	// Span, when non-nil, brackets the optimizer's internal phases for
 	// tracing: Choose calls Span(name) at a phase start and the returned
 	// func at its end (currently one "speculate" span per speculated
-	// algorithm). nil costs nothing. The hook is a plain closure rather
-	// than an obs type so the planner stays import-free of the
+	// algorithm). The algorithms speculate concurrently unless the
+	// estimator's Workers is 1, so Span and the funcs it returns are called
+	// from several goroutines at once and their spans overlap; the hook must
+	// be safe for that. nil costs nothing. The hook is a plain closure
+	// rather than an obs type so the planner stays import-free of the
 	// observability layer.
 	Span func(name string) func()
 }
@@ -89,38 +93,42 @@ func Choose(sim *cluster.Sim, store *storage.Store, p gd.Params, opts Options) (
 	model := costmodel.New(store, sim.Cfg)
 	model.FastMath = opts.FastMath
 
-	iterFor := func(plan gd.Plan) (t int, satisfies bool, err error) {
-		est, ok := dec.Estimates[plan.Algorithm]
-		if !ok {
-			var end func()
-			if opts.Span != nil {
-				end = opts.Span("speculate")
-			}
-			est, err = estimator.Speculate(plan, store, opts.Estimator)
-			if end != nil {
-				end()
-			}
-			if err != nil {
-				return 0, false, err
-			}
-			dec.Estimates[plan.Algorithm] = est
-			dec.SpecTime += est.SpecTime
+	// Speculate the first plan of each algorithm, in Space order, all at
+	// once over one sample — only up to the first invalid plan, which ends
+	// the walk below before any later algorithm is needed.
+	var first []gd.Plan
+	for _, plan := range plans {
+		if plan.Validate() != nil {
+			break
 		}
-		t = est.Iterations(plan.Tolerance)
-		satisfies = plan.MaxIter <= 0 || t <= plan.MaxIter
-		if plan.MaxIter > 0 && t > plan.MaxIter {
-			t = plan.MaxIter
+		if !slices.ContainsFunc(first, func(f gd.Plan) bool { return f.Algorithm == plan.Algorithm }) {
+			first = append(first, plan)
 		}
-		return t, satisfies, nil
 	}
+	ests, errs := estimator.SpeculateAll(first, store, opts.Estimator, opts.Span)
 
+	// The walk takes the estimates in the order the plans need them, which
+	// is first's order, so errors, Estimates and SpecTime's sum come out as a
+	// one-at-a-time speculation gives them.
+	next := 0
 	for _, plan := range plans {
 		if err := plan.Validate(); err != nil {
 			return nil, fmt.Errorf("planner: %w", err)
 		}
-		t, satisfies, err := iterFor(plan)
-		if err != nil {
-			return nil, fmt.Errorf("planner: estimating %s: %w", plan.Name(), err)
+		est, ok := dec.Estimates[plan.Algorithm]
+		if !ok {
+			if errs[next] != nil {
+				return nil, fmt.Errorf("planner: estimating %s: %w", plan.Name(), errs[next])
+			}
+			est = ests[next]
+			next++
+			dec.Estimates[plan.Algorithm] = est
+			dec.SpecTime += est.SpecTime
+		}
+		t := est.Iterations(plan.Tolerance)
+		satisfies := plan.MaxIter <= 0 || t <= plan.MaxIter
+		if plan.MaxIter > 0 && t > plan.MaxIter {
+			t = plan.MaxIter
 		}
 		dec.Ranked = append(dec.Ranked, Choice{
 			Plan:       plan,

@@ -1,9 +1,13 @@
 package planner
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"ml4all/internal/cluster"
+	"ml4all/internal/data"
 	"ml4all/internal/engine"
 	"ml4all/internal/estimator"
 	"ml4all/internal/gd"
@@ -177,4 +181,78 @@ func TestIterationEstimatesCappedByMaxIter(t *testing.T) {
 			t.Fatalf("%s estimated %d iterations beyond MaxIter 77", c.Plan.Name(), c.Iterations)
 		}
 	}
+}
+
+// TestChooseIsWorkerInvariant: the algorithms speculate concurrently unless
+// Workers is 1, and the join takes them in Space order, so the decision — its
+// ranking, every estimate and the charged speculation time — is the same bit
+// for bit at any worker count.
+func TestChooseIsWorkerInvariant(t *testing.T) {
+	for _, task := range []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression} {
+		for _, shape := range []synth.Spec{
+			{Name: "dense", N: 1500, D: 20, Density: 1},
+			{Name: "sparse", N: 1500, D: 200, Density: 0.05},
+		} {
+			shape.Task, shape.Noise, shape.Margin, shape.Seed = task, 0.1, 1, 4
+			ds, err := synth.Generate(shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := storage.Build(ds, storage.DefaultLayout())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := gd.Params{Task: task, Format: ds.Format, Tolerance: 1e-3, MaxIter: 500}
+			var want *Decision
+			for _, workers := range []int{1, 2, 8} {
+				dec, err := Choose(cluster.New(cluster.Default()), st, p, Options{
+					Estimator: estimator.Config{SampleSize: 300, TimeBudget: 2, Seed: 5, Workers: workers},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = dec
+					continue
+				}
+				if d := decisionDiff(dec, want); d != "" {
+					t.Fatalf("%v %s: Workers %d decides differently from Workers 1: %s", task, shape.Name, workers, d)
+				}
+			}
+		}
+	}
+}
+
+// decisionDiff describes how a differs from b, or returns "" when they are
+// the same decision bit for bit.
+func decisionDiff(a, b *Decision) string {
+	bits := math.Float64bits
+	if bits(float64(a.SpecTime)) != bits(float64(b.SpecTime)) {
+		return fmt.Sprintf("SpecTime %v vs %v", a.SpecTime, b.SpecTime)
+	}
+	if len(a.Ranked) != len(b.Ranked) {
+		return fmt.Sprintf("%d vs %d ranked plans", len(a.Ranked), len(b.Ranked))
+	}
+	for i, x := range a.Ranked {
+		y := b.Ranked[i]
+		if x.Plan.Name() != y.Plan.Name() || x.Iterations != y.Iterations ||
+			bits(float64(x.Cost)) != bits(float64(y.Cost)) || x.Satisfies != y.Satisfies {
+			return fmt.Sprintf("rank %d: %s %d iterations %v satisfies=%v vs %s %d iterations %v satisfies=%v",
+				i, x.Plan.Name(), x.Iterations, x.Cost, x.Satisfies, y.Plan.Name(), y.Iterations, y.Cost, y.Satisfies)
+		}
+	}
+	if len(a.Estimates) != len(b.Estimates) {
+		return fmt.Sprintf("%d vs %d estimates", len(a.Estimates), len(b.Estimates))
+	}
+	for algo, x := range a.Estimates {
+		y, ok := b.Estimates[algo]
+		same := ok && x.Algo == y.Algo && bits(x.A) == bits(y.A) && x.Exact == y.Exact &&
+			bits(x.FinalDelta) == bits(y.FinalDelta) && bits(float64(x.SpecTime)) == bits(float64(y.SpecTime)) &&
+			x.Diverged == y.Diverged && slices.Equal(x.Sequence, y.Sequence) &&
+			slices.EqualFunc(x.Weights, y.Weights, func(v, w float64) bool { return bits(v) == bits(w) })
+		if !same {
+			return fmt.Sprintf("%v estimate %+v vs %+v", algo, x, y)
+		}
+	}
+	return ""
 }
