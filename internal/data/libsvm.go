@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ml4all/internal/linalg"
 )
@@ -238,7 +239,12 @@ const textBlockBytes = 1 << 20
 
 // readTextBlocks reads r to its end as strings of about blockBytes, each
 // ending on a record boundary (a newline, or the end of the input); a record
-// longer than a block gets a block grown to hold it.
+// longer than a block gets a block grown to hold it. Each block is read into
+// a buffer of its own and handed out as a string over that buffer, without a
+// copy: only the partial record after the cut moves, to the start of the
+// next buffer. The last block is copied into a string of its own size when
+// it fills less than half its buffer, so a small file does not keep a whole
+// block's buffer alive beside its records.
 func readTextBlocks(r io.Reader, blockBytes int) ([]string, error) {
 	var blocks []string
 	buf := make([]byte, blockBytes)
@@ -250,27 +256,34 @@ func readTextBlocks(r io.Reader, blockBytes int) ([]string, error) {
 		if err != nil && !eof {
 			return nil, err
 		}
-		cut := n
-		if !eof {
-			cut = bytes.LastIndexByte(buf[:n], '\n') + 1
-			if cut == 0 { // buf is full of one record's beginning
-				if len(buf) >= MaxRecordBytes {
-					return nil, bufio.ErrTooLong
-				}
-				buf = append(buf, make([]byte, min(len(buf), MaxRecordBytes-len(buf)))...)
-				continue
-			}
-		}
-		if cut > 0 {
-			blocks = append(blocks, string(buf[:cut]))
-		}
 		if eof {
+			switch {
+			case n == 0:
+			case 2*n < len(buf):
+				blocks = append(blocks, string(buf[:n]))
+			default:
+				blocks = append(blocks, unsafe.String(&buf[0], n))
+			}
 			return blocks, nil
 		}
-		n = copy(buf, buf[cut:n])
-		if n < blockBytes {
-			buf = buf[:blockBytes]
+		cut := bytes.LastIndexByte(buf[:n], '\n') + 1
+		if cut == 0 { // buf is full of one record's beginning
+			if len(buf) >= MaxRecordBytes {
+				return nil, bufio.ErrTooLong
+			}
+			buf = append(buf, make([]byte, min(len(buf), MaxRecordBytes-len(buf)))...)
+			continue
 		}
+		// Nothing writes buf[:cut] after this: the rest of the buffer is
+		// copied out below and buf is dropped, so the string stays immutable.
+		blocks = append(blocks, unsafe.String(&buf[0], cut))
+		size := blockBytes
+		if n-cut >= blockBytes { // the rest of a long record keeps the grown size
+			size = len(buf)
+		}
+		next := make([]byte, size)
+		n = copy(next, buf[cut:n])
+		buf = next
 	}
 }
 

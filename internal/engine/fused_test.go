@@ -59,7 +59,18 @@ func (c countingFused) UpdateConverge(acc linalg.Vector, ctx *gd.Context, norm g
 
 func fusedStore(t *testing.T, task data.TaskKind, dense bool) *storage.Store {
 	t.Helper()
-	spec := synth.Spec{Name: "fused-" + task.String(), Task: task, N: 900, D: 24, Density: 0.5, Noise: 0.1, Margin: 1, Seed: 29}
+	return fusedStoreD(t, task, dense, 24)
+}
+
+// fusedStoreD is fusedStore at model width d. From d = 1 000 on the set is
+// shaped like a wide sparse one — 128 rows of ten non-zeros — which keeps
+// the compute pass small; partitions scale by d/24 to keep their count.
+func fusedStoreD(t *testing.T, task data.TaskKind, dense bool, d int) *storage.Store {
+	t.Helper()
+	spec := synth.Spec{Name: "fused-" + task.String(), Task: task, N: 900, D: d, Density: 0.5, Noise: 0.1, Margin: 1, Seed: 29}
+	if d >= 1000 {
+		spec.N, spec.Density = 128, 10/float64(d)
+	}
 	if dense {
 		spec.Density = 1
 	}
@@ -72,7 +83,7 @@ func fusedStore(t *testing.T, task data.TaskKind, dense bool) *storage.Store {
 	}
 	// 8 KB partitions: BGD and the Bernoulli plans run multi-span passes (the
 	// ordered tree), the 64-row batches and SGD single-span ones (direct).
-	st, err := storage.Build(ds, storage.Layout{PartitionBytes: 8 << 10, PageBytes: 1 << 10})
+	st, err := storage.Build(ds, storage.Layout{PartitionBytes: (8 << 10) * int64(max(1, d/24)), PageBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +133,41 @@ func runPlan(t *testing.T, st *storage.Store, plan gd.Plan, opts engine.Options)
 	return res
 }
 
+// The fused step runs linalg.StepL1 / StepL2Sq, whose AVX2 twins take the
+// model in groups of four components and leave the rest to the Go loop: so
+// the comparison runs with the SIMD backend off and on, and with it on also
+// at a width that is not a multiple of 4 (27) and at a wide one (1 003).
+// With the backend off the step is one Go loop at any width.
 func TestFusedStepMatchesOperatorsBitwise(t *testing.T) {
+	defer linalg.SetSIMD(linalg.SetSIMD(false))
+	checkFusedMatchesOperators(t, "simd=false/d=24", 24)
+	if !linalg.SIMDAvailable() {
+		t.Skipf("no SIMD backend (features: %s): Go loops only", linalg.CPUFeatures())
+	}
+	linalg.SetSIMD(true)
+	for _, d := range []int{24, 27, 1003} {
+		checkFusedMatchesOperators(t, fmt.Sprintf("simd=true/d=%d", d), d)
+	}
+}
+
+// checkFusedMatchesOperators runs every plan of the space on the fused and
+// the operator path at width d. Width 24 covers the worker count's effect on
+// the compute pass and both layouts; the other widths are there for the
+// step kernels' tails and a wide model, run Workers 1, and from d = 1 000
+// on the sparse layout only.
+func checkFusedMatchesOperators(t *testing.T, prefix string, d int) {
+	workerCounts, layouts := []int{1, 2}, []bool{true, false}
+	if d != 24 {
+		workerCounts = workerCounts[:1]
+	}
+	if d >= 1000 {
+		layouts = layouts[1:]
+	}
 	tasks := []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression}
 	convergers := []gd.Converger{gd.L1Converger{}, gd.L2Converger{}}
 	for _, task := range tasks {
-		for _, dense := range []bool{true, false} {
-			st := fusedStore(t, task, dense)
+		for _, dense := range layouts {
+			st := fusedStoreD(t, task, dense, d)
 			for _, conv := range convergers {
 				for _, lambda := range []float64{0, 1e-4} {
 					p := gd.Params{
@@ -135,8 +175,8 @@ func TestFusedStepMatchesOperatorsBitwise(t *testing.T) {
 						BatchSize: 64, Lambda: lambda, Converger: conv,
 					}
 					for _, plan := range planner.Space(p) {
-						for _, workers := range []int{1, 2} {
-							label := fmt.Sprintf("%v/dense=%v/%T/lambda=%g/%s/workers=%d", task, dense, conv, lambda, plan.Name(), workers)
+						for _, workers := range workerCounts {
+							label := fmt.Sprintf("%s/%v/dense=%v/%T/lambda=%g/%s/workers=%d", prefix, task, dense, conv, lambda, plan.Name(), workers)
 							opts := engine.Options{Seed: 13, Workers: workers}
 							want := runPlan(t, st, operatorPlan(plan), opts)
 							if want.Iterations < 2 {

@@ -52,8 +52,9 @@ type FusedUpdater interface {
 }
 
 // UpdateConverge implements FusedUpdater: Update's loop with the converger's
-// term added per component. One loop per norm — a branch on it inside costs
-// a fifth of the pass, which the in-order delta sum already bounds.
+// term added per component, one linalg kernel per norm (linalg.StepL1,
+// linalg.StepL2Sq — a branch on the norm inside the walk would cost a fifth
+// of it, which the in-order delta sum already bounds).
 func (up GradientUpdater) UpdateConverge(acc linalg.Vector, ctx *Context, norm DeltaNorm) (linalg.Vector, float64, bool, error) {
 	n := ctx.BatchSize
 	if n <= 0 {
@@ -62,33 +63,11 @@ func (up GradientUpdater) UpdateConverge(acc linalg.Vector, ctx *Context, norm D
 	inv := 1 / float64(n)
 	old := ctx.Weights
 	w := ctx.TakeSpare(len(old))
-	acc, old = acc[:len(w)], old[:len(w)]
-	lambda, negStep := up.Reg.Lambda, -ctx.Step
 	var delta float64
 	if norm == NormL2 {
-		for i := range w {
-			o, g := old[i], acc[i]*inv
-			acc[i] = 0
-			if lambda != 0 {
-				g += lambda * o
-			}
-			x := o + negStep*g
-			w[i] = x
-			diff := x - o
-			delta += diff * diff
-		}
-		delta = math.Sqrt(delta)
+		delta = math.Sqrt(linalg.StepL2Sq(w, old, acc, inv, up.Reg.Lambda, -ctx.Step))
 	} else {
-		for i := range w {
-			o, g := old[i], acc[i]*inv
-			acc[i] = 0
-			if lambda != 0 {
-				g += lambda * o
-			}
-			x := o + negStep*g
-			w[i] = x
-			delta += math.Abs(x - o)
-		}
+		delta = linalg.StepL1(w, old, acc, inv, up.Reg.Lambda, -ctx.Step)
 	}
 	ctx.Weights = w
 	// A non-finite component of w (or of old) makes its difference, and with

@@ -36,6 +36,18 @@ func denseMarginsExactAVX2(vals *float64, stride int, w *float64, out *float64, 
 func denseAccumExactAVX2(grad *float64, d int, vals *float64, coeffs *float64, rows int)
 
 //go:noescape
+func stepL1AVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+
+//go:noescape
+func stepL1LambdaAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+
+//go:noescape
+func stepL2SqAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+
+//go:noescape
+func stepL2SqLambdaAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+
+//go:noescape
 func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64
 
 //go:noescape
@@ -69,6 +81,25 @@ func denseMarginsExactSIMD(vals []float64, stride int, w Vector, out []float64) 
 // denseAccumSIMD.
 func denseAccumExactSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
 	denseAccumExactAVX2(&grad[0], stride, &vals[0], &coeffs[0], len(coeffs))
+}
+
+// stepL1SIMD is StepL1 over whole groups of four components. Caller
+// guarantees len(w) a positive multiple of 4 and old, acc at least as long.
+// A zero lambda takes the kernel without the lambda term.
+func stepL1SIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
+	if lambda != 0 {
+		return stepL1LambdaAVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
+	}
+	return stepL1AVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
+}
+
+// stepL2SqSIMD is StepL2Sq over whole groups of four components. Same
+// contract as stepL1SIMD.
+func stepL2SqSIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
+	if lambda != 0 {
+		return stepL2SqLambdaAVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
+	}
+	return stepL2SqAVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
 }
 
 // sparseDotSIMD gathers w[idx[k]]·vals[k]. Caller guarantees the index tail

@@ -5,17 +5,22 @@
 // AVX2 kernels of the SIMD backend, for both kernel tiers. The fast-tier
 // kernels (AVX2+FMA) are the assembly twins of the pure-Go fast kernels in
 // fast.go: reassociated, FMA-contracted, tolerance-bounded. The exact-tier
-// kernels (denseMarginsExactAVX2, denseAccumExactAVX2) are the twins of the
-// exact Go loops in block.go and compute the same bits: each lane is one
-// row's (or one gradient slot's) single running sum in index order, every
-// step a multiply then an add — they contain no FMA opcode, and a test
+// kernels are the twins of exact Go loops and compute the same bits:
+// denseMarginsExactAVX2 and denseAccumExactAVX2 (block.go), where each lane
+// is one row's (or one gradient slot's) single running sum in index order,
+// and the gradient-step kernels stepL1AVX2, stepL1LambdaAVX2, stepL2SqAVX2
+// and stepL2SqLambdaAVX2 (step.go), where each lane is one model component
+// and the lanes' delta terms enter one running sum in index order. Every
+// step is a multiply then an add — they contain no FMA opcode, and a test
 // holds them to that. Dispatch (runtime CPU detection, per-call size
 // thresholds) lives in simd_amd64.go, and the Go loops remain both the
 // portable fallback and the oracle the equivalence tests compare against.
 // Calling convention is ABI0 with bare pointers + lengths — the Go wrappers
 // own every bounds/emptiness check, the assembly assumes validated
 // arguments. All kernels are NOSPLIT leaves, end in VZEROUPPER, and clobber
-// no callee-saved state.
+// no callee-saved state. They use VEX-encoded instructions only on X and Y
+// registers: a legacy SSE instruction (MOVQ r, Xn, MOVSD, ADDSD, …) after a
+// 256-bit one pays an AVX–SSE state transition, and a test fails on one.
 
 // func dotAVX2(a, b *float64, n int) float64
 //
@@ -386,6 +391,114 @@ TEXT ·denseAccumExactAVX2(SB), NOSPLIT, $0-40
 	MOVQ coeffs+24(FP), BX
 	MOVQ rows+32(FP), R10
 	DENSE_ACCUM(MULADD_PD, MULADD_SD)
+	RET
+
+// Per-lane steps of the gradient step body below. STEP_LAMBDA adds the
+// regularizer term, g = g + λ·o, and STEP_NO_LAMBDA leaves g as it is (a
+// zero λ must add nothing: 0·Inf is NaN and −0 + +0 is +0). DIFF_ABS clears
+// the sign bit, as math.Abs does, and DIFF_SQ squares.
+#define STEP_LAMBDA(o, g) VMULPD o, Y13, Y4; VADDPD Y4, g, g
+#define STEP_NO_LAMBDA(o, g)
+#define DIFF_ABS(x) VANDPD Y15, x, x
+#define DIFF_SQ(x) VMULPD x, x, x
+
+// GRAD_STEP is the body of the four gradient-step kernels, over n/4 groups
+// of four components, lanes as components. Each lane computes
+// g = acc·inv, LAMBDA(o, g), x = o + (−step)·g, stores x into w and +0 into
+// acc, and forms TERM(x − o); the four terms are then added to the running
+// delta (X10) one at a time in index order with scalar adds. Every step is a
+// multiply then an add, in the Go loop's operand order, so the result is the
+// bits of StepL1 / StepL2Sq's loop. Expects DI = w, SI = old, DX = acc,
+// CX = n (a positive multiple of 4), Y11 = −step, Y12 = inv and, for
+// STEP_LAMBDA, Y13 = λ; leaves the delta in X10.
+#define GRAD_STEP(LAMBDA, TERM) \
+	SHRQ $2, CX; \
+	VXORPD Y14, Y14, Y14; \
+	VPCMPEQQ Y15, Y15, Y15; \
+	VPSRLQ $1, Y15, Y15; \
+	VXORPD X10, X10, X10; \
+gs_loop: \
+	VMOVUPD (DX), Y0; \
+	VMOVUPD (SI), Y1; \
+	VMULPD Y12, Y0, Y0; \
+	VMOVUPD Y14, (DX); \
+	LAMBDA(Y1, Y0); \
+	VMULPD Y0, Y11, Y0; \
+	VADDPD Y0, Y1, Y2; \
+	VMOVUPD Y2, (DI); \
+	VSUBPD Y1, Y2, Y2; \
+	TERM(Y2); \
+	VADDSD X2, X10, X10; \
+	VUNPCKHPD X2, X2, X3; \
+	VADDSD X3, X10, X10; \
+	VEXTRACTF128 $1, Y2, X2; \
+	VADDSD X2, X10, X10; \
+	VUNPCKHPD X2, X2, X3; \
+	VADDSD X3, X10, X10; \
+	ADDQ $32, DX; \
+	ADDQ $32, SI; \
+	ADDQ $32, DI; \
+	DECQ CX; \
+	JNZ  gs_loop; \
+	VZEROUPPER
+
+// func stepL1AVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+//
+// StepL1 with λ = 0: GRAD_STEP without the regularizer term, |x − o| as the
+// delta term.
+TEXT ·stepL1AVX2(SB), NOSPLIT, $0-64
+	MOVQ w+0(FP), DI
+	MOVQ old+8(FP), SI
+	MOVQ acc+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD inv+32(FP), Y12
+	VBROADCASTSD negStep+48(FP), Y11
+	GRAD_STEP(STEP_NO_LAMBDA, DIFF_ABS)
+	VMOVSD X10, ret+56(FP)
+	RET
+
+// func stepL1LambdaAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+//
+// StepL1 with λ ≠ 0.
+TEXT ·stepL1LambdaAVX2(SB), NOSPLIT, $0-64
+	MOVQ w+0(FP), DI
+	MOVQ old+8(FP), SI
+	MOVQ acc+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD inv+32(FP), Y12
+	VBROADCASTSD lambda+40(FP), Y13
+	VBROADCASTSD negStep+48(FP), Y11
+	GRAD_STEP(STEP_LAMBDA, DIFF_ABS)
+	VMOVSD X10, ret+56(FP)
+	RET
+
+// func stepL2SqAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+//
+// StepL2Sq with λ = 0: (x − o)² as the delta term.
+TEXT ·stepL2SqAVX2(SB), NOSPLIT, $0-64
+	MOVQ w+0(FP), DI
+	MOVQ old+8(FP), SI
+	MOVQ acc+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD inv+32(FP), Y12
+	VBROADCASTSD negStep+48(FP), Y11
+	GRAD_STEP(STEP_NO_LAMBDA, DIFF_SQ)
+	VMOVSD X10, ret+56(FP)
+	RET
+
+// func stepL2SqLambdaAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
+//
+// StepL2Sq with λ ≠ 0.
+TEXT ·stepL2SqLambdaAVX2(SB), NOSPLIT, $0-64
+	MOVQ w+0(FP), DI
+	MOVQ old+8(FP), SI
+	MOVQ acc+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD inv+32(FP), Y12
+	VBROADCASTSD lambda+40(FP), Y13
+	VBROADCASTSD negStep+48(FP), Y11
+	GRAD_STEP(STEP_LAMBDA, DIFF_SQ)
+	VMOVSD X10, ret+56(FP)
 	RET
 
 // func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64

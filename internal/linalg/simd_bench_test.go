@@ -134,3 +134,28 @@ func benchExpVec(b *testing.B, simd bool) {
 
 func BenchmarkExpVec512FastGo(b *testing.B) { benchExpVec(b, false) }
 func BenchmarkExpVec512SIMD(b *testing.B)   { benchExpVec(b, true) }
+
+// benchStep times the fused gradient step with λ ≠ 0 and the L1 delta,
+// plan-sweep's case, at width d; ns/elem is per model component. The acc
+// buffer is zero after the first call, which changes no instruction the
+// step runs.
+func benchStep(b *testing.B, d int, simd bool) {
+	r := rand.New(rand.NewSource(12))
+	old, acc := randVec(r, d), randVec(r, d)
+	w := make(Vector, d)
+	if simd {
+		defer requireSIMDBench(b)()
+	} else {
+		defer SetSIMD(SetSIMD(false))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkF = StepL1(w, old, acc, 1.0/64, 1e-4, -0.5)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d), "ns/elem")
+}
+
+func BenchmarkStepL1x28Exact(b *testing.B)       { benchStep(b, 28, false) }
+func BenchmarkStepL1x28ExactSIMD(b *testing.B)   { benchStep(b, 28, true) }
+func BenchmarkStepL1x1000Exact(b *testing.B)     { benchStep(b, 1000, false) }
+func BenchmarkStepL1x1000ExactSIMD(b *testing.B) { benchStep(b, 1000, true) }

@@ -32,6 +32,14 @@ func denseAccumExactSIMD(grad Vector, vals []float64, stride int, coeffs []float
 	panic("linalg: SIMD kernel called in noasm build")
 }
 
+func stepL1SIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
+	panic("linalg: SIMD kernel called in noasm build")
+}
+
+func stepL2SqSIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
+	panic("linalg: SIMD kernel called in noasm build")
+}
+
 func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
 	panic("linalg: SIMD kernel called in noasm build")
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -401,24 +402,109 @@ func TestSIMDExactKernelsBitwise(t *testing.T) {
 	}
 }
 
-// exactKernels names the TEXT symbols of simd_amd64.s that serve the exact
-// tier.
-var exactKernels = []string{"denseMarginsExactAVX2", "denseAccumExactAVX2"}
+// stepInput is one gradient step's operands: the previous weights (with −0
+// components), the accumulator, and the three scalars.
+type stepInput struct {
+	old, acc             Vector
+	inv, lambda, negStep float64
+}
 
-// TestSIMDExactKernelsHaveNoFMA reads simd_amd64.s and fails if an exact
-// kernel's TEXT body — with every macro it names expanded, transitively —
-// contains a fused multiply-add, whose single rounding would break the
-// bitwise contract. It also pins the rest of the kernels' shape: NOSPLIT
-// leaves (no CALL) that end in VZEROUPPER.
-func TestSIMDExactKernelsHaveNoFMA(t *testing.T) {
+// stepScalars are the values the step's scalars are drawn from, besides
+// random normals: both zeros, the infinities, NaN and a subnormal. A −0 or
+// NaN lambda must take the same branch in the kernel as in the Go loop.
+var stepScalars = []float64{0, math.Copysign(0, -1), 1e-4, 1, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+
+func randStepInput(rng *rand.Rand, d, rate int) stepInput {
+	in := stepInput{old: make(Vector, d), acc: make(Vector, d)}
+	fillSpecial(rng, in.old, rate)
+	fillSpecial(rng, in.acc, rate)
+	for i := 0; i < d; i += 5 {
+		in.old[i] = math.Copysign(0, -1)
+	}
+	scalar := func(plain float64) float64 {
+		if rng.Intn(4) == 0 {
+			return stepScalars[rng.Intn(len(stepScalars))]
+		}
+		return plain
+	}
+	in.inv = scalar(1 / float64(1+rng.Intn(1000)))
+	in.lambda = scalar(0)
+	in.negStep = scalar(-rng.ExpFloat64())
+	return in
+}
+
+// runStep runs StepL1 (or StepL2Sq) on a copy of in's buffers, with the
+// SIMD backend on or off, and returns the new weights, the accumulator
+// after the call, and the delta sum.
+func runStep(in stepInput, l2, simd bool) (w, acc Vector, delta float64) {
+	defer SetSIMD(SetSIMD(simd))
+	w = make(Vector, len(in.old))
+	old := append(Vector(nil), in.old...)
+	acc = append(Vector(nil), in.acc...)
+	if l2 {
+		delta = StepL2Sq(w, old, acc, in.inv, in.lambda, in.negStep)
+	} else {
+		delta = StepL1(w, old, acc, in.inv, in.lambda, in.negStep)
+	}
+	return w, acc, delta
+}
+
+// checkStepBitwise fails t unless the dispatched step matches the Go loop
+// bit for bit in w, acc (every slot +0) and the delta sum.
+func checkStepBitwise(t *testing.T, label string, in stepInput) {
+	t.Helper()
+	for _, l2 := range []bool{false, true} {
+		wantW, wantAcc, wantDelta := runStep(in, l2, false)
+		gotW, gotAcc, gotDelta := runStep(in, l2, true)
+		for i := range wantW {
+			if !sameBits(gotW[i], wantW[i]) {
+				t.Fatalf("%s l2=%v: w[%d] %v (%#x), Go loop %v (%#x)", label, l2,
+					i, gotW[i], math.Float64bits(gotW[i]), wantW[i], math.Float64bits(wantW[i]))
+			}
+			if math.Float64bits(gotAcc[i]) != 0 || math.Float64bits(wantAcc[i]) != 0 {
+				t.Fatalf("%s l2=%v: acc[%d] = %v after the step, Go loop %v; want +0", label, l2, i, gotAcc[i], wantAcc[i])
+			}
+		}
+		if !sameBits(gotDelta, wantDelta) {
+			t.Fatalf("%s l2=%v: delta %v (%#x), Go loop %v (%#x)", label, l2,
+				gotDelta, math.Float64bits(gotDelta), wantDelta, math.Float64bits(wantDelta))
+		}
+	}
+}
+
+// TestSIMDStepKernelsBitwise holds StepL1 and StepL2Sq's AVX2 twins (all
+// four: L1 and L2, λ = 0 and λ ≠ 0) to the Go loops bit for bit, over
+// widths on both sides of every 4-component tail up to 2 003, and values
+// from plain normals to ±0, ±Inf, NaN and subnormals — in the components
+// and in the scalars.
+func TestSIMDStepKernelsBitwise(t *testing.T) {
+	defer requireSIMD(t)()
+	rng := rand.New(rand.NewSource(43))
+	widths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 27, 28, 100, 1000, 1003, 2003}
+	for trial := 0; trial < 2000; trial++ {
+		d := widths[trial%len(widths)]
+		rate := []int{1 << 30, 64, 4}[trial%3]
+		checkStepBitwise(t, fmt.Sprintf("trial %d d=%d rate=%d", trial, d, rate), randStepInput(rng, d, rate))
+	}
+}
+
+// asmKernel is one TEXT symbol of simd_amd64.s: its flags, its body, and
+// the body with every macro it names appended, transitively.
+type asmKernel struct{ flags, body, full string }
+
+// asmKernels reads simd_amd64.s into its TEXT symbols, by name, and returns
+// the expansion it applies: text with every macro it names appended,
+// transitively (parameter lists cut off, arguments not substituted).
+func asmKernels(t *testing.T) (map[string]asmKernel, func(string) string) {
+	t.Helper()
 	src, err := os.ReadFile("simd_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := strings.ReplaceAll(string(src), "\\\n", " ") // join macro continuation lines
 	macros := map[string]string{}
-	for _, m := range regexp.MustCompile(`(?m)^#define\s+(\w+)(.*)$`).FindAllStringSubmatch(text, -1) {
-		macros[m[1]] += m[2] + "\n"
+	for _, m := range regexp.MustCompile(`(?m)^#define\s+(\w+)(\([^)]*\))?(.*)$`).FindAllStringSubmatch(text, -1) {
+		macros[m[1]] += m[3] + "\n"
 	}
 	ident := regexp.MustCompile(`\w+`)
 	expand := func(body string) string {
@@ -437,30 +523,83 @@ func TestSIMDExactKernelsHaveNoFMA(t *testing.T) {
 		}
 		return out
 	}
-	fma := regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)\w*`)
 	nextDecl := regexp.MustCompile(`(?m)^(TEXT|#define|DATA|GLOBL)\b`)
-	for _, name := range exactKernels {
-		head := regexp.MustCompile(`(?m)^TEXT ·` + name + `\(SB\),(.*)$`).FindStringSubmatchIndex(text)
-		if head == nil {
-			t.Fatalf("no TEXT ·%s in simd_amd64.s", name)
-		}
-		if !strings.Contains(text[head[2]:head[3]], "NOSPLIT") {
-			t.Errorf("%s is not NOSPLIT", name)
-		}
+	kernels := map[string]asmKernel{}
+	for _, head := range regexp.MustCompile(`(?m)^TEXT ·(\w+)\(SB\),(.*)$`).FindAllStringSubmatchIndex(text, -1) {
 		body := text[head[1]:]
 		if end := nextDecl.FindStringIndex(body); end != nil {
 			body = body[:end[0]]
 		}
-		full := expand(body)
-		if op := fma.FindString(full); op != "" {
+		kernels[text[head[2]:head[3]]] = asmKernel{flags: text[head[4]:head[5]], body: body, full: expand(body)}
+	}
+	return kernels, expand
+}
+
+// exactKernels names the TEXT symbols of simd_amd64.s that serve the exact
+// tier.
+var exactKernels = []string{"denseMarginsExactAVX2", "denseAccumExactAVX2",
+	"stepL1AVX2", "stepL1LambdaAVX2", "stepL2SqAVX2", "stepL2SqLambdaAVX2"}
+
+// TestSIMDExactKernelsHaveNoFMA reads simd_amd64.s and fails if an exact
+// kernel's TEXT body — with every macro it names expanded, transitively —
+// contains a fused multiply-add, whose single rounding would break the
+// bitwise contract. It also pins the rest of the kernels' shape: NOSPLIT
+// leaves (no CALL) that end in VZEROUPPER.
+func TestSIMDExactKernelsHaveNoFMA(t *testing.T) {
+	kernels, expand := asmKernels(t)
+	fma := regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)\w*`)
+	for _, name := range exactKernels {
+		k, ok := kernels[name]
+		if !ok {
+			t.Fatalf("no TEXT ·%s in simd_amd64.s", name)
+		}
+		if !strings.Contains(k.flags, "NOSPLIT") {
+			t.Errorf("%s is not NOSPLIT", name)
+		}
+		if op := fma.FindString(k.full); op != "" {
 			t.Errorf("%s contains %s: an exact kernel must multiply, then add", name, op)
 		}
-		if strings.Contains(full, "CALL") {
+		if strings.Contains(k.full, "CALL") {
 			t.Errorf("%s is not a leaf", name)
 		}
-		lastRet := strings.LastIndex(full[:len(body)], "RET")
-		if lastRet < 0 || !strings.Contains(expand(body[:lastRet]), "VZEROUPPER") {
+		lastRet := strings.LastIndex(k.body, "RET")
+		if lastRet < 0 || !strings.Contains(expand(k.body[:lastRet]), "VZEROUPPER") {
 			t.Errorf("%s does not end in VZEROUPPER", name)
+		}
+	}
+}
+
+// TestSIMDKernelsAreVEXOnly reads simd_amd64.s and fails if any kernel —
+// its TEXT body or a macro it names — has a legacy (non-VEX) SSE instruction
+// on an X register: MOVQ r, Xn, MOVSD, ADDSD, PXOR and the like. After a
+// 256-bit operation such an instruction pays an AVX–SSE state transition:
+// a MOVQ AX, X13 that loads λ in the step kernel made a d = 4 StepL1 call
+// take 240–252 ns against 14–17 ns with VBROADCASTSD from memory. Every X
+// and Y operand belongs to a V-prefixed instruction.
+func TestSIMDKernelsAreVEXOnly(t *testing.T) {
+	kernels, _ := asmKernels(t)
+	if len(kernels) == 0 {
+		t.Fatal("no TEXT symbols in simd_amd64.s")
+	}
+	vreg := regexp.MustCompile(`\b[XY]\d+\b`)
+	// The mnemonic after any labels. A name followed by "(" invokes a macro
+	// or a macro parameter; the replacement text is checked where the
+	// expansion appended it.
+	mnemonic := regexp.MustCompile(`^\s*(?:\w+:\s*)*(\w+)(\(?)`)
+	for name, k := range kernels {
+		for _, line := range strings.Split(k.full, "\n") {
+			if c := strings.Index(line, "//"); c >= 0 {
+				line = line[:c]
+			}
+			for _, stmt := range strings.Split(line, ";") {
+				m := mnemonic.FindStringSubmatch(stmt)
+				if m == nil || m[2] != "" || !vreg.MatchString(stmt) {
+					continue
+				}
+				if !strings.HasPrefix(m[1], "V") {
+					t.Errorf("%s: %q is not a VEX instruction", name, strings.TrimSpace(stmt))
+				}
+			}
 		}
 	}
 }
@@ -491,8 +630,10 @@ func TestSIMDBackendReporting(t *testing.T) {
 // FuzzKernelEquivalence drives all three implementations of dot, margins,
 // accum and sparse dot from fuzzer-chosen shapes and a value pool that
 // includes denormals, infinities and NaN, asserting tolerance-equivalence
-// (or matching non-finite class) everywhere. Two kinds hold the exact
-// tier's margins and accumulate to their Go loops bit for bit instead.
+// (or matching non-finite class) everywhere. Three kinds hold the exact
+// tier's margins, accumulate and gradient step (StepL1 and StepL2Sq, λ zero
+// of either sign or drawn from the pool) to their Go loops bit for bit
+// instead.
 // Widths and offsets wrap into 1..67 and 0..3, the ranges where every asm
 // tail path lives.
 func FuzzKernelEquivalence(f *testing.F) {
@@ -503,6 +644,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(5), uint8(33), uint8(2), uint8(4))
 	f.Add(int64(6), uint8(6), uint8(5), uint8(5))
 	f.Add(int64(7), uint8(9), uint8(6), uint8(6))
+	f.Add(int64(8), uint8(30), uint8(0), uint8(7))
+	f.Add(int64(9), uint8(66), uint8(3), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, offRaw, kind uint8) {
 		if !SIMDAvailable() {
 			t.Skip("no SIMD backend")
@@ -539,7 +682,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
-		switch kind % 7 {
+		switch kind % 8 {
 		case 0: // dot
 			a := make(Vector, n+off)
 			b := make(Vector, n+off)
@@ -639,7 +782,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			base := accumBase(rng, n)
 			wantM, wantG := exactGoRef(vals, n, w, coeffs, base)
 			SetSIMD(true)
-			if kind%7 == 5 {
+			if kind%8 == 5 {
 				got := make([]float64, rows)
 				DenseMargins(vals, n, w, got)
 				for j := range got {
@@ -656,6 +799,23 @@ func FuzzKernelEquivalence(f *testing.F) {
 					t.Fatalf("exact accum elem %d: simd %v Go %v", i, got[i], wantG[i])
 				}
 			}
+		case 7: // gradient step, L1 and L2: bit for bit
+			in := stepInput{old: make(Vector, n), acc: make(Vector, n)}
+			fill(in.old)
+			fill(in.acc)
+			for i := range in.old {
+				if rng.Intn(8) == 0 {
+					in.old[i] = math.Copysign(0, -1)
+				}
+			}
+			in.inv, in.lambda, in.negStep = draw(), draw(), -draw()
+			switch offRaw % 4 {
+			case 0:
+				in.lambda = 0
+			case 1:
+				in.lambda = math.Copysign(0, -1)
+			}
+			checkStepBitwise(t, fmt.Sprintf("step n=%d", n), in)
 		}
 	})
 }
