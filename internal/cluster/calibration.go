@@ -2,16 +2,100 @@ package cluster
 
 import "ml4all/internal/linalg"
 
+// The price list. Each kind of simulated work has one pure price function on
+// Config — CPU at a kernel tier (PriceCPU), parsing (PriceParse), the network
+// (PriceNet), and a seek plus pages at cache or disk speed (PriceRead) — and
+// both sides of the paper's cost loop call them: Sim's charges add their
+// accounting around one call each, and package costmodel builds Table 1's
+// per-unit terms (Equations 3-6) from the same calls. A rate therefore lives
+// in exactly one formula, and an estimate prices one unit of work to the bit
+// the execution charges for it.
+//
+// A kernel tier's rate is two measured fractions (Tier.rates): of FlopSec
+// and of UnitOverheadSec. The tables below are where they come from.
+
+// Tier is which kernels a compute pass runs, and with that the rate its
+// work is priced at. gd.KernelTier resolves a plan's tier; the engine bills
+// and the cost model prices by that answer alone.
+type Tier int
+
+const (
+	// RowTier is one Compute call per row, billed at the full per-row
+	// dispatch overhead: custom Computer UDFs, and stock computers over a
+	// custom Gradient without block kernels. Driver operators, Stage and the
+	// samplers' passes are priced at it too.
+	RowTier Tier = iota
+	// BlockTier is one ComputeBlock call per block over the bit-exact block
+	// kernels, billed at the amortized dispatch cost.
+	BlockTier
+	// FastTier is BlockTier over the tolerance-bounded fast kernels, billed
+	// at the fast tier's measured throughput on the executing backend.
+	FastTier
+)
+
+// rates returns the fractions of FlopSec and UnitOverheadSec that work at
+// tier t pays: both whole for RowTier, the post-batching unit overhead
+// (ComputeUnitOverheadFrac) for the block tiers, and for FastTier the flop
+// fraction of the backend the running binary dispatches to right now
+// (runtime CPU detection plus any noasm/SetSIMD override), so a price
+// follows the kernels as executed, not as compiled.
+func (t Tier) rates() (flop, unit Seconds) {
+	switch t {
+	case RowTier:
+		return 1, 1
+	case FastTier:
+		flop = FastMathFlopFrac
+		if linalg.FastBackend() == linalg.BackendSIMDAVX2 {
+			flop = FastMathFlopFracSIMD
+		}
+		return flop, ComputeUnitOverheadFrac
+	default:
+		return 1, ComputeUnitOverheadFrac
+	}
+}
+
+// PriceCPU is the CPU price of ops multiply-adds over units data units at
+// kernel tier t.
+func (c Config) PriceCPU(t Tier, units int, ops float64) Seconds {
+	flop, unit := t.rates()
+	return Seconds(ops)*c.FlopSec*flop + Seconds(units)*c.UnitOverheadSec*unit
+}
+
+// PriceParse is the CPU price of parsing bytes of raw input (the Transform
+// operator's work) over units data units.
+func (c Config) PriceParse(units int, bytes float64) Seconds {
+	return Seconds(bytes)*c.ParseByteSec + Seconds(units)*c.UnitOverheadSec
+}
+
+// PriceNet is the price of moving bytes across the network in the given
+// number of aggregation rounds (at least one): bandwidth plus per-round
+// latency. Nothing to move costs nothing.
+func (c Config) PriceNet(bytes int64, rounds int) Seconds {
+	if bytes <= 0 {
+		return 0
+	}
+	return Seconds(float64(bytes)/c.NetBytePerSec) + Seconds(max(rounds, 1))*c.PacketLatencySec
+}
+
+// PriceRead is the IO price of one access of pages pages: a seek plus each
+// page from the cache when cached, from disk otherwise.
+func (c Config) PriceRead(pages int64, cached bool) Seconds {
+	page := c.DiskPageSec
+	if cached {
+		page = c.MemPageSec
+	}
+	return c.SeekSec + Seconds(pages)*page
+}
+
 // Post-batched-kernel calibration of the Compute operator's per-unit cost.
 //
-// The simulator charges CPU as ops·FlopSec + units·UnitOverheadSec (CostCPU).
+// PriceCPU charges ops·FlopSec + units·UnitOverheadSec at RowTier.
 // UnitOverheadSec models the per-record UDF invocation overhead of a row-at-
 // a-time executor — virtual dispatch, per-row view construction, loop
 // bookkeeping. Since the batched execution layer, plans whose Computer
 // implements gd.BatchComputer no longer pay that per row: dispatch happens
 // once per 512-row block and the kernels run fused loops over the columnar
-// arena. Keeping the full per-unit overhead in the simulator (and therefore
-// in the cost model, which is calibrated by the same Config) would make
+// arena. Keeping the full per-unit overhead in the price would make
 // adaptive re-costing price compute phases at pre-kernel speeds and prefer
 // sampling-heavy plans that the post-kernel executor has no reason to favor.
 //
@@ -30,11 +114,11 @@ import "ml4all/internal/linalg"
 // the blocked path at large nnz extrapolated per row. The surviving
 // overhead is the per-block dispatch plus residual per-row branch cost. We
 // charge the conservative (upper) measured ratio, 0.25, rather than the
-// dense figure: simulated compute phases for batch-capable plans cost
-// ops·FlopSec + units·UnitOverheadSec·0.25, via Sim.CostCompute. Per-row
+// dense figure: compute phases of batch-capable plans cost
+// ops·FlopSec + units·UnitOverheadSec·0.25, the BlockTier price. Per-row
 // Computer UDFs (anything not implementing gd.BatchComputer) still pay the
-// full overhead through CostCPU — on the simulated cluster, as for real,
-// only batched operators amortize their dispatch.
+// full overhead at RowTier — on the simulated cluster, as for real, only
+// batched operators amortize their dispatch.
 const ComputeUnitOverheadFrac = 0.25
 
 // FastMathFlopFrac is the measured per-flop cost fraction of the fast-math
@@ -58,14 +142,14 @@ const ComputeUnitOverheadFrac = 0.25
 // The per-unit dispatch overhead is tier-independent (same block carving,
 // same kernel-call count), so the fast tier is charged the same
 // ComputeUnitOverheadFrac and only the flop rate changes. We charge 0.70 —
-// the median measured ratio, not the best one — via CostComputeFast, which
-// scales only the flop term: for sparse-dominated ops mixes the flop term is
-// small against the overhead term and the charged advantage shrinks
-// accordingly, tracking the measurement.
+// the median measured ratio, not the best one — as FastTier's flop
+// fraction, which scales only the flop term: for sparse-dominated ops mixes
+// the flop term is small against the overhead term and the charged
+// advantage shrinks accordingly, tracking the measurement.
 //
 // Since the SIMD kernel backend the flop fraction is per-backend: this
-// constant is the portable fast-go tier's figure, and FastMathFlopFracFor
-// resolves the one the running binary actually executes.
+// constant is the portable fast-go tier's figure, and Tier.rates picks the
+// one the running binary actually executes.
 const FastMathFlopFrac = 0.70
 
 // FastMathFlopFracSIMD is the measured per-flop cost fraction of the
@@ -91,21 +175,3 @@ const FastMathFlopFrac = 0.70
 // not be credited for, and the dense ratios would overstate the win on
 // gather-bound mixes.
 const FastMathFlopFracSIMD = 0.50
-
-// FastMathFlopFracFor returns the per-flop cost fraction for a fast-tier
-// kernel backend (a linalg.FastBackend value): the AVX2 figure for the
-// assembly backend, the portable tier's for anything else.
-func FastMathFlopFracFor(backend string) float64 {
-	if backend == linalg.BackendSIMDAVX2 {
-		return FastMathFlopFracSIMD
-	}
-	return FastMathFlopFrac
-}
-
-// ActiveFastMathFlopFrac resolves the flop fraction of the backend the
-// running binary dispatches to right now (runtime CPU detection plus any
-// noasm/SetSIMD override), so simulator and cost model price
-// the fast tier as executed, not as compiled.
-func ActiveFastMathFlopFrac() float64 {
-	return FastMathFlopFracFor(linalg.FastBackend())
-}

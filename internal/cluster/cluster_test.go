@@ -125,7 +125,7 @@ func TestCostReadBytesDoesNotAdmit(t *testing.T) {
 
 func TestCostCPUAndParse(t *testing.T) {
 	s := New(testConfig())
-	c := s.CostCPU(10, 1000)
+	c := s.CostCPU(RowTier, 10, 1000)
 	want := 1000*s.Cfg.FlopSec + 10*s.Cfg.UnitOverheadSec
 	if math.Abs(float64(c-want)) > 1e-15 {
 		t.Fatalf("CostCPU = %g, want %g", c, want)

@@ -140,18 +140,10 @@ func (s *Sim) jitter() float64 {
 // memory when the partition is resident and from disk (then admitted to
 // cache) when not.
 func (s *Sim) CostReadPartition(p storage.Partition, l storage.Layout) Seconds {
-	pages := p.Pages(l)
-	s.Acct.Seeks++
-	var c Seconds
-	if s.Cache.Contains(p.ID) {
-		s.Acct.MemPages += pages
-		c = s.Cfg.SeekSec + Seconds(pages)*s.Cfg.MemPageSec
-	} else {
-		s.Acct.DiskPages += pages
-		c = s.Cfg.SeekSec + Seconds(pages)*s.Cfg.DiskPageSec
+	c, hit := s.read(p, p.Pages(l))
+	if !hit {
 		s.Cache.Insert(p.ID, p.Bytes)
 	}
-	s.Acct.IOSeconds += c
 	return c
 }
 
@@ -161,55 +153,33 @@ func (s *Sim) CostReadPartition(p storage.Partition, l storage.Layout) Seconds {
 // depending on residency. The partition is not admitted to cache on a miss —
 // random access of a few units does not materialize a block.
 func (s *Sim) CostReadBytes(p storage.Partition, l storage.Layout, bytes int64) Seconds {
-	if bytes > p.Bytes {
-		bytes = p.Bytes
-	}
-	pages := (bytes + l.PageBytes - 1) / l.PageBytes
+	bytes = min(bytes, p.Bytes)
+	c, _ := s.read(p, (bytes+l.PageBytes-1)/l.PageBytes)
+	return c
+}
+
+// read charges one access of pages pages of p at the speed its residency
+// gives (PriceRead) and reports whether p was resident.
+func (s *Sim) read(p storage.Partition, pages int64) (Seconds, bool) {
+	hit := s.Cache.Contains(p.ID)
 	s.Acct.Seeks++
-	var c Seconds
-	if s.Cache.Contains(p.ID) {
+	if hit {
 		s.Acct.MemPages += pages
-		c = s.Cfg.SeekSec + Seconds(pages)*s.Cfg.MemPageSec
 	} else {
 		s.Acct.DiskPages += pages
-		c = s.Cfg.SeekSec + Seconds(pages)*s.Cfg.DiskPageSec
 	}
+	c := s.Cfg.PriceRead(pages, hit)
 	s.Acct.IOSeconds += c
-	return c
+	return c, hit
 }
 
 // CostCPU returns the CPU cost of ops multiply-adds plus per-unit UDF
-// overhead for units data units.
-func (s *Sim) CostCPU(units int, ops float64) Seconds {
+// overhead over units data units, at kernel tier t (PriceCPU): the driver's
+// operators, Stage and the samplers' passes run at RowTier, a compute pass
+// at the tier gd.KernelTier resolves for the plan.
+func (s *Sim) CostCPU(t Tier, units int, ops float64) Seconds {
 	s.Acct.UnitsSeen += int64(units)
-	c := Seconds(ops)*s.Cfg.FlopSec + Seconds(units)*s.Cfg.UnitOverheadSec
-	s.Acct.CPUSeconds += c
-	return c
-}
-
-// CostCompute returns the CPU cost of a batched Compute task over units data
-// units performing ops multiply-adds: the per-unit UDF overhead is charged at
-// the measured post-batching fraction (see ComputeUnitOverheadFrac) because a
-// block-dispatched operator pays invocation overhead once per block, not once
-// per row. Callers use it only for Computers that actually batch
-// (gd.BatchComputer); per-row UDFs keep CostCPU.
-func (s *Sim) CostCompute(units int, ops float64) Seconds {
-	s.Acct.UnitsSeen += int64(units)
-	c := Seconds(ops)*s.Cfg.FlopSec + Seconds(units)*s.Cfg.UnitOverheadSec*ComputeUnitOverheadFrac
-	s.Acct.CPUSeconds += c
-	return c
-}
-
-// CostComputeFast returns the CPU cost of a batched Compute task executing
-// on the fast-math kernel tier: CostCompute with the flop term scaled by the
-// active backend's measured flop fraction (ActiveFastMathFlopFrac — the SIMD
-// backend is roughly twice as cheap per flop as the portable fast loops).
-// The per-unit overhead term is unchanged — every fast backend carves the
-// same blocks and makes the same number of kernel calls; only the arithmetic
-// throughput differs.
-func (s *Sim) CostComputeFast(units int, ops float64) Seconds {
-	s.Acct.UnitsSeen += int64(units)
-	c := Seconds(ops)*s.Cfg.FlopSec*Seconds(ActiveFastMathFlopFrac()) + Seconds(units)*s.Cfg.UnitOverheadSec*ComputeUnitOverheadFrac
+	c := s.Cfg.PriceCPU(t, units, ops)
 	s.Acct.CPUSeconds += c
 	return c
 }
@@ -218,7 +188,7 @@ func (s *Sim) CostComputeFast(units int, ops float64) Seconds {
 // operator's work) over units data units.
 func (s *Sim) CostParse(units int, bytes int64) Seconds {
 	s.Acct.UnitsSeen += int64(units)
-	c := Seconds(bytes)*s.Cfg.ParseByteSec + Seconds(units)*s.Cfg.UnitOverheadSec
+	c := s.Cfg.PriceParse(units, float64(bytes))
 	s.Acct.CPUSeconds += c
 	return c
 }
@@ -299,13 +269,9 @@ func (s *Sim) Transfer(bytes int64, rounds int) Seconds {
 	if bytes <= 0 {
 		return 0
 	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	packets := (bytes + s.Cfg.PacketBytes - 1) / s.Cfg.PacketBytes
-	c := Seconds(float64(bytes)/s.Cfg.NetBytePerSec) + Seconds(rounds)*s.Cfg.PacketLatencySec
+	c := s.Cfg.PriceNet(bytes, rounds)
 	s.Acct.NetBytes += bytes
-	s.Acct.Packets += packets
+	s.Acct.Packets += (bytes + s.Cfg.PacketBytes - 1) / s.Cfg.PacketBytes
 	s.Acct.NetSeconds += c
 	s.Advance(c)
 	return c

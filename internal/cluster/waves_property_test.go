@@ -92,7 +92,7 @@ func TestClockNeverRewindsProperty(t *testing.T) {
 			case 3:
 				s.JobInit()
 			case 4:
-				s.CostCPU(int(op), float64(op)) // cost-only: no advance needed, but must not rewind
+				s.CostCPU(RowTier, int(op), float64(op)) // cost-only: no advance needed, but must not rewind
 			}
 			if s.Now() < prev {
 				return false

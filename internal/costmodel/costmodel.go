@@ -1,10 +1,11 @@
 // Package costmodel implements the paper's Section 7: analytic IO/CPU/network
 // costs per operator (Table 1 notation, Equations 3-6) composed into
-// per-plan costs (Equations 7-9). The model is calibrated by the same
-// cluster.Config the simulator runs with, so its estimates track the
-// simulated execution the way the paper's model tracks its Spark cluster —
-// closely, but not tautologically: execution adds stragglers (jitter), task
-// packing and cache dynamics the closed-form model does not see.
+// per-plan costs (Equations 7-9). The model prices each unit of work through
+// the same cluster.Config price functions the simulator charges with, so its
+// estimates track the simulated execution the way the paper's model tracks
+// its Spark cluster — closely, but not tautologically: execution adds
+// stragglers (jitter), task packing and cache dynamics the closed-form model
+// does not see.
 package costmodel
 
 import (
@@ -56,11 +57,11 @@ type Model struct {
 	Cfg   cluster.Config
 	Stats DataStats
 
-	// FastMath prices batched compute at the fast kernel tier's measured
-	// flop rate (cluster.ActiveFastMathFlopFrac, which resolves the SIMD or
-	// portable backend actually executing), mirroring Sim.CostComputeFast —
-	// set it when the run the model prices will execute with
-	// engine.Options.FastMath. Per-row and randomized compute is unaffected,
+	// FastMath prices compute at the tier gd.KernelTier resolves under fast
+	// math — cluster.FastTier for the stock losses, whose price
+	// (cluster.Config.PriceCPU) follows the backend actually executing, as
+	// the simulator's charge does. Set it when the run the model prices will
+	// execute with engine.Options.FastMath. Per-row compute is unaffected,
 	// exactly as in execution.
 	FastMath bool
 }
@@ -76,22 +77,12 @@ func (m *Model) waves() float64 {
 	return float64(m.Stats.Partitions) / float64(m.Cfg.Cap())
 }
 
-// pageIO returns the per-page read cost, from cache when the dataset is
-// resident and warm, from disk otherwise.
-func (m *Model) pageIO(warm bool) cluster.Seconds {
-	if warm && m.Stats.FitsInCache {
-		return m.Cfg.MemPageSec
-	}
-	return m.Cfg.DiskPageSec
-}
-
 // CIO is Equation 3: the cost of scanning the dataset once, reading the
 // pages of one partition per wave. warm selects cache-resident page cost.
 func (m *Model) CIO(warm bool) cluster.Seconds {
-	pagesPerPart := cluster.Seconds((m.Stats.PartBytes + m.Stats.PageBytes - 1) / m.Stats.PageBytes)
 	w := m.waves()
 	full := math.Floor(w)
-	perWave := m.Cfg.SeekSec + pagesPerPart*m.pageIO(warm)
+	perWave := m.Cfg.PriceRead(m.pagesPerPart(), warm && m.Stats.FitsInCache)
 	c := cluster.Seconds(full) * perWave
 	// Last (partial) wave: the remaining partitions, costed as one
 	// partition's pages (they run in parallel).
@@ -116,48 +107,25 @@ func (m *Model) CCPU(perUnit cluster.Seconds) cluster.Seconds {
 	return c
 }
 
+// pagesPerPart is the page count of one partition.
+func (m *Model) pagesPerPart() int64 {
+	return (m.Stats.PartBytes + m.Stats.PageBytes - 1) / m.Stats.PageBytes
+}
+
 // CNT is Equation 5: transferring bytes across the network in the given
 // number of aggregation rounds.
 func (m *Model) CNT(bytes int64, rounds int) cluster.Seconds {
-	if bytes <= 0 {
-		return 0
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	return cluster.Seconds(float64(bytes)/m.Cfg.NetBytePerSec) +
-		cluster.Seconds(rounds)*m.Cfg.PacketLatencySec
+	return m.Cfg.PriceNet(bytes, rounds)
 }
 
-// Per-unit CPU costs for the stock operators.
-
-func (m *Model) parsePerUnit() cluster.Seconds {
-	return cluster.Seconds(m.Stats.AvgUnitBytes)*m.Cfg.ParseByteSec + m.Cfg.UnitOverheadSec
-}
-
-// computePerUnit prices one Compute invocation on one unit at the plan's
-// kernel tier, mirroring what the simulator charges: RowTier pays the full
-// per-unit dispatch overhead (Sim.CostCPU), BlockTier the measured
-// post-batching fraction of it (Sim.CostCompute; see
-// cluster.ComputeUnitOverheadFrac for the measured constant table), and
-// FastTier that plus the executing backend's fast-kernel throughput (SIMD
-// when dispatch is live, portable fast-go otherwise; Sim.CostComputeFast).
-func (m *Model) computePerUnit(ops float64, tier gd.Tier) cluster.Seconds {
-	overhead := m.Cfg.UnitOverheadSec
-	flop := m.Cfg.FlopSec
-	if tier != gd.RowTier {
-		overhead *= cluster.ComputeUnitOverheadFrac
+// unitCost prices one data unit through the plan's Transform (when lazy) and
+// its Compute at tier — what the simulator charges for one unit, bit for bit.
+func (m *Model) unitCost(plan gd.Plan, ops float64, tier cluster.Tier) cluster.Seconds {
+	c := m.Cfg.PriceCPU(tier, 1, ops)
+	if plan.Transform == gd.Lazy {
+		c += m.Cfg.PriceParse(1, m.Stats.AvgUnitBytes) // a lazy BGD is off the Figure 5 space, but priced honestly
 	}
-	if tier == gd.FastTier {
-		flop *= cluster.Seconds(cluster.ActiveFastMathFlopFrac())
-	}
-	return cluster.Seconds(ops)*flop + overhead
-}
-
-// driverOp prices a small driver-side operator over the model dimensionality
-// (Update, Converge).
-func (m *Model) driverOp(flops float64) cluster.Seconds {
-	return cluster.Seconds(flops)*m.Cfg.FlopSec + m.Cfg.UnitOverheadSec
+	return c
 }
 
 // Breakdown itemizes a plan's estimated cost the way Section 7.2 composes it.
@@ -186,25 +154,22 @@ func (m *Model) Breakdown(plan gd.Plan) Breakdown {
 	d := float64(m.Stats.NumFeatures)
 
 	br := Breakdown{Plan: plan.Name(), JobInit: m.Cfg.JobInitSec}
-	br.Stage = m.driverOp(d)
+	br.Stage = m.Cfg.PriceCPU(cluster.RowTier, 1, d)
 
 	if plan.Transform == gd.Eager {
-		br.Transform = m.CIO(false) + m.CCPU(m.parsePerUnit())
+		br.Transform = m.CIO(false) + m.CCPU(m.Cfg.PriceParse(1, m.Stats.AvgUnitBytes))
 	}
 
 	// Converge + Loop + Update run on the driver every iteration, plus the
 	// per-iteration driver coordination overhead.
-	driver := m.driverOp(2*d) + m.driverOp(d) + m.driverOp(1) + m.Cfg.DriverIterSec
+	driver := m.Cfg.PriceCPU(cluster.RowTier, 1, 2*d) + m.Cfg.PriceCPU(cluster.RowTier, 1, d) +
+		m.Cfg.PriceCPU(cluster.RowTier, 1, 1) + m.Cfg.DriverIterSec
 
 	var iter cluster.Seconds
 	switch {
 	case plan.Sampling == gd.NoSampling:
 		// BGD (Eq. 7): full scan + compute per iteration, then the reduce.
-		perUnit := m.computePerUnit(ops, tier)
-		if plan.Transform == gd.Lazy {
-			perUnit += m.parsePerUnit() // off the Figure 5 space, but priced honestly
-		}
-		iter = m.CIO(true) + m.CCPU(perUnit)
+		iter = m.CIO(true) + m.CCPU(m.unitCost(plan, ops, tier))
 		iter += m.CNT(int64(m.Cfg.Executors()*accDim)*8, 1)
 	default:
 		iter = m.sampleCost(plan) + m.batchCost(plan, ops, accDim, tier)
@@ -229,8 +194,7 @@ func (m *Model) sampleCost(plan gd.Plan) cluster.Seconds {
 	case gd.RandomPartition:
 		// b random accesses: each a seek plus the pages covering one unit.
 		pages := math.Ceil(m.Stats.AvgUnitBytes / float64(m.Stats.PageBytes))
-		per := m.Cfg.SeekSec + cluster.Seconds(pages)*m.pageIO(true)
-		return cluster.Seconds(b) * per
+		return cluster.Seconds(b) * m.Cfg.PriceRead(int64(pages), m.Stats.FitsInCache)
 	case gd.ShuffledPartition:
 		// Amortized refill (partition read + shuffle pass) every k draws,
 		// plus sequential pages for the served units.
@@ -238,8 +202,7 @@ func (m *Model) sampleCost(plan gd.Plan) cluster.Seconds {
 		if k == 0 {
 			k = 1
 		}
-		pagesPerPart := float64((m.Stats.PartBytes + m.Stats.PageBytes - 1) / m.Stats.PageBytes)
-		refill := m.Cfg.SeekSec + cluster.Seconds(pagesPerPart)*m.pageIO(true) +
+		refill := m.Cfg.PriceRead(m.pagesPerPart(), m.Stats.FitsInCache) +
 			cluster.Seconds(k)*(m.Cfg.FlopSec+m.Cfg.UnitOverheadSec)
 		served := math.Ceil(b*m.Stats.AvgUnitBytes/float64(m.Stats.PageBytes)) + 1
 		return refill*cluster.Seconds(b/k) + cluster.Seconds(served)*m.Cfg.MemPageSec
@@ -250,14 +213,11 @@ func (m *Model) sampleCost(plan gd.Plan) cluster.Seconds {
 
 // batchCost prices transform (if lazy) + compute + aggregation for a sampled
 // batch, honoring the Appendix D placement rule.
-func (m *Model) batchCost(plan gd.Plan, ops float64, accDim int, tier gd.Tier) cluster.Seconds {
+func (m *Model) batchCost(plan gd.Plan, ops float64, accDim int, tier cluster.Tier) cluster.Seconds {
 	b := float64(plan.BatchSize)
 	batchBytes := int64(b * m.Stats.AvgUnitBytes)
 	var c cluster.Seconds
-	perUnit := m.computePerUnit(ops, tier)
-	if plan.Transform == gd.Lazy {
-		perUnit += m.parsePerUnit()
-	}
+	perUnit := m.unitCost(plan, ops, tier)
 	distributed := batchBytes > m.Stats.PartBytes
 	switch plan.Mode {
 	case gd.CentralizedMode:

@@ -168,8 +168,8 @@ func TestBlockedComputeMatchesRowComputeBitwise(t *testing.T) {
 					sameNumerics(t, blabel, base, res)
 					// Simulated time legitimately differs from the per-row
 					// reference: a batch-capable Computer is charged the
-					// amortized dispatch overhead (Sim.CostCompute), a
-					// per-row UDF the full one — never the other way round.
+					// amortized dispatch overhead (BlockTier), a per-row
+					// UDF the full one (RowTier) — never the other way round.
 					if res.Time >= base.Time {
 						t.Fatalf("%s: blocked sim time %g not below per-row %g", blabel, res.Time, base.Time)
 					}

@@ -124,22 +124,6 @@ func (ex *executor) opsSum(lo, hi int, idx []int) float64 {
 	return ops
 }
 
-// costComputeCPU charges one compute task's CPU cost at the run's kernel
-// tier: the full per-row overhead (Sim.CostCPU) for RowTier, the per-block
-// amortized unit overhead (Sim.CostCompute, see the calibration table at
-// cluster.ComputeUnitOverheadFrac) for BlockTier, and the fast kernels'
-// throughput for FastTier.
-func (ex *executor) costComputeCPU(units int, ops float64) cluster.Seconds {
-	switch ex.tier {
-	case gd.RowTier:
-		return ex.sim.CostCPU(units, ops)
-	case gd.FastTier:
-		return ex.sim.CostComputeFast(units, ops)
-	default:
-		return ex.sim.CostCompute(units, ops)
-	}
-}
-
 // parseCost returns the simulated CPU cost of (re-)parsing unit i, charged
 // per touch under lazy transformation — lazy physically re-parses every
 // sampled unit each time it is drawn.
@@ -293,7 +277,7 @@ func (ex *executor) computeFull(acc linalg.Vector) error {
 		if cacheOps {
 			ex.opsByPart[pi] = ex.opsSum(p.Lo, p.Hi, nil)
 		}
-		c += ex.costComputeCPU(p.Units(), ex.opsByPart[pi])
+		c += ex.sim.CostCPU(ex.tier, p.Units(), ex.opsByPart[pi])
 		costs = append(costs, c)
 	}
 	ex.costBuf = costs
@@ -337,7 +321,7 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 				cpu += ex.parseCost(i)
 			}
 		}
-		cpu += ex.costComputeCPU(len(idx), ex.opsSum(0, len(idx), idx))
+		cpu += ex.sim.CostCPU(ex.tier, len(idx), ex.opsSum(0, len(idx), idx))
 		ex.sim.RunLocal(cpu)
 		return nil
 	}
@@ -367,7 +351,7 @@ func (ex *executor) computeBatch(idx []int, acc linalg.Vector) error {
 				c += ex.parseCost(i)
 			}
 		}
-		c += ex.costComputeCPU(len(units), ex.opsSum(0, len(units), units))
+		c += ex.sim.CostCPU(ex.tier, len(units), ex.opsSum(0, len(units), units))
 		costs = append(costs, c)
 	}
 	ex.costBuf = costs

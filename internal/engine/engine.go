@@ -62,8 +62,9 @@ type Options struct {
 	// oracle: fast-tier results agree with them to the per-element bounds
 	// TestFastMathWithinEpsilon pins, not bit for bit, so runs with
 	// FastMath on are NOT bit-comparable to runs with it off. The sim
-	// charges the fast tier's measured per-op throughput
-	// (cluster.FastMathFlopFrac) so plan costing tracks the real speedup.
+	// charges compute at cluster.FastTier's price (cluster.Config.PriceCPU:
+	// the executing backend's measured per-flop fraction) where
+	// gd.KernelTier resolves it, so plan costing tracks the real speedup.
 	FastMath bool
 
 	// Observer, when non-nil, receives one IterEvent after every completed
@@ -146,9 +147,9 @@ type executor struct {
 	// makes one ComputeBlock call per row block; blockSize is the block width
 	// (blockSize in partition.go; tests sweep other widths). tier is
 	// gd.KernelTier's answer for the plan's Computer, resolved once per run
-	// and the only input to compute billing (costComputeCPU).
+	// and the only input to compute billing (Sim.CostCPU).
 	batch     gd.BatchComputer
-	tier      gd.Tier
+	tier      cluster.Tier
 	blockSize int
 
 	sampler sampling.Sampler
@@ -215,7 +216,7 @@ func (ex *executor) stage() error {
 		}
 		ex.sim.RunLocal(ex.sim.CostParse(m, bytes))
 	}
-	ex.sim.RunLocal(ex.sim.CostCPU(1, float64(ex.ctx.NumFeatures)))
+	ex.sim.RunLocal(ex.sim.CostCPU(cluster.RowTier, 1, float64(ex.ctx.NumFeatures)))
 	return ex.plan.Stager.Stage(sample, ex.ctx)
 }
 

@@ -96,8 +96,8 @@ func withinEpsilon(t *testing.T, label string, exact, fast *Result) {
 // land on every kernel tail path — 5 and 13 are not multiples of the 4-wide
 // accumulator count or the 8-wide unroll, 512 is the default — and 1 and 8
 // workers. Two invariants per cell: the numerics stay inside fastEps, and the
-// simulated clock comes out strictly cheaper (Sim.CostComputeFast charges the
-// calibrated fast-tier flop rate for the identical block carving).
+// simulated clock comes out strictly cheaper (Sim.CostCPU at FastTier charges
+// the calibrated fast-tier flop rate for the identical block carving).
 func TestFastMathWithinEpsilon(t *testing.T) {
 	forEachFastBackend(t, testFastMathWithinEpsilon)
 }

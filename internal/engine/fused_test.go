@@ -272,18 +272,33 @@ type parentTrainState struct {
 // encodeAsParent serializes st the way that commit did.
 func encodeAsParent(t *testing.T, st *engine.TrainState) []byte {
 	t.Helper()
+	return encodeGob(t, asParent(st))
+}
+
+// asParent lays st out as that commit's TrainState. The mirror's fields drive
+// the copy: what TrainState gained since (Policy) is simply absent, as it was
+// from the parent's; what it dropped since is refilled the way the parent
+// kept it (FinalDelta, the last delta) or left empty (OpsByPart, the op sums
+// a resumed run now recomputes).
+func asParent(st *engine.TrainState) parentTrainState {
 	var old parentTrainState
-	// The mirror's fields drive the copy: what TrainState gained since (Policy)
-	// is simply absent from the blob, as it was from the parent's.
 	src, dst := reflect.ValueOf(*st), reflect.ValueOf(&old).Elem()
 	for i := 0; i < dst.NumField(); i++ {
-		if name := dst.Type().Field(i).Name; name != "Prev" {
-			dst.Field(i).Set(src.FieldByName(name))
+		if f := src.FieldByName(dst.Type().Field(i).Name); f.IsValid() {
+			dst.Field(i).Set(f)
 		}
 	}
 	old.Prev = st.Weights.Clone()
+	if n := len(st.Deltas); n > 0 {
+		old.FinalDelta = st.Deltas[n-1]
+	}
+	return old
+}
+
+func encodeGob(t *testing.T, v any) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

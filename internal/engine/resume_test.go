@@ -322,3 +322,62 @@ func TestSwitchThenCheckpointResume(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRecomputesOpSums resumes checkpoints whose per-partition op sums
+// (a field TrainState once carried) are cut short or wrong. The sums are a
+// pure function of the plan and the store, so a resumed run recomputes them
+// rather than trust the blob: it neither indexes past a short cache nor
+// bills made-up op counts as simulated seconds, and finishes like the
+// uninterrupted run, bit for bit.
+func TestResumeRecomputesOpSums(t *testing.T) {
+	st := resumeDataset(t, data.TaskSVM)
+	p := gd.Params{Task: st.Dataset.Task, Format: st.Dataset.Format, Tolerance: 1e-9, MaxIter: 12}
+	plan := gd.NewBGD(p)
+	opts := engine.Options{Seed: 11, Workers: 2}
+	want, err := engine.Run(cluster.New(cluster.Default()), st, &plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := engine.NewTrainer(cluster.New(cluster.Default()), st, &plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := tr.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := make([]float64, st.NumPartitions())
+	for i := range wrong {
+		wrong[i] = 1e9
+	}
+	for name, ops := range map[string][]float64{"short": {1}, "wrong": wrong} {
+		old := asParent(cp)
+		old.OpsByPart = ops
+		dec, err := engine.DecodeTrainState(encodeGob(t, old))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rt, err := engine.Resume(cluster.New(cluster.Default()), st, &plan, opts, dec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: Step panicked: %v", name, r)
+				}
+			}()
+			for !rt.Done() {
+				if err := rt.Step(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}()
+		checkSame(t, name, want, rt.Finish())
+	}
+}

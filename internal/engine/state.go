@@ -16,37 +16,39 @@ import (
 // everything a fresh process needs to continue the run bit-identically.
 // Model state (weights, operator context variables), loop state (iteration
 // counter, delta history, termination flags), physical-execution state (the
-// sampling RNG position as a draw count, the per-partition op-cost cache, the
-// shuffled-partition sampler queue) and the simulator snapshot (clock,
-// accounting, jitter position, cache residency) are all captured by value.
+// sampling RNG position as a draw count, the shuffled-partition sampler
+// queue) and the simulator snapshot (clock, accounting, jitter position,
+// cache residency) are all captured by value.
 // The data units themselves are NOT serialized — they are the store's arena,
 // or reproduced on Resume by re-running the (deterministic) Transform UDF
 // over the same raw dataset, which is why a resumed run needs the same store
 // the checkpointed run used. Neither is the previous iterate: between Steps
-// it equals Weights (see Trainer.prev). A checkpoint written when Prev, the
-// lazy-transform memo or the per-iteration weights trace still were fields
-// resumes to the same run — gob drops unknown fields.
+// it equals Weights (see Trainer.prev), nor the final delta (the last of
+// Deltas), nor the per-partition op sums a full pass charges with (a pure
+// function of the plan and the store, recomputed by the first full pass
+// after Resume rather than trusted from the blob). A checkpoint written when
+// Prev, FinalDelta, OpsByPart, the lazy-transform memo or the per-iteration
+// weights trace still were fields resumes to the same run — gob drops
+// unknown fields.
 type TrainState struct {
 	PlanName string
 	Seed     int64
 
 	// Loop position and model state.
-	Iter       int
-	StepSize   float64
-	BatchSize  int
-	Weights    linalg.Vector
-	Vars       map[string]any
-	Deltas     []float64
-	FinalDelta float64
-	Converged  bool
-	Budgeted   bool
-	Diverged   bool
-	Done       bool
+	Iter      int
+	StepSize  float64
+	BatchSize int
+	Weights   linalg.Vector
+	Vars      map[string]any
+	Deltas    []float64
+	Converged bool
+	Budgeted  bool
+	Diverged  bool
+	Done      bool
 
 	// Physical-execution state.
-	RNGDraws  uint64 // sampling-stream position: draws consumed since seeding
-	OpsByPart []float64
-	Sampler   []int // shuffled-partition queue; nil for stateless samplers
+	RNGDraws uint64 // sampling-stream position: draws consumed since seeding
+	Sampler  []int  // shuffled-partition queue; nil for stateless samplers
 
 	// Simulator state.
 	StartClock cluster.Seconds // sim clock at trainer start (Time baseline)
@@ -107,13 +109,11 @@ func (t *Trainer) Checkpoint() (*TrainState, error) {
 		Weights:    ctx.Weights.Clone(),
 		Vars:       cloneVars(ctx.Vars),
 		Deltas:     append([]float64(nil), t.res.Deltas...),
-		FinalDelta: t.res.FinalDelta,
 		Converged:  t.res.Converged,
 		Budgeted:   t.res.Budgeted,
 		Diverged:   t.res.Diverged,
 		Done:       t.done,
 		RNGDraws:   t.rngDraws(),
-		OpsByPart:  append([]float64(nil), t.ex.opsByPart...),
 		StartClock: t.start,
 		Sim:        t.sim.Snapshot(),
 	}
@@ -163,8 +163,6 @@ func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options,
 	if err := t.ex.materialize(); err != nil {
 		return nil, err
 	}
-	t.ex.opsByPart = append([]float64(nil), st.OpsByPart...)
-
 	if err := t.initSampler(); err != nil {
 		return nil, err
 	}
@@ -176,12 +174,14 @@ func Resume(sim *cluster.Sim, store *storage.Store, plan *gd.Plan, opts Options,
 	}
 
 	t.res = &Result{
-		PlanName:   plan.Name(),
-		Deltas:     append([]float64(nil), st.Deltas...),
-		FinalDelta: st.FinalDelta,
-		Converged:  st.Converged,
-		Budgeted:   st.Budgeted,
-		Diverged:   st.Diverged,
+		PlanName:  plan.Name(),
+		Deltas:    append([]float64(nil), st.Deltas...),
+		Converged: st.Converged,
+		Budgeted:  st.Budgeted,
+		Diverged:  st.Diverged,
+	}
+	if n := len(st.Deltas); n > 0 {
+		t.res.FinalDelta = st.Deltas[n-1]
 	}
 	t.done = st.Done
 	return t, nil

@@ -240,7 +240,7 @@ func (t *Trainer) Step() error {
 
 	// Update, then Converge + Loop, on the driver — charged in that order
 	// whether they run fused or operator by operator.
-	sim.RunLocal(sim.CostCPU(1, float64(2*ctx.NumFeatures)))
+	sim.RunLocal(sim.CostCPU(cluster.RowTier, 1, float64(2*ctx.NumFeatures)))
 	wOld := ctx.Weights
 	var (
 		wNew   linalg.Vector
@@ -252,7 +252,7 @@ func (t *Trainer) Step() error {
 			return err
 		}
 		t.ex.accZero = len(acc) == len(wNew) // consumed: zeroed as it was read
-		sim.RunLocal(sim.CostCPU(1, float64(ctx.NumFeatures)))
+		sim.RunLocal(sim.CostCPU(cluster.RowTier, 1, float64(ctx.NumFeatures)))
 	} else {
 		wPrev := wOld
 		if t.copyPrev {
@@ -262,7 +262,7 @@ func (t *Trainer) Step() error {
 		if wNew, err = plan.Updater.Update(acc, ctx); err != nil {
 			return err
 		}
-		sim.RunLocal(sim.CostCPU(1, float64(ctx.NumFeatures)))
+		sim.RunLocal(sim.CostCPU(cluster.RowTier, 1, float64(ctx.NumFeatures)))
 		delta = plan.Converger.Converge(wNew, wPrev, ctx)
 		finite = wNew.IsFinite()
 	}

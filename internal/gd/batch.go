@@ -3,6 +3,7 @@ package gd
 import (
 	"sync"
 
+	"ml4all/internal/cluster"
 	"ml4all/internal/data"
 	"ml4all/internal/gradients"
 	"ml4all/internal/linalg"
@@ -28,29 +29,14 @@ type BatchComputer interface {
 	ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector)
 }
 
-// Tier is which kernels a plan's compute pass runs.
-type Tier int
-
-const (
-	// RowTier is one Compute call per row, billed at the full per-row
-	// dispatch overhead: custom Computer UDFs, and stock computers over a
-	// custom Gradient without block kernels.
-	RowTier Tier = iota
-	// BlockTier is one ComputeBlock call per block over the bit-exact block
-	// kernels, billed at the amortized dispatch cost.
-	BlockTier
-	// FastTier is BlockTier over the tolerance-bounded fast kernels, billed
-	// at the fast tier's measured throughput.
-	FastTier
-)
-
 // KernelTier resolves the tier c's compute pass runs at, given whether the
-// run asked for fast math. The engine and the cost model both ask here, once
-// per run, and add nothing to the answer, so execution and billing cannot
-// disagree: a stock computer is only as capable as the Gradient it wraps.
-func KernelTier(c Computer, fastMath bool) Tier {
+// run asked for fast math. The engine bills the pass and the cost model
+// prices it by this answer alone, each through cluster.Config.PriceCPU, so
+// execution and billing cannot disagree: a stock computer is only as capable
+// as the Gradient it wraps.
+func KernelTier(c Computer, fastMath bool) cluster.Tier {
 	if _, ok := c.(BatchComputer); !ok {
-		return RowTier
+		return cluster.RowTier
 	}
 	var g gradients.Gradient
 	switch c := c.(type) {
@@ -61,7 +47,7 @@ func KernelTier(c Computer, fastMath bool) Tier {
 	case LineSearchComputer:
 		g = c.Gradient
 	default:
-		return BlockTier // a BatchComputer UDF owns its kernels
+		return cluster.BlockTier // a BatchComputer UDF owns its kernels
 	}
 	_, _, tier := blockKernels(g, fastMath)
 	return tier
@@ -99,14 +85,14 @@ func putMargins(p *[]float64) { marginPool.Put(p) }
 // block kernels, else none (RowTier). Returning the pair as plain funcs
 // keeps the per-block dispatch to two type assertions at most, paid once per
 // block, not per row.
-func blockKernels(g gradients.Gradient, fastMath bool) (addGrad func(linalg.Vector, data.Block, []float64, linalg.Vector), loss func(linalg.Vector, data.Block, []float64, *float64), tier Tier) {
+func blockKernels(g gradients.Gradient, fastMath bool) (addGrad func(linalg.Vector, data.Block, []float64, linalg.Vector), loss func(linalg.Vector, data.Block, []float64, *float64), tier cluster.Tier) {
 	if fg, ok := g.(gradients.FastGradient); ok && fastMath {
-		return fg.AddGradientBlockFast, fg.LossBlockFast, FastTier
+		return fg.AddGradientBlockFast, fg.LossBlockFast, cluster.FastTier
 	}
 	if bg, ok := g.(gradients.BlockGradient); ok {
-		return bg.AddGradientBlock, bg.LossBlock, BlockTier
+		return bg.AddGradientBlock, bg.LossBlock, cluster.BlockTier
 	}
-	return nil, nil, RowTier
+	return nil, nil, cluster.RowTier
 }
 
 // computeRowByRow is the block loop of RowTier computers: one Compute call
@@ -141,7 +127,7 @@ func (c rowComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vect
 // block (Listing 2, batched).
 func (c GradientComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
 	addGrad, _, tier := blockKernels(c.Gradient, ctx.FastMath)
-	if tier == RowTier {
+	if tier == cluster.RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}
@@ -157,7 +143,7 @@ func (c GradientComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg
 // result is still bit-identical to the interleaved per-row loop.
 func (c SVRGComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
 	addGrad, _, tier := blockKernels(c.Gradient, ctx.FastMath)
-	if tier == RowTier {
+	if tier == cluster.RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}
@@ -182,7 +168,7 @@ func (c SVRGComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vec
 // filled in row order, matching the per-row loop bit for bit.
 func (c LineSearchComputer) ComputeBlock(rows data.Block, ctx *Context, acc linalg.Vector) {
 	addGrad, loss, tier := blockKernels(c.Gradient, ctx.FastMath)
-	if tier == RowTier {
+	if tier == cluster.RowTier {
 		computeRowByRow(c, rows, ctx, acc)
 		return
 	}

@@ -103,7 +103,7 @@ func (s *BernoulliSampler) Draw(env *Env, b int) ([]int, error) {
 	costs, picked := s.costs[:0], s.picked[:0]
 	for _, part := range st.Partitions {
 		c := env.Sim.CostReadPartition(part, st.Layout)
-		c += env.Sim.CostCPU(part.Units(), 0)
+		c += env.Sim.CostCPU(cluster.RowTier, part.Units(), 0)
 		costs = append(costs, c)
 		for i := part.Lo; i < part.Hi; i++ {
 			if env.RNG.Float64() < p {
@@ -196,7 +196,7 @@ func (s *ShuffledPartitionSampler) Draw(env *Env, b int) ([]int, error) {
 		if len(s.queue) == 0 {
 			part := st.Partitions[env.RNG.Intn(len(st.Partitions))]
 			total += env.Sim.CostReadPartition(part, st.Layout)
-			total += env.Sim.CostCPU(part.Units(), float64(part.Units())) // Fisher-Yates pass
+			total += env.Sim.CostCPU(cluster.RowTier, part.Units(), float64(part.Units())) // Fisher-Yates pass
 			s.queue = make([]int, part.Units())
 			for i := range s.queue {
 				s.queue[i] = part.Lo + i
