@@ -12,8 +12,8 @@ import "fmt"
 // results bitwise identical to calling Dot/SparseDot/AddScaled row by row;
 // that equivalence is what lets the engine switch between the blocked and
 // per-row paths freely (see gradients.BlockGradient and the engine's block
-// property test). With the SIMD backend on, the dense kernels run their
-// AVX2 twins, where a vector lane is a row (or a slot) and each step is a
+// property test). With the SIMD backend on, every kernel here runs its
+// AVX2 twin, where a vector lane is a row (or a slot) and each step is a
 // multiply then an add, so the bits stay those of the Go loops, which
 // remain the portable path and the tests' oracle. The tolerance-bounded
 // fast-tier variants live in fast.go.
@@ -62,11 +62,21 @@ func DenseAccum(grad Vector, vals []float64, stride int, coeffs []float64) {
 
 // CSRMargins computes out[j] = SparseDot(row j) for a contiguous CSR block:
 // offs holds len(out)+1 absolute offsets into the shared indices/values
-// arena. The per-row loop is SparseDot itself, so each margin is bitwise
-// identical to the row path; the win is hoisting the slice headers and
-// skipping per-row view construction.
+// arena, and each row's indices are sorted ascending, as SparseDot requires.
+// The per-row loop is SparseDot itself, so each margin is bitwise identical
+// to the row path. The SIMD twin runs four rows as four lanes, each one
+// row's running sum in its own index order, so the bits stay those of the
+// loop; it leaves the last len(out)%4 rows, and any quad with a decreasing
+// offset or a negative index, to the loop.
 func CSRMargins(offs []int64, indices []int32, values []float64, w Vector, out []float64) {
-	for j := range out {
+	j := 0
+	if simdOn && len(out) >= 4 && len(w) > 0 {
+		n := len(out) &^ 3
+		if lo, hi := offs[0], offs[n]; lo >= 0 && hi > 0 && hi <= int64(len(indices)) && hi <= int64(len(values)) {
+			j = csrMarginsExactSIMD(offs[:n+1], indices, values, w, out[:n])
+		}
+	}
+	for ; j < len(out); j++ {
 		lo, hi := offs[j], offs[j+1]
 		out[j] = SparseDot(indices[lo:hi], values[lo:hi], w)
 	}

@@ -53,6 +53,15 @@ func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64
 //go:noescape
 func expVecAVX2(dst, src *float64, n int)
 
+//go:noescape
+func csrMarginsExactAVX2(offs *int64, idx *int32, vals *float64, w *float64, d int, out *float64, rows int) int
+
+//go:noescape
+func expVecExactAVX2(dst, src *float64, n int) int
+
+//go:noescape
+func logisticCoeffsAVX2(y, m *float64, n int) int
+
 // dotSIMD computes <a, b>. Caller guarantees len(a) == len(b) > 0.
 func dotSIMD(a, b []float64) float64 { return dotAVX2(&a[0], &b[0], len(a)) }
 
@@ -75,6 +84,15 @@ func denseAccumSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
 // of 4, and that vals holds len(out) full rows.
 func denseMarginsExactSIMD(vals []float64, stride int, w Vector, out []float64) {
 	denseMarginsExactAVX2(&vals[0], stride, &w[0], &out[0], len(out))
+}
+
+// csrMarginsExactSIMD is the exact CSRMargins over whole groups of four
+// rows; it returns the rows it computed (see csrMarginsExactAVX2). Caller
+// guarantees len(offs) == len(out)+1, len(out) a positive multiple of 4,
+// len(w) > 0, 0 ≤ offs[0] and offs[len(out)] ≤ len(indices), len(values),
+// with offs[len(out)] > 0.
+func csrMarginsExactSIMD(offs []int64, indices []int32, values []float64, w Vector, out []float64) int {
+	return csrMarginsExactAVX2(&offs[0], &indices[0], &values[0], &w[0], len(w), &out[0], len(out))
 }
 
 // denseAccumExactSIMD is the exact DenseAccum. Same contract as
@@ -113,4 +131,18 @@ func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
 // len(dst) == len(src), positive and a multiple of 4.
 func expVecSIMD(dst, src []float64) {
 	expVecAVX2(&dst[0], &src[0], len(src))
+}
+
+// expVecExactSIMD writes dst[i] = math.Exp(src[i]) over a prefix of whole
+// groups of four and returns its length. Caller guarantees
+// len(dst) == len(src) ≥ 4.
+func expVecExactSIMD(dst, src []float64) int {
+	return expVecExactAVX2(&dst[0], &src[0], len(src))
+}
+
+// logisticCoeffsSIMD writes m[j] = -y[j] / (1 + math.Exp(y[j]*m[j])) over
+// a prefix of whole groups of four and returns its length. Caller
+// guarantees len(y) == len(m) ≥ 4.
+func logisticCoeffsSIMD(y, m []float64) int {
+	return logisticCoeffsAVX2(&y[0], &m[0], len(m))
 }

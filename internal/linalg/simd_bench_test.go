@@ -33,8 +33,8 @@ func BenchmarkDot50SIMD(b *testing.B) {
 	}
 }
 
-func benchDenseMargins(b *testing.B, simd bool, margins func([]float64, int, Vector, []float64)) {
-	const rows, d = 512, 50
+func benchDenseMargins(b *testing.B, d int, simd bool, margins func([]float64, int, Vector, []float64)) {
+	const rows = 512
 	r := rand.New(rand.NewSource(9))
 	vals := randVec(r, rows*d)
 	w := randVec(r, d)
@@ -51,10 +51,30 @@ func benchDenseMargins(b *testing.B, simd bool, margins func([]float64, int, Vec
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
-func BenchmarkDenseMargins512x50Exact(b *testing.B)     { benchDenseMargins(b, false, DenseMargins) }
-func BenchmarkDenseMargins512x50ExactSIMD(b *testing.B) { benchDenseMargins(b, true, DenseMargins) }
-func BenchmarkDenseMargins512x50FastGo(b *testing.B)    { benchDenseMargins(b, false, DenseMarginsFast) }
-func BenchmarkDenseMargins512x50SIMD(b *testing.B)      { benchDenseMargins(b, true, DenseMarginsFast) }
+func BenchmarkDenseMargins512x50Exact(b *testing.B) { benchDenseMargins(b, 50, false, DenseMargins) }
+func BenchmarkDenseMargins512x50ExactSIMD(b *testing.B) {
+	benchDenseMargins(b, 50, true, DenseMargins)
+}
+func BenchmarkDenseMargins512x50FastGo(b *testing.B) {
+	benchDenseMargins(b, 50, false, DenseMarginsFast)
+}
+func BenchmarkDenseMargins512x50SIMD(b *testing.B) { benchDenseMargins(b, 50, true, DenseMarginsFast) }
+
+// The bench's dense shapes: d = 100 (batch-train's dense file) and 128.
+func BenchmarkDenseMargins512x100Exact(b *testing.B) { benchDenseMargins(b, 100, false, DenseMargins) }
+func BenchmarkDenseMargins512x100ExactSIMD(b *testing.B) {
+	benchDenseMargins(b, 100, true, DenseMargins)
+}
+func BenchmarkDenseMargins512x100SIMD(b *testing.B) {
+	benchDenseMargins(b, 100, true, DenseMarginsFast)
+}
+func BenchmarkDenseMargins512x128Exact(b *testing.B) { benchDenseMargins(b, 128, false, DenseMargins) }
+func BenchmarkDenseMargins512x128ExactSIMD(b *testing.B) {
+	benchDenseMargins(b, 128, true, DenseMargins)
+}
+func BenchmarkDenseMargins512x128SIMD(b *testing.B) {
+	benchDenseMargins(b, 128, true, DenseMarginsFast)
+}
 
 func BenchmarkDenseAccum512x50ExactSIMD(b *testing.B) { benchAccumSIMD(b, DenseAccum) }
 func BenchmarkDenseAccum512x50SIMD(b *testing.B)      { benchAccumSIMD(b, DenseAccumFast) }
@@ -73,13 +93,13 @@ func benchAccumSIMD(b *testing.B, accum func(Vector, []float64, int, []float64))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
-// benchCSR builds a 512-row CSR block with ~25 nonzeros per row over
-// d=1000, the sparse shape the engine benchmarks use.
-func benchCSR(r *rand.Rand) (offs []int64, indices []int32, values []float64, w Vector) {
-	const rows, d, nnz = 512, 1000, 25
+// benchCSR builds a 512-row CSR block with nnz sorted nonzeros per row over
+// width d.
+func benchCSR(r *rand.Rand, d, nnz int) (offs []int64, indices []int32, values []float64, w Vector) {
+	const rows = 512
 	offs = make([]int64, rows+1)
 	for j := 1; j <= rows; j++ {
-		offs[j] = offs[j-1] + nnz
+		offs[j] = offs[j-1] + int64(nnz)
 	}
 	indices = make([]int32, rows*nnz)
 	values = make([]float64, rows*nnz)
@@ -94,9 +114,9 @@ func benchCSR(r *rand.Rand) (offs []int64, indices []int32, values []float64, w 
 	return offs, indices, values, randVec(r, d)
 }
 
-func benchCSRMargins(b *testing.B, simd bool) {
+func benchCSRMargins(b *testing.B, d, nnz int, simd bool, margins func([]int64, []int32, []float64, Vector, []float64)) {
 	r := rand.New(rand.NewSource(10))
-	offs, indices, values, w := benchCSR(r)
+	offs, indices, values, w := benchCSR(r, d, nnz)
 	out := make([]float64, len(offs)-1)
 	if simd {
 		defer requireSIMDBench(b)()
@@ -105,13 +125,23 @@ func benchCSRMargins(b *testing.B, simd bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRMarginsFast(offs, indices, values, w, out)
+		margins(offs, indices, values, w, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/row")
 }
 
-func BenchmarkCSRMargins512x25FastGo(b *testing.B) { benchCSRMargins(b, false) }
-func BenchmarkCSRMargins512x25SIMD(b *testing.B)   { benchCSRMargins(b, true) }
+func BenchmarkCSRMargins512x25FastGo(b *testing.B) {
+	benchCSRMargins(b, 1000, 25, false, CSRMarginsFast)
+}
+func BenchmarkCSRMargins512x25SIMD(b *testing.B) { benchCSRMargins(b, 1000, 25, true, CSRMarginsFast) }
+
+// The bench's sparse shape: 40 nonzeros per row over d = 2 000
+// (batch-train's sparse file).
+func BenchmarkCSRMargins512x40Exact(b *testing.B) { benchCSRMargins(b, 2000, 40, false, CSRMargins) }
+func BenchmarkCSRMargins512x40ExactSIMD(b *testing.B) {
+	benchCSRMargins(b, 2000, 40, true, CSRMargins)
+}
+func BenchmarkCSRMargins512x40SIMD(b *testing.B) { benchCSRMargins(b, 2000, 40, true, CSRMarginsFast) }
 
 func benchExpVec(b *testing.B, simd bool) {
 	r := rand.New(rand.NewSource(11))
@@ -134,6 +164,34 @@ func benchExpVec(b *testing.B, simd bool) {
 
 func BenchmarkExpVec512FastGo(b *testing.B) { benchExpVec(b, false) }
 func BenchmarkExpVec512SIMD(b *testing.B)   { benchExpVec(b, true) }
+
+// benchLogisticCoeffs times the exact logistic coefficient pass over a
+// 512-row block of ±1 labels and margins of a few units, the Go loop over
+// math.Exp against its packed twin. The margins are restored each
+// iteration, at the same cost on both rows.
+func benchLogisticCoeffs(b *testing.B, simd bool) {
+	r := rand.New(rand.NewSource(13))
+	y, m := make([]float64, 512), make([]float64, 512)
+	for j := range m {
+		y[j] = float64(1 - 2*r.Intn(2))
+		m[j] = r.NormFloat64() * 3
+	}
+	buf := make([]float64, len(m))
+	if simd {
+		defer requireSIMDBench(b)()
+	} else {
+		defer SetSIMD(SetSIMD(false))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, m)
+		LogisticCoeffs(y, buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m)), "ns/row")
+}
+
+func BenchmarkLogisticCoeffs512Exact(b *testing.B)     { benchLogisticCoeffs(b, false) }
+func BenchmarkLogisticCoeffs512ExactSIMD(b *testing.B) { benchLogisticCoeffs(b, true) }
 
 // benchStep times the fused gradient step with λ ≠ 0 and the L1 delta,
 // plan-sweep's case, at width d; ns/elem is per model component. The acc

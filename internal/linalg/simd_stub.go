@@ -28,6 +28,10 @@ func denseMarginsExactSIMD(vals []float64, stride int, w Vector, out []float64) 
 	panic("linalg: SIMD kernel called in noasm build")
 }
 
+func csrMarginsExactSIMD(offs []int64, indices []int32, values []float64, w Vector, out []float64) int {
+	panic("linalg: SIMD kernel called in noasm build")
+}
+
 func denseAccumExactSIMD(grad Vector, vals []float64, stride int, coeffs []float64) {
 	panic("linalg: SIMD kernel called in noasm build")
 }
@@ -45,3 +49,7 @@ func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
 }
 
 func expVecSIMD(dst, src []float64) { panic("linalg: SIMD kernel called in noasm build") }
+
+func expVecExactSIMD(dst, src []float64) int { panic("linalg: SIMD kernel called in noasm build") }
+
+func logisticCoeffsSIMD(y, m []float64) int { panic("linalg: SIMD kernel called in noasm build") }

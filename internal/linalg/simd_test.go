@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -361,15 +363,14 @@ func accumBase(rng *rand.Rand, d int) Vector {
 
 // TestSIMDExactKernelsBitwise holds the exact tier's dispatched DenseMargins
 // and DenseAccum to the Go loops bit for bit, over widths on both sides of
-// every 4-column and 4-row tail, row counts 0–9 and a full 512-row block,
+// every 4-column and 4-row tail, the exactBlockRows lengths,
 // and values from plain normals to ±0, ±Inf, NaN and subnormals.
 func TestSIMDExactKernelsBitwise(t *testing.T) {
 	defer requireSIMD(t)()
 	rng := rand.New(rand.NewSource(13))
-	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28, 100, 128, 2000}
-	rowCounts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 512}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28, 100, 128, 1003, 2000}
 	for _, d := range widths {
-		for _, rows := range rowCounts {
+		for _, rows := range exactBlockRows {
 			for _, rate := range []int{1 << 30, 64, 4} {
 				vals := make([]float64, rows*d)
 				w := make(Vector, d)
@@ -396,6 +397,226 @@ func TestSIMDExactKernelsBitwise(t *testing.T) {
 						t.Fatalf("d=%d rows=%d rate=%d: grad[%d] %v (%#x), Go loop %v (%#x)", d, rows, rate,
 							i, gotG[i], math.Float64bits(gotG[i]), wantG[i], math.Float64bits(wantG[i]))
 					}
+				}
+			}
+		}
+	}
+}
+
+// randCSR builds a CSR block of the given row count over width d: rows of
+// unequal length (empty ones included), sorted unique indices that run past
+// d so a random tail must be trimmed, and values drawn by fillSpecial at
+// rate. The first row starts at a nonzero offset, as a block inside an
+// arena does.
+func randCSR(rng *rand.Rand, rows, d, rate int) (offs []int64, indices []int32, values []float64) {
+	pad := rng.Intn(3)
+	offs = make([]int64, rows+1)
+	indices = make([]int32, pad)
+	for j := 0; j < rows; j++ {
+		offs[j] = int64(len(indices))
+		nnz := rng.Intn(2 * min(d, 40))
+		if rng.Intn(6) == 0 {
+			nnz = 0
+		}
+		next := int32(-1)
+		for k := 0; k < nnz; k++ {
+			next += int32(1 + rng.Intn(3))
+			indices = append(indices, next)
+		}
+	}
+	offs[rows] = int64(len(indices))
+	values = make([]float64, len(indices))
+	fillSpecial(rng, values, rate)
+	return offs, indices, values
+}
+
+// csrGoRef runs CSRMargins with the SIMD backend off: SparseDot per row,
+// the oracle of the gather kernel.
+func csrGoRef(offs []int64, indices []int32, values []float64, w Vector) []float64 {
+	defer SetSIMD(SetSIMD(false))
+	out := make([]float64, len(offs)-1)
+	CSRMargins(offs, indices, values, w, out)
+	return out
+}
+
+// exactBlockRows are the block lengths the exact margins kernels are held
+// to their loops over: every length 0–11 (each four-row group alone and
+// with every remainder, the 4-row predict shape included), 4k and 8k+4
+// lengths for the two-group and one-group paths, and a full block.
+var exactBlockRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 20, 36, 512}
+
+// TestSIMDCSRMarginsBitwise holds the exact tier's CSRMargins gather kernel
+// to SparseDot row by row, bit for bit: rows of unequal length, empty rows,
+// index tails at or past len(w), and ±0, ±Inf, NaN and subnormals in the
+// values and the weights.
+func TestSIMDCSRMarginsBitwise(t *testing.T) {
+	defer requireSIMD(t)()
+	rng := rand.New(rand.NewSource(14))
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 28, 100, 128, 1003} {
+		for _, rows := range exactBlockRows {
+			for _, rate := range []int{1 << 30, 64, 4} {
+				offs, indices, values := randCSR(rng, rows, d, rate)
+				w := make(Vector, d)
+				fillSpecial(rng, w, rate)
+				want := csrGoRef(offs, indices, values, w)
+				SetSIMD(true)
+				got := make([]float64, rows)
+				CSRMargins(offs, indices, values, w, got)
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("d=%d rows=%d rate=%d: margin[%d] %v (%#x), SparseDot %v (%#x)", d, rows, rate,
+							j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDCSRMarginsPanicsLikeSparseDot pins the kernel's hand-back: a row
+// with a negative index, or offsets that run backwards, panics on the SIMD
+// path as the Go loop does, instead of reading outside the arena.
+func TestSIMDCSRMarginsPanicsLikeSparseDot(t *testing.T) {
+	defer requireSIMD(t)()
+	w := Vector{1, 2, 3, 4}
+	cases := map[string]struct {
+		offs    []int64
+		indices []int32
+	}{
+		"negative index":     {[]int64{0, 1, 2, 3, 4}, []int32{0, 1, -2, 3}},
+		"decreasing offsets": {[]int64{0, 2, 1, 3, 4}, []int32{0, 1, 2, 3}},
+	}
+	for name, c := range cases {
+		for _, simd := range []bool{false, true} {
+			SetSIMD(simd)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				CSRMargins(c.offs, c.indices, make([]float64, 4), w, make([]float64, 4))
+				return false
+			}()
+			if !panicked {
+				t.Errorf("%s, simd=%v: CSRMargins did not panic", name, simd)
+			}
+		}
+	}
+}
+
+// log2e is math.Exp's LOG2E, the factor of its range reduction.
+const log2e = 1.4426950408889634073599246810018920
+
+// expEdgeInputs are the arguments where an exponential twin could part
+// from math.Exp: both zeros, the infinities, NaN and subnormals; the
+// overflow threshold 7.09782712893384e+02 and its neighbours, and the
+// arguments where k = round(x·log2e) crosses 1023 → 1024; the denormal
+// range below −708 down past the last nonzero result; and every CVTSD2SL
+// rounding tie, an x whose x·log2e rounds to exactly n + 0.5, for each n
+// of the reduction's range, with its neighbours on both sides.
+func expEdgeInputs() []float64 {
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1, -1, 0.5, -0.5,
+		7.09782712893384e+02, 709.5, 1023.5 / log2e, -708, -708.4, -708.5, -709,
+		-720, -744.4, -745.1332191019411, -745.1332191019412, -746, -1075 / log2e,
+		1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+	near := func(x float64, ulps int) {
+		lo, hi := x, x
+		for i := 0; i < ulps; i++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			xs = append(xs, lo, hi)
+		}
+	}
+	near(7.09782712893384e+02, 4)
+	near(1023.5/log2e, 4)
+	near(-1022.5/log2e, 4)
+	near(-708, 2)
+	for x := -708.0; x > -746; x -= 0.37 {
+		xs = append(xs, x)
+	}
+	for n := -1080; n <= 1024; n++ {
+		tie := float64(n) + 0.5
+		x := tie / log2e
+		for i := 0; i < 3; i++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		for i := 0; i < 7; i++ {
+			xs = append(xs, x)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+	return xs
+}
+
+// TestSIMDExpExactBitwise holds the exponential twin to math.Exp itself,
+// bit for bit, over expEdgeInputs and a random sweep of the finite range,
+// each placed in every lane of a group and in every buffer length 1–11, so
+// that a special lane hands its whole group to the scalar loop from every
+// position; in place as well as into a separate buffer.
+func TestSIMDExpExactBitwise(t *testing.T) {
+	defer requireSIMD(t)()
+	rng := rand.New(rand.NewSource(15))
+	xs := expEdgeInputs()
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, (rng.Float64()*2-1)*760)
+	}
+	check := func(label string, got, src []float64) {
+		t.Helper()
+		for i, x := range src {
+			if want := math.Exp(x); !sameBits(got[i], want) {
+				t.Fatalf("%s: exp(%v) [%d of %d] = %v (%#x), math.Exp %v (%#x)", label, x, i, len(src),
+					got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+	got := make([]float64, len(xs))
+	expVec(got, xs)
+	check("sweep", got, xs)
+	for n := 1; n <= 11; n++ {
+		for _, x := range xs[:len(xs)-20000] {
+			for lane := 0; lane < n; lane++ {
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = rng.NormFloat64() * 5
+				}
+				src[lane] = x
+				dst := make([]float64, n)
+				expVec(dst, src)
+				check("lane", dst, src)
+				inPlace := append([]float64(nil), src...)
+				expVec(inPlace, inPlace)
+				check("in place", inPlace, src)
+			}
+		}
+	}
+}
+
+// TestSIMDLogisticCoeffsBitwise holds LogisticCoeffs with the backend on to
+// the scalar expression -y / (1 + math.Exp(y*m)), bit for bit, over labels
+// of both signs and zeros, margins from the exponential's edge inputs, and
+// every buffer length 1–11 and a full block.
+func TestSIMDLogisticCoeffsBitwise(t *testing.T) {
+	defer requireSIMD(t)()
+	rng := rand.New(rand.NewSource(16))
+	edges := expEdgeInputs()
+	labels := []float64{1, -1, 0, math.Copysign(0, -1), 0.5, math.Inf(1), math.NaN()}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 512} {
+		for trial := 0; trial < 200; trial++ {
+			y := make([]float64, n)
+			m := make([]float64, n)
+			for j := range m {
+				y[j] = []float64{1, -1}[rng.Intn(2)]
+				m[j] = rng.NormFloat64() * 4
+				if rng.Intn(8) == 0 {
+					m[j] = edges[rng.Intn(len(edges))]
+				}
+				if rng.Intn(16) == 0 {
+					y[j] = labels[rng.Intn(len(labels))]
+				}
+			}
+			got := append([]float64(nil), m...)
+			LogisticCoeffs(y, got)
+			for j := range m {
+				if want := -y[j] / (1 + math.Exp(y[j]*m[j])); !sameBits(got[j], want) {
+					t.Fatalf("n=%d: coeff(y=%v, m=%v) = %v (%#x), scalar %v (%#x)", n, y[j], m[j],
+						got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
 				}
 			}
 		}
@@ -536,35 +757,78 @@ func asmKernels(t *testing.T) (map[string]asmKernel, func(string) string) {
 }
 
 // exactKernels names the TEXT symbols of simd_amd64.s that serve the exact
-// tier.
-var exactKernels = []string{"denseMarginsExactAVX2", "denseAccumExactAVX2",
+// tier and must hold no FMA.
+var exactKernels = []string{"denseMarginsExactAVX2", "csrMarginsExactAVX2", "denseAccumExactAVX2",
 	"stepL1AVX2", "stepL1LambdaAVX2", "stepL2SqAVX2", "stepL2SqLambdaAVX2"}
+
+// expTwinKernels are the exact tier's kernels built on the exponential
+// twin. They are the one exception to the no-FMA rule: math.Exp's own amd64
+// body fuses its range reduction, its Horner chain and its last doubling
+// step, and a twin that returns its bits must fuse exactly there. They are
+// held to archExp's FMA count instead.
+var expTwinKernels = []string{"expVecExactAVX2", "logisticCoeffsAVX2"}
+
+var fmaOpcode = regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)\w*`)
+
+// checkKernelShape fails unless the kernel is a NOSPLIT leaf (no CALL)
+// that ends in VZEROUPPER.
+func checkKernelShape(t *testing.T, name string, k asmKernel, expand func(string) string) {
+	t.Helper()
+	if !strings.Contains(k.flags, "NOSPLIT") {
+		t.Errorf("%s is not NOSPLIT", name)
+	}
+	if strings.Contains(k.full, "CALL") {
+		t.Errorf("%s is not a leaf", name)
+	}
+	lastRet := strings.LastIndex(k.body, "RET")
+	if lastRet < 0 || !strings.Contains(expand(k.body[:lastRet]), "VZEROUPPER") {
+		t.Errorf("%s does not end in VZEROUPPER", name)
+	}
+}
 
 // TestSIMDExactKernelsHaveNoFMA reads simd_amd64.s and fails if an exact
 // kernel's TEXT body — with every macro it names expanded, transitively —
 // contains a fused multiply-add, whose single rounding would break the
 // bitwise contract. It also pins the rest of the kernels' shape: NOSPLIT
-// leaves (no CALL) that end in VZEROUPPER.
+// leaves (no CALL) that end in VZEROUPPER. The exponential twin's kernels
+// get the same shape check here; their FMA rule is
+// TestSIMDExpTwinFusesWhereMathExpDoes.
 func TestSIMDExactKernelsHaveNoFMA(t *testing.T) {
 	kernels, expand := asmKernels(t)
-	fma := regexp.MustCompile(`(?i)\bVF(N)?M(ADD|SUB)\w*`)
-	for _, name := range exactKernels {
+	for _, name := range append(append([]string(nil), exactKernels...), expTwinKernels...) {
 		k, ok := kernels[name]
 		if !ok {
 			t.Fatalf("no TEXT ·%s in simd_amd64.s", name)
 		}
-		if !strings.Contains(k.flags, "NOSPLIT") {
-			t.Errorf("%s is not NOSPLIT", name)
-		}
-		if op := fma.FindString(k.full); op != "" {
+		checkKernelShape(t, name, k, expand)
+	}
+	for _, name := range exactKernels {
+		if op := fmaOpcode.FindString(kernels[name].full); op != "" {
 			t.Errorf("%s contains %s: an exact kernel must multiply, then add", name, op)
 		}
-		if strings.Contains(k.full, "CALL") {
-			t.Errorf("%s is not a leaf", name)
-		}
-		lastRet := strings.LastIndex(k.body, "RET")
-		if lastRet < 0 || !strings.Contains(expand(k.body[:lastRet]), "VZEROUPPER") {
-			t.Errorf("%s does not end in VZEROUPPER", name)
+	}
+}
+
+// TestSIMDExpTwinFusesWhereMathExpDoes holds each kernel built on the
+// exponential twin to as many FMA instructions as the avxfma path of
+// math.Exp's amd64 body (archExp in $GOROOT/src/math/exp_amd64.s), read
+// from the toolchain's own source. The bitwise tests pin where they sit;
+// this pins that no other multiply-add was fused on the way.
+func TestSIMDExpTwinFusesWhereMathExpDoes(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(runtime.GOROOT(), "src", "math", "exp_amd64.s"))
+	if err != nil {
+		t.Skipf("math.Exp's amd64 source is not readable: %v", err)
+	}
+	text := string(src)
+	at := strings.Index(text, "\navxfma:")
+	if at < 0 {
+		t.Fatal("exp_amd64.s has no avxfma path: math.Exp changed shape, and the twin must follow it")
+	}
+	want := len(fmaOpcode.FindAllString(text[at:], -1))
+	kernels, _ := asmKernels(t)
+	for _, name := range expTwinKernels {
+		if got := len(fmaOpcode.FindAllString(kernels[name].full, -1)); got != want {
+			t.Errorf("%s has %d FMA instructions, math.Exp's avxfma path %d", name, got, want)
 		}
 	}
 }
@@ -630,10 +894,11 @@ func TestSIMDBackendReporting(t *testing.T) {
 // FuzzKernelEquivalence drives all three implementations of dot, margins,
 // accum and sparse dot from fuzzer-chosen shapes and a value pool that
 // includes denormals, infinities and NaN, asserting tolerance-equivalence
-// (or matching non-finite class) everywhere. Three kinds hold the exact
-// tier's margins, accumulate and gradient step (StepL1 and StepL2Sq, λ zero
-// of either sign or drawn from the pool) to their Go loops bit for bit
-// instead.
+// (or matching non-finite class) everywhere. Six kinds hold the exact
+// tier's dense margins, accumulate, gradient step (StepL1 and StepL2Sq, λ
+// zero of either sign or drawn from the pool) and CSR margins to their Go
+// loops, and its exponential twin and logistic coefficients to math.Exp and
+// the scalar expression, bit for bit instead.
 // Widths and offsets wrap into 1..67 and 0..3, the ranges where every asm
 // tail path lives.
 func FuzzKernelEquivalence(f *testing.F) {
@@ -646,6 +911,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(7), uint8(9), uint8(6), uint8(6))
 	f.Add(int64(8), uint8(30), uint8(0), uint8(7))
 	f.Add(int64(9), uint8(66), uint8(3), uint8(7))
+	f.Add(int64(10), uint8(40), uint8(7), uint8(8))
+	f.Add(int64(11), uint8(13), uint8(2), uint8(9))
+	f.Add(int64(12), uint8(21), uint8(5), uint8(10))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, offRaw, kind uint8) {
 		if !SIMDAvailable() {
 			t.Skip("no SIMD backend")
@@ -682,7 +950,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
-		switch kind % 8 {
+		switch kind % 11 {
 		case 0: // dot
 			a := make(Vector, n+off)
 			b := make(Vector, n+off)
@@ -782,7 +1050,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			base := accumBase(rng, n)
 			wantM, wantG := exactGoRef(vals, n, w, coeffs, base)
 			SetSIMD(true)
-			if kind%8 == 5 {
+			if kind%11 == 5 {
 				got := make([]float64, rows)
 				DenseMargins(vals, n, w, got)
 				for j := range got {
@@ -816,6 +1084,68 @@ func FuzzKernelEquivalence(f *testing.F) {
 				in.lambda = math.Copysign(0, -1)
 			}
 			checkStepBitwise(t, fmt.Sprintf("step n=%d", n), in)
+		case 8: // exact CSR margins: bit for bit against SparseDot
+			rows := int(offRaw) % 12
+			offs := make([]int64, rows+1)
+			var indices []int32
+			for j := 0; j < rows; j++ {
+				offs[j] = int64(len(indices))
+				next := int32(-1)
+				for k := rng.Intn(n + 1); k > 0; k-- {
+					next += int32(1 + rng.Intn(3))
+					indices = append(indices, next)
+				}
+			}
+			offs[rows] = int64(len(indices))
+			values := make([]float64, len(indices))
+			w := make(Vector, 1+int(nRaw)%100)
+			fill(values)
+			fill(w)
+			want := csrGoRef(offs, indices, values, w)
+			SetSIMD(true)
+			got := make([]float64, rows)
+			CSRMargins(offs, indices, values, w, got)
+			for j := range got {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("exact CSR margins row %d: simd %v Go %v", j, got[j], want[j])
+				}
+			}
+		case 9, 10: // exponential twin, logistic coefficients: bit for bit
+			src := make([]float64, n)
+			for i := range src {
+				switch rng.Intn(4) {
+				case 0:
+					src[i] = draw()
+				case 1:
+					src[i] = (rng.Float64()*2 - 1) * 760
+				default:
+					src[i] = rng.NormFloat64() * 8
+				}
+			}
+			if kind%11 == 9 {
+				got := make([]float64, n)
+				expVec(got, src)
+				for i, x := range src {
+					if want := math.Exp(x); !sameBits(got[i], want) {
+						t.Fatalf("exp(%v): twin %v math.Exp %v", x, got[i], want)
+					}
+				}
+				return
+			}
+			y := make([]float64, n)
+			for i := range y {
+				y[i] = []float64{1, -1}[rng.Intn(2)]
+				if rng.Intn(8) == 0 {
+					y[i] = draw()
+				}
+			}
+			got := append([]float64(nil), src...)
+			LogisticCoeffs(y, got)
+			for i, m := range src {
+				if want := -y[i] / (1 + math.Exp(y[i]*m)); !sameBits(got[i], want) {
+					t.Fatalf("coeff(y=%v, m=%v): twin %v scalar %v", y[i], m, got[i], want)
+				}
+			}
 		}
 	})
 }
