@@ -123,11 +123,13 @@ const ComputeUnitOverheadFrac = 0.25
 
 // FastMathFlopFrac is the measured per-flop cost fraction of the fast-math
 // kernel tier (engine.Options.FastMath) relative to the bit-exact blocked
-// kernels: multi-accumulator dots break the FP-add dependency chain the
-// exact tier serializes on, the fused four-row gradient accumulation
-// quarters the gradient-vector memory traffic, and the logistic sigmoid
-// runs the polynomial linalg.ExpFast instead of math.Exp. Measurement
-// (same host as the table above, go1.24, median of 5–7 runs):
+// kernels, taken when the tier also had its own sparse dot and polynomial
+// exponential: multi-accumulator dots break the FP-add dependency chain the
+// exact tier serializes on, and the fused four-row gradient accumulation
+// quarters the gradient-vector memory traffic. The tier now runs the exact
+// kernels on CSR blocks and for the sigmoid, and this price still covers
+// that work until the constants are regenerated from a measurement.
+// Measurement (same host as the table above, go1.24, median of 5–7 runs):
 //
 //	three full BGD compute passes over 100k rows, exact and fast tier — the
 //	ratio bench/ reports on every PR as engine.rows_per_s.{dense,sparse}.{exact,fast}

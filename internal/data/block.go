@@ -151,22 +151,15 @@ func (b Block) MarginsInto(w linalg.Vector, out []float64) {
 	}
 }
 
-// MarginsIntoFast is the fast-math tier's MarginsInto: contiguous blocks
-// dispatch to the multi-accumulator margin kernels, whose results agree with
-// MarginsInto only to a relative tolerance (see DESIGN.md §10), never bit for
-// bit. Non-contiguous blocks keep the exact per-row path — the gather cost
-// dominates there, so the fast tier buys nothing.
+// MarginsIntoFast is the fast-math tier's MarginsInto: dense blocks
+// dispatch to the multi-accumulator kernel, whose results agree with
+// MarginsInto only to a relative tolerance (see DESIGN.md §10), never bit
+// for bit. CSR blocks run the exact CSR kernel and non-contiguous blocks
+// the exact per-row path, so their margins are MarginsInto's bits.
 func (b Block) MarginsIntoFast(w linalg.Vector, out []float64) {
-	out = out[:b.n]
 	if vals, stride, ok := b.DenseRows(); ok {
-		linalg.DenseMarginsFast(vals, stride, w, out)
+		linalg.DenseMarginsFast(vals, stride, w, out[:b.n])
 		return
 	}
-	if offs, idx, vals, ok := b.CSRRows(); ok {
-		linalg.CSRMarginsFast(offs, idx, vals, w, out)
-		return
-	}
-	for j := range out {
-		out[j] = b.Row(j).Dot(w)
-	}
+	b.MarginsInto(w, out)
 }

@@ -55,13 +55,15 @@ type Options struct {
 	Workers int
 
 	// FastMath opts the run into the tolerance-bounded fast kernel tier:
-	// the batched compute path dispatches to the multi-accumulator margin
-	// kernels and fused gradient accumulation (gradients.FastGradient),
-	// with the logistic sigmoid routed through linalg.ExpFast. Off (the
-	// default) keeps the bit-exact kernels, which remain the correctness
-	// oracle: fast-tier results agree with them to the per-element bounds
+	// the batched compute path runs dense blocks through the
+	// multi-accumulator margin kernel and the fused four-row gradient
+	// accumulate (gradients.FastGradient); CSR blocks, coefficients and
+	// loss sums stay on the exact kernels. Off (the default) keeps the
+	// bit-exact kernels everywhere, which remain the correctness oracle:
+	// fast-tier results agree with them to the per-element bounds
 	// TestFastMathWithinEpsilon pins, not bit for bit, so runs with
-	// FastMath on are NOT bit-comparable to runs with it off. The sim
+	// FastMath on are NOT bit-comparable to runs with it off on dense data
+	// (on CSR data they are, TestFastMathCSRMatchesExactBitwise). The sim
 	// charges compute at cluster.FastTier's price (cluster.Config.PriceCPU:
 	// the executing backend's measured per-flop fraction) where
 	// gd.KernelTier resolves it, so plan costing tracks the real speedup.

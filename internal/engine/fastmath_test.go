@@ -3,12 +3,14 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ml4all/internal/cluster"
 	"ml4all/internal/data"
 	"ml4all/internal/gd"
 	"ml4all/internal/linalg"
+	"ml4all/internal/metrics"
 )
 
 // forEachFastBackend runs fn once per kernel backend executable on this
@@ -42,7 +44,7 @@ func forEachFastBackend(t *testing.T, fn func(t *testing.T)) {
 // relative epsilon on every number the kernels can influence — final weights,
 // per-iteration deltas — while taking the same number of iterations and the
 // same termination path. The bound below is deliberately far above the
-// per-kernel error (reassociated dots are ~1e-15 off, ExpFast < 2e-8) and far
+// per-kernel error (reassociated dots are ~1e-15 off) and far
 // below anything a wrong kernel could pass: 25 iterations of amplification
 // through a wrong coefficient or a dropped row lands orders of magnitude
 // outside it.
@@ -143,8 +145,8 @@ func testFastMathWithinEpsilon(t *testing.T) {
 // TestFastMathWithinEpsilonAllPlans runs the same fast-vs-exact comparison
 // over the other batch-capable plan families — MGD (gathered sample blocks),
 // SVRG (two-slot accumulator, both halves through the fast kernels) and
-// line-search BGD (LossBlockFast on the probe phases) — at the default block
-// width.
+// line-search BGD (the exact loss sums on the probe phases) — at the default
+// block width.
 func TestFastMathWithinEpsilonAllPlans(t *testing.T) {
 	forEachFastBackend(t, testFastMathWithinEpsilonAllPlans)
 }
@@ -252,4 +254,62 @@ func TestFastMathPerRowPlanUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "per-row/fastmath", base, got, 1)
+}
+
+// TestFastMathCSRMatchesExactBitwise pins what the fast tier leaves exact:
+// on CSR blocks it runs the exact margins, coefficients and sparse axpy, so
+// training with FastMath on a sparse store must give the exact tier's
+// weights, deltas, iteration count and stop flags bit for bit. Time is not
+// compared: the two tiers are priced differently on purpose. The predict
+// side, ScoresIntoFast on a CSR matrix, must return ScoresInto's bits too.
+func TestFastMathCSRMatchesExactBitwise(t *testing.T) {
+	forEachFastBackend(t, testFastMathCSRMatchesExactBitwise)
+}
+
+func testFastMathCSRMatchesExactBitwise(t *testing.T) {
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, task := range []data.TaskKind{data.TaskSVM, data.TaskLogisticRegression, data.TaskLinearRegression} {
+		ds := layoutDataset(t, task, false, 500)
+		st := buildStore(t, ds, 2<<10)
+		p := gd.Params{Task: task, Format: ds.Format, Tolerance: 1e-3, MaxIter: 25, Lambda: 0.05, BatchSize: 32}
+		for _, plan := range []gd.Plan{gd.NewBGD(p), gd.NewMGD(p, gd.Eager, gd.ShuffledPartition)} {
+			for _, workers := range []int{1, 8} {
+				label := fmt.Sprintf("%v/%s/workers=%d", task, plan.Name(), workers)
+				exact, err := Run(cluster.New(cluster.Default()), st, &plan, Options{Seed: 7, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: exact: %v", label, err)
+				}
+				fast, err := Run(cluster.New(cluster.Default()), st, &plan, Options{Seed: 7, Workers: workers, FastMath: true})
+				if err != nil {
+					t.Fatalf("%s: fast: %v", label, err)
+				}
+				switch {
+				case !slices.Equal(bits(fast.Weights), bits(exact.Weights)):
+					t.Fatalf("%s: weights differ:\nfast  %v\nexact %v", label, fast.Weights, exact.Weights)
+				case !slices.Equal(bits(fast.Deltas), bits(exact.Deltas)):
+					t.Fatalf("%s: deltas differ:\nfast  %v\nexact %v", label, fast.Deltas, exact.Deltas)
+				case fast.Iterations != exact.Iterations:
+					t.Fatalf("%s: iterations %d != %d", label, fast.Iterations, exact.Iterations)
+				case fast.Converged != exact.Converged || fast.Budgeted != exact.Budgeted || fast.Diverged != exact.Diverged:
+					t.Fatalf("%s: termination flags differ", label)
+				}
+			}
+		}
+		w := make(linalg.Vector, ds.NumFeatures)
+		for i := range w {
+			w[i] = float64(i%7) - 2.5
+		}
+		exact, fast := make([]float64, ds.N()), make([]float64, ds.N())
+		metrics.ScoresInto(w, ds.Mat, exact)
+		metrics.ScoresIntoFast(w, ds.Mat, fast)
+		if !slices.Equal(bits(fast), bits(exact)) {
+			t.Fatalf("%v: ScoresIntoFast differs from ScoresInto on CSR rows", task)
+		}
+	}
 }

@@ -81,13 +81,14 @@ func takeMargins(n int) *[]float64 {
 func putMargins(p *[]float64) { marginPool.Put(p) }
 
 // blockKernels is the one resolution of which kernels a Gradient has: the
-// fast-math kernels when asked for and implemented, else the bit-exact
+// fast-math gradient when asked for and implemented (loss sums stay on the
+// exact LossBlock: line search is their one caller), else the bit-exact
 // block kernels, else none (RowTier). Returning the pair as plain funcs
 // keeps the per-block dispatch to two type assertions at most, paid once per
 // block, not per row.
 func blockKernels(g gradients.Gradient, fastMath bool) (addGrad func(linalg.Vector, data.Block, []float64, linalg.Vector), loss func(linalg.Vector, data.Block, []float64, *float64), tier cluster.Tier) {
 	if fg, ok := g.(gradients.FastGradient); ok && fastMath {
-		return fg.AddGradientBlockFast, fg.LossBlockFast, cluster.FastTier
+		return fg.AddGradientBlockFast, fg.LossBlock, cluster.FastTier
 	}
 	if bg, ok := g.(gradients.BlockGradient); ok {
 		return bg.AddGradientBlock, bg.LossBlock, cluster.BlockTier

@@ -47,9 +47,10 @@ type Context struct {
 
 	// FastMath selects the tolerance-bounded fast kernel tier
 	// (engine.Options.FastMath): the stock batched computers dispatch to
-	// gradients.FastGradient kernels when it is set and the gradient
-	// implements them, and stay on the bit-exact kernels otherwise. Per-row
-	// execution (custom UDFs, gathered batches) is always exact.
+	// gradients.FastGradient's AddGradientBlockFast when it is set and the
+	// gradient implements it, and stay on the bit-exact kernels otherwise.
+	// Per-row execution (custom UDFs, gathered batches) and loss sums are
+	// always exact.
 	FastMath bool
 
 	// Vars holds algorithm-specific extension state.

@@ -12,7 +12,8 @@ import (
 //
 //	per row      margin → coeff → axpy
 //	exact block  margins → coeffs IN PLACE → DenseAccum / sparse axpy
-//	fast block   fast margins → coeffs IN PLACE → DenseAccumFast / sparse axpy
+//	fast block   dense: DenseMarginsFast → coeffs IN PLACE → DenseAccumFast
+//	             CSR: the exact block
 //
 // Exact is bit-exact by construction: every margin is an independent
 // single-accumulator dot (the rounding of Row.Dot), the scalar functions
@@ -21,7 +22,9 @@ import (
 // every result bit, is that of one AddGradient/Loss call per row. The
 // coefficients overwrite the margins because a margin is dead once its
 // coefficient exists: one scratch buffer per block, still in cache when the
-// accumulate streams it. Fast trades the guarantee for speed (FastGradient).
+// accumulate streams it. Fast trades the guarantee for speed on dense
+// blocks (FastGradient); every loss's coefficients and loss values run the
+// exact scalar functions on both tiers.
 
 // loss is what a stock loss supplies: coeff and value, the gradient
 // coefficient and the loss at label y and margin m, and coeffs and values,
@@ -41,14 +44,6 @@ type loss interface {
 	// hinge has an active set; the others run their axpy whatever the
 	// coefficient, zero and NaN included.
 	skipsInactive() bool
-}
-
-// fastPasses is the optional per-loss override of the fast tier's passes:
-// coeffsFast replaces coeffs, lossSumFast replaces values plus the pairwise
-// sum. Logistic routes its exponentials through linalg.ExpFastVec with it.
-type fastPasses interface {
-	coeffsFast(y, m []float64)
-	lossSumFast(y, m []float64) float64
 }
 
 // glm implements Gradient, BlockGradient and FastGradient for the loss L.
@@ -72,6 +67,19 @@ func (glm[L]) Loss(w linalg.Vector, u data.Row) float64 {
 
 // AddGradientBlock implements BlockGradient.
 func (g glm[L]) AddGradientBlock(w linalg.Vector, rows data.Block, margins []float64, grad linalg.Vector) {
+	g.addGradientBlock(w, rows, margins, grad, false)
+}
+
+// AddGradientBlockFast implements FastGradient: AddGradientBlock with the
+// dense blocks on the fast tier's kernels.
+func (g glm[L]) AddGradientBlockFast(w linalg.Vector, rows data.Block, margins []float64, grad linalg.Vector) {
+	g.addGradientBlock(w, rows, margins, grad, true)
+}
+
+// addGradientBlock is the block pipeline of both tiers: margins,
+// coefficients in place, accumulate. fast picks the fast tier's dense
+// kernels; CSR blocks run the exact kernels either way.
+func (g glm[L]) addGradientBlock(w linalg.Vector, rows data.Block, margins []float64, grad linalg.Vector, fast bool) {
 	labels, ok := rows.Labels()
 	if !ok {
 		// Nothing to hoist in a gathered block: it is the row path.
@@ -82,9 +90,13 @@ func (g glm[L]) AddGradientBlock(w linalg.Vector, rows data.Block, margins []flo
 	}
 	var l L
 	margins = margins[:rows.Len()]
-	rows.MarginsInto(w, margins)
+	if fast {
+		rows.MarginsIntoFast(w, margins)
+	} else {
+		rows.MarginsInto(w, margins)
+	}
 	l.coeffs(labels, margins)
-	accumulate(rows, margins, grad, l.skipsInactive(), false)
+	accumulate(rows, margins, grad, l.skipsInactive(), fast)
 }
 
 // LossBlock implements BlockGradient. It adds one row at a time into the
@@ -106,52 +118,6 @@ func (g glm[L]) LossBlock(w linalg.Vector, rows data.Block, margins []float64, s
 		}
 	}
 	*sum = s
-}
-
-// AddGradientBlockFast implements FastGradient. A gathered block is
-// dominated by the gather itself, so it goes to the exact kernel.
-func (g glm[L]) AddGradientBlockFast(w linalg.Vector, rows data.Block, margins []float64, grad linalg.Vector) {
-	var l L
-	labels, ok := rows.Labels()
-	if !ok {
-		g.AddGradientBlock(w, rows, margins, grad)
-		return
-	}
-	margins = margins[:rows.Len()]
-	rows.MarginsIntoFast(w, margins)
-	if f, ok := any(l).(fastPasses); ok {
-		f.coeffsFast(labels, margins)
-	} else {
-		l.coeffs(labels, margins)
-	}
-	accumulate(rows, margins, grad, l.skipsInactive(), true)
-}
-
-// LossBlockFast implements FastGradient: two independent partial sums.
-func (g glm[L]) LossBlockFast(w linalg.Vector, rows data.Block, margins []float64, sum *float64) {
-	var l L
-	labels, ok := rows.Labels()
-	if !ok {
-		g.LossBlock(w, rows, margins, sum)
-		return
-	}
-	margins = margins[:rows.Len()]
-	rows.MarginsIntoFast(w, margins)
-	if f, ok := any(l).(fastPasses); ok {
-		*sum += f.lossSumFast(labels, margins)
-		return
-	}
-	l.values(labels, margins)
-	var s0, s1 float64
-	j := 0
-	for ; j+2 <= len(margins); j += 2 {
-		s0 += margins[j]
-		s1 += margins[j+1]
-	}
-	if j < len(margins) {
-		s0 += margins[j]
-	}
-	*sum += s0 + s1
 }
 
 // accumulate folds coeffs[j]·row_j into grad in row order over a contiguous

@@ -54,13 +54,14 @@ type BlockGradient interface {
 }
 
 // FastGradient is the fast-math extension of BlockGradient (the opt-in
-// engine.Options.FastMath tier): the same block contract, tolerance-bounded
-// instead of bit-exact. Custom BlockGradient UDFs without it stay on their
-// exact kernels even when the fast tier is on.
+// engine.Options.FastMath tier): AddGradientBlockFast has AddGradientBlock's
+// contract, tolerance-bounded instead of bit-exact on dense blocks and bit
+// for bit on CSR ones. Loss sums keep the exact LossBlock on both tiers.
+// Custom BlockGradient UDFs without it stay on their exact kernels even
+// when the fast tier is on.
 type FastGradient interface {
 	BlockGradient
 	AddGradientBlockFast(w linalg.Vector, rows data.Block, margins []float64, grad linalg.Vector)
-	LossBlockFast(w linalg.Vector, rows data.Block, margins []float64, sum *float64)
 }
 
 // Hinge is the SVM gradient of Table 3:
@@ -139,49 +140,6 @@ func (l Logistic) values(y, m []float64) {
 	for j := range m {
 		m[j] = l.value(y[j], m[j])
 	}
-}
-
-// coeffsFast implements fastPasses: the sigmoid coefficient in three
-// whole-buffer passes so the exponential runs through linalg.ExpFastVec —
-// four lanes per step on SIMD backends, and operation for operation the
-// scalar loop (hence bitwise identical to it) on the portable fast tier.
-func (Logistic) coeffsFast(y, m []float64) {
-	for j := range m {
-		m[j] *= y[j]
-	}
-	linalg.ExpFastVec(m, m)
-	for j, e := range m {
-		m[j] = -y[j] / (1 + e)
-	}
-}
-
-// lossSumFast implements fastPasses: value with the exponential vectorized
-// chunk-wise through two fixed stack buffers (z must survive the exp for
-// the switch, and the margin buffer is the only caller scratch), keeping
-// the path allocation-free.
-func (Logistic) lossSumFast(y, m []float64) float64 {
-	var zbuf, ebuf [128]float64
-	var s float64
-	for base := 0; base < len(m); base += len(zbuf) {
-		mc := m[base:min(len(m), base+len(zbuf))]
-		z := zbuf[:len(mc)]
-		for j := range mc {
-			z[j] = -y[base+j] * mc[j]
-		}
-		e := ebuf[:len(z)]
-		linalg.ExpFastVec(e, z)
-		for j, zj := range z {
-			if zj > 35 {
-				// e^z would still be finite here, but log1p(e^z) = z to
-				// double precision and the linear form matches value's
-				// overflow-proof switch.
-				s += zj
-			} else {
-				s += math.Log1p(e[j])
-			}
-		}
-	}
-	return s
 }
 
 // LeastSquares is the linear-regression gradient of Table 3:

@@ -1,21 +1,20 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Fast-tier kernels: the second kernel family behind engine.Options.FastMath.
-// Where the exact kernels (kernels.go, block.go) buy bitwise identity to the
-// per-row path with a single accumulator updated in strict index order, these
-// buy throughput with multiple independent accumulators — the gc compiler
-// does not auto-vectorize, so the win is breaking the floating-point add
-// dependency chain, which lets the CPU retire several FMAs per cycle instead
-// of serializing on one running sum — plus a polynomial exp for the logistic
-// sigmoid. The price is a changed summation order: results agree with the
-// exact tier only to a relative tolerance, never bit for bit. The accuracy
-// contract (per-element bounds, pinned by engine.TestFastMathWithinEpsilon)
-// is documented in DESIGN.md §10.
+// Fast-tier kernels: the dense half of the second kernel family behind
+// engine.Options.FastMath. Where the exact kernels (kernels.go, block.go)
+// buy bitwise identity to the per-row path with a single accumulator
+// updated in strict index order, these two buy throughput on dense blocks:
+// DenseMarginsFast carries multiple independent accumulators — the gc
+// compiler does not auto-vectorize, so the win is breaking the
+// floating-point add dependency chain, which lets the CPU retire several
+// FMAs per cycle instead of serializing on one running sum — and
+// DenseAccumFast adds four rows' terms to a gradient slot at once. The
+// price is a changed rounding: results agree with the exact tier only to a relative
+// tolerance, never bit for bit. The accuracy contract (per-element bounds,
+// pinned by engine.TestFastMathWithinEpsilon) is documented in DESIGN.md
+// §10. CSR blocks and the exponential run the exact kernels on both tiers.
 
 // FastAccumulators is the number of independent partial sums the fast dense
 // dot carries (the "SIMD width" of the tier). Exported so the equivalence
@@ -42,20 +41,6 @@ func dotContigFast(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// DotFast returns the fast-tier inner product of v and w. It panics if
-// dimensions differ, like Vector.Dot. With the SIMD backend enabled and a
-// vector long enough to amortize the asm call, it dispatches to the
-// assembly kernel; otherwise the portable fast loop runs.
-func (v Vector) DotFast(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: DotFast dimension mismatch %d vs %d", len(v), len(w)))
-	}
-	if simdOn && len(v) >= dotSIMDMinLen {
-		return dotSIMD(v, w)
-	}
-	return dotContigFast(v, w)
-}
-
 // DenseMarginsFast is the fast-tier DenseMargins: out[j] = <row j, w>. Same
 // dimension contract as DenseMargins. The SIMD backend takes whole blocks —
 // the row loop itself runs behind one dispatch, so there is no per-row
@@ -75,58 +60,10 @@ func DenseMarginsFast(vals []float64, stride int, w Vector, out []float64) {
 	}
 }
 
-// sparseDotFast is the fast sparse dot: two independent accumulators over the
-// gathered products. The exact kernel's contract — entries with index >=
-// len(w) contribute zero, iteration stops at the first such index — is kept
-// by trimming the (sorted) index tail before the unrolled loop, so the fast
-// path sums exactly the same terms, just in a different association.
-func sparseDotFast(idx []int32, vals []float64, w Vector) float64 {
-	d := int32(len(w))
-	n := len(idx)
-	for n > 0 && idx[n-1] >= d {
-		n--
-	}
-	var s0, s1 float64
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		s0 += vals[k]*w[idx[k]] + vals[k+2]*w[idx[k+2]]
-		s1 += vals[k+1]*w[idx[k+1]] + vals[k+3]*w[idx[k+3]]
-	}
-	for ; k < n; k++ {
-		s0 += vals[k] * w[idx[k]]
-	}
-	return s0 + s1
-}
-
-// SparseDotFast is the exported fast-tier SparseDot. Indices must be sorted
-// ascending (the SortDedup normalization every arena row satisfies). Rows
-// with enough in-range entries dispatch to the gather kernel when the SIMD
-// backend is on; the trim below re-establishes the kernel's in-bounds
-// contract, and a (contract-violating) negative leading index falls through
-// to the Go loop, which panics the same way the exact tier would.
-func SparseDotFast(idx []int32, vals []float64, w Vector) float64 {
-	if simdOn {
-		d := int32(len(w))
-		n := len(idx)
-		for n > 0 && idx[n-1] >= d {
-			n--
-		}
-		if n >= sparseSIMDMinNNZ && idx[0] >= 0 {
-			return sparseDotSIMD(idx[:n], vals[:n], w)
-		}
-		idx, vals = idx[:n], vals[:n]
-	}
-	return sparseDotFast(idx, vals, w)
-}
-
-// CSRMarginsFast is the fast-tier CSRMargins: out[j] = SparseDotFast(row j)
-// over a contiguous CSR block, with per-row SIMD dispatch (row lengths vary,
-// so the gather threshold is a per-row decision).
+// CSRMarginsFast is CSRMargins: the fast tier runs the exact CSR kernel.
+// Only bench/'s per-layer row calls this name; it goes when that row does.
 func CSRMarginsFast(offs []int64, indices []int32, values []float64, w Vector, out []float64) {
-	for j := range out {
-		lo, hi := offs[j], offs[j+1]
-		out[j] = SparseDotFast(indices[lo:hi], values[lo:hi], w)
-	}
+	CSRMargins(offs, indices, values, w, out)
 }
 
 // DenseAccumFast is the fast-tier fused block axpy:
@@ -164,77 +101,13 @@ func DenseAccumFast(grad Vector, vals []float64, stride int, coeffs []float64) {
 	}
 }
 
-// Constants of the ExpFast range reduction: x = k·ln2 + r with |r| ≤ ln2/2.
-// ln2 is split into a high part exact in 32 bits and a low correction so the
-// subtraction x - k·ln2Hi is exact for every |k| the finite double range can
-// produce (the standard Cody–Waite scheme libm itself uses).
-const (
-	expLog2E = 1.44269504088896338700e+00 // 1/ln2
-	expLn2Hi = 6.93147180369123816490e-01
-	expLn2Lo = 1.90821492927058770002e-10
-
-	// Past these, exp overflows to +Inf / underflows past the smallest
-	// denormal. The fast tier flushes the entire denormal output range to
-	// zero (inputs below expUnderflow), trading ~7e-308 of absolute accuracy
-	// for never paying denormal arithmetic penalties.
-	expOverflow  = 709.782712893384
-	expUnderflow = -708.396418532264
-)
-
-// ExpFast approximates math.Exp with a Cody–Waite range reduction and a
-// degree-7 Taylor polynomial on the reduced argument |r| ≤ ln2/2.
-//
-// Accuracy contract: the polynomial truncation error is bounded by
-// r⁸/8! ≤ (ln2/2)⁸/40320 ≈ 5.2e-9 absolute on e^r ∈ [0.707, 1.415], giving a
-// maximum relative error below 1e-8 over the whole non-flushed input range
-// (the linalg test suite verifies < 2e-8 including rounding, against
-// math.Exp, across [-708, 709] and the denormal/huge edge cases). Out-of-range
-// behavior matches math.Exp: +Inf above the overflow threshold, 0 below the
-// underflow threshold, NaN for NaN — except that results in the denormal
-// range flush to zero.
-func ExpFast(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > expOverflow:
-		return math.Inf(1)
-	case x < expUnderflow:
-		return 0
-	}
-	k := math.Floor(x*expLog2E + 0.5)
-	r := (x - k*expLn2Hi) - k*expLn2Lo
-	// e^r ≈ Σ_{i≤7} rⁱ/i!, Horner form.
-	p := 1 + r*(1+r*(0.5+r*(1.0/6+r*(1.0/24+r*(1.0/120+r*(1.0/720+r*(1.0/5040)))))))
-	// Scale by 2^k with a direct exponent-bit construction instead of
-	// math.Ldexp: the clamps above bound k to [-1022, 1024], so the scale is
-	// always a normal double once the single overflowing value k = 1024
-	// (x just under the overflow threshold, p < 1) is folded into p.
-	ki := int64(k)
-	if ki > 1023 {
-		p *= 2
-		ki--
-	}
-	return p * math.Float64frombits(uint64(ki+1023)<<52)
-}
-
-// ExpFastVec fills dst[i] = ExpFast(src[i]) for every element. With the
-// SIMD backend on (amd64/AVX2) four lanes evaluate at once, with
-// the remainder handled by the scalar ExpFast; elsewhere it is exactly the
-// scalar loop. The two paths honor the same accuracy contract as ExpFast
-// (they differ only in FMA contraction and round-to-nearest-even vs
-// round-half-up choice of k at half-way points, both inside the documented
-// bound). dst and src may alias; lengths must match.
+// ExpFastVec fills dst[i] = math.Exp(src[i]) for every element, bit for
+// bit: the fast tier's logistic passes run the exact exponential (exp.go).
+// Only bench/'s per-layer row calls this name; it goes when that row does.
+// dst and src may alias; lengths must match.
 func ExpFastVec(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("linalg: ExpFastVec dimension mismatch %d vs %d", len(dst), len(src)))
 	}
-	i := 0
-	if simdOn && len(src) >= 4 {
-		n := len(src) &^ 3
-		expVecSIMD(dst[:n], src[:n])
-		i = n
-	}
-	for ; i < len(src); i++ {
-		dst[i] = ExpFast(src[i])
-	}
+	expVec(dst, src)
 }

@@ -2,17 +2,20 @@ package linalg
 
 import "ml4all/internal/linalg/cpu"
 
-// SIMD backend dispatch. The fast tier has two interchangeable
-// implementations: the portable Go loops in fast.go (always compiled, always
-// the correctness oracle) and, on capable amd64 hardware, hand-written
-// AVX2+FMA kernels (simd_amd64.s). The exact tier's dense margins and
-// accumulate have AVX2 twins under the same gate: no-FMA kernels that keep
-// the Go loops' order of adds per row and per gradient slot, a multiply then
+// SIMD backend dispatch. The fast tier's two dense kernels have two
+// interchangeable implementations: the portable Go loops in fast.go (always
+// compiled, always the correctness oracle) and, on capable amd64 hardware,
+// hand-written AVX2+FMA kernels (simd_amd64.s). The exact tier's dense and
+// CSR margins, dense accumulate, gradient step, exponential and logistic
+// coefficients have AVX2 twins under the same gate. The margins,
+// accumulate and step twins are no-FMA kernels that keep the Go loops'
+// order of adds per row, per gradient slot and per delta, a multiply then
 // an add at each step. gc does not contract `s += a*b` on amd64 at any
 // GOAMD64 level, so the Go loops round the same way and the twins return
-// their bits. Selection happens once at init from runtime CPU detection — a
-// stock GOAMD64=v1 binary dispatches the assembly when the silicon has it.
-// The noasm build tag compiles the assembly out entirely, and every other
+// their bits; the exponential twins fuse exactly where math.Exp does.
+// Selection happens once at init from runtime CPU detection — a stock
+// GOAMD64=v1 binary dispatches the assembly when the silicon has it. The
+// noasm build tag compiles the assembly out entirely, and every other
 // architecture runs the portable loops.
 
 // simdOn gates every dispatch to the kernel backend, both tiers'. It is

@@ -9,19 +9,7 @@ import "ml4all/internal/linalg/cpu"
 // own every slice-emptiness and dimension check the assembly assumes — the
 // kernels themselves receive bare pointers plus validated lengths.
 
-const (
-	// Dispatch thresholds: below these the asm call transition costs more
-	// than the vector win over the Go fast loops (measured on AVX2 hardware;
-	// the block-granular kernels — margins, accum, exp — amortize the call
-	// over a whole block and need no threshold).
-	dotSIMDMinLen    = 16
-	sparseSIMDMinNNZ = 8
-)
-
 func simdAvailable() bool { return cpu.Detected.AVX2 && cpu.Detected.FMA }
-
-//go:noescape
-func dotAVX2(a, b *float64, n int) float64
 
 //go:noescape
 func denseMarginsAVX2(vals *float64, stride int, w *float64, out *float64, rows int)
@@ -48,12 +36,6 @@ func stepL2SqAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) flo
 func stepL2SqLambdaAVX2(w, old, acc *float64, n int, inv, lambda, negStep float64) float64
 
 //go:noescape
-func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64
-
-//go:noescape
-func expVecAVX2(dst, src *float64, n int)
-
-//go:noescape
 func csrMarginsExactAVX2(offs *int64, idx *int32, vals *float64, w *float64, d int, out *float64, rows int) int
 
 //go:noescape
@@ -61,9 +43,6 @@ func expVecExactAVX2(dst, src *float64, n int) int
 
 //go:noescape
 func logisticCoeffsAVX2(y, m *float64, n int) int
-
-// dotSIMD computes <a, b>. Caller guarantees len(a) == len(b) > 0.
-func dotSIMD(a, b []float64) float64 { return dotAVX2(&a[0], &b[0], len(a)) }
 
 // denseMarginsSIMD fills out[j] = <row j, w> over a contiguous dense block.
 // Caller guarantees stride == len(w) > 0, len(out) > 0, and that vals holds
@@ -118,19 +97,6 @@ func stepL2SqSIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
 		return stepL2SqLambdaAVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
 	}
 	return stepL2SqAVX2(&w[0], &old[0], &acc[0], len(w), inv, lambda, negStep)
-}
-
-// sparseDotSIMD gathers w[idx[k]]·vals[k]. Caller guarantees the index tail
-// is already trimmed below len(w), indices are non-negative, and
-// len(idx) == len(vals) > 0.
-func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
-	return sparseDotAVX2(&idx[0], &vals[0], len(idx), &w[0])
-}
-
-// expVecSIMD fills dst[i] = ExpFast(src[i]). Caller guarantees
-// len(dst) == len(src), positive and a multiple of 4.
-func expVecSIMD(dst, src []float64) {
-	expVecAVX2(&dst[0], &src[0], len(src))
 }
 
 // expVecExactSIMD writes dst[i] = math.Exp(src[i]) over a prefix of whole

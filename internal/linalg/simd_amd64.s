@@ -2,22 +2,23 @@
 
 #include "textflag.h"
 
-// AVX2 kernels of the SIMD backend, for both kernel tiers. The fast-tier
-// kernels (AVX2+FMA) are the assembly twins of the pure-Go fast kernels in
-// fast.go: reassociated, FMA-contracted, tolerance-bounded. The exact-tier
-// kernels are the twins of exact Go loops and compute the same bits:
-// denseMarginsExactAVX2, csrMarginsExactAVX2 and denseAccumExactAVX2
-// (block.go), where each lane is one row's (or one gradient slot's) single
-// running sum in index order, and the gradient-step kernels stepL1AVX2,
-// stepL1LambdaAVX2, stepL2SqAVX2 and stepL2SqLambdaAVX2 (step.go), where
-// each lane is one model component and the lanes' delta terms enter one
-// running sum in index order. Every step is a multiply then an add — they
-// contain no FMA opcode, and a test holds them to that. The exponential
-// twin's kernels, expVecExactAVX2 and logisticCoeffsAVX2 (exp.go), are the
-// one exception: they return math.Exp's bits by fusing exactly where its
-// amd64 body does. Dispatch (runtime CPU detection, per-call size
-// thresholds) lives in simd_amd64.go, and the Go loops remain both the
-// portable fallback and the oracle the equivalence tests compare against.
+// AVX2 kernels of the SIMD backend, for both kernel tiers. The fast tier's
+// two kernels, denseMarginsAVX2 and denseAccumAVX2 (AVX2+FMA), are the
+// assembly twins of the dense Go loops in fast.go: reassociated,
+// FMA-contracted, tolerance-bounded. The exact-tier kernels are the twins
+// of exact Go loops and compute the same bits: denseMarginsExactAVX2,
+// csrMarginsExactAVX2 and denseAccumExactAVX2 (block.go), where each lane
+// is one row's (or one gradient slot's) single running sum in index order,
+// and the gradient-step kernels stepL1AVX2, stepL1LambdaAVX2, stepL2SqAVX2
+// and stepL2SqLambdaAVX2 (step.go), where each lane is one model component
+// and the lanes' delta terms enter one running sum in index order. Every
+// step is a multiply then an add — they contain no FMA opcode, and a test
+// holds them to that. The exponential twin's kernels, expVecExactAVX2 and
+// logisticCoeffsAVX2 (exp.go), are the one exception: they return
+// math.Exp's bits by fusing exactly where its amd64 body does. Dispatch
+// (runtime CPU detection) lives in simd_amd64.go, and the Go loops remain
+// both the portable fallback and the oracle the equivalence tests compare
+// against.
 // Calling convention is ABI0 with bare pointers + lengths — the Go wrappers
 // own every bounds/emptiness check, the assembly assumes validated
 // arguments. All kernels are NOSPLIT leaves, end in VZEROUPPER, and clobber
@@ -25,74 +26,14 @@
 // registers: a legacy SSE instruction (MOVQ r, Xn, MOVSD, ADDSD, …) after a
 // 256-bit one pays an AVX–SSE state transition, and a test fails on one.
 
-// func dotAVX2(a, b *float64, n int) float64
-//
-// 16-wide: four 4-lane FMA accumulators (the asm analogue of the Go tier's
-// FastAccumulators=4 chains, each now carrying 4 lanes). Tail: one 4-wide
-// block, then scalar FMAs into the reduced sum.
-TEXT ·dotAVX2(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ CX, AX
-	SHRQ $4, AX
-	JZ   dot_tail4
-dot_loop16:
-	VMOVUPD (SI), Y4
-	VMOVUPD 32(SI), Y5
-	VMOVUPD 64(SI), Y6
-	VMOVUPD 96(SI), Y7
-	VFMADD231PD (DI), Y4, Y0
-	VFMADD231PD 32(DI), Y5, Y1
-	VFMADD231PD 64(DI), Y6, Y2
-	VFMADD231PD 96(DI), Y7, Y3
-	ADDQ $128, SI
-	ADDQ $128, DI
-	DECQ AX
-	JNZ  dot_loop16
-dot_tail4:
-	MOVQ CX, AX
-	ANDQ $15, AX
-	MOVQ AX, DX
-	SHRQ $2, DX
-	JZ   dot_reduce
-dot_loop4:
-	VMOVUPD (SI), Y4
-	VFMADD231PD (DI), Y4, Y0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  dot_loop4
-dot_reduce:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	ANDQ $3, AX
-	JZ   dot_done
-dot_loop1:
-	VMOVSD (SI), X2
-	VFMADD231SD (DI), X2, X0
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ AX
-	JNZ  dot_loop1
-dot_done:
-	VMOVSD X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func denseMarginsAVX2(vals *float64, stride int, w *float64, out *float64, rows int)
 //
-// out[j] = <vals[j*stride:(j+1)*stride], w> for j in [0, rows): the dotAVX2
-// body with the row loop folded into the same call, so one asm transition
-// covers a whole 512-row block.
+// out[j] = <vals[j*stride:(j+1)*stride], w> for j in [0, rows), one row at
+// a time: 16 columns per step into four 4-lane FMA accumulators (the asm
+// analogue of the Go loop's FastAccumulators = 4 chains, each now carrying
+// 4 lanes), then one 4-wide step into the first, the reduction, and scalar
+// FMAs into the reduced sum. The row loop runs inside the call, so one asm
+// transition covers a whole 512-row block.
 TEXT ·denseMarginsAVX2(SB), NOSPLIT, $0-40
 	MOVQ vals+0(FP), SI
 	MOVQ stride+8(FP), R8
@@ -578,69 +519,6 @@ TEXT ·stepL2SqLambdaAVX2(SB), NOSPLIT, $0-64
 	VMOVSD X10, ret+56(FP)
 	RET
 
-// func sparseDotAVX2(idx *int32, vals *float64, n int, w *float64) float64
-//
-// Gathered sparse dot: two 4-lane FMA chains fed by VGATHERDPD (dword
-// indices selecting qword elements of w). The caller has already trimmed the
-// sorted index tail at len(w) and verified non-negativity, so every gathered
-// lane is in bounds. The gather mask is all-ones and must be rebuilt per
-// gather — the instruction consumes it.
-TEXT ·sparseDotAVX2(SB), NOSPLIT, $0-40
-	MOVQ idx+0(FP), SI
-	MOVQ vals+8(FP), DX
-	MOVQ n+16(FP), CX
-	MOVQ w+24(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VPCMPEQD Y15, Y15, Y15   // all-ones mask template
-	MOVQ CX, AX
-	SHRQ $3, AX
-	JZ   sp_tail4
-sp_loop8:
-	VMOVDQU (SI), X2
-	VMOVDQU 16(SI), X3
-	VMOVDQA Y15, Y4
-	VGATHERDPD Y4, (DI)(X2*8), Y5
-	VMOVDQA Y15, Y6
-	VGATHERDPD Y6, (DI)(X3*8), Y7
-	VFMADD231PD (DX), Y5, Y0
-	VFMADD231PD 32(DX), Y7, Y1
-	ADDQ $32, SI
-	ADDQ $64, DX
-	DECQ AX
-	JNZ  sp_loop8
-sp_tail4:
-	MOVQ CX, AX
-	ANDQ $7, AX
-	CMPQ AX, $4
-	JLT  sp_reduce
-	VMOVDQU (SI), X2
-	VMOVDQA Y15, Y4
-	VGATHERDPD Y4, (DI)(X2*8), Y5
-	VFMADD231PD (DX), Y5, Y0
-	ADDQ $16, SI
-	ADDQ $32, DX
-	SUBQ $4, AX
-sp_reduce:
-	VADDPD Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	TESTQ AX, AX
-	JZ   sp_done
-sp_loop1:
-	MOVLQSX (SI), R9
-	VMOVSD (DI)(R9*8), X2
-	VFMADD231SD (DX), X2, X0
-	ADDQ $4, SI
-	ADDQ $8, DX
-	DECQ AX
-	JNZ  sp_loop1
-sp_done:
-	VMOVSD X0, ret+32(FP)
-	VZEROUPPER
-	RET
-
 // CSR_ROW_LEN(lo, hiOff, trim, trimmed, empty) reads a row's end offset at
 // hiOff(R8), trims the index tail ≥ d (R11) off it — rows are sorted, so
 // the tail is exactly what SparseDot's break skips — and lowers CX to the
@@ -785,115 +663,6 @@ cm_bail:
 	MOVQ rows+48(FP), AX
 	SUBQ R10, AX
 	MOVQ AX, ret+56(FP)
-	VZEROUPPER
-	RET
-
-// Constants of expVecAVX2. Scalars (broadcast at entry):
-DATA expconst<>+0(SB)/8, $0x3FF71547652B82FE   // 1/ln2
-DATA expconst<>+8(SB)/8, $0x4338000000000000   // shifter 1.5*2^52
-DATA expconst<>+16(SB)/8, $0x3FE62E42FEE00000  // ln2hi
-DATA expconst<>+24(SB)/8, $0x3DEA39EF35793C76  // ln2lo
-DATA expconst<>+32(SB)/8, $0x40862E42FEFA39EF  // overflow threshold
-DATA expconst<>+40(SB)/8, $0xC086232BDD7ABCD1  // underflow threshold
-DATA expconst<>+48(SB)/8, $0x00000000000003FF  // exponent bias 1023
-GLOBL expconst<>(SB), RODATA, $56
-
-// 256-bit replicated constants (memory operands of FMA/blend):
-DATA exppoly<>+0(SB)/8, $0x3F2A01A01A01A01A   // 1/5040
-DATA exppoly<>+8(SB)/8, $0x3F2A01A01A01A01A
-DATA exppoly<>+16(SB)/8, $0x3F2A01A01A01A01A
-DATA exppoly<>+24(SB)/8, $0x3F2A01A01A01A01A
-DATA exppoly<>+32(SB)/8, $0x3F56C16C16C16C17  // 1/720
-DATA exppoly<>+40(SB)/8, $0x3F56C16C16C16C17
-DATA exppoly<>+48(SB)/8, $0x3F56C16C16C16C17
-DATA exppoly<>+56(SB)/8, $0x3F56C16C16C16C17
-DATA exppoly<>+64(SB)/8, $0x3F81111111111111  // 1/120
-DATA exppoly<>+72(SB)/8, $0x3F81111111111111
-DATA exppoly<>+80(SB)/8, $0x3F81111111111111
-DATA exppoly<>+88(SB)/8, $0x3F81111111111111
-DATA exppoly<>+96(SB)/8, $0x3FA5555555555555  // 1/24
-DATA exppoly<>+104(SB)/8, $0x3FA5555555555555
-DATA exppoly<>+112(SB)/8, $0x3FA5555555555555
-DATA exppoly<>+120(SB)/8, $0x3FA5555555555555
-DATA exppoly<>+128(SB)/8, $0x3FC5555555555555 // 1/6
-DATA exppoly<>+136(SB)/8, $0x3FC5555555555555
-DATA exppoly<>+144(SB)/8, $0x3FC5555555555555
-DATA exppoly<>+152(SB)/8, $0x3FC5555555555555
-DATA exppoly<>+160(SB)/8, $0x3FE0000000000000 // 1/2
-DATA exppoly<>+168(SB)/8, $0x3FE0000000000000
-DATA exppoly<>+176(SB)/8, $0x3FE0000000000000
-DATA exppoly<>+184(SB)/8, $0x3FE0000000000000
-DATA exppoly<>+192(SB)/8, $0x3FF0000000000000 // 1
-DATA exppoly<>+200(SB)/8, $0x3FF0000000000000
-DATA exppoly<>+208(SB)/8, $0x3FF0000000000000
-DATA exppoly<>+216(SB)/8, $0x3FF0000000000000
-DATA exppoly<>+224(SB)/8, $0x7FF0000000000000 // +Inf
-DATA exppoly<>+232(SB)/8, $0x7FF0000000000000
-DATA exppoly<>+240(SB)/8, $0x7FF0000000000000
-DATA exppoly<>+248(SB)/8, $0x7FF0000000000000
-GLOBL exppoly<>(SB), RODATA, $256
-
-// func expVecAVX2(dst, src *float64, n int)
-//
-// Four lanes of ExpFast per iteration: Cody–Waite range reduction with the
-// shifter trick (k both as rounded double and, via the mantissa bits of
-// t = x/ln2 + 1.5*2^52, as int64 without a float->int conversion), the same
-// degree-7 polynomial as the scalar (FMA-contracted), and a branch-free
-// 2^k: k clamps to 1023 with the single overflowing step (k=1024, reachable
-// just below the overflow threshold) folded into a second normal scale
-// factor 2^(k-1023). Out-of-range and NaN lanes compute garbage harmlessly
-// and are blended to the scalar tier's contractual results (+Inf / 0 / x)
-// at the end. n must be a positive multiple of 4 (wrapper-enforced).
-TEXT ·expVecAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DX
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $2, CX
-	VBROADCASTSD expconst<>+0(SB), Y8    // 1/ln2
-	VBROADCASTSD expconst<>+8(SB), Y9    // shifter
-	VBROADCASTSD expconst<>+16(SB), Y10  // ln2hi
-	VBROADCASTSD expconst<>+24(SB), Y11  // ln2lo
-	VBROADCASTSD expconst<>+32(SB), Y12  // overflow
-	VBROADCASTSD expconst<>+40(SB), Y13  // underflow
-	VBROADCASTSD expconst<>+48(SB), Y15  // bias 1023 (int64 lanes)
-	VMOVAPD Y9, Y14                      // shifter bits (int64 lanes)
-exp_loop:
-	VMOVUPD (SI), Y0                     // x
-	VMOVAPD Y9, Y1
-	VFMADD231PD Y8, Y0, Y1               // t = shifter + x/ln2
-	VSUBPD Y9, Y1, Y2                    // k = t - shifter (round-to-nearest)
-	VMOVAPD Y0, Y3
-	VFNMADD231PD Y10, Y2, Y3             // r = x - k*ln2hi
-	VFNMADD231PD Y11, Y2, Y3             // r -= k*ln2lo
-	VMOVUPD exppoly<>+0(SB), Y4          // p = 1/5040
-	VFMADD213PD exppoly<>+32(SB), Y3, Y4 // p = p*r + 1/720
-	VFMADD213PD exppoly<>+64(SB), Y3, Y4 // p = p*r + 1/120
-	VFMADD213PD exppoly<>+96(SB), Y3, Y4 // p = p*r + 1/24
-	VFMADD213PD exppoly<>+128(SB), Y3, Y4 // p = p*r + 1/6
-	VFMADD213PD exppoly<>+160(SB), Y3, Y4 // p = p*r + 1/2
-	VFMADD213PD exppoly<>+192(SB), Y3, Y4 // p = p*r + 1
-	VFMADD213PD exppoly<>+192(SB), Y3, Y4 // p = p*r + 1 = e^r
-	VPSUBQ Y14, Y1, Y5                   // ki = int64(k) from t's mantissa bits
-	VPCMPGTQ Y15, Y5, Y6                 // lanes with ki > 1023
-	VPSRLQ $63, Y6, Y6                   // excess = 0 or 1
-	VPSUBQ Y6, Y5, Y5                    // ki -= excess
-	VPADDQ Y15, Y5, Y5
-	VPSLLQ $52, Y5, Y5                   // scale1 = 2^ki as bits
-	VPADDQ Y15, Y6, Y6
-	VPSLLQ $52, Y6, Y6                   // scale2 = 2^excess as bits
-	VMULPD Y5, Y4, Y4                    // p *= scale1
-	VMULPD Y6, Y4, Y4                    // p *= scale2
-	VCMPPD $0x1E, Y12, Y0, Y7            // x > overflow (GT_OQ)
-	VBLENDVPD Y7, exppoly<>+224(SB), Y4, Y4 // -> +Inf
-	VCMPPD $0x11, Y13, Y0, Y7            // x < underflow (LT_OQ)
-	VANDNPD Y4, Y7, Y4                   // -> 0
-	VCMPPD $0x3, Y0, Y0, Y7              // unordered: NaN lanes
-	VBLENDVPD Y7, Y0, Y4, Y4             // -> x (NaN passthrough)
-	VMOVUPD Y4, (DX)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	DECQ CX
-	JNZ  exp_loop
 	VZEROUPPER
 	RET
 

@@ -24,15 +24,6 @@ func requireSIMDBench(b *testing.B) func() {
 	return func() { SetSIMD(prev) }
 }
 
-func BenchmarkDot50SIMD(b *testing.B) {
-	defer requireSIMDBench(b)()
-	x, y := benchVecs(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSinkF = x.DotFast(y)
-	}
-}
-
 func benchDenseMargins(b *testing.B, d int, simd bool, margins func([]float64, int, Vector, []float64)) {
 	const rows = 512
 	r := rand.New(rand.NewSource(9))
@@ -130,40 +121,12 @@ func benchCSRMargins(b *testing.B, d, nnz int, simd bool, margins func([]int64, 
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/row")
 }
 
-func BenchmarkCSRMargins512x25FastGo(b *testing.B) {
-	benchCSRMargins(b, 1000, 25, false, CSRMarginsFast)
-}
-func BenchmarkCSRMargins512x25SIMD(b *testing.B) { benchCSRMargins(b, 1000, 25, true, CSRMarginsFast) }
-
 // The bench's sparse shape: 40 nonzeros per row over d = 2 000
 // (batch-train's sparse file).
 func BenchmarkCSRMargins512x40Exact(b *testing.B) { benchCSRMargins(b, 2000, 40, false, CSRMargins) }
 func BenchmarkCSRMargins512x40ExactSIMD(b *testing.B) {
 	benchCSRMargins(b, 2000, 40, true, CSRMargins)
 }
-func BenchmarkCSRMargins512x40SIMD(b *testing.B) { benchCSRMargins(b, 2000, 40, true, CSRMarginsFast) }
-
-func benchExpVec(b *testing.B, simd bool) {
-	r := rand.New(rand.NewSource(11))
-	src := make([]float64, 512)
-	for i := range src {
-		src[i] = r.NormFloat64() * 10
-	}
-	dst := make([]float64, len(src))
-	if simd {
-		defer requireSIMDBench(b)()
-	} else {
-		defer SetSIMD(SetSIMD(false))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExpFastVec(dst, src)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/elem")
-}
-
-func BenchmarkExpVec512FastGo(b *testing.B) { benchExpVec(b, false) }
-func BenchmarkExpVec512SIMD(b *testing.B)   { benchExpVec(b, true) }
 
 // benchLogisticCoeffs times the exact logistic coefficient pass over a
 // 512-row block of ±1 labels and margins of a few units, the Go loop over

@@ -7,14 +7,7 @@ package linalg
 // They exist only to satisfy the portable dispatch code, and panic loudly if
 // a future edit breaks the simdOn gate.
 
-const (
-	dotSIMDMinLen    = 1 << 30
-	sparseSIMDMinNNZ = 1 << 30
-)
-
 func simdAvailable() bool { return false }
-
-func dotSIMD(a, b []float64) float64 { panic("linalg: SIMD kernel called in noasm build") }
 
 func denseMarginsSIMD(vals []float64, stride int, w Vector, out []float64) {
 	panic("linalg: SIMD kernel called in noasm build")
@@ -43,12 +36,6 @@ func stepL1SIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
 func stepL2SqSIMD(w, old, acc Vector, inv, lambda, negStep float64) float64 {
 	panic("linalg: SIMD kernel called in noasm build")
 }
-
-func sparseDotSIMD(idx []int32, vals []float64, w Vector) float64 {
-	panic("linalg: SIMD kernel called in noasm build")
-}
-
-func expVecSIMD(dst, src []float64) { panic("linalg: SIMD kernel called in noasm build") }
 
 func expVecExactSIMD(dst, src []float64) int { panic("linalg: SIMD kernel called in noasm build") }
 

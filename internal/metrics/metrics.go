@@ -60,25 +60,22 @@ var marginPool = sync.Pool{New: func() any {
 // in a dataset file or a serving request. out must have at least NumRows
 // slots; only the first NumRows are written.
 func ScoresInto(w linalg.Vector, m *data.Matrix, out []float64) {
-	n := m.NumRows()
-	out = out[:n]
-	mp := marginPool.Get().(*[]float64)
-	defer marginPool.Put(mp)
-	margins := *mp
-	for lo := 0; lo < n; lo += evalBlockSize {
-		hi := min(lo+evalBlockSize, n)
-		blk := m.Block(lo, hi)
-		blk.MarginsInto(w, margins)
-		copy(out[lo:hi], margins[:hi-lo])
-	}
+	scoresInto(w, m, out, data.Block.MarginsInto)
 }
 
-// ScoresIntoFast is the fast-math tier's ScoresInto: margins through the
-// multi-accumulator kernels (Block.MarginsIntoFast), agreeing with
-// ScoresInto only to a relative tolerance. Classification predictions can
-// flip for rows whose margin sits within that tolerance of zero — callers
-// serving hard-threshold decisions at scale accept that when they opt in.
+// ScoresIntoFast is the fast-math tier's ScoresInto: margins through
+// Block.MarginsIntoFast, agreeing with ScoresInto only to a relative
+// tolerance on dense rows and bit for bit on sparse ones. Classification
+// predictions can flip for rows whose margin sits within that tolerance of
+// zero — callers serving hard-threshold decisions at scale accept that when
+// they opt in.
 func ScoresIntoFast(w linalg.Vector, m *data.Matrix, out []float64) {
+	scoresInto(w, m, out, data.Block.MarginsIntoFast)
+}
+
+// scoresInto is the block loop of both scoring tiers; marginsInto is the
+// tier's Block margin method.
+func scoresInto(w linalg.Vector, m *data.Matrix, out []float64, marginsInto func(data.Block, linalg.Vector, []float64)) {
 	n := m.NumRows()
 	out = out[:n]
 	mp := marginPool.Get().(*[]float64)
@@ -86,8 +83,7 @@ func ScoresIntoFast(w linalg.Vector, m *data.Matrix, out []float64) {
 	margins := *mp
 	for lo := 0; lo < n; lo += evalBlockSize {
 		hi := min(lo+evalBlockSize, n)
-		blk := m.Block(lo, hi)
-		blk.MarginsIntoFast(w, margins)
+		marginsInto(m.Block(lo, hi), w, margins)
 		copy(out[lo:hi], margins[:hi-lo])
 	}
 }
